@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-smoke microbench serve-smoke cluster-smoke examples experiments verify clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
+.PHONY: all build test bench-test race bench bench-json bench-smoke microbench serve-smoke cluster-smoke examples experiments verify clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
 
 all: build test
 
@@ -12,6 +12,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark module's own tests (bench/ has its own go.mod, so the root
+# `go test ./...` does not reach them): result schema vs BENCHMARK.json,
+# determinism, and -compare verdicts.
+bench-test:
+	$(GO) test -C bench ./...
 
 race:
 	$(GO) test -race ./...
@@ -44,10 +50,10 @@ bench-smoke:
 
 # Storage-stack microbenchmarks (allocation counts are the regression
 # signal, hence -benchmem; -count=5 for a spread benchstat can consume):
-# the pool pin/unpin fast path, a full leaf-chain scan, and an XR-stack
-# join end to end.
+# the pool pin/unpin fast path, a full leaf-chain scan, and XR-stack and
+# B+ joins end to end.
 microbench:
-	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkLeafChainScan|BenchmarkXRStackJoin' \
+	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkLeafChainScan|BenchmarkXRStackJoin|BenchmarkBPlusJoin' \
 		-benchmem -count=5 ./internal/bufferpool ./internal/elemlist ./internal/join
 
 # End-to-end smoke of the serving subsystem: boot xrserve on a temp
@@ -117,7 +123,7 @@ lint:
 	fi
 
 # Everything the CI pipeline runs, in the same order, runnable locally.
-ci: build fmt-check lint vet test race test-debug bench-smoke serve-smoke cluster-smoke crash-smoke
+ci: build fmt-check lint vet test bench-test race test-debug bench-smoke serve-smoke cluster-smoke crash-smoke
 	@echo "ci: all checks passed"
 
 examples:

@@ -150,6 +150,9 @@ type queryObservation struct {
 	PageEvictions     int64                `json:"page_evictions"`
 	ElapsedMS         float64              `json:"elapsed_ms"`
 	SkipEffectiveness float64              `json:"skip_effectiveness"`
+	FingerHits        int64                `json:"finger_hits"`
+	FingerMisses      int64                `json:"finger_misses"`
+	FingerHitShare    float64              `json:"finger_hit_share"`
 	Phases            xrtree.JoinPhases    `json:"phases"`
 	Events            xrtree.TraceSnapshot `json:"events"`
 }
@@ -167,6 +170,9 @@ func printObservation(rep *xrtree.JoinReport, opts runOpts) {
 			PageEvictions:     st.PageEvictions,
 			ElapsedMS:         float64(st.Elapsed.Microseconds()) / 1000,
 			SkipEffectiveness: rep.SkipEffectiveness,
+			FingerHits:        st.FingerHits,
+			FingerMisses:      st.FingerMisses,
+			FingerHitShare:    rep.FingerHitShare,
 			Phases:            rep.Phases,
 			Events:            rep.Events,
 		}
@@ -182,6 +188,8 @@ func printObservation(rep *xrtree.JoinReport, opts runOpts) {
 		rep.Alg, st.OutputPairs, st.ElementsScanned, st.BufferMisses, st.Elapsed)
 	fmt.Printf("          hits=%d physical_reads=%d evictions=%d skip_effectiveness=%.3f\n",
 		st.BufferHits, st.PhysicalReads, st.PageEvictions, rep.SkipEffectiveness)
+	fmt.Printf("          finger_hits=%d finger_misses=%d finger_hit_share=%.3f\n",
+		st.FingerHits, st.FingerMisses, rep.FingerHitShare)
 	fmt.Printf("          phases: anc_probes=%d ancestors_fetched=%d anc_skips=%d (dist %d) desc_skips=%d (dist %d) output_batches=%d index_descends=%d stab_scans=%d\n",
 		ph.AncProbes, ph.AncestorsFetched, ph.AncSkips, ph.AncSkipDistance,
 		ph.DescSkips, ph.DescSkipDistance, ph.OutputBatches, ph.IndexDescends, ph.StabScans)

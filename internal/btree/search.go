@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -10,24 +11,22 @@ import (
 	"xrtree/internal/xmldoc"
 )
 
-// pageBufs pools the per-iterator leaf-copy buffers; XR joins open
-// thousands of short-lived iterators, so Seek/Close must not allocate.
+// pageBufs pools the per-iterator leaf-copy buffers as *[]byte, so Seek
+// and Close move the same pointer in and out of the pool and allocate
+// nothing.
 var pageBufs sync.Pool
 
-func getPageBuf(n int) []byte {
-	if v := pageBufs.Get(); v != nil {
-		if b := *(v.(*[]byte)); cap(b) >= n {
-			return b[:n]
-		}
+func getPageBuf(n int) *[]byte {
+	if p, _ := pageBufs.Get().(*[]byte); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
 	}
-	return make([]byte, n)
+	b := make([]byte, n)
+	return &b
 }
 
-func putPageBuf(b []byte) {
-	if b != nil {
-		pageBufs.Put(&b)
-	}
-}
+// errClosed is returned by a seek on an iterator that was already closed.
+var errClosed = errors.New("btree: seek on a closed iterator")
 
 // readPage copies page id into buf under its shared page latch, so the
 // copy cannot be torn by a concurrent writer mutating the frame.
@@ -42,8 +41,9 @@ func (t *Tree) readPage(id pagefile.PageID, buf []byte, c *metrics.Counters) err
 // costs attributed to c (nil discards them). Safe for concurrent readers
 // and concurrent writers: the descent takes no tree-wide latch.
 func (t *Tree) Lookup(key uint32, c *metrics.Counters) (xmldoc.Element, error) {
-	buf := getPageBuf(t.pool.File().PageSize())
-	defer putPageBuf(buf)
+	bufp := getPageBuf(t.pool.File().PageSize())
+	defer pageBufs.Put(bufp)
+	buf := *bufp
 	if err := t.descendToLeafCopy(key, c, buf); err != nil {
 		return xmldoc.Element{}, err
 	}
@@ -109,9 +109,15 @@ func (t *Tree) descendToLeafCopy(key uint32, c *metrics.Counters, buf []byte) er
 // queries. A scan that races a concurrent Delete's page merge may observe a
 // recycled page; that is detected (ErrCorrupt) rather than latched away,
 // keeping iterators deadlock-free. Close returns the page copy to a pool.
+//
+// SeekGE answers from the held copy when it covers the key (a finger), so
+// a join that skips with it descends from the root only when it leaves
+// the leaf. Like Next and Peek, a finger answer reads the leaf as of its
+// copy.
 type Iterator struct {
 	t    *Tree
 	c    *metrics.Counters
+	bufp *[]byte // pooled buffer; buf is *bufp
 	buf  []byte
 	idx  int
 	err  error
@@ -125,13 +131,50 @@ func (t *Tree) SeekGE(key uint32, c *metrics.Counters) (*Iterator, error) {
 	if err := c.Interrupted(); err != nil {
 		return nil, err
 	}
-	buf := getPageBuf(t.pool.File().PageSize())
-	if err := t.descendToLeafCopy(key, c, buf); err != nil {
-		putPageBuf(buf)
+	bufp := getPageBuf(t.pool.File().PageSize())
+	if err := t.descendToLeafCopy(key, c, *bufp); err != nil {
+		pageBufs.Put(bufp)
 		return nil, err
 	}
-	t.hintNextLeaf(c, buf)
-	return &Iterator{t: t, c: c, buf: buf, idx: leafSearch(buf, key)}, nil
+	t.hintNextLeaf(c, *bufp)
+	return &Iterator{t: t, c: c, bufp: bufp, buf: *bufp, idx: leafSearch(*bufp, key)}, nil
+}
+
+// Holds reports whether SeekGE(key) would be answered from the held leaf
+// copy without a descent: key is at or after the copy's first entry and
+// below its B-link high key, or the copy is the rightmost leaf.
+func (it *Iterator) Holds(key uint32) bool {
+	return it.buf != nil && it.err == nil && leafCount(it.buf) > 0 &&
+		key >= leafKey(it.buf, 0) && !moveRight(leafHigh(it.buf), leafNext(it.buf), key)
+}
+
+// SeekGE repositions the iterator at the first element with start ≥ key:
+// a finger seek. When the held leaf copy covers key it binary-searches in
+// place; otherwise it re-descends from the root into the same buffer.
+// Neither path allocates.
+func (it *Iterator) SeekGE(key uint32) error {
+	if it.err != nil {
+		return it.err
+	}
+	if it.buf == nil {
+		return errClosed
+	}
+	hit := it.Holds(key)
+	it.c.CountFinger(hit)
+	if !hit {
+		if err := it.c.Interrupted(); err != nil {
+			it.err = err
+			return err
+		}
+		if err := it.t.descendToLeafCopy(key, it.c, it.buf); err != nil {
+			it.err = err
+			return err
+		}
+		it.t.hintNextLeaf(it.c, it.buf)
+	}
+	it.idx = leafSearch(it.buf, key)
+	it.done = false
+	return nil
 }
 
 // hintNextLeaf publishes the chained next leaf to the pool's prefetcher,
@@ -220,9 +263,9 @@ func (it *Iterator) Err() error { return it.err }
 
 // Close releases the iterator's page copy. Safe to call multiple times.
 func (it *Iterator) Close() error {
-	if it.buf != nil {
-		putPageBuf(it.buf)
-		it.buf = nil
+	if it.bufp != nil {
+		pageBufs.Put(it.bufp)
+		it.bufp, it.buf = nil, nil
 	}
 	return it.err
 }

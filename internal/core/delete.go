@@ -85,8 +85,9 @@ func (t *Tree) Delete(start uint32) (err error) {
 // costs to c (nil discards them). Safe for concurrent readers and a
 // concurrent writer: it is a B-link descent over page copies.
 func (t *Tree) Lookup(start uint32, c *metrics.Counters) (xmldoc.Element, error) {
-	buf := getPageBuf(t.pool.File().PageSize())
-	defer putPageBuf(buf)
+	bufp := getPageBuf(t.pool.File().PageSize())
+	defer pageBufs.Put(bufp)
+	buf := *bufp
 	if err := t.descendToLeafCopy(start, c, buf); err != nil {
 		return xmldoc.Element{}, err
 	}

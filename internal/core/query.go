@@ -11,9 +11,11 @@ package core
 // only read when it holds at least one result — Theorem 4's O(log_F N + R).
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"xrtree/internal/metrics"
@@ -147,27 +149,43 @@ func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uin
 		id = child
 	}
 
-	// S2: scan the leaf for stabbed elements whose flag is clear, stopping
-	// at the first start beyond sd. Entries at or before minStart cannot be
-	// results, so the scan starts right after it — the "ancestors after the
-	// stack top" variation of §5.2 that keeps the per-probe cost at
-	// O(new ancestors + elements between the stack top and sd in this leaf)
-	// rather than half a leaf.
+	// S2: the leaf's own entries whose flag is clear; the stabbed ones were
+	// collected from the stab lists above.
 	addLeaf(c)
 	c.Emit(obs.EvIndexDescend, int64(h))
-	n := leafCount(data)
-	first := 0
-	if minStart > 0 {
-		first = leafSearch(data, minStart+1)
+	out, examined := t.leafAncestors(data, sd, minStart, false, out, c)
+	c.Emit(obs.EvLeafScan, int64(examined))
+	c.Emit(obs.EvAncProbe, int64(len(out)-len(dst)))
+	err := t.pool.Unpin(id, false)
+	t.pl.RUnlock(id)
+	if err != nil {
+		return nil, err
 	}
-	// Elements-scanned accounting (the Table 2/3 metric): FindAncestors
-	// charges exactly the ancestors it retrieves — the R of Theorem 4.
-	// In-page positioning reads (closed subtrees jumped via their End, the
-	// terminal boundary entry) cost no I/O and are index work, which is how
-	// the paper's XR numbers behave (≈ joined ancestors + consumed
-	// descendants; see EXPERIMENTS.md).
+	// Only the appended tail needs ordering; dst's prefix is untouched.
+	slices.SortFunc(out[len(dst):], func(a, b xmldoc.Element) int { return cmp.Compare(a.Start, b.Start) })
+	return out, nil
+}
+
+// leafAncestors is Algorithm 4's S2 loop over one leaf image: it appends
+// the entries with start in (minStart, sd) that strictly contain sd and
+// returns how many entries it examined. Entries at or before minStart
+// cannot be results, so the scan starts right after it — the "ancestors
+// after the stack top" variation of §5.2 that keeps the per-probe cost at
+// O(new ancestors + elements between the stack top and sd in this leaf)
+// rather than half a leaf. Entries flagged InStabList are skipped unless
+// stabbed is set: a descent has already collected those from the stab
+// lists on its path.
+//
+// Elements-scanned accounting (the Table 2/3 metric): FindAncestors
+// charges exactly the ancestors it retrieves — the R of Theorem 4.
+// In-page positioning reads (closed subtrees jumped via their End, the
+// terminal boundary entry) cost no I/O and are index work, which is how
+// the paper's XR numbers behave (≈ joined ancestors + consumed
+// descendants; see EXPERIMENTS.md).
+func (t *Tree) leafAncestors(data []byte, sd, minStart uint32, stabbed bool, out []xmldoc.Element, c *metrics.Counters) ([]xmldoc.Element, int) {
+	n := leafCount(data)
 	examined := 0
-	for i := first; i < n; {
+	for i := leafSearch(data, minStart+1); i < n; {
 		examined++
 		el, fl := leafElem(data, i)
 		if el.Start >= sd {
@@ -180,24 +198,14 @@ func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uin
 			i = leafSearch(data, el.End+1)
 			continue
 		}
-		if fl&xmldoc.FlagInStabList == 0 && el.Start > minStart {
+		if (stabbed || fl&xmldoc.FlagInStabList == 0) && el.Start > minStart {
 			el.DocID = t.docID
 			addScan(c, 1)
 			out = append(out, el)
 		}
 		i++
 	}
-	c.Emit(obs.EvLeafScan, int64(examined))
-	c.Emit(obs.EvAncProbe, int64(len(out)-len(dst)))
-	err := t.pool.Unpin(id, false)
-	t.pl.RUnlock(id)
-	if err != nil {
-		return nil, err
-	}
-	// Only the appended tail needs ordering; dst's prefix is untouched.
-	tail := out[len(dst):]
-	sort.Slice(tail, func(i, j int) bool { return tail[i].Start < tail[j].Start })
-	return out, nil
+	return out, examined
 }
 
 // searchStabList implements Algorithm 5 over the pinned node: with sd in
@@ -306,25 +314,22 @@ func (t *Tree) FindParent(sd uint32, level uint16, c *metrics.Counters) (xmldoc.
 	return xmldoc.Element{}, false, nil
 }
 
-// pageBufs pools the per-iterator leaf-copy buffers; the XR-stack join
-// reopens its descendant iterator on every skip, so Seek/Close must not
-// allocate.
+// pageBufs pools the per-iterator leaf-copy buffers as *[]byte, so Seek
+// and Close move the same pointer in and out of the pool and allocate
+// nothing.
 var pageBufs sync.Pool
 
-func getPageBuf(n int) []byte {
-	if v := pageBufs.Get(); v != nil {
-		if b := *(v.(*[]byte)); cap(b) >= n {
-			return b[:n]
-		}
+func getPageBuf(n int) *[]byte {
+	if p, _ := pageBufs.Get().(*[]byte); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
 	}
-	return make([]byte, n)
+	b := make([]byte, n)
+	return &b
 }
 
-func putPageBuf(b []byte) {
-	if b != nil {
-		pageBufs.Put(&b)
-	}
-}
+// errClosed is returned by a seek on an iterator that was already closed.
+var errClosed = errors.New("xrtree: seek on a closed iterator")
 
 // Iterator walks leaf entries in ascending start order. It owns a private
 // copy of the current leaf, so it holds no page pin and no tree latch
@@ -333,9 +338,15 @@ func putPageBuf(b []byte) {
 // queries and with writers queued on the latch. A scan racing a concurrent
 // Delete's page merge may observe a recycled page; that is detected
 // (ErrCorrupt) rather than latched away. Close returns the copy to a pool.
+//
+// SeekGE and AppendAncestors answer from the held copy when it covers the
+// keys asked about (a finger), so a join that repositions its cursor on
+// every step descends from the root only when it leaves the leaf. Like
+// Next and Peek, a finger answer reads the leaf as of its copy.
 type Iterator struct {
 	t    *Tree
 	c    *metrics.Counters
+	bufp *[]byte // pooled buffer; buf is *bufp
 	buf  []byte
 	idx  int
 	err  error
@@ -400,13 +411,73 @@ func (t *Tree) SeekGE(key uint32, c *metrics.Counters) (*Iterator, error) {
 	if err := c.Interrupted(); err != nil {
 		return nil, err
 	}
-	buf := getPageBuf(t.pool.File().PageSize())
-	if err := t.descendToLeafCopy(key, c, buf); err != nil {
-		putPageBuf(buf)
+	bufp := getPageBuf(t.pool.File().PageSize())
+	if err := t.descendToLeafCopy(key, c, *bufp); err != nil {
+		pageBufs.Put(bufp)
 		return nil, err
 	}
-	t.hintNextLeaf(c, buf)
-	return &Iterator{t: t, c: c, buf: buf, idx: leafSearch(buf, key)}, nil
+	t.hintNextLeaf(c, *bufp)
+	return &Iterator{t: t, c: c, bufp: bufp, buf: *bufp, idx: leafSearch(*bufp, key)}, nil
+}
+
+// holds reports whether the leaf copy is the leaf a descent would land on
+// for every key in [lo, hi]: lo is at or after the copy's first entry and
+// hi is below its B-link high key, or the copy is the rightmost leaf.
+func (it *Iterator) holds(lo, hi uint32) bool {
+	return it.buf != nil && it.err == nil && leafCount(it.buf) > 0 &&
+		lo >= leafKey(it.buf, 0) && !moveRight(leafHigh(it.buf), leafNext(it.buf), hi)
+}
+
+// Holds reports whether SeekGE(key) would be answered from the held leaf
+// copy without a descent.
+func (it *Iterator) Holds(key uint32) bool { return it.holds(key, key) }
+
+// SeekGE repositions the iterator at the first element with start ≥ key:
+// a finger seek. When the held leaf copy covers key it binary-searches in
+// place; otherwise it re-descends from the root into the same buffer.
+// Neither path allocates.
+func (it *Iterator) SeekGE(key uint32) error {
+	if it.err != nil {
+		return it.err
+	}
+	if it.buf == nil {
+		return errClosed
+	}
+	hit := it.Holds(key)
+	it.c.CountFinger(hit)
+	if !hit {
+		if err := it.c.Interrupted(); err != nil {
+			it.err = err
+			return err
+		}
+		if err := it.t.descendToLeafCopy(key, it.c, it.buf); err != nil {
+			it.err = err
+			return err
+		}
+		it.t.hintNextLeaf(it.c, it.buf)
+	}
+	it.idx = leafSearch(it.buf, key)
+	it.done = false
+	return nil
+}
+
+// AppendAncestors is Tree.AppendAncestors answered from the held leaf copy
+// when it can be. If every start in (minStart, sd) lies inside the copy,
+// the ancestors are exactly the copy's entries in that range that contain
+// sd — every element has a leaf entry, stab-listed ones included — so
+// Algorithm 4's S2 loop over the copy finds them without a descent or a
+// stab-list read. Otherwise it falls back to Tree.AppendAncestors. The
+// iterator's position is unchanged either way.
+func (it *Iterator) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32) ([]xmldoc.Element, error) {
+	hit := it.holds(minStart+1, sd-1)
+	it.c.CountFinger(hit)
+	if !hit {
+		return it.t.AppendAncestors(dst, sd, minStart, it.c)
+	}
+	out, examined := it.t.leafAncestors(it.buf, sd, minStart, true, dst, it.c)
+	it.c.Emit(obs.EvLeafScan, int64(examined))
+	it.c.Emit(obs.EvAncProbe, int64(len(out)-len(dst)))
+	return out, nil
 }
 
 // hintNextLeaf publishes the chained next leaf to the pool's prefetcher,
@@ -429,8 +500,9 @@ func (t *Tree) PrefetchGE(key uint32, c *metrics.Counters) {
 	if !t.pool.PrefetchEnabled() {
 		return
 	}
-	buf := getPageBuf(t.pool.File().PageSize())
-	defer putPageBuf(buf)
+	bufp := getPageBuf(t.pool.File().PageSize())
+	defer pageBufs.Put(bufp)
+	buf := *bufp
 	defer t.debugReadEnter()()
 	id, h := t.loadRoot()
 	//xrvet:bounded advisory root-to-leaf descent, at most h iterations
@@ -524,9 +596,9 @@ func (it *Iterator) Err() error { return it.err }
 
 // Close releases the iterator's page copy; safe to call repeatedly.
 func (it *Iterator) Close() error {
-	if it.buf != nil {
-		putPageBuf(it.buf)
-		it.buf = nil
+	if it.bufp != nil {
+		pageBufs.Put(it.bufp)
+		it.bufp, it.buf = nil, nil
 	}
 	return it.err
 }

@@ -149,11 +149,7 @@ func BPlus(mode Mode, a, d Seeker, emit EmitFunc, c *metrics.Counters) error {
 				// matching the paper's B+ accounting.
 				countScan(c, 1)
 				c.Emit(obs.EvSkipAnc, int64(ca.cur.End+1)-int64(ca.cur.Start))
-				it, err := a.SeekGE(ca.cur.End+1, c)
-				if err != nil {
-					return err
-				}
-				if err := ca.replace(it); err != nil {
+				if err := ca.seek(a, ca.cur.End+1, c); err != nil {
 					return err
 				}
 			}
@@ -166,11 +162,7 @@ func BPlus(mode Mode, a, d Seeker, emit EmitFunc, c *metrics.Counters) error {
 				// the examined boundary descendant counts as scanned.
 				countScan(c, 1)
 				c.Emit(obs.EvSkipDesc, int64(ca.cur.Start+1)-int64(cd.cur.Start))
-				it, err := d.SeekGE(ca.cur.Start+1, c)
-				if err != nil {
-					return err
-				}
-				if err := cd.replace(it); err != nil {
+				if err := cd.seek(d, ca.cur.Start+1, c); err != nil {
 					return err
 				}
 			}
@@ -193,7 +185,9 @@ func countScan(c *metrics.Counters, n int64) {
 // directly to the descendant's ancestors — skipping every non-matching
 // ancestor in between, which the B+ algorithm cannot do — then advances the
 // ancestor cursor past the descendant's start (line 12). Descendant
-// skipping (line 19) is the same range query B+ uses.
+// skipping (line 19) is the same range query B+ uses. Both probes and both
+// seeks go to the cursors' fingers first, so a step whose targets lie in
+// the leaves the cursors already hold costs no descent.
 func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Counters) error {
 	defer startTimer(c)()
 	ai, err := a.Scan(c)
@@ -234,12 +228,13 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 			if ca.cur.Start-1 > minStart {
 				minStart = ca.cur.Start - 1
 			}
-			if pa != nil {
-				// Line 12's SeekGE target is already known; hint its landing
-				// page now so the read overlaps the stab-list probe below.
+			if pa != nil && !ca.holds(cd.cur.Start) {
+				// Line 12's SeekGE target is already known and lies beyond
+				// the held leaf; hint its landing page now so the read
+				// overlaps the stab-list probe below.
 				pa.PrefetchGE(cd.cur.Start, c)
 			}
-			anc, err := a.AppendAncestors(scratch[:0], cd.cur.Start, minStart, c)
+			anc, err := ca.ancestors(a, scratch[:0], cd.cur.Start, minStart, c)
 			if err != nil {
 				return err
 			}
@@ -252,11 +247,7 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 			// seek to ≥ so an element starting exactly at CurD.start (only
 			// possible in a self-join) stays visible as a future ancestor.
 			c.Emit(obs.EvSkipAnc, int64(cd.cur.Start)-int64(ca.cur.Start))
-			it, err := a.SeekGE(cd.cur.Start, c)
-			if err != nil {
-				return err
-			}
-			if err := ca.replace(it); err != nil {
+			if err := ca.seek(a, cd.cur.Start, c); err != nil {
 				return err
 			}
 			cd.advance()
@@ -272,16 +263,12 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 				// accounting as the B+ algorithm's descendant skip).
 				countScan(c, 1)
 				c.Emit(obs.EvSkipDesc, int64(ca.cur.Start+1)-int64(cd.cur.Start))
-				if pd != nil {
+				if pd != nil && !cd.holds(ca.cur.Start+1) {
 					// Hint the skip landing page; its read overlaps the
 					// seek's root-to-leaf descent.
 					pd.PrefetchGE(ca.cur.Start+1, c)
 				}
-				it, err := d.SeekGE(ca.cur.Start+1, c)
-				if err != nil {
-					return err
-				}
-				if err := cd.replace(it); err != nil {
+				if err := cd.seek(d, ca.cur.Start+1, c); err != nil {
 					return err
 				}
 			}

@@ -127,11 +127,7 @@ func BPlusSP(mode Mode, a SiblingListSource, d Seeker, emit EmitFunc, c *metrics
 			} else {
 				countScan(c, 1)
 				c.Emit(obs.EvSkipDesc, int64(ca.cur.Start+1)-int64(cd.cur.Start))
-				it, err := d.SeekGE(ca.cur.Start+1, c)
-				if err != nil {
-					return err
-				}
-				if err := cd.replace(it); err != nil {
+				if err := cd.seek(d, ca.cur.Start+1, c); err != nil {
 					return err
 				}
 			}

@@ -155,18 +155,44 @@ func (s XRTreeSource) Len() int { return s.T.Len() }
 
 // --- shared helpers -------------------------------------------------------
 
+// finger is an index iterator that repositions itself (core.Iterator,
+// btree.Iterator): SeekGE searches the leaf copy it holds and descends
+// from the root only when the key lies beyond it; Holds reports whether
+// it would.
+type finger interface {
+	SeekGE(key uint32) error
+	Holds(key uint32) bool
+}
+
+// ancestorFinger is an index iterator that answers FindAncestors probes
+// from its held leaf when it can (core.Iterator).
+type ancestorFinger interface {
+	AppendAncestors(dst []xmldoc.Element, sd, minStart uint32) ([]xmldoc.Element, error)
+}
+
 // cursor adds lazy one-element lookahead to an Iterator: cur/valid reflect
 // Peek (free), and advance consumes the current element (one scan).
 type cursor struct {
 	it    Iterator
+	f     finger         // the iterator's finger, nil when it has none
+	af    ancestorFinger // the iterator's ancestor probe, nil when it has none
 	cur   xmldoc.Element
 	valid bool
 }
 
 func newCursor(it Iterator) *cursor {
-	c := &cursor{it: it}
-	c.cur, c.valid = it.Peek()
+	c := &cursor{}
+	c.bind(it)
 	return c
+}
+
+// bind makes it the underlying iterator and primes the lookahead without
+// consuming anything.
+func (c *cursor) bind(it Iterator) {
+	c.it = it
+	c.f, _ = it.(finger)
+	c.af, _ = it.(ancestorFinger)
+	c.cur, c.valid = it.Peek()
 }
 
 // advance consumes the current element and peeks the next.
@@ -176,12 +202,40 @@ func (c *cursor) advance() {
 }
 
 // replace swaps the underlying iterator (after an index seek), closing the
-// old one, and primes the lookahead without consuming anything.
+// old one.
 func (c *cursor) replace(it Iterator) error {
 	err := c.it.Close()
-	c.it = it
-	c.cur, c.valid = it.Peek()
+	c.bind(it)
 	return err
+}
+
+// seek positions the cursor at the first element with start ≥ key. It is
+// the one place a join chooses between the iterator's finger seek and a
+// fresh iterator from s.SeekGE, which iterators without a finger (such as
+// decorated ones) fall back to.
+func (c *cursor) seek(s Seeker, key uint32, m *metrics.Counters) error {
+	if c.f != nil {
+		err := c.f.SeekGE(key)
+		c.cur, c.valid = c.it.Peek()
+		return err
+	}
+	it, err := s.SeekGE(key, m)
+	if err != nil {
+		return err
+	}
+	return c.replace(it)
+}
+
+// holds reports whether seek(key) would be answered from the held leaf.
+func (c *cursor) holds(key uint32) bool { return c.f != nil && c.f.Holds(key) }
+
+// ancestors appends the ancestors of sd with start > minStart, through the
+// iterator's leaf-local probe when it has one and through s otherwise.
+func (c *cursor) ancestors(s AncestorSeeker, dst []xmldoc.Element, sd, minStart uint32, m *metrics.Counters) ([]xmldoc.Element, error) {
+	if c.af != nil {
+		return c.af.AppendAncestors(dst, sd, minStart)
+	}
+	return s.AppendAncestors(dst, sd, minStart, m)
 }
 
 func (c *cursor) close() error { return c.it.Close() }

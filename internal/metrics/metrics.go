@@ -64,6 +64,13 @@ type Counters struct {
 	PrefetchIssued int64
 	PrefetchReads  int64
 
+	// FingerHits counts join steps (finger seeks and ancestor probes) that
+	// an index iterator answered from the leaf it already holds, without a
+	// root-to-leaf descent; FingerMisses counts the finger steps that fell
+	// back to one. Joins over iterators without a finger count neither.
+	FingerHits   int64
+	FingerMisses int64
+
 	// Elapsed is wall-clock time, set by Timer or by the caller.
 	Elapsed time.Duration
 
@@ -171,7 +178,31 @@ func (c *Counters) Add(other *Counters) {
 	c.ProtectedHits += other.ProtectedHits
 	c.PrefetchIssued += other.PrefetchIssued
 	c.PrefetchReads += other.PrefetchReads
+	c.FingerHits += other.FingerHits
+	c.FingerMisses += other.FingerMisses
 	c.Elapsed += other.Elapsed
+}
+
+// CountFinger records one finger step as a hit (answered from the held
+// leaf) or a miss (fell back to a descent). Safe on a nil receiver.
+func (c *Counters) CountFinger(hit bool) {
+	if c == nil {
+		return
+	}
+	if hit {
+		c.FingerHits++
+	} else {
+		c.FingerMisses++
+	}
+}
+
+// FingerHitShare is FingerHits over all finger steps, 0 when there were
+// none.
+func (c *Counters) FingerHitShare() float64 {
+	if n := c.FingerHits + c.FingerMisses; n > 0 {
+		return float64(c.FingerHits) / float64(n)
+	}
+	return 0
 }
 
 // Reset zeroes all counters, preserving the attached Tracer and Ctx.

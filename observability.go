@@ -118,6 +118,11 @@ type JoinReport struct {
 	Events TraceSnapshot `json:"events"`
 	// SkipEffectiveness is 1 − scanned/(len(a)+len(d)), clamped to [0, 1].
 	SkipEffectiveness float64 `json:"skip_effectiveness"`
+	// FingerHitShare is the share of the join's index steps (seeks and
+	// ancestor probes) answered from the leaf a cursor already held,
+	// without a root-to-leaf descent: Stats.FingerHits over FingerHits +
+	// FingerMisses, 0 for algorithms that take no such steps.
+	FingerHitShare float64 `json:"finger_hit_share"`
 }
 
 // ObservedJoin runs Join with a fresh Collector attached and returns the
@@ -157,6 +162,7 @@ func ObservedJoinContext(ctx context.Context, alg Algorithm, mode Mode, a, d *El
 		Phases:            col.JoinPhases(),
 		Events:            col.Snapshot(),
 		SkipEffectiveness: SkippingEffectiveness(st.ElementsScanned, int64(a.Len()+d.Len())),
+		FingerHitShare:    st.FingerHitShare(),
 	}, nil
 }
 
@@ -193,5 +199,6 @@ func (c *Collection) ObservedParallelJoinContext(ctx context.Context, alg Algori
 		Phases:            col.JoinPhases(),
 		Events:            col.Snapshot(),
 		SkipEffectiveness: SkippingEffectiveness(st.ElementsScanned, total),
+		FingerHitShare:    st.FingerHitShare(),
 	}, nil
 }

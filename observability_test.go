@@ -114,7 +114,13 @@ func TestObservedJoinPhases(t *testing.T) {
 			if rep.Phases.AncSkips != 0 || rep.Phases.DescSkips != 0 {
 				t.Errorf("%s: scan-based join reports skips: %+v", alg, rep.Phases)
 			}
+			if rep.FingerHitShare != 0 {
+				t.Errorf("%s: scan-based join reports finger hit share %v", alg, rep.FingerHitShare)
+			}
 		case xrtree.AlgXRStack:
+			if rep.FingerHitShare <= 0 || rep.FingerHitShare > 1 {
+				t.Errorf("XR-stack: finger hit share %v, want in (0, 1]", rep.FingerHitShare)
+			}
 			if rep.Phases.AncProbes == 0 {
 				t.Error("XR-stack: no ancestor probes traced")
 			}
