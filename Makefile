@@ -73,8 +73,7 @@ cluster-smoke:
 # Project-specific invariant checkers (cmd/xrvet). vet-analyzers runs
 # the analyzers' own suites (per-analyzer `// want` testdata plus the
 # harness meta-tests); vet-run applies all eight checkers over the whole
-# module — repeat runs hit the per-(package, analyzer) cache under
-# ~/.cache/xrvet — and stock `go vet` (copylocks and friends) alongside.
+# module and stock `go vet` (copylocks and friends) alongside.
 vet-analyzers:
 	$(GO) test ./internal/analysis/...
 

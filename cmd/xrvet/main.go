@@ -4,7 +4,6 @@
 //	go run ./cmd/xrvet ./...            # everything
 //	go run ./cmd/xrvet ./internal/core  # one package
 //	go run ./cmd/xrvet -run pinleak ./...
-//	go run ./cmd/xrvet -nocache ./...   # force a cold run
 //
 // The checks (see DESIGN.md "Static analysis & invariants"):
 //
@@ -17,10 +16,6 @@
 //	spanend        every started obs.Span is ended on every path
 //	errclass       errors crossing the shard boundary are ShardErrors
 //	atomicfield    sync/atomic fields are never accessed plainly
-//
-// Results are cached per (package, analyzer) under the user cache dir,
-// keyed by the xrvet binary, the module's export surface, and the
-// package's sources; -nocache disables the cache for one run.
 //
 // Exit status is 1 if any analyzer reports a finding, 2 on load errors —
 // including patterns that match no packages at all.
@@ -56,9 +51,8 @@ var all = []*analysis.Analyzer{
 
 func main() {
 	runFilter := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	noCache := flag.Bool("nocache", false, "disable the per-package analyzer result cache")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: xrvet [-run analyzers] [-nocache] [packages]\n\nanalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: xrvet [-run analyzers] [packages]\n\nanalyzers:\n")
 		for _, a := range all {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-15s %s\n", a.Name, a.Doc)
 		}
@@ -88,52 +82,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xrvet:", err)
 		os.Exit(2)
 	}
-	var cache *analysis.Cache
-	if !*noCache {
-		// Cache failures (no home dir, unreadable binary) silently
-		// degrade to cold runs.
-		cache, _ = analysis.OpenCache(loader)
-	}
-	dirs, err := loader.PackageDirs(flag.Args())
+	pkgs, err := loader.Packages(flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xrvet:", err)
 		os.Exit(2)
 	}
 
 	findings := 0
-	for _, dir := range dirs {
-		key := cache.PackageKey(dir)
-		var lines []string
-		var miss []*analysis.Analyzer
-		for _, a := range analyzers {
-			if cached, ok := cache.Get(key, a.Name); ok {
-				lines = append(lines, cached...)
-			} else {
-				miss = append(miss, a)
-			}
+	for _, pkg := range pkgs {
+		diags, err := analysis.Run(pkg, analyzers)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "xrvet:", err)
+			os.Exit(2)
 		}
-		if len(miss) > 0 {
-			pkg, err := loader.LoadDir(dir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "xrvet:", err)
-				os.Exit(2)
-			}
-			for _, a := range miss {
-				diags, err := analysis.Run(pkg, []*analysis.Analyzer{a})
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "xrvet:", err)
-					os.Exit(2)
-				}
-				var rendered []string
-				for _, d := range diags {
-					rendered = append(rendered, fmt.Sprintf("%s: %s", pkg.Fset.Position(d.Pos), d.Message))
-				}
-				cache.Put(key, a.Name, rendered)
-				lines = append(lines, rendered...)
-			}
-		}
-		for _, line := range lines {
-			fmt.Println(line)
+		for _, d := range diags {
+			fmt.Printf("%s: %s\n", pkg.Fset.Position(d.Pos), d.Message)
 			findings++
 		}
 	}

@@ -14,7 +14,8 @@
 //     *Counters: the callee's page accesses and element scans vanish
 //     from the query's accounting, and with them the Ctx cancellation
 //     checks. `//xrvet:nocounters <reason>` on the call line (or the
-//     line above) documents the rare deliberate drop.
+//     line above) documents the rare deliberate drop; the reason is
+//     mandatory, and a bare escape is itself a finding.
 package countersthread
 
 import (
@@ -146,7 +147,10 @@ func checkNilDrop(pass *analysis.Pass, call *ast.CallExpr, nocounters map[analys
 		if !isCountersPtr(sig.Params().At(pi).Type()) {
 			continue
 		}
-		if analysis.Annotated(pass.Fset, nocounters, arg.Pos()) {
+		if reason, ok := analysis.Annotation(pass.Fset, nocounters, arg.Pos()); ok {
+			if reason == "" {
+				pass.Reportf(arg.Pos(), "bare //xrvet:nocounters escape: add a justification (//xrvet:nocounters <reason>)")
+			}
 			continue
 		}
 		pass.Reportf(arg.Pos(), "nil Counters passed to a counted layer while the caller has a *Counters; thread it through or annotate //xrvet:nocounters <reason>")

@@ -66,6 +66,11 @@ func badNilDrop(c *Counters) {
 	countedLayer(1, nil) // want `nil Counters passed to a counted layer while the caller has a \*Counters`
 }
 
+func badBareAnnotatedDrop(c *Counters) {
+	//xrvet:nocounters
+	countedLayer(1, nil) // want `bare //xrvet:nocounters escape: add a justification`
+}
+
 func badLitParam() func(Counters) {
 	return func(c Counters) { // want `Counters passed by value: increments accumulate into a copy; pass \*Counters`
 		c.ElementsScanned++

@@ -238,7 +238,7 @@ func (c *checker) classifyCall(call *ast.CallExpr) kind {
 			return nakedK
 		}
 	}
-	switch c.summaries[c.calleeObj(call)] {
+	switch c.summaries[analysis.CalleeObj(c.pass.TypesInfo, call)] {
 	case sumClean:
 		return shardK
 	case sumNaked:
@@ -380,14 +380,4 @@ func stdCallee(info *types.Info, call *ast.CallExpr) (pkg, name string) {
 		return pn.Imported().Path(), sel.Sel.Name
 	}
 	return "", ""
-}
-
-func (c *checker) calleeObj(call *ast.CallExpr) types.Object {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return c.pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		return c.pass.TypesInfo.Uses[fun.Sel]
-	}
-	return nil
 }

@@ -42,8 +42,9 @@
 // wlatch, Pool.CommitTx the checkpoint gate, and so on). Same-package
 // helpers inherit summaries from the locks their bodies acquire,
 // propagated to a fixpoint through same-package calls.
-// `//xrvet:latchorder-ignore` on a function declaration suppresses the
-// check for that function.
+// `//xrvet:latchorder-ignore <reason>` on a function declaration
+// suppresses the check for that function; the reason is mandatory, and a
+// bare escape is itself a finding.
 package latchorder
 
 import (
@@ -183,7 +184,13 @@ func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || analysis.Annotated(pass.Fset, c.ignore, fn.Pos()) {
+			if !ok || fn.Body == nil {
+				continue
+			}
+			if reason, ok := analysis.Annotation(pass.Fset, c.ignore, fn.Pos()); ok {
+				if reason == "" {
+					pass.Reportf(fn.Pos(), "bare //xrvet:latchorder-ignore escape: add a justification (//xrvet:latchorder-ignore <reason>)")
+				}
 				continue
 			}
 			// The function that *implements* a lock acquisition is where
@@ -294,14 +301,7 @@ func (c *checker) callSummary(call *ast.CallExpr) summary {
 			}
 		}
 	}
-	var obj types.Object
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj = c.pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = c.pass.TypesInfo.Uses[fun.Sel]
-	}
-	if s, ok := c.summaries[obj]; ok {
+	if s, ok := c.summaries[analysis.CalleeObj(c.pass.TypesInfo, call)]; ok {
 		return s
 	}
 	return summary{}

@@ -377,3 +377,11 @@ func badPoolUnderProber(pr *Prober, p *Pool) {
 	defer pr.mu.Unlock()
 	p.Fetch(1) // want `latch order violation: calling p.Fetch \(acquires level 4\) while holding pr.mu \(level 7\)`
 }
+
+//xrvet:latchorder-ignore
+func bareIgnoredInversion(t *Tree) { // want `bare //xrvet:latchorder-ignore escape: add a justification`
+	t.s.mu.Lock()
+	t.wlatch.Lock()
+	t.wlatch.Unlock()
+	t.s.mu.Unlock()
+}

@@ -22,873 +22,99 @@
 //
 // Matching is by type and method name (a named type Pool with
 // Fetch/FetchNew/Unpin/Discard methods), so analysistest packages can
-// model the pool locally. `//xrvet:pinleak-ignore` on a function
-// declaration suppresses the check for that function.
+// model the pool locally. `//xrvet:pinleak-ignore <reason>` on a function
+// declaration suppresses the check for that function; the reason is
+// mandatory. The path walk itself is package flow's; this package is the
+// hook table that says what pins and unpins.
 package pinleak
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strconv"
 
 	"xrtree/internal/analysis"
+	"xrtree/internal/analysis/flow"
 )
 
 // Analyzer is the pinleak analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "pinleak",
 	Doc:  "check that every buffer-pool Fetch/FetchNew is paired with Unpin/Discard on all paths",
-	Run:  run,
+	Run:  hooks.Run,
 }
 
-// poolMethods are the Pool methods whose own bodies are exempt (they
-// implement pinning, they don't consume it).
-var poolMethods = map[string]bool{
-	"Fetch": true, "FetchCopy": true, "FetchNew": true,
-	"TryFetchCopy": true, "Prefetch": true,
-	"Unpin": true, "Discard": true,
+var hooks = &flow.Hooks{
+	Directive: "//xrvet:pinleak-ignore",
+	Acquires: func(w *flow.Walker, call *ast.CallExpr) bool {
+		return poolCall(w, call, "Fetch", "FetchNew")
+	},
+	Bind: bind,
+	Released: func(w *flow.Walker, call *ast.CallExpr) ast.Expr {
+		if len(call.Args) > 0 && poolCall(w, call, "Unpin", "Discard") {
+			return call.Args[0]
+		}
+		return nil
+	},
+	// Pinless copies and readahead hints read page ids without assuming
+	// any pin obligation, so passing a pinned id to them is not an
+	// ownership transfer (a hint must never be mistaken for an Unpin).
+	Advisory: func(w *flow.Walker, call *ast.CallExpr) bool {
+		return poolCall(w, call, "FetchCopy", "TryFetchCopy", "Prefetch")
+	},
+	// Returning a pin whose page id came in as a parameter makes the
+	// function a pin-returning wrapper: calling it pins the page passed at
+	// that parameter index.
+	Returned: func(w *flow.Walker, o flow.Obligation, _ int) {
+		if idx, ok := w.Param(o.Obj); ok {
+			w.RecordWrapper(idx)
+		}
+	},
+	Discarded:   "pin leak: pinned result of %s is discarded",
+	Overwritten: "pin leak: %s is overwritten while still pinned (fetched at line %d)",
+	Leaked:      "pin leak: %s fetched at line %d is still pinned on this return path",
+	LoopLeaked:  "pin leak: %s fetched at line %d is still pinned when the loop repeats",
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	c := &checker{
-		pass:     pass,
-		wrappers: map[types.Object]int{},
-		reported: map[string]bool{},
-		ignore:   analysis.CommentLines(pass.Fset, pass.Files, "//xrvet:pinleak-ignore"),
-	}
-	// Fixpoint pass: discover pin-returning wrappers (whose callers then
-	// acquire pins through them) before reporting anything. Wrapper chains
-	// are short; a few rounds reach closure.
-	c.collect = true
-	for range 4 {
-		c.changed = false
-		c.walkAll()
-		if !c.changed {
-			break
-		}
-	}
-	c.collect = false
-	c.walkAll()
-	return nil, nil
-}
-
-type checker struct {
-	pass *analysis.Pass
-	// wrappers maps a function object to the index of its page-id
-	// parameter: calling it pins the page passed at that index.
-	wrappers map[types.Object]int
-	collect  bool
-	changed  bool
-	reported map[string]bool
-	ignore   map[analysis.LineKey]string
-}
-
-func (c *checker) walkAll() {
-	for _, f := range c.pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body == nil || c.skipFunc(fn) {
-					return false
-				}
-				c.checkFunc(fn.Type, fn.Body, c.pass.TypesInfo.Defs[fn.Name])
-			case *ast.FuncLit:
-				// Function literals are checked as functions in their own
-				// right; pins they inherit from the enclosing function are
-				// that function's responsibility (transfer rules apply).
-				c.checkFunc(fn.Type, fn.Body, nil)
-			}
-			return true
-		})
-	}
-}
-
-func (c *checker) skipFunc(fn *ast.FuncDecl) bool {
-	if analysis.Annotated(c.pass.Fset, c.ignore, fn.Pos()) {
-		return true
-	}
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return false
-	}
-	return poolMethods[fn.Name.Name] && analysis.TypeNameIs(c.pass.TypesInfo.TypeOf(fn.Recv.List[0].Type), "", "Pool")
-}
-
-// pin is one held page pin on one path.
-type pin struct {
-	key     string       // source text of the page-id expression
-	idObj   types.Object // id variable, when it is a plain ident
-	dataObj types.Object // page-data variable
-	errObj  types.Object // acquisition's error variable
-	// conditional marks a pin whose acquisition error has not been
-	// checked yet: it exists only if that error was nil.
-	conditional bool
-	pos         token.Pos // acquisition site
-}
-
-type state []pin
-
-func (st state) clone() state {
-	out := make(state, len(st))
-	copy(out, st)
-	return out
-}
-
-func (st state) sig() string {
-	s := ""
-	for _, p := range st {
-		s += p.key
-		if p.conditional {
-			s += "?"
-		}
-		s += "@" + strconv.Itoa(int(p.pos)) + ";"
-	}
-	return s
-}
-
-type outKind int
-
-const (
-	outFall outKind = iota
-	outBreak
-	outContinue
-	outTerm // return, panic, goto: path accounted for or abandoned
-)
-
-type outcome struct {
-	kind outKind
-	st   state
-}
-
-// mergeOutcomes dedupes by (kind, pin set) and caps path blowup.
-func mergeOutcomes(outs []outcome) []outcome {
-	seen := map[string]bool{}
-	var res []outcome
-	for _, o := range outs {
-		key := strconv.Itoa(int(o.kind)) + "|" + o.st.sig()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		res = append(res, o)
-		if len(res) >= 64 {
-			break
-		}
-	}
-	return res
-}
-
-// walker analyzes one function body.
-type walker struct {
-	c      *checker
-	fnObj  types.Object         // nil for function literals
-	params map[types.Object]int // declared parameter -> index
-	ftype  *ast.FuncType
-}
-
-func (c *checker) checkFunc(ftype *ast.FuncType, body *ast.BlockStmt, fnObj types.Object) {
-	w := &walker{c: c, fnObj: fnObj, params: map[types.Object]int{}, ftype: ftype}
-	idx := 0
-	if ftype.Params != nil {
-		for _, fld := range ftype.Params.List {
-			for _, name := range fld.Names {
-				if obj := c.pass.TypesInfo.Defs[name]; obj != nil {
-					w.params[obj] = idx
-				}
-				idx++
-			}
-			if len(fld.Names) == 0 {
-				idx++
-			}
-		}
-	}
-	outs := w.walkList(body.List, nil)
-	for _, o := range outs {
-		if o.kind == outFall {
-			// Falling off the end of the body is an implicit return.
-			w.reportLeaks(o.st, body.Rbrace)
-		}
-	}
-}
-
-func (w *walker) walkList(stmts []ast.Stmt, st state) []outcome {
-	if len(stmts) == 0 {
-		return []outcome{{outFall, st}}
-	}
-	first := w.walkStmt(stmts[0], st)
-	var res []outcome
-	for _, o := range first {
-		if o.kind == outFall {
-			res = append(res, w.walkList(stmts[1:], o.st)...)
-		} else {
-			res = append(res, o)
-		}
-	}
-	return mergeOutcomes(res)
-}
-
-func (w *walker) walkStmt(s ast.Stmt, st state) []outcome {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		return []outcome{{outFall, w.assign(st, s.Lhs, s.Rhs, s.Pos())}}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) > 0 {
-					lhs := make([]ast.Expr, len(vs.Names))
-					for i, n := range vs.Names {
-						lhs[i] = n
-					}
-					st = w.assign(st, lhs, vs.Values, s.Pos())
-				}
-			}
-		}
-		return []outcome{{outFall, st}}
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if name, _ := w.callee(call); name == "panic" {
-				return []outcome{{outTerm, st}}
-			}
-			if w.isAcquire(call) {
-				if !w.c.collect {
-					w.report(s.Pos(), "pin leak: pinned result of %s is discarded", types.ExprString(call.Fun))
-				}
-				return []outcome{{outFall, w.scanExprs(st, s.X)}}
-			}
-		}
-		return []outcome{{outFall, w.scanExprs(st, s.X)}}
-	case *ast.ReturnStmt:
-		st = w.scanExprs(st, s.Results...)
-		st = w.returnTransfers(st, s.Results)
-		w.reportLeaks(st, s.Pos())
-		return []outcome{{outTerm, st}}
-	case *ast.DeferStmt:
-		return []outcome{{outFall, w.deferred(st, s.Call)}}
-	case *ast.GoStmt:
-		return []outcome{{outFall, w.deferred(st, s.Call)}}
-	case *ast.IfStmt:
-		return w.ifStmt(s, st)
-	case *ast.ForStmt:
-		return w.forStmt(s, st)
-	case *ast.RangeStmt:
-		return w.rangeStmt(s, st)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			st = w.simple(s.Init, st)
-		}
-		st = w.scanExprs(st, s.Tag)
-		return w.clauses(s.Body, st, hasDefault(s.Body))
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			st = w.simple(s.Init, st)
-		}
-		return w.clauses(s.Body, st, hasDefault(s.Body))
-	case *ast.SelectStmt:
-		return w.clauses(s.Body, st, true)
-	case *ast.BlockStmt:
-		return w.walkList(s.List, st)
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, st)
-	case *ast.BranchStmt:
-		switch s.Tok {
-		case token.BREAK:
-			return []outcome{{outBreak, st}}
-		case token.CONTINUE:
-			return []outcome{{outContinue, st}}
-		case token.FALLTHROUGH:
-			return []outcome{{outFall, st}}
-		default: // goto: abandon path analysis rather than guess
-			return []outcome{{outTerm, st}}
-		}
-	case *ast.SendStmt:
-		return []outcome{{outFall, w.scanExprs(st, s.Chan, s.Value)}}
-	case *ast.IncDecStmt:
-		return []outcome{{outFall, st}}
-	case *ast.EmptyStmt:
-		return []outcome{{outFall, st}}
-	}
-	return []outcome{{outFall, st}}
-}
-
-// simple runs a statement known not to branch (loop/if/switch inits) and
-// returns the single fall-through state.
-func (w *walker) simple(s ast.Stmt, st state) state {
-	outs := w.walkStmt(s, st)
-	for _, o := range outs {
-		if o.kind == outFall {
-			return o.st
-		}
-	}
-	return st
-}
-
-func hasDefault(body *ast.BlockStmt) bool {
-	for _, s := range body.List {
-		switch cl := s.(type) {
-		case *ast.CaseClause:
-			if cl.List == nil {
-				return true
-			}
-		case *ast.CommClause:
-			if cl.Comm == nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// clauses walks switch/select case bodies. Unless the statement is
-// exhaustive, the no-case-taken path falls through with the entry state.
-func (w *walker) clauses(body *ast.BlockStmt, st state, exhaustive bool) []outcome {
-	var res []outcome
-	for _, s := range body.List {
-		switch cl := s.(type) {
-		case *ast.CaseClause:
-			st2 := w.scanExprs(st.clone(), cl.List...)
-			res = append(res, w.walkList(cl.Body, st2)...)
-		case *ast.CommClause:
-			st2 := st.clone()
-			if cl.Comm != nil {
-				st2 = w.simple(cl.Comm, st2)
-			}
-			res = append(res, w.walkList(cl.Body, st2)...)
-		}
-	}
-	if !exhaustive {
-		res = append(res, outcome{outFall, st})
-	}
-	// break inside switch/select exits the statement, not a loop.
-	for i, o := range res {
-		if o.kind == outBreak {
-			res[i].kind = outFall
-		}
-	}
-	return mergeOutcomes(res)
-}
-
-func (w *walker) ifStmt(s *ast.IfStmt, st state) []outcome {
-	if s.Init != nil {
-		st = w.simple(s.Init, st)
-	}
-	st = w.scanExprs(st, s.Cond)
-	thenSt, elseSt := w.applyGuard(st, s.Cond)
-	res := w.walkList(s.Body.List, thenSt)
-	if s.Else != nil {
-		res = append(res, w.walkStmt(s.Else, elseSt)...)
-	} else {
-		res = append(res, outcome{outFall, elseSt})
-	}
-	return mergeOutcomes(res)
-}
-
-// applyGuard interprets `err != nil` / `err == nil` conditions for pins
-// conditional on err: on the error side the pin never existed, on the nil
-// side it is definitely held.
-func (w *walker) applyGuard(st state, cond ast.Expr) (thenSt, elseSt state) {
-	thenSt, elseSt = st.clone(), st.clone()
-	be, ok := cond.(*ast.BinaryExpr)
-	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return
-	}
-	id := guardOperand(be)
-	if id == nil {
-		return
-	}
-	obj := w.obj(id)
-	if obj == nil {
-		return
-	}
-	for i := range st {
-		if !st[i].conditional || st[i].errObj != obj {
-			continue
-		}
-		if be.Op == token.NEQ { // err != nil: then = failed, else = held
-			thenSt = removePinAt(thenSt, st[i].pos)
-			elseSt = confirmPinAt(elseSt, st[i].pos)
-		} else { // err == nil: then = held, else = failed
-			thenSt = confirmPinAt(thenSt, st[i].pos)
-			elseSt = removePinAt(elseSt, st[i].pos)
-		}
-	}
-	return
-}
-
-func guardOperand(be *ast.BinaryExpr) *ast.Ident {
-	if isNil(be.Y) {
-		if id, ok := be.X.(*ast.Ident); ok {
-			return id
-		}
-	}
-	if isNil(be.X) {
-		if id, ok := be.Y.(*ast.Ident); ok {
-			return id
-		}
-	}
-	return nil
-}
-
-func isNil(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-func removePinAt(st state, pos token.Pos) state {
-	out := st[:0:0]
-	for _, p := range st {
-		if p.pos != pos {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func confirmPinAt(st state, pos token.Pos) state {
-	out := st.clone()
-	for i := range out {
-		if out[i].pos == pos {
-			out[i].conditional = false
-		}
-	}
-	return out
-}
-
-func (w *walker) forStmt(s *ast.ForStmt, st state) []outcome {
-	if s.Init != nil {
-		st = w.simple(s.Init, st)
-	}
-	st = w.scanExprs(st, s.Cond)
-	body := w.walkList(s.Body.List, st.clone())
-	var res []outcome
-	for _, o := range body {
-		switch o.kind {
-		case outFall, outContinue:
-			// Back edge: pins acquired inside the body must not survive
-			// into the next iteration. Report once, then drop them so the
-			// after-loop paths don't re-report the same acquisition.
-			w.reportLoopLeaks(o.st, s.Body)
-			if s.Cond != nil {
-				res = append(res, outcome{outFall, dropBodyPins(o.st, s.Body)})
-			}
-		case outBreak:
-			res = append(res, outcome{outFall, o.st})
-		default:
-			res = append(res, o)
-		}
-	}
-	if s.Cond != nil {
-		res = append(res, outcome{outFall, st}) // zero iterations
-	}
-	return mergeOutcomes(res)
-}
-
-func (w *walker) rangeStmt(s *ast.RangeStmt, st state) []outcome {
-	st = w.scanExprs(st, s.X)
-	body := w.walkList(s.Body.List, st.clone())
-	var res []outcome
-	for _, o := range body {
-		switch o.kind {
-		case outFall, outContinue:
-			w.reportLoopLeaks(o.st, s.Body)
-			res = append(res, outcome{outFall, dropBodyPins(o.st, s.Body)})
-		case outBreak:
-			res = append(res, outcome{outFall, o.st})
-		default:
-			res = append(res, o)
-		}
-	}
-	res = append(res, outcome{outFall, st}) // zero iterations
-	return mergeOutcomes(res)
-}
-
-// dropBodyPins removes pins acquired inside body: they were reported at
-// the loop's back edge already.
-func dropBodyPins(st state, body *ast.BlockStmt) state {
-	out := st[:0:0]
-	for _, p := range st {
-		if p.pos > body.Lbrace && p.pos < body.Rbrace {
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// assign processes one (possibly multi-value) assignment: releases and
-// transfers in the RHS, overwrite/guard bookkeeping on the LHS, then pin
-// acquisition if the RHS is a pinning call.
-func (w *walker) assign(st state, lhs, rhs []ast.Expr, pos token.Pos) state {
-	st = w.scanExprs(st, rhs...)
-
-	// Aliasing: assigning the pin's *data* to another variable or field
-	// hands the pin over (`prevID, prevData = id, data`, `it.data = data`).
-	// Assigning the id alone is bookkeeping and keeps the obligation here.
-	for _, r := range rhs {
-		if id, ok := r.(*ast.Ident); ok {
-			if obj := w.obj(id); obj != nil {
-				st = w.dropOwned(st, obj)
-			}
-		}
-	}
-
-	var acq *ast.CallExpr
-	if len(rhs) == 1 {
-		if call, ok := rhs[0].(*ast.CallExpr); ok && w.isAcquire(call) {
-			acq = call
-		}
-	}
-
-	for _, l := range lhs {
-		id, ok := l.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		obj := w.obj(id)
-		if obj == nil {
-			continue
-		}
-		for i := range st {
-			if st[i].idObj == obj && !w.c.collect {
-				w.report(pos, "pin leak: %s is overwritten while still pinned (fetched at line %d)",
-					st[i].key, w.line(st[i].pos))
-			}
-		}
-		st = removeByID(st, obj)
-		// Reassigning the guard variable of a conditional pin severs the
-		// guard: treat the pin as definitely held from here on.
-		for i := range st {
-			if st[i].conditional && st[i].errObj == obj {
-				st[i].conditional = false
-			}
-		}
-	}
-
-	if acq != nil {
-		if p, ok := w.acquiredPin(acq, lhs, pos); ok {
-			st = append(st.clone(), p)
-		}
-	}
-	return st
-}
-
-func removeByID(st state, obj types.Object) state {
-	out := st[:0:0]
-	for _, p := range st {
-		if p.idObj != obj {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// dropOwned removes pins whose data variable is obj: the pinned bytes
-// have been handed to another variable, field, or structure, which now
-// carries the release obligation.
-func (w *walker) dropOwned(st state, obj types.Object) state {
-	out := st[:0:0]
-	for _, p := range st {
-		if p.dataObj != nil && p.dataObj == obj {
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// acquiredPin builds the pin for an acquisition call assigned to lhs.
-func (w *walker) acquiredPin(call *ast.CallExpr, lhs []ast.Expr, pos token.Pos) (pin, bool) {
-	p := pin{conditional: true, pos: pos}
-	switch {
-	case analysis.IsMethodCall(w.c.pass.TypesInfo, call, "Pool", "FetchNew"):
+// bind builds the pin an acquisition holds. The pin is keyed on its page
+// id: FetchNew's first result, otherwise the id argument. Its data and
+// error variables come from the remaining results; when the call is
+// returned directly there are none.
+func bind(w *flow.Walker, call *ast.CallExpr, lhs []ast.Expr) (flow.Obligation, bool) {
+	if poolCall(w, call, "FetchNew") {
 		if len(lhs) != 3 {
-			return p, false
+			return flow.Obligation{}, false
 		}
-		p.key = types.ExprString(lhs[0])
-		p.idObj = w.obj(lhs[0])
-		p.dataObj = w.obj(lhs[1])
-		p.errObj = w.obj(lhs[2])
-	case analysis.IsMethodCall(w.c.pass.TypesInfo, call, "Pool", "Fetch"):
-		if len(call.Args) != 1 || len(lhs) != 2 {
-			return p, false
-		}
-		p.key = types.ExprString(call.Args[0])
-		p.idObj = w.obj(call.Args[0])
-		p.dataObj = w.obj(lhs[0])
-		p.errObj = w.obj(lhs[1])
-	default: // wrapper
-		obj := w.calleeObj(call)
-		idx, ok := w.c.wrappers[obj]
-		if !ok || idx >= len(call.Args) || len(lhs) != 2 {
-			return p, false
-		}
-		p.key = types.ExprString(call.Args[idx])
-		p.idObj = w.obj(call.Args[idx])
-		p.dataObj = w.obj(lhs[0])
-		p.errObj = w.obj(lhs[1])
+		return flow.Obligation{Key: types.ExprString(lhs[0]), Obj: w.Obj(lhs[0]), Data: w.Obj(lhs[1]), Err: w.Obj(lhs[2])}, true
 	}
-	if p.errObj == nil {
-		p.conditional = false
+	id := idArg(w, call)
+	if id == nil || (lhs != nil && len(lhs) != 2) {
+		return flow.Obligation{}, false
 	}
-	return p, true
+	o := flow.Obligation{Key: types.ExprString(id), Obj: w.Obj(id)}
+	if lhs != nil {
+		o.Data, o.Err = w.Obj(lhs[0]), w.Obj(lhs[1])
+	}
+	return o, true
 }
 
-// returnTransfers handles pins whose id or data is part of the returned
-// results: the caller inherits them, and — when the id came in as a
-// parameter — the function is recorded as a pin-returning wrapper.
-func (w *walker) returnTransfers(st state, results []ast.Expr) state {
-	// `return t.fetchStab(id)` style propagation.
-	if w.c.collect && len(results) == 1 {
-		if call, ok := results[0].(*ast.CallExpr); ok && w.isAcquire(call) {
-			if arg := w.acquireIDArg(call); arg != nil {
-				if idx, ok := w.params[w.obj(arg)]; ok {
-					w.recordWrapper(idx)
-				}
-			}
-		}
-	}
-	out := st[:0:0]
-	for _, p := range st {
-		transferred := false
-		for _, r := range results {
-			id, ok := r.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := w.obj(id)
-			if obj == nil || (obj != p.dataObj && obj != p.idObj) {
-				continue
-			}
-			transferred = true
-			if w.c.collect && p.idObj != nil {
-				if idx, ok := w.params[p.idObj]; ok {
-					w.recordWrapper(idx)
-				}
-			}
-		}
-		if !transferred {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func (w *walker) recordWrapper(paramIdx int) {
-	if w.fnObj == nil {
-		return
-	}
-	if _, ok := w.c.wrappers[w.fnObj]; !ok {
-		w.c.wrappers[w.fnObj] = paramIdx
-		w.c.changed = true
-	}
-}
-
-// deferred handles defer/go: a deferred release covers the pin for the
-// rest of the function; a deferred closure releasing pins does the same;
-// anything else taking the id transfers ownership.
-func (w *walker) deferred(st state, call *ast.CallExpr) state {
-	if w.isRelease(call) {
-		return w.release(st, call.Args[0])
-	}
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if c, ok := n.(*ast.CallExpr); ok && w.isRelease(c) {
-				st = w.release(st, c.Args[0])
-			}
-			return true
-		})
-		return st
-	}
-	return w.scanExprs(st, call)
-}
-
-// scanExprs folds releases and ownership transfers found anywhere in the
-// given expressions into st. Function-literal bodies are skipped: they
-// run later (or never) and are analyzed as functions of their own.
-func (w *walker) scanExprs(st state, exprs ...ast.Expr) state {
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		ast.Inspect(e, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if w.isRelease(call) {
-				st = w.release(st, call.Args[0])
-				return true
-			}
-			// Type conversions read values; they transfer nothing.
-			if tv, ok := w.c.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-				return true
-			}
-			// Fetch-like calls don't consume an existing pin on the same
-			// page (pin counts nest), and advisory calls never take one.
-			if w.isAcquire(call) || w.isAdvisory(call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				if id, ok := arg.(*ast.Ident); ok {
-					if obj := w.obj(id); obj != nil {
-						st = removeByID(st, obj)
-					}
-				}
-			}
-			return true
-		})
-		// Storing the pinned *data* into a composite literal transfers
-		// ownership (iterator construction keeps the page pinned across
-		// Next calls). Storing the page *id* alone is bookkeeping — the
-		// pin obligation stays with this function.
-		ast.Inspect(e, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			cl, ok := n.(*ast.CompositeLit)
-			if !ok {
-				return true
-			}
-			for _, el := range cl.Elts {
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					el = kv.Value
-				}
-				id, ok := el.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := w.obj(id)
-				if obj == nil {
-					continue
-				}
-				out := st[:0:0]
-				for _, p := range st {
-					if p.dataObj != nil && p.dataObj == obj {
-						continue
-					}
-					out = append(out, p)
-				}
-				st = out
-			}
-			return true
-		})
-	}
-	return st
-}
-
-func (w *walker) release(st state, arg ast.Expr) state {
-	obj := w.obj(arg)
-	key := types.ExprString(arg)
-	// Release the most recent matching pin (pin counts nest LIFO).
-	for i := len(st) - 1; i >= 0; i-- {
-		if (obj != nil && st[i].idObj == obj) || st[i].key == key {
-			out := st.clone()
-			return append(out[:i], out[i+1:]...)
-		}
-	}
-	return st
-}
-
-// isAdvisory matches Pool methods that read page ids without assuming any
-// pin obligation: pinless copies and readahead hints neither release nor
-// take over a pin, so passing a pinned id to them is not an ownership
-// transfer (a hint must never be mistaken for an Unpin).
-func (w *walker) isAdvisory(call *ast.CallExpr) bool {
-	info := w.c.pass.TypesInfo
-	return analysis.IsMethodCall(info, call, "Pool", "FetchCopy") ||
-		analysis.IsMethodCall(info, call, "Pool", "TryFetchCopy") ||
-		analysis.IsMethodCall(info, call, "Pool", "Prefetch")
-}
-
-func (w *walker) isRelease(call *ast.CallExpr) bool {
-	if len(call.Args) == 0 {
-		return false
-	}
-	info := w.c.pass.TypesInfo
-	return analysis.IsMethodCall(info, call, "Pool", "Unpin") ||
-		analysis.IsMethodCall(info, call, "Pool", "Discard")
-}
-
-func (w *walker) isAcquire(call *ast.CallExpr) bool {
-	info := w.c.pass.TypesInfo
-	if analysis.IsMethodCall(info, call, "Pool", "Fetch") || analysis.IsMethodCall(info, call, "Pool", "FetchNew") {
-		return true
-	}
-	_, ok := w.c.wrappers[w.calleeObj(call)]
-	return ok
-}
-
-// acquireIDArg returns the page-id argument of an acquisition call, or
-// nil (FetchNew mints its own id).
-func (w *walker) acquireIDArg(call *ast.CallExpr) ast.Expr {
-	info := w.c.pass.TypesInfo
-	if analysis.IsMethodCall(info, call, "Pool", "Fetch") && len(call.Args) == 1 {
+// idArg returns the page-id argument of Fetch or of a pin-returning
+// wrapper, or nil.
+func idArg(w *flow.Walker, call *ast.CallExpr) ast.Expr {
+	if poolCall(w, call, "Fetch") && len(call.Args) == 1 {
 		return call.Args[0]
 	}
-	if idx, ok := w.c.wrappers[w.calleeObj(call)]; ok && idx < len(call.Args) {
+	if idx, ok := w.Wrapper(call); ok && idx < len(call.Args) {
 		return call.Args[idx]
 	}
 	return nil
 }
 
-func (w *walker) calleeObj(call *ast.CallExpr) types.Object {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return w.c.pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		return w.c.pass.TypesInfo.Uses[fun.Sel]
-	}
-	return nil
-}
-
-func (w *walker) callee(call *ast.CallExpr) (string, types.Object) {
-	return analysis.CalleeName(call), w.calleeObj(call)
-}
-
-func (w *walker) obj(e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if obj := w.c.pass.TypesInfo.Uses[id]; obj != nil {
-		return obj
-	}
-	return w.c.pass.TypesInfo.Defs[id]
-}
-
-func (w *walker) reportLeaks(st state, at token.Pos) {
-	if w.c.collect {
-		return
-	}
-	for _, p := range st {
-		w.report(at, "pin leak: %s fetched at line %d is still pinned on this return path", p.key, w.line(p.pos))
-	}
-}
-
-func (w *walker) reportLoopLeaks(st state, body *ast.BlockStmt) {
-	if w.c.collect {
-		return
-	}
-	for _, p := range st {
-		if p.pos > body.Lbrace && p.pos < body.Rbrace {
-			w.report(p.pos, "pin leak: %s fetched at line %d is still pinned when the loop repeats", p.key, w.line(p.pos))
+// poolCall reports whether call is a Pool method with one of names.
+func poolCall(w *flow.Walker, call *ast.CallExpr, names ...string) bool {
+	for _, name := range names {
+		if analysis.IsMethodCall(w.Pass.TypesInfo, call, "Pool", name) {
+			return true
 		}
 	}
-}
-
-func (w *walker) report(at token.Pos, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	key := strconv.Itoa(int(at)) + "|" + msg
-	if w.c.reported[key] {
-		return
-	}
-	w.c.reported[key] = true
-	w.c.pass.Report(analysis.Diagnostic{Pos: at, Message: msg})
-}
-
-func (w *walker) line(pos token.Pos) int {
-	return w.c.pass.Fset.Position(pos).Line
+	return false
 }

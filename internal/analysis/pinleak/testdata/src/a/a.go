@@ -289,3 +289,45 @@ func badSwitch(p *Pool, id PageID, k int) error {
 	}
 	return p.Unpin(id, false)
 }
+
+// badBreakOuter leaves the loop from inside a switch with the iteration's
+// pin held: `break outer` exits the loop, not just the switch.
+func badBreakOuter(p *Pool, id PageID, ks []int) error {
+outer:
+	for _, k := range ks {
+		_, err := p.Fetch(id)
+		if err != nil {
+			return err
+		}
+		switch k {
+		case 0:
+			break outer
+		}
+		p.Unpin(id, false)
+	}
+	return nil // want `pin leak: id fetched at line \d+ is still pinned on this return path`
+}
+
+// badContinueOuter re-enters the outer loop from an inner range with the
+// outer iteration's pin held: `continue outer` skips the Unpin.
+func badContinueOuter(p *Pool, ids []PageID) error {
+outer:
+	for _, id := range ids {
+		data, err := p.Fetch(id) // want `pin leak: id fetched at line \d+ is still pinned when the loop repeats`
+		if err != nil {
+			return err
+		}
+		for _, b := range data {
+			if b == 0 {
+				continue outer
+			}
+		}
+		p.Unpin(id, false)
+	}
+	return nil
+}
+
+//xrvet:pinleak-ignore
+func bareIgnored(p *Pool, id PageID) { // want `bare //xrvet:pinleak-ignore escape: add a justification`
+	p.Fetch(id)
+}

@@ -25,713 +25,92 @@
 //
 // Matching is by method name and result type name (StartSpan returning a
 // named type Span), so analysistest packages can model the obs API with
-// local stand-in types. `//xrvet:spanend-ignore` on a function
-// declaration suppresses the check for that function.
+// local stand-in types. `//xrvet:spanend-ignore <reason>` on a function
+// declaration suppresses the check for that function; the reason is
+// mandatory. The path walk itself is package flow's; this package is the
+// hook table that says what starts and ends a span.
 package spanend
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strconv"
 
 	"xrtree/internal/analysis"
+	"xrtree/internal/analysis/flow"
 )
 
 // Analyzer is the spanend analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "spanend",
 	Doc:  "check that every started obs.Span is ended (End/EndDur) on all paths",
-	Run:  run,
+	Run:  hooks.Run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	c := &checker{
-		pass:     pass,
-		wrappers: map[types.Object]int{},
-		reported: map[string]bool{},
-		ignore:   analysis.CommentLines(pass.Fset, pass.Files, "//xrvet:spanend-ignore"),
-	}
-	// Fixpoint pass: discover span-returning wrappers (whose callers then
-	// inherit the obligation) before reporting anything.
-	c.collect = true
-	for range 4 {
-		c.changed = false
-		c.walkAll()
-		if !c.changed {
-			break
-		}
-	}
-	c.collect = false
-	c.walkAll()
-	return nil, nil
+const discarded = "span leak: started span from %s is discarded — end it or hand it to an owner"
+
+var hooks = &flow.Hooks{
+	Directive: "//xrvet:spanend-ignore",
+	Acquires: func(w *flow.Walker, call *ast.CallExpr) bool {
+		return analysis.CalleeName(call) == "StartSpan" && isSpanType(w.Pass.TypesInfo.TypeOf(call))
+	},
+	Bind:     bind,
+	Released: endReceiver,
+	// A span assigned to another span variable follows it (aliasing);
+	// stored anywhere else — a field, an interface — its new holder owns
+	// the End.
+	Follows: func(w *flow.Walker, id *ast.Ident) bool {
+		return isSpanType(w.Pass.TypesInfo.TypeOf(id))
+	},
+	// A closure capturing the span takes over its lifecycle (parallel task
+	// bodies end their own spans).
+	Captures: true,
+	// Returning a span makes the function a span-returning wrapper: its
+	// callers own the span at that result index.
+	Returned: func(w *flow.Walker, _ flow.Obligation, i int) {
+		w.RecordWrapper(i)
+	},
+	Discarded:   discarded,
+	Overwritten: "span leak: %s is overwritten while still unended (started at line %d)",
+	Leaked:      "span leak: %s started at line %d is not ended on this return path",
+	LoopLeaked:  "span leak: %s started at line %d is not ended when the loop repeats",
 }
 
-type checker struct {
-	pass *analysis.Pass
-	// wrappers maps a function object to the result index at which it
-	// returns a span it started: callers own that span.
-	wrappers map[types.Object]int
-	collect  bool
-	changed  bool
-	reported map[string]bool
-	ignore   map[analysis.LineKey]string
+// bind tracks the span a starting call hands to lhs: StartSpan's only
+// result, or a wrapper's result at its recorded index. A call returned
+// directly passes its span on only when the span is its first result.
+func bind(w *flow.Walker, call *ast.CallExpr, lhs []ast.Expr) (flow.Obligation, bool) {
+	idx, _ := w.Wrapper(call)
+	if lhs == nil {
+		return flow.Obligation{}, idx == 0
+	}
+	if idx >= len(lhs) {
+		return flow.Obligation{}, false
+	}
+	id, ok := lhs[idx].(*ast.Ident)
+	if !ok {
+		return flow.Obligation{}, false
+	}
+	if id.Name == "_" {
+		w.Report(call.Pos(), discarded, types.ExprString(call.Fun))
+		return flow.Obligation{}, false
+	}
+	obj := w.Obj(id)
+	return flow.Obligation{Key: id.Name, Obj: obj, Data: obj, Nilable: true}, obj != nil
 }
 
-func (c *checker) walkAll() {
-	for _, f := range c.pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body == nil || analysis.Annotated(c.pass.Fset, c.ignore, fn.Pos()) {
-					return false
-				}
-				c.checkFunc(fn.Body, c.pass.TypesInfo.Defs[fn.Name])
-			case *ast.FuncLit:
-				// Checked as a function of its own: spans it starts must end
-				// inside it; spans of the enclosing function reaching in are
-				// that function's transfers.
-				c.checkFunc(fn.Body, nil)
-			}
-			return true
-		})
-	}
-}
-
-// oblig is one unended span on one path.
-type oblig struct {
-	obj types.Object // the span variable
-	key string       // source text, for diagnostics
-	pos token.Pos    // StartSpan site
-}
-
-type state []oblig
-
-func (st state) clone() state {
-	out := make(state, len(st))
-	copy(out, st)
-	return out
-}
-
-func (st state) sig() string {
-	s := ""
-	for _, o := range st {
-		s += o.key + "@" + strconv.Itoa(int(o.pos)) + ";"
-	}
-	return s
-}
-
-func (st state) drop(obj types.Object) state {
-	out := st[:0:0]
-	for _, o := range st {
-		if o.obj != obj {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-type outKind int
-
-const (
-	outFall outKind = iota
-	outBreak
-	outContinue
-	outTerm
-)
-
-type outcome struct {
-	kind outKind
-	st   state
-}
-
-func mergeOutcomes(outs []outcome) []outcome {
-	seen := map[string]bool{}
-	var res []outcome
-	for _, o := range outs {
-		key := strconv.Itoa(int(o.kind)) + "|" + o.st.sig()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		res = append(res, o)
-		if len(res) >= 64 {
-			break
-		}
-	}
-	return res
-}
-
-type walker struct {
-	c     *checker
-	fnObj types.Object // nil for function literals
-}
-
-func (c *checker) checkFunc(body *ast.BlockStmt, fnObj types.Object) {
-	w := &walker{c: c, fnObj: fnObj}
-	outs := w.walkList(body.List, nil)
-	for _, o := range outs {
-		if o.kind == outFall {
-			w.reportLeaks(o.st, body.Rbrace)
-		}
-	}
-}
-
-func (w *walker) walkList(stmts []ast.Stmt, st state) []outcome {
-	if len(stmts) == 0 {
-		return []outcome{{outFall, st}}
-	}
-	first := w.walkStmt(stmts[0], st)
-	var res []outcome
-	for _, o := range first {
-		if o.kind == outFall {
-			res = append(res, w.walkList(stmts[1:], o.st)...)
-		} else {
-			res = append(res, o)
-		}
-	}
-	return mergeOutcomes(res)
-}
-
-func (w *walker) walkStmt(s ast.Stmt, st state) []outcome {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		return []outcome{{outFall, w.assign(st, s.Lhs, s.Rhs, s.Pos())}}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) > 0 {
-					lhs := make([]ast.Expr, len(vs.Names))
-					for i, n := range vs.Names {
-						lhs[i] = n
-					}
-					st = w.assign(st, lhs, vs.Values, s.Pos())
-				}
-			}
-		}
-		return []outcome{{outFall, st}}
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if analysis.CalleeName(call) == "panic" {
-				return []outcome{{outTerm, st}}
-			}
-			if w.acquireIndex(call) >= 0 {
-				if !w.c.collect {
-					w.report(s.Pos(), "span leak: started span from %s is discarded — end it or hand it to an owner", types.ExprString(call.Fun))
-				}
-				return []outcome{{outFall, w.scanExprs(st, s.X)}}
-			}
-		}
-		return []outcome{{outFall, w.scanExprs(st, s.X)}}
-	case *ast.ReturnStmt:
-		st = w.scanExprs(st, s.Results...)
-		st = w.returnTransfers(st, s.Results)
-		w.reportLeaks(st, s.Pos())
-		return []outcome{{outTerm, st}}
-	case *ast.DeferStmt:
-		return []outcome{{outFall, w.deferred(st, s.Call)}}
-	case *ast.GoStmt:
-		return []outcome{{outFall, w.deferred(st, s.Call)}}
-	case *ast.IfStmt:
-		return w.ifStmt(s, st)
-	case *ast.ForStmt:
-		return w.forStmt(s, st)
-	case *ast.RangeStmt:
-		return w.rangeStmt(s, st)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			st = w.simple(s.Init, st)
-		}
-		st = w.scanExprs(st, s.Tag)
-		return w.clauses(s.Body, st, hasDefault(s.Body))
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			st = w.simple(s.Init, st)
-		}
-		return w.clauses(s.Body, st, hasDefault(s.Body))
-	case *ast.SelectStmt:
-		return w.clauses(s.Body, st, true)
-	case *ast.BlockStmt:
-		return w.walkList(s.List, st)
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, st)
-	case *ast.BranchStmt:
-		switch s.Tok {
-		case token.BREAK:
-			return []outcome{{outBreak, st}}
-		case token.CONTINUE:
-			return []outcome{{outContinue, st}}
-		case token.FALLTHROUGH:
-			return []outcome{{outFall, st}}
-		default: // goto
-			return []outcome{{outTerm, st}}
-		}
-	case *ast.SendStmt:
-		return []outcome{{outFall, w.scanExprs(st, s.Chan, s.Value)}}
-	}
-	return []outcome{{outFall, st}}
-}
-
-func (w *walker) simple(s ast.Stmt, st state) state {
-	for _, o := range w.walkStmt(s, st) {
-		if o.kind == outFall {
-			return o.st
-		}
-	}
-	return st
-}
-
-func hasDefault(body *ast.BlockStmt) bool {
-	for _, s := range body.List {
-		switch cl := s.(type) {
-		case *ast.CaseClause:
-			if cl.List == nil {
-				return true
-			}
-		case *ast.CommClause:
-			if cl.Comm == nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (w *walker) clauses(body *ast.BlockStmt, st state, exhaustive bool) []outcome {
-	var res []outcome
-	for _, s := range body.List {
-		switch cl := s.(type) {
-		case *ast.CaseClause:
-			st2 := w.scanExprs(st.clone(), cl.List...)
-			res = append(res, w.walkList(cl.Body, st2)...)
-		case *ast.CommClause:
-			st2 := st.clone()
-			if cl.Comm != nil {
-				st2 = w.simple(cl.Comm, st2)
-			}
-			res = append(res, w.walkList(cl.Body, st2)...)
-		}
-	}
-	if !exhaustive {
-		res = append(res, outcome{outFall, st})
-	}
-	for i, o := range res {
-		if o.kind == outBreak {
-			res[i].kind = outFall
-		}
-	}
-	return mergeOutcomes(res)
-}
-
-func (w *walker) ifStmt(s *ast.IfStmt, st state) []outcome {
-	if s.Init != nil {
-		st = w.simple(s.Init, st)
-	}
-	st = w.scanExprs(st, s.Cond)
-	thenSt, elseSt := w.applyGuard(st, s.Cond)
-	res := w.walkList(s.Body.List, thenSt)
-	if s.Else != nil {
-		res = append(res, w.walkStmt(s.Else, elseSt)...)
-	} else {
-		res = append(res, outcome{outFall, elseSt})
-	}
-	return mergeOutcomes(res)
-}
-
-// applyGuard interprets `sp == nil` / `sp != nil` conditions on a tracked
-// span: on the nil side the span was never started (wrappers return nil
-// with tracing off, and the Span API is nil-safe), so the obligation
-// vanishes there.
-func (w *walker) applyGuard(st state, cond ast.Expr) (thenSt, elseSt state) {
-	thenSt, elseSt = st.clone(), st.clone()
-	be, ok := cond.(*ast.BinaryExpr)
-	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return
-	}
-	id := guardOperand(be)
-	if id == nil {
-		return
-	}
-	obj := w.obj(id)
-	if obj == nil {
-		return
-	}
-	for _, o := range st {
-		if o.obj != obj {
-			continue
-		}
-		if be.Op == token.EQL { // sp == nil: then = never started
-			thenSt = thenSt.drop(obj)
-		} else { // sp != nil: else = never started
-			elseSt = elseSt.drop(obj)
-		}
-	}
-	return
-}
-
-func guardOperand(be *ast.BinaryExpr) *ast.Ident {
-	if isNil(be.Y) {
-		if id, ok := be.X.(*ast.Ident); ok {
-			return id
-		}
-	}
-	if isNil(be.X) {
-		if id, ok := be.Y.(*ast.Ident); ok {
-			return id
-		}
-	}
-	return nil
-}
-
-func isNil(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-func (w *walker) forStmt(s *ast.ForStmt, st state) []outcome {
-	if s.Init != nil {
-		st = w.simple(s.Init, st)
-	}
-	st = w.scanExprs(st, s.Cond)
-	body := w.walkList(s.Body.List, st.clone())
-	var res []outcome
-	for _, o := range body {
-		switch o.kind {
-		case outFall, outContinue:
-			w.reportLoopLeaks(o.st, s.Body)
-			if s.Cond != nil {
-				res = append(res, outcome{outFall, dropBodySpans(o.st, s.Body)})
-			}
-		case outBreak:
-			res = append(res, outcome{outFall, o.st})
-		default:
-			res = append(res, o)
-		}
-	}
-	if s.Cond != nil {
-		res = append(res, outcome{outFall, st})
-	}
-	return mergeOutcomes(res)
-}
-
-func (w *walker) rangeStmt(s *ast.RangeStmt, st state) []outcome {
-	st = w.scanExprs(st, s.X)
-	body := w.walkList(s.Body.List, st.clone())
-	var res []outcome
-	for _, o := range body {
-		switch o.kind {
-		case outFall, outContinue:
-			w.reportLoopLeaks(o.st, s.Body)
-			res = append(res, outcome{outFall, dropBodySpans(o.st, s.Body)})
-		case outBreak:
-			res = append(res, outcome{outFall, o.st})
-		default:
-			res = append(res, o)
-		}
-	}
-	res = append(res, outcome{outFall, st})
-	return mergeOutcomes(res)
-}
-
-func dropBodySpans(st state, body *ast.BlockStmt) state {
-	out := st[:0:0]
-	for _, o := range st {
-		if o.pos > body.Lbrace && o.pos < body.Rbrace {
-			continue
-		}
-		out = append(out, o)
-	}
-	return out
-}
-
-// assign processes one assignment: ends and transfers in the RHS,
-// alias/overwrite bookkeeping, then span acquisition.
-func (w *walker) assign(st state, lhs, rhs []ast.Expr, pos token.Pos) state {
-	st = w.scanExprs(st, rhs...)
-
-	// A tracked span appearing as a plain RHS value moves: to the LHS
-	// variable when that is a same-typed ident (aliasing, obligation
-	// follows), otherwise out of this function's hands (field stores,
-	// interface captures — the new holder owns the End).
-	for i, r := range rhs {
-		id, ok := r.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		obj := w.obj(id)
-		if obj == nil || !holds(st, obj) {
-			continue
-		}
-		if len(lhs) == len(rhs) {
-			if lid, ok := lhs[i].(*ast.Ident); ok && lid.Name != "_" {
-				if dst := w.obj(lid); dst != nil && isSpanType(w.c.pass.TypesInfo.TypeOf(lid)) {
-					st = moveOblig(st, obj, dst, types.ExprString(lid))
-					continue
-				}
-			}
-		}
-		st = st.drop(obj)
-	}
-
-	var acq *ast.CallExpr
-	idx := -1
-	if len(rhs) == 1 {
-		if call, ok := rhs[0].(*ast.CallExpr); ok {
-			if i := w.acquireIndex(call); i >= 0 {
-				acq, idx = call, i
-			}
-		}
-	}
-
-	for _, l := range lhs {
-		id, ok := l.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		obj := w.obj(id)
-		if obj == nil {
-			continue
-		}
-		for _, o := range st {
-			if o.obj == obj && !w.c.collect {
-				w.report(pos, "span leak: %s is overwritten while still unended (started at line %d)",
-					o.key, w.line(o.pos))
-			}
-		}
-		st = st.drop(obj)
-	}
-
-	if acq != nil && idx < len(lhs) {
-		if id, ok := lhs[idx].(*ast.Ident); ok {
-			if id.Name == "_" {
-				if !w.c.collect {
-					w.report(pos, "span leak: started span from %s is discarded — end it or hand it to an owner",
-						types.ExprString(acq.Fun))
-				}
-			} else if obj := w.obj(id); obj != nil {
-				st = append(st.clone(), oblig{obj: obj, key: types.ExprString(id), pos: pos})
-			}
-		}
-	}
-	return st
-}
-
-func holds(st state, obj types.Object) bool {
-	for _, o := range st {
-		if o.obj == obj {
-			return true
-		}
-	}
-	return false
-}
-
-func moveOblig(st state, from, to types.Object, key string) state {
-	out := st.clone()
-	for i := range out {
-		if out[i].obj == from {
-			out[i].obj = to
-			out[i].key = key
-		}
-	}
-	return out
-}
-
-// returnTransfers hands returned spans to the caller and records the
-// function as a span-returning wrapper.
-func (w *walker) returnTransfers(st state, results []ast.Expr) state {
-	for i, r := range results {
-		switch r := r.(type) {
-		case *ast.CallExpr:
-			// `return tr.Root().StartSpan(name), tr` — the span is born
-			// directly into the caller's hands.
-			if w.acquireIndex(r) == 0 && len(results) > 0 {
-				w.recordWrapper(i)
-			}
-		case *ast.Ident:
-			obj := w.obj(r)
-			if obj == nil || !holds(st, obj) {
-				continue
-			}
-			w.recordWrapper(i)
-			st = st.drop(obj)
-		}
-	}
-	return st
-}
-
-func (w *walker) recordWrapper(resultIdx int) {
-	if w.fnObj == nil {
-		return
-	}
-	if _, ok := w.c.wrappers[w.fnObj]; !ok {
-		w.c.wrappers[w.fnObj] = resultIdx
-		w.c.changed = true
-	}
-}
-
-// deferred handles defer/go: a deferred End covers the span for the rest
-// of the function, as does a deferred closure ending it; a span passed as
-// an argument is transferred.
-func (w *walker) deferred(st state, call *ast.CallExpr) state {
-	if obj := w.endReceiver(call); obj != nil {
-		return st.drop(obj)
-	}
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if c, ok := n.(*ast.CallExpr); ok {
-				if obj := w.endReceiver(c); obj != nil {
-					st = st.drop(obj)
-				}
-			}
-			return true
-		})
-		return st
-	}
-	return w.scanExprs(st, call)
-}
-
-// scanExprs folds End calls and ownership transfers found anywhere in the
-// given expressions into st. Function-literal bodies are skipped: they
-// run later (or never) and are analyzed as functions of their own — but a
-// tracked span captured by one transfers there.
-func (w *walker) scanExprs(st state, exprs ...ast.Expr) state {
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				// A closure capturing the span takes over its lifecycle
-				// (parallel task bodies end their own spans).
-				ast.Inspect(n.Body, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok {
-						if obj := w.obj(id); obj != nil && holds(st, obj) {
-							st = st.drop(obj)
-						}
-					}
-					return true
-				})
-				return false
-			case *ast.CallExpr:
-				if obj := w.endReceiver(n); obj != nil {
-					st = st.drop(obj)
-					return true
-				}
-				if tv, ok := w.c.pass.TypesInfo.Types[n.Fun]; ok && tv.IsType() {
-					return true
-				}
-				for _, arg := range n.Args {
-					if id, ok := arg.(*ast.Ident); ok {
-						if obj := w.obj(id); obj != nil {
-							st = st.drop(obj)
-						}
-					}
-				}
-			case *ast.CompositeLit:
-				for _, el := range n.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						el = kv.Value
-					}
-					if id, ok := el.(*ast.Ident); ok {
-						if obj := w.obj(id); obj != nil {
-							st = st.drop(obj)
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	return st
-}
-
-// endReceiver returns the tracked span variable a `sp.End()` /
-// `sp.EndDur(d)` call discharges, or nil.
-func (w *walker) endReceiver(call *ast.CallExpr) types.Object {
+// endReceiver returns the span variable a `sp.End()` / `sp.EndDur(d)`
+// call ends, or nil.
+func endReceiver(w *flow.Walker, call *ast.CallExpr) ast.Expr {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || (sel.Sel.Name != "End" && sel.Sel.Name != "EndDur") {
 		return nil
 	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
+	if _, ok := sel.X.(*ast.Ident); !ok || !isSpanType(w.Pass.TypesInfo.TypeOf(sel.X)) {
 		return nil
 	}
-	if !isSpanType(w.c.pass.TypesInfo.TypeOf(sel.X)) {
-		return nil
-	}
-	return w.obj(id)
-}
-
-// acquireIndex reports whether call starts a span the caller owns: 0 for
-// a direct StartSpan call, the recorded result index for a wrapper, -1
-// otherwise.
-func (w *walker) acquireIndex(call *ast.CallExpr) int {
-	if analysis.CalleeName(call) == "StartSpan" && isSpanType(w.c.pass.TypesInfo.TypeOf(call)) {
-		return 0
-	}
-	if idx, ok := w.c.wrappers[w.calleeObj(call)]; ok {
-		return idx
-	}
-	return -1
+	return sel.X
 }
 
 func isSpanType(t types.Type) bool {
 	return analysis.TypeNameIs(t, "", "Span")
-}
-
-func (w *walker) calleeObj(call *ast.CallExpr) types.Object {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return w.c.pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		return w.c.pass.TypesInfo.Uses[fun.Sel]
-	}
-	return nil
-}
-
-func (w *walker) obj(e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if obj := w.c.pass.TypesInfo.Uses[id]; obj != nil {
-		return obj
-	}
-	return w.c.pass.TypesInfo.Defs[id]
-}
-
-func (w *walker) reportLeaks(st state, at token.Pos) {
-	if w.c.collect {
-		return
-	}
-	for _, o := range st {
-		w.report(at, "span leak: %s started at line %d is not ended on this return path", o.key, w.line(o.pos))
-	}
-}
-
-func (w *walker) reportLoopLeaks(st state, body *ast.BlockStmt) {
-	if w.c.collect {
-		return
-	}
-	for _, o := range st {
-		if o.pos > body.Lbrace && o.pos < body.Rbrace {
-			w.report(o.pos, "span leak: %s started at line %d is not ended when the loop repeats", o.key, w.line(o.pos))
-		}
-	}
-}
-
-func (w *walker) report(at token.Pos, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	key := strconv.Itoa(int(at)) + "|" + msg
-	if w.c.reported[key] {
-		return
-	}
-	w.c.reported[key] = true
-	w.c.pass.Report(analysis.Diagnostic{Pos: at, Message: msg})
-}
-
-func (w *walker) line(pos token.Pos) int {
-	return w.c.pass.Fset.Position(pos).Line
 }

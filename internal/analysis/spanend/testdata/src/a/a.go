@@ -147,3 +147,22 @@ func badOverwrite(c *Counters) {
 	sp = c.StartSpan("second") // want `span leak: sp is overwritten while still unended \(started at line \d+\)`
 	sp.End()
 }
+
+// badBreakOuter leaves the loop from inside a switch with the iteration's
+// span open: `break outer` exits the loop, not just the switch.
+func badBreakOuter(c *Counters, ks []int) {
+outer:
+	for _, k := range ks {
+		sp := c.StartSpan("iter")
+		switch k {
+		case 0:
+			break outer
+		}
+		sp.End()
+	}
+} // want `span leak: sp started at line \d+ is not ended on this return path`
+
+//xrvet:spanend-ignore
+func bareIgnored(c *Counters) { // want `bare //xrvet:spanend-ignore escape: add a justification`
+	c.StartSpan("dropped")
+}

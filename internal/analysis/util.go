@@ -72,6 +72,18 @@ func CalleeName(call *ast.CallExpr) string {
 	return ""
 }
 
+// CalleeObj returns the object of the function or method call invokes by
+// name — x.M(...) or M(...) — or nil.
+func CalleeObj(info *types.Info, call *ast.CallExpr) types.Object {
+	switch fun := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		return info.Uses[fun.Sel]
+	case *ast.Ident:
+		return info.Uses[fun]
+	}
+	return nil
+}
+
 // Comment directives ------------------------------------------------------
 
 // LineKey identifies one source line of one file.
@@ -98,17 +110,10 @@ func CommentLines(fset *token.FileSet, files []*ast.File, directive string) map[
 	return out
 }
 
-// Annotated reports whether pos's line or the line directly above carries
-// a directive collected by CommentLines.
-func Annotated(fset *token.FileSet, lines map[LineKey]string, pos token.Pos) bool {
-	_, ok := Annotation(fset, lines, pos)
-	return ok
-}
-
 // Annotation returns the trailing justification text of the directive on
 // pos's line or the line directly above, and whether one is present. An
-// empty string with ok=true is a bare, unjustified escape — analyzers
-// that require justifications reject those.
+// empty string with ok=true is a bare, unjustified escape — every
+// analyzer reports those as findings.
 func Annotation(fset *token.FileSet, lines map[LineKey]string, pos token.Pos) (string, bool) {
 	p := fset.Position(pos)
 	if reason, ok := lines[LineKey{File: p.Filename, Line: p.Line}]; ok {

@@ -119,7 +119,7 @@ func (c *checker) scanFunc(fn *ast.FuncDecl, report bool) {
 		if !ok {
 			return true
 		}
-		callee := c.calleeObj(call)
+		callee := analysis.CalleeObj(c.pass.TypesInfo, call)
 		opens := analysis.IsMethodCall(c.pass.TypesInfo, call, "Pool", "Begin")
 		if !opens && callee != nil {
 			_, opens = c.openAt[callee]
@@ -171,14 +171,4 @@ func (c *checker) checkFetch(fn *ast.FuncDecl, call *ast.CallExpr) {
 	c.pass.Reportf(call.Pos(),
 		"unlogged page fetch in a mutation transaction: %s bypasses the held-frame protocol — use FetchHeld/FetchHeldTraced/FetchNewHeld so the commit logs the page's after-image, or annotate an audited bulk-build path with //xrvet:unlogged <reason>",
 		types.ExprString(call.Fun))
-}
-
-func (c *checker) calleeObj(call *ast.CallExpr) types.Object {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return c.pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		return c.pass.TypesInfo.Uses[fun.Sel]
-	}
-	return nil
 }

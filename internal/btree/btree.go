@@ -125,6 +125,11 @@ type Tree struct {
 	// Guarded by wlatch (see the core package's twin for details).
 	tx *bufferpool.Tx
 
+	// debugHeld is the net number of pins taken through the held-fetch
+	// helpers below, for the xrtreedebug pin balance (see debug.go).
+	// Guarded by wlatch: every caller of those helpers holds it.
+	debugHeld int
+
 	c *metrics.Counters // optional counter sink, used by write paths only
 }
 
@@ -142,21 +147,30 @@ func (t *Tree) setRoot(id pagefile.PageID, h int) {
 
 // The fetch/unpin wrappers route page accesses through the in-flight WAL
 // transaction when one exists; otherwise they are the plain pool calls.
+// Only writers use them; readers copy pages through the pool directly.
 
 func (t *Tree) fetch(id pagefile.PageID) ([]byte, error) {
-	return t.pool.FetchHeld(t.tx, id)
+	data, err := t.pool.FetchHeld(t.tx, id)
+	t.debugPinned(err, 1)
+	return data, err
 }
 
 func (t *Tree) fetchNew() (pagefile.PageID, []byte, error) {
-	return t.pool.FetchNewHeld(t.tx)
+	id, data, err := t.pool.FetchNewHeld(t.tx)
+	t.debugPinned(err, 1)
+	return id, data, err
 }
 
 func (t *Tree) unpin(id pagefile.PageID, dirty bool) error {
-	return t.pool.UnpinTx(t.tx, id, dirty)
+	err := t.pool.UnpinTx(t.tx, id, dirty)
+	t.debugPinned(err, -1)
+	return err
 }
 
 func (t *Tree) discard(id pagefile.PageID) error {
-	return t.pool.DiscardTx(t.tx, id)
+	err := t.pool.DiscardTx(t.tx, id)
+	t.debugPinned(err, -1)
+	return err
 }
 
 func (t *Tree) free(id pagefile.PageID) error {

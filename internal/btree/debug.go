@@ -2,18 +2,28 @@ package btree
 
 import "xrtree/internal/invariant"
 
-// debugPinBalance snapshots the pool's pinned-frame count at operation
-// entry; the returned func asserts it is unchanged at exit (xrtreedebug
-// builds only — the hook compiles away otherwise). Registered after the
-// latch defer so it runs while the tree is still write-latched.
+// debugPinned moves the tree's held-pin count by d after a held-fetch
+// helper's pool call returned err: a failed fetch pinned nothing, a
+// failed release released nothing. A no-op in release builds.
+func (t *Tree) debugPinned(err error, d int) {
+	if invariant.Enabled && err == nil {
+		t.debugHeld += d
+	}
+}
+
+// debugPinBalance snapshots the tree's held-pin count at operation entry;
+// the returned func asserts it is unchanged at exit (xrtreedebug builds
+// only — the hook compiles away otherwise). Registered after the latch
+// defer so it runs while the tree is still write-latched: writers
+// serialize on wlatch, so the count belongs to this one operation, and
+// readers or other trees sharing the pool cannot disturb it.
 func (t *Tree) debugPinBalance() func() {
 	if !invariant.Enabled {
 		return func() {}
 	}
-	before := t.pool.PinnedCount()
+	before := t.debugHeld
 	return func() {
-		after := t.pool.PinnedCount()
-		invariant.Assertf(after == before,
-			"pin balance: %d frames pinned at operation entry, %d at exit", before, after)
+		invariant.Assertf(t.debugHeld == before,
+			"pin balance: %d pins held at operation entry, %d at exit", before, t.debugHeld)
 	}
 }

@@ -32,39 +32,29 @@ func (t *Tree) debugPostMutation() error {
 	return nil
 }
 
-// debugReadEnter brackets a reader section that pins pool frames, for the
-// pin ledger below. Returns the exit func; a no-op in release builds.
-func (t *Tree) debugReadEnter() func() {
-	if !invariant.Enabled {
-		return func() {}
+// debugPinned moves the tree's held-pin count by d after a held-fetch
+// helper's pool call returned err: a failed fetch pinned nothing, a
+// failed release released nothing. A no-op in release builds.
+func (t *Tree) debugPinned(err error, d int) {
+	if invariant.Enabled && err == nil {
+		t.debugHeld += d
 	}
-	t.debugReadActive.Add(1)
-	t.debugReadEpoch.Add(1)
-	return func() { t.debugReadActive.Add(-1) }
 }
 
-// debugPinBalance snapshots the pool's pinned-frame count at operation
-// entry; the returned func asserts it is unchanged at exit. Registered
-// after the latch defer, it runs while the tree is still write-latched, so
-// no other writer can be mid-flight — but readers latch pages, not the
-// tree, and hold pins of their own. The balance is only asserted when no
-// reader section overlapped the bracket (epoch unchanged, none active at
-// either end); otherwise the delta is not attributable and the check is
-// skipped. Operations on other trees sharing the pool must be quiescent,
-// which holds for every build and mutation phase in the test suites.
+// debugPinBalance snapshots the tree's held-pin count at operation entry;
+// the returned func asserts it is unchanged at exit. Registered after the
+// latch defer, it runs while the tree is still write-latched. The count
+// covers only pins this tree's held-fetch helpers took, and writers
+// serialize on wlatch, so the balance belongs to this one operation —
+// readers, and other trees sharing the pool, pin through the pool
+// directly and cannot disturb it.
 func (t *Tree) debugPinBalance() func() {
 	if !invariant.Enabled {
 		return func() {}
 	}
-	before := t.pool.PinnedCount()
-	epoch := t.debugReadEpoch.Load()
-	activeBefore := t.debugReadActive.Load()
+	before := t.debugHeld
 	return func() {
-		after := t.pool.PinnedCount()
-		if activeBefore != 0 || t.debugReadActive.Load() != 0 || t.debugReadEpoch.Load() != epoch {
-			return
-		}
-		invariant.Assertf(after == before,
-			"pin balance: %d frames pinned at operation entry, %d at exit", before, after)
+		invariant.Assertf(t.debugHeld == before,
+			"pin balance: %d pins held at operation entry, %d at exit", before, t.debugHeld)
 	}
 }

@@ -78,7 +78,6 @@ func (t *Tree) AppendAncestors(dst []xmldoc.Element, sd uint32, minStart uint32,
 
 // appendAncestorsOnce is one optimistic probe; see AppendAncestors.
 func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uint32, c *metrics.Counters) ([]xmldoc.Element, error) {
-	defer t.debugReadEnter()()
 	out := dst
 	id, h := t.loadRoot()
 	var data []byte
@@ -357,7 +356,6 @@ type Iterator struct {
 // decouples the caller from writers: once the latch is dropped the bytes
 // are private, so no pin or latch outlives the call.
 func (t *Tree) readPage(id pagefile.PageID, buf []byte, c *metrics.Counters) error {
-	defer t.debugReadEnter()()
 	t.pl.RLock(id)
 	err := t.pool.FetchCopyTraced(id, buf, c.TraceSink())
 	t.pl.RUnlock(id)
@@ -503,7 +501,6 @@ func (t *Tree) PrefetchGE(key uint32, c *metrics.Counters) {
 	bufp := getPageBuf(t.pool.File().PageSize())
 	defer pageBufs.Put(bufp)
 	buf := *bufp
-	defer t.debugReadEnter()()
 	id, h := t.loadRoot()
 	//xrvet:bounded advisory root-to-leaf descent, at most h iterations
 	for level := h; level > 1; level-- {

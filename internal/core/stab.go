@@ -40,6 +40,7 @@ func (t *Tree) fetchStabTraced(id pagefile.PageID, tr obs.Tracer) ([]byte, error
 	// transaction can dirty must be in its held set or its after-image
 	// never reaches the log. Queries run with t.tx == nil (plain fetch).
 	data, err := t.pool.FetchHeldTraced(t.tx, id, tr)
+	t.debugPinned(err, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -198,13 +198,10 @@ type Tree struct {
 	// check (see debug.go). Guarded by wlatch.
 	debugOps int
 
-	// debugReadEpoch counts reader sections that pin pool frames;
-	// debugReadActive counts those currently in flight. Only the
-	// xrtreedebug pin ledger reads them: the global pinned-frame balance
-	// is attributable to a writer only when no reader overlapped its
-	// bracket (see debugPinBalance).
-	debugReadEpoch  atomic.Int64
-	debugReadActive atomic.Int64
+	// debugHeld is the net number of pins taken through the held-fetch
+	// helpers below, for the xrtreedebug pin balance (see debug.go).
+	// Guarded by wlatch: every caller of those helpers holds it.
+	debugHeld int
 
 	// tx is the WAL transaction of the mutation in flight, nil outside one
 	// (and always nil when the pool has no log attached). Guarded by
@@ -249,22 +246,32 @@ func (t *Tree) setRoot(id pagefile.PageID, h int) {
 
 // The fetch/unpin wrappers route every page access through the in-flight
 // WAL transaction when one exists; outside a transaction (queries, bulk
-// load, stores without a log) they are the plain pool calls.
+// load, stores without a log) they are the plain pool calls. Only writers
+// and the wlatch-holding checkers use them; readers pin through the pool
+// directly.
 
 func (t *Tree) fetch(id pagefile.PageID) ([]byte, error) {
-	return t.pool.FetchHeld(t.tx, id)
+	data, err := t.pool.FetchHeld(t.tx, id)
+	t.debugPinned(err, 1)
+	return data, err
 }
 
 func (t *Tree) fetchNew() (pagefile.PageID, []byte, error) {
-	return t.pool.FetchNewHeld(t.tx)
+	id, data, err := t.pool.FetchNewHeld(t.tx)
+	t.debugPinned(err, 1)
+	return id, data, err
 }
 
 func (t *Tree) unpin(id pagefile.PageID, dirty bool) error {
-	return t.pool.UnpinTx(t.tx, id, dirty)
+	err := t.pool.UnpinTx(t.tx, id, dirty)
+	t.debugPinned(err, -1)
+	return err
 }
 
 func (t *Tree) discard(id pagefile.PageID) error {
-	return t.pool.DiscardTx(t.tx, id)
+	err := t.pool.DiscardTx(t.tx, id)
+	t.debugPinned(err, -1)
+	return err
 }
 
 func (t *Tree) free(id pagefile.PageID) error {
