@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench-test race bench bench-json bench-smoke microbench serve-smoke cluster-smoke examples experiments verify clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
+.PHONY: all build test bench-test race bench bench-json bench-smoke microbench microbench-smoke serve-smoke cluster-smoke examples experiments verify clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
 
 all: build test
 
@@ -50,11 +50,16 @@ bench-smoke:
 
 # Storage-stack microbenchmarks (allocation counts are the regression
 # signal, hence -benchmem; -count=5 for a spread benchstat can consume):
-# the pool pin/unpin fast path, a full leaf-chain scan, and XR-stack and
-# B+ joins end to end.
+# the pool pin/unpin fast path, a full leaf-chain scan, and the XR-stack
+# (ancestor-descendant and parent-child), B+ and no-index joins end to end.
 microbench:
-	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkLeafChainScan|BenchmarkXRStackJoin|BenchmarkBPlusJoin' \
+	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkLeafChainScan|BenchmarkXRStackJoin|BenchmarkBPlusJoin|BenchmarkStackTreeDescJoin' \
 		-benchmem -count=5 ./internal/bufferpool ./internal/elemlist ./internal/join
+
+# Every microbenchmark body run once, so a benchmark that no longer
+# builds, fails or finds no pairs breaks CI; no timing is judged.
+microbench-smoke:
+	$(GO) test -run XXX -bench . -benchtime 1x ./internal/bufferpool ./internal/elemlist ./internal/join
 
 # End-to-end smoke of the serving subsystem: boot xrserve on a temp
 # store, saturate it with xrblast (bounded admission, zero leaked pins),
@@ -122,7 +127,7 @@ lint:
 	fi
 
 # Everything the CI pipeline runs, in the same order, runnable locally.
-ci: build fmt-check lint vet test bench-test race test-debug bench-smoke serve-smoke cluster-smoke crash-smoke
+ci: build fmt-check lint vet test bench-test race test-debug microbench-smoke bench-smoke serve-smoke cluster-smoke crash-smoke
 	@echo "ci: all checks passed"
 
 examples:

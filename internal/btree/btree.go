@@ -399,8 +399,30 @@ func setIntChild(data []byte, i int, id pagefile.PageID) {
 }
 
 // leafSearch returns the index of the first entry with start ≥ key.
-func leafSearch(data []byte, key uint32) int {
-	lo, hi := 0, leafCount(data)
+func leafSearch(data []byte, key uint32) int { return leafSearchIn(data, 0, leafCount(data), key) }
+
+// leafSearchFrom is leafSearch started from a cursor at index hint: when
+// the answer lies at or after hint it gallops forward (1, 2, 4, … entries)
+// and binary-searches the last gap, so a target k entries ahead costs
+// O(log k) probes instead of O(log n); a key behind the cursor falls back
+// to a binary search over the entries before it.
+func leafSearchFrom(data []byte, hint int, key uint32) int {
+	n := leafCount(data)
+	hint = min(max(hint, 0), n)
+	if hint > 0 && leafKey(data, hint-1) >= key {
+		return leafSearchIn(data, 0, hint-1, key)
+	}
+	lo, hi := hint, hint
+	for step := 1; hi < n && leafKey(data, hi) < key; step <<= 1 {
+		lo = hi + 1
+		hi += step
+	}
+	return leafSearchIn(data, lo, min(hi, n), key)
+}
+
+// leafSearchIn is leafSearch within [lo, hi], for callers that know every
+// entry before lo is below key and entry hi (when hi < count) is not.
+func leafSearchIn(data []byte, lo, hi int, key uint32) int {
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if leafKey(data, mid) < key {

@@ -157,3 +157,129 @@ func TestFingerSeekOnClosedIterator(t *testing.T) {
 		t.Error("SeekGE on a closed iterator succeeded")
 	}
 }
+
+// TestStepMatchesNextPeek runs one random program of moves on two
+// iterators over the same tree. One advances with Step, the other with Next
+// then Peek; both take the same Next, Peek and finger SeekGE moves in
+// between. They must see the same elements and charge the same counters,
+// across leaf boundaries and after the end.
+func TestStepMatchesNextPeek(t *testing.T) {
+	for name, tr := range fingerTrees(t) {
+		keys := fingerKeys(t, tr)
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var cs, cn metrics.Counters
+			s, err := tr.Scan(&cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := tr.Scan(&cn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for op, ended := 0, 0; ended < 8; op++ {
+				var gs, gn xmldoc.Element
+				var oks, okn bool
+				switch r := rng.Intn(20); {
+				case r < 14 || op > 4*len(keys):
+					gs, oks = s.Step()
+					n.Next()
+					gn, okn = n.Peek()
+				case r < 16:
+					gs, oks = s.Next()
+					gn, okn = n.Next()
+				case r < 17:
+					gs, oks = s.Peek()
+					gn, okn = n.Peek()
+				default:
+					// Mostly a short forward seek; now and then any key, which
+					// may lie behind the cursor or beyond the held leaf.
+					k := keys[rng.Intn(len(keys))]
+					s.Peek()
+					if cur, ok := n.Peek(); ok && r < 19 {
+						k = cur.Start + uint32(rng.Intn(40))
+					}
+					if err := s.SeekGE(k); err != nil {
+						t.Fatal(err)
+					}
+					if err := n.SeekGE(k); err != nil {
+						t.Fatal(err)
+					}
+					gs, oks = s.Peek()
+					gn, okn = n.Peek()
+				}
+				if gs != gn || oks != okn {
+					t.Fatalf("%s seed %d op %d: Step side (%v,%v), Next+Peek side (%v,%v)", name, seed, op, gs, oks, gn, okn)
+				}
+				if !oks {
+					ended++
+				}
+			}
+			if cs != cn {
+				t.Errorf("%s seed %d: counters differ:\nStep      %+v\nNext+Peek %+v", name, seed, cs, cn)
+			}
+			if cs.LeafReads == 0 || cs.FingerHits == 0 {
+				t.Errorf("%s seed %d: %d leaf reads, %d finger hits: the program must cross leaves and seek in place", name, seed, cs.LeafReads, cs.FingerHits)
+			}
+			s.Close()
+			n.Close()
+		}
+	}
+}
+
+// TestLeafSearchFrom checks the galloping search against the plain binary
+// search on every leaf of a churned tree and on an empty leaf, from every
+// cursor position, for keys below, inside, equal to and above the entries.
+func TestLeafSearchFrom(t *testing.T) {
+	it, err := fingerTrees(t)["churn"].Scan(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	check := func(data []byte) {
+		n := leafCount(data)
+		keys := []uint32{0, 1 << 31}
+		for i := 0; i < n; i++ {
+			k := leafKey(data, i)
+			keys = append(keys, k-1, k, k+1)
+		}
+		for hint := 0; hint <= n; hint++ {
+			for _, k := range keys {
+				if got, want := leafSearchFrom(data, hint, k), leafSearch(data, k); got != want {
+					t.Fatalf("leaf of %d: leafSearchFrom(hint %d, key %d) = %d, leafSearch = %d", n, hint, k, got, want)
+				}
+			}
+		}
+	}
+	empty := make([]byte, len(it.buf))
+	initLeaf(empty)
+	check(empty)
+	for {
+		check(it.buf)
+		if !it.advancePage() {
+			break
+		}
+	}
+}
+
+// TestStepAndFingerAllocs pins the allocation-free cursor paths: seeks that
+// gallop within the held leaf, a seek that re-descends into the same
+// buffer, and steps across a leaf boundary.
+func TestStepAndFingerAllocs(t *testing.T) {
+	it, err := fingerTrees(t)["bulk"].Scan(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	allocs := testing.AllocsPerRun(100, func() {
+		it.SeekGE(2)
+		it.SeekGE(9)
+		it.SeekGE(2000)
+		for i := 0; i < 80; i++ {
+			it.Step()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("cursor paths allocate %.1f per run, want 0", allocs)
+	}
+}

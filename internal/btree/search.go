@@ -149,9 +149,10 @@ func (it *Iterator) Holds(key uint32) bool {
 }
 
 // SeekGE repositions the iterator at the first element with start ≥ key:
-// a finger seek. When the held leaf copy covers key it binary-searches in
-// place; otherwise it re-descends from the root into the same buffer.
-// Neither path allocates.
+// a finger seek. When the held leaf copy covers key it searches in place,
+// galloping forward from the cursor; otherwise it re-descends from the
+// root into the same buffer and binary-searches the new leaf. Neither
+// path allocates.
 func (it *Iterator) SeekGE(key uint32) error {
 	if it.err != nil {
 		return it.err
@@ -161,7 +162,9 @@ func (it *Iterator) SeekGE(key uint32) error {
 	}
 	hit := it.Holds(key)
 	it.c.CountFinger(hit)
-	if !hit {
+	if hit {
+		it.idx = leafSearchFrom(it.buf, it.idx, key)
+	} else {
 		if err := it.c.Interrupted(); err != nil {
 			it.err = err
 			return err
@@ -171,8 +174,8 @@ func (it *Iterator) SeekGE(key uint32) error {
 			return err
 		}
 		it.t.hintNextLeaf(it.c, it.buf)
+		it.idx = leafSearch(it.buf, key)
 	}
-	it.idx = leafSearch(it.buf, key)
 	it.done = false
 	return nil
 }
@@ -195,36 +198,59 @@ func (t *Tree) Scan(c *metrics.Counters) (*Iterator, error) {
 // Next returns the next element. Each returned element counts as one
 // element scanned. Returns false at the end or on error (check Err).
 func (it *Iterator) Next() (xmldoc.Element, bool) {
-	if it.err != nil || it.done {
+	if !it.positioned() {
 		return xmldoc.Element{}, false
 	}
-	for {
-		if it.idx < leafCount(it.buf) {
-			e := leafElem(it.buf, it.idx)
-			e.DocID = it.t.docID
-			it.idx++
-			addScan(it.c, 1)
-			return e, true
-		}
-		if !it.advancePage() {
-			return xmldoc.Element{}, false
-		}
-	}
+	e := it.elem()
+	it.idx++
+	addScan(it.c, 1)
+	return e, true
 }
 
 // Peek returns the element Next would return without consuming it.
 func (it *Iterator) Peek() (xmldoc.Element, bool) {
-	if it.err != nil || it.done {
+	if !it.positioned() {
 		return xmldoc.Element{}, false
+	}
+	return it.elem(), true
+}
+
+// Step is Next followed by Peek in one call: it consumes the current
+// element (one scan, as Next counts it) and returns the one after it,
+// decoding only that entry. Leaf hops, and so cancellation polls, leaf
+// reads and readahead hints, happen exactly where Next and Peek would
+// make them.
+func (it *Iterator) Step() (xmldoc.Element, bool) {
+	if !it.positioned() {
+		return xmldoc.Element{}, false
+	}
+	it.idx++
+	addScan(it.c, 1)
+	if it.idx < leafCount(it.buf) {
+		return it.elem(), true
+	}
+	return it.Peek()
+}
+
+// positioned moves the iterator onto a readable entry, hopping to the next
+// leaf while the current one is used up; false at the end or on error.
+func (it *Iterator) positioned() bool {
+	if it.err != nil || it.done {
+		return false
 	}
 	for it.idx >= leafCount(it.buf) {
 		if !it.advancePage() {
-			return xmldoc.Element{}, false
+			return false
 		}
 	}
+	return true
+}
+
+// elem decodes the entry under the cursor.
+func (it *Iterator) elem() xmldoc.Element {
 	e := leafElem(it.buf, it.idx)
 	e.DocID = it.t.docID
-	return e, true
+	return e
 }
 
 // advancePage replaces the iterator's leaf copy with the next leaf on the

@@ -152,7 +152,7 @@ func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uin
 	// collected from the stab lists above.
 	addLeaf(c)
 	c.Emit(obs.EvIndexDescend, int64(h))
-	out, examined := t.leafAncestors(data, sd, minStart, false, out, c)
+	out, examined := t.leafAncestors(data, -1, sd, minStart, out, c)
 	c.Emit(obs.EvLeafScan, int64(examined))
 	c.Emit(obs.EvAncProbe, int64(len(out)-len(dst)))
 	err := t.pool.Unpin(id, false)
@@ -171,9 +171,14 @@ func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uin
 // cannot be results, so the scan starts right after it — the "ancestors
 // after the stack top" variation of §5.2 that keeps the per-probe cost at
 // O(new ancestors + elements between the stack top and sd in this leaf)
-// rather than half a leaf. Entries flagged InStabList are skipped unless
-// stabbed is set: a descent has already collected those from the stab
-// lists on its path.
+// rather than half a leaf.
+//
+// from says where data came from. An iterator's held copy passes its
+// cursor index: the searches gallop forward from the cursor, and entries
+// flagged InStabList count too, since no descent collected them. The leaf
+// a descent landed on passes -1: its searches binary-search the whole
+// leaf, and its flagged entries were already collected from the stab
+// lists on the descent's path.
 //
 // Elements-scanned accounting (the Table 2/3 metric): FindAncestors
 // charges exactly the ancestors it retrieves — the R of Theorem 4.
@@ -181,10 +186,19 @@ func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uin
 // terminal boundary entry) cost no I/O and are index work, which is how
 // the paper's XR numbers behave (≈ joined ancestors + consumed
 // descendants; see EXPERIMENTS.md).
-func (t *Tree) leafAncestors(data []byte, sd, minStart uint32, stabbed bool, out []xmldoc.Element, c *metrics.Counters) ([]xmldoc.Element, int) {
+func (t *Tree) leafAncestors(data []byte, from int, sd, minStart uint32, out []xmldoc.Element, c *metrics.Counters) ([]xmldoc.Element, int) {
+	held := from >= 0
+	// search returns the first entry with start ≥ key, searching from
+	// index i.
+	search := func(i int, key uint32) int {
+		if held {
+			return leafSearchFrom(data, i, key)
+		}
+		return leafSearch(data, key)
+	}
 	n := leafCount(data)
 	examined := 0
-	for i := leafSearch(data, minStart+1); i < n; {
+	for i := search(from, minStart+1); i < n; {
 		examined++
 		el, fl := leafElem(data, i)
 		if el.Start >= sd {
@@ -194,10 +208,10 @@ func (t *Tree) leafAncestors(data []byte, sd, minStart uint32, stabbed bool, out
 			// el closes at or before sd, so by strict nesting nothing
 			// inside el can strictly contain sd either: skip its whole
 			// subtree within this leaf.
-			i = leafSearch(data, el.End+1)
+			i = search(i+1, el.End+1)
 			continue
 		}
-		if (stabbed || fl&xmldoc.FlagInStabList == 0) && el.Start > minStart {
+		if (held || fl&xmldoc.FlagInStabList == 0) && el.Start > minStart {
 			el.DocID = t.docID
 			addScan(c, 1)
 			out = append(out, el)
@@ -431,9 +445,10 @@ func (it *Iterator) holds(lo, hi uint32) bool {
 func (it *Iterator) Holds(key uint32) bool { return it.holds(key, key) }
 
 // SeekGE repositions the iterator at the first element with start ≥ key:
-// a finger seek. When the held leaf copy covers key it binary-searches in
-// place; otherwise it re-descends from the root into the same buffer.
-// Neither path allocates.
+// a finger seek. When the held leaf copy covers key it searches in place,
+// galloping forward from the cursor; otherwise it re-descends from the
+// root into the same buffer and binary-searches the new leaf. Neither
+// path allocates.
 func (it *Iterator) SeekGE(key uint32) error {
 	if it.err != nil {
 		return it.err
@@ -443,7 +458,9 @@ func (it *Iterator) SeekGE(key uint32) error {
 	}
 	hit := it.Holds(key)
 	it.c.CountFinger(hit)
-	if !hit {
+	if hit {
+		it.idx = leafSearchFrom(it.buf, it.idx, key)
+	} else {
 		if err := it.c.Interrupted(); err != nil {
 			it.err = err
 			return err
@@ -453,8 +470,8 @@ func (it *Iterator) SeekGE(key uint32) error {
 			return err
 		}
 		it.t.hintNextLeaf(it.c, it.buf)
+		it.idx = leafSearch(it.buf, key)
 	}
-	it.idx = leafSearch(it.buf, key)
 	it.done = false
 	return nil
 }
@@ -464,15 +481,16 @@ func (it *Iterator) SeekGE(key uint32) error {
 // the ancestors are exactly the copy's entries in that range that contain
 // sd — every element has a leaf entry, stab-listed ones included — so
 // Algorithm 4's S2 loop over the copy finds them without a descent or a
-// stab-list read. Otherwise it falls back to Tree.AppendAncestors. The
-// iterator's position is unchanged either way.
+// stab-list read; its searches gallop from the cursor. Otherwise it falls
+// back to Tree.AppendAncestors. The iterator's position is unchanged
+// either way.
 func (it *Iterator) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32) ([]xmldoc.Element, error) {
 	hit := it.holds(minStart+1, sd-1)
 	it.c.CountFinger(hit)
 	if !hit {
 		return it.t.AppendAncestors(dst, sd, minStart, it.c)
 	}
-	out, examined := it.t.leafAncestors(it.buf, sd, minStart, true, dst, it.c)
+	out, examined := it.t.leafAncestors(it.buf, it.idx, sd, minStart, dst, it.c)
 	it.c.Emit(obs.EvLeafScan, int64(examined))
 	it.c.Emit(obs.EvAncProbe, int64(len(out)-len(dst)))
 	return out, nil
@@ -525,37 +543,60 @@ func (t *Tree) Scan(c *metrics.Counters) (*Iterator, error) { return t.SeekGE(0,
 
 // Next returns the next element; each returned element counts as scanned.
 func (it *Iterator) Next() (xmldoc.Element, bool) {
-	if it.err != nil || it.done {
+	if !it.positioned() {
 		return xmldoc.Element{}, false
 	}
-	for {
-		if it.idx < leafCount(it.buf) {
-			e, _ := leafElem(it.buf, it.idx)
-			e.DocID = it.t.docID
-			it.idx++
-			addScan(it.c, 1)
-			return e, true
-		}
-		if !it.advancePage() {
-			return xmldoc.Element{}, false
-		}
-	}
+	e := it.elem()
+	it.idx++
+	addScan(it.c, 1)
+	return e, true
 }
 
 // Peek returns the element Next would return without consuming it and
 // without counting a scan.
 func (it *Iterator) Peek() (xmldoc.Element, bool) {
-	if it.err != nil || it.done {
+	if !it.positioned() {
 		return xmldoc.Element{}, false
+	}
+	return it.elem(), true
+}
+
+// Step is Next followed by Peek in one call: it consumes the current
+// element (one scan, as Next counts it) and returns the one after it,
+// decoding only that entry. Leaf hops, and so cancellation polls, leaf
+// reads and readahead hints, happen exactly where Next and Peek would
+// make them.
+func (it *Iterator) Step() (xmldoc.Element, bool) {
+	if !it.positioned() {
+		return xmldoc.Element{}, false
+	}
+	it.idx++
+	addScan(it.c, 1)
+	if it.idx < leafCount(it.buf) {
+		return it.elem(), true
+	}
+	return it.Peek()
+}
+
+// positioned moves the iterator onto a readable entry, hopping to the next
+// leaf while the current one is used up; false at the end or on error.
+func (it *Iterator) positioned() bool {
+	if it.err != nil || it.done {
+		return false
 	}
 	for it.idx >= leafCount(it.buf) {
 		if !it.advancePage() {
-			return xmldoc.Element{}, false
+			return false
 		}
 	}
+	return true
+}
+
+// elem decodes the entry under the cursor.
+func (it *Iterator) elem() xmldoc.Element {
 	e, _ := leafElem(it.buf, it.idx)
 	e.DocID = it.t.docID
-	return e, true
+	return e
 }
 
 // advancePage replaces the iterator's leaf copy with the next leaf on the

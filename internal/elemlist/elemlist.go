@@ -293,50 +293,68 @@ func (it *Iterator) advancePage() bool {
 // Next advances to the next element, returning false at the end or on
 // error (check Err). Each returned element counts as one scan.
 func (it *Iterator) Next() (xmldoc.Element, bool) {
-	if it.err != nil {
+	if !it.positioned() {
 		return xmldoc.Element{}, false
 	}
-	for {
-		if it.data == nil {
-			if !it.loadPage() {
-				return xmldoc.Element{}, false
-			}
-		}
-		it.idx++
-		if it.idx < it.count {
-			e, _ := xmldoc.DecodeElement(it.data[headerSize+it.idx*xmldoc.EncodedSize:])
-			e.DocID = it.list.docID
-			if it.c != nil {
-				it.c.ElementsScanned++
-			}
-			return e, true
-		}
-		if !it.advancePage() {
-			return xmldoc.Element{}, false
-		}
-	}
+	it.idx++
+	it.countScan()
+	return it.elem(it.idx), true
 }
 
 // Peek returns the element Next would return without consuming it and
 // without counting a scan.
 func (it *Iterator) Peek() (xmldoc.Element, bool) {
-	if it.err != nil {
+	if !it.positioned() {
 		return xmldoc.Element{}, false
 	}
+	return it.elem(it.idx + 1), true
+}
+
+// Step is Next followed by Peek in one call: it consumes the next element
+// (one scan, as Next counts it) and returns the one after it, decoding
+// only that entry. Page hops, and so cancellation polls, leaf reads and
+// readahead hints, happen exactly where Next and Peek would make them.
+func (it *Iterator) Step() (xmldoc.Element, bool) {
+	if !it.positioned() {
+		return xmldoc.Element{}, false
+	}
+	it.idx++
+	it.countScan()
+	if it.idx+1 < it.count {
+		return it.elem(it.idx + 1), true
+	}
+	return it.Peek()
+}
+
+// positioned makes the element after idx readable, pinning the current
+// page or hopping along the chain as needed; false at the end or on error.
+func (it *Iterator) positioned() bool {
+	if it.err != nil {
+		return false
+	}
 	for {
-		if it.data == nil {
-			if !it.loadPage() {
-				return xmldoc.Element{}, false
-			}
+		if it.data == nil && !it.loadPage() {
+			return false
 		}
 		if it.idx+1 < it.count {
-			e, _ := xmldoc.DecodeElement(it.data[headerSize+(it.idx+1)*xmldoc.EncodedSize:])
-			e.DocID = it.list.docID
-			return e, true
+			return true
 		}
 		if !it.advancePage() {
-			return xmldoc.Element{}, false
+			return false
 		}
+	}
+}
+
+// elem decodes entry i of the pinned page.
+func (it *Iterator) elem(i int) xmldoc.Element {
+	e, _ := xmldoc.DecodeElement(it.data[headerSize+i*xmldoc.EncodedSize:])
+	e.DocID = it.list.docID
+	return e
+}
+
+func (it *Iterator) countScan() {
+	if it.c != nil {
+		it.c.ElementsScanned++
 	}
 }
 

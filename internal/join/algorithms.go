@@ -203,7 +203,6 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 	cd := newCursor(di)
 	defer func() { ca.close(); cd.close() }()
 	var stack ancStack
-	var scratch []xmldoc.Element // reused across FindAncestors probes
 	var pl poller
 	// Skip targets are known before the work that precedes the skip runs,
 	// so indexes that support readahead get hinted early (see below).
@@ -234,13 +233,11 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 				// overlaps the stab-list probe below.
 				pa.PrefetchGE(cd.cur.Start, c)
 			}
-			anc, err := ca.ancestors(a, scratch[:0], cd.cur.Start, minStart, c)
+			// The probe appends the ancestors, sorted by start, straight
+			// onto the stack: they nest inside its top.
+			stack.els, err = ca.ancestors(a, stack.els, cd.cur.Start, minStart, c)
 			if err != nil {
 				return err
-			}
-			scratch = anc
-			for _, e := range anc {
-				stack.push(e)
 			}
 			stack.emitAll(mode, cd.cur, emit, c)
 			// Line 12 seeks the first ancestor with start > CurD.start; we

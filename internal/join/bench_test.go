@@ -7,6 +7,7 @@ import (
 	"xrtree/internal/btree"
 	"xrtree/internal/bufferpool"
 	"xrtree/internal/core"
+	"xrtree/internal/elemlist"
 	"xrtree/internal/metrics"
 	"xrtree/internal/pagefile"
 	"xrtree/internal/xmldoc"
@@ -39,9 +40,10 @@ func benchJoin(b *testing.B, run func(emit EmitFunc, c *metrics.Counters) error)
 	}
 }
 
-// BenchmarkXRStackJoin measures a full XR-stack ancestor/descendant join
-// over two XR-trees through a small pool, so index descents, stab-list
-// probes, and leaf-chain scans all pay real buffer replacement.
+// BenchmarkXRStackJoin measures a full XR-stack join over two XR-trees
+// through a small pool, so index descents, stab-list probes, and leaf-chain
+// scans all pay real buffer replacement. The ad case joins ancestor-
+// descendant, the pc case parent-child.
 func BenchmarkXRStackJoin(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	as, ds := genDoc(rng, 2000, 10000, 8)
@@ -58,9 +60,16 @@ func BenchmarkXRStackJoin(b *testing.B) {
 	}
 	xa := XRTreeSource{T: buildXR(as)}
 	xd := XRTreeSource{T: buildXR(ds)}
-	benchJoin(b, func(emit EmitFunc, c *metrics.Counters) error {
-		return XRStack(AncestorDescendant, xa, xd, emit, c)
-	})
+	for _, tc := range []struct {
+		name string
+		mode Mode
+	}{{"ad", AncestorDescendant}, {"pc", ParentChild}} {
+		b.Run(tc.name, func(b *testing.B) {
+			benchJoin(b, func(emit EmitFunc, c *metrics.Counters) error {
+				return XRStack(tc.mode, xa, xd, emit, c)
+			})
+		})
+	}
 }
 
 // BenchmarkBPlusJoin is BenchmarkXRStackJoin's input joined by the B+
@@ -83,5 +92,25 @@ func BenchmarkBPlusJoin(b *testing.B) {
 	bd := BTreeSource{T: buildBT(ds)}
 	benchJoin(b, func(emit EmitFunc, c *metrics.Counters) error {
 		return BPlus(AncestorDescendant, ba, bd, emit, c)
+	})
+}
+
+// BenchmarkStackTreeDescJoin is BenchmarkXRStackJoin's input joined by the
+// no-index algorithm over two paged element lists, which steps over every
+// element of both.
+func BenchmarkStackTreeDescJoin(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	as, ds := genDoc(rng, 2000, 10000, 8)
+	pool := benchPool(b)
+	buildList := func(es []xmldoc.Element) ListSource {
+		l, err := elemlist.Build(pool, es)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ListSource{L: l}
+	}
+	la, ld := buildList(as), buildList(ds)
+	benchJoin(b, func(emit EmitFunc, c *metrics.Counters) error {
+		return StackTreeDesc(AncestorDescendant, la, ld, emit, c)
 	})
 }

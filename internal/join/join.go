@@ -156,24 +156,34 @@ func (s XRTreeSource) Len() int { return s.T.Len() }
 // --- shared helpers -------------------------------------------------------
 
 // finger is an index iterator that repositions itself (core.Iterator,
-// btree.Iterator): SeekGE searches the leaf copy it holds and descends
-// from the root only when the key lies beyond it; Holds reports whether
-// it would.
+// btree.Iterator, and pathexpr's in-memory iterator, which holds
+// everything): SeekGE searches the leaf copy it holds and descends from
+// the root only when the key lies beyond it; Holds reports whether it
+// would.
 type finger interface {
 	SeekGE(key uint32) error
 	Holds(key uint32) bool
 }
 
 // ancestorFinger is an index iterator that answers FindAncestors probes
-// from its held leaf when it can (core.Iterator).
+// from its held leaf when it can (core.Iterator, and pathexpr's in-memory
+// iterator).
 type ancestorFinger interface {
 	AppendAncestors(dst []xmldoc.Element, sd, minStart uint32) ([]xmldoc.Element, error)
+}
+
+// stepper is an iterator that consumes its current element and returns the
+// next one in a single call (core, btree and elemlist iterators): Next
+// followed by Peek, with one decode instead of two.
+type stepper interface {
+	Step() (xmldoc.Element, bool)
 }
 
 // cursor adds lazy one-element lookahead to an Iterator: cur/valid reflect
 // Peek (free), and advance consumes the current element (one scan).
 type cursor struct {
 	it    Iterator
+	s     stepper        // the iterator's Step, nil when it has none
 	f     finger         // the iterator's finger, nil when it has none
 	af    ancestorFinger // the iterator's ancestor probe, nil when it has none
 	cur   xmldoc.Element
@@ -190,6 +200,7 @@ func newCursor(it Iterator) *cursor {
 // consuming anything.
 func (c *cursor) bind(it Iterator) {
 	c.it = it
+	c.s, _ = it.(stepper)
 	c.f, _ = it.(finger)
 	c.af, _ = it.(ancestorFinger)
 	c.cur, c.valid = it.Peek()
@@ -197,6 +208,10 @@ func (c *cursor) bind(it Iterator) {
 
 // advance consumes the current element and peeks the next.
 func (c *cursor) advance() {
+	if c.s != nil {
+		c.cur, c.valid = c.s.Step()
+		return
+	}
 	c.it.Next()
 	c.cur, c.valid = c.it.Peek()
 }
@@ -292,14 +307,22 @@ func (s *ancStack) popNonAncestors(start uint32) {
 }
 
 // emitAll pairs every stacked ancestor with d. One call is one output
-// batch; its size flows to the tracer as a single EvOutput event.
+// batch; its size flows to the tracer as a single EvOutput event. The mode
+// is tested once per call, not once per pair.
 func (s *ancStack) emitAll(mode Mode, d xmldoc.Element, emit EmitFunc, c *metrics.Counters) {
 	var n int64
-	for _, a := range s.els {
-		if matches(mode, a, d) {
-			emit(a, d)
-			n++
+	if mode == ParentChild {
+		for _, a := range s.els {
+			if a.Level == d.Level-1 {
+				emit(a, d)
+				n++
+			}
 		}
+	} else {
+		for _, a := range s.els {
+			emit(a, d)
+		}
+		n = int64(len(s.els))
 	}
 	if c != nil {
 		c.OutputPairs += n

@@ -401,18 +401,17 @@ func scanAll(t *core.Tree, c *metrics.Counters) ([]xmldoc.Element, error) {
 func joinStep(cur []xmldoc.Element, desc *core.Tree, mode join.Mode, c *metrics.Counters) ([]xmldoc.Element, error) {
 	a := memSource{els: cur}
 	d := join.XRTreeSource{T: desc}
-	seen := make(map[uint32]xmldoc.Element, 64)
+	var out []xmldoc.Element
 	err := join.XRStack(mode, a, d, func(_, dv xmldoc.Element) {
-		seen[dv.Start] = dv
+		// XR-stack emits pairs in ascending descendant order, so the pairs
+		// of one descendant are adjacent.
+		if len(out) == 0 || out[len(out)-1].Start != dv.Start {
+			out = append(out, dv)
+		}
 	}, c)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]xmldoc.Element, 0, len(seen))
-	for _, e := range seen {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out, nil
 }
 
@@ -433,25 +432,32 @@ func (m memSource) Scan(c *metrics.Counters) (join.Iterator, error) {
 
 // SeekGE opens an iterator at the first element with start ≥ key.
 func (m memSource) SeekGE(key uint32, c *metrics.Counters) (join.Iterator, error) {
-	i := sort.Search(len(m.els), func(i int) bool { return m.els[i].Start >= key })
-	return &memIterator{els: m.els, idx: i, c: c}, nil
+	return &memIterator{els: m.els, idx: searchGE(m.els, key), c: c}, nil
 }
 
 // AppendAncestors appends the elements strictly containing sd with start
-// beyond minStart, by scanning left of sd's position with subtree skips —
-// the in-memory analogue of Algorithm 4's leaf phase.
+// beyond minStart.
 func (m memSource) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32, c *metrics.Counters) ([]xmldoc.Element, error) {
+	return appendAncestors(m.els, dst, sd, minStart, c), nil
+}
+
+// appendAncestors appends the elements of els strictly containing sd with
+// start beyond minStart, by scanning left of sd's position with subtree
+// skips — the in-memory analogue of Algorithm 4's leaf phase.
+func appendAncestors(els, dst []xmldoc.Element, sd, minStart uint32, c *metrics.Counters) []xmldoc.Element {
 	out := dst
-	hi := sort.Search(len(m.els), func(i int) bool { return m.els[i].Start >= sd })
+	hi := searchGE(els, sd)
 	lo := 0
 	if minStart > 0 {
-		lo = sort.Search(len(m.els), func(i int) bool { return m.els[i].Start > minStart })
+		lo = sort.Search(hi, func(i int) bool { return els[i].Start > minStart })
 	}
 	for i := lo; i < hi; {
-		e := m.els[i]
+		e := els[i]
 		if e.End <= sd {
-			// Skip e's subtree: nothing inside can contain sd.
-			i = sort.Search(len(m.els), func(j int) bool { return m.els[j].Start > e.End })
+			// Skip e's subtree: nothing inside can contain sd, and the
+			// subtree ends before sd's position.
+			rest := els[i+1 : hi]
+			i += 1 + sort.Search(len(rest), func(j int) bool { return rest[j].Start > e.End })
 			continue
 		}
 		if c != nil {
@@ -460,9 +466,17 @@ func (m memSource) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32, c 
 		out = append(out, e)
 		i++
 	}
-	return out, nil
+	return out
 }
 
+// searchGE returns the index of the first element of els with start ≥ key.
+func searchGE(els []xmldoc.Element, key uint32) int {
+	return sort.Search(len(els), func(i int) bool { return els[i].Start >= key })
+}
+
+// memIterator walks a memSource's slice. It holds the whole slice, so it is
+// a finger whose seeks and ancestor probes are all answered in place; it
+// counts no finger hits, since it holds no leaf copy.
 type memIterator struct {
 	els []xmldoc.Element
 	idx int
@@ -470,15 +484,12 @@ type memIterator struct {
 }
 
 func (it *memIterator) Next() (xmldoc.Element, bool) {
-	if it.idx >= len(it.els) {
-		return xmldoc.Element{}, false
+	e, ok := it.Peek()
+	if ok {
+		it.idx++
+		it.countScan()
 	}
-	e := it.els[it.idx]
-	it.idx++
-	if it.c != nil {
-		it.c.ElementsScanned++
-	}
-	return e, true
+	return e, ok
 }
 
 func (it *memIterator) Peek() (xmldoc.Element, bool) {
@@ -486,6 +497,36 @@ func (it *memIterator) Peek() (xmldoc.Element, bool) {
 		return xmldoc.Element{}, false
 	}
 	return it.els[it.idx], true
+}
+
+// Step consumes the current element and returns the next one.
+func (it *memIterator) Step() (xmldoc.Element, bool) {
+	if it.idx >= len(it.els) {
+		return xmldoc.Element{}, false
+	}
+	it.idx++
+	it.countScan()
+	return it.Peek()
+}
+
+func (it *memIterator) countScan() {
+	if it.c != nil {
+		it.c.ElementsScanned++
+	}
+}
+
+// SeekGE repositions the iterator at the first element with start ≥ key.
+func (it *memIterator) SeekGE(key uint32) error {
+	it.idx = searchGE(it.els, key)
+	return nil
+}
+
+// Holds reports that every seek is answered in place.
+func (it *memIterator) Holds(uint32) bool { return true }
+
+// AppendAncestors is memSource.AppendAncestors over the iterator's slice.
+func (it *memIterator) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32) ([]xmldoc.Element, error) {
+	return appendAncestors(it.els, dst, sd, minStart, it.c), nil
 }
 
 func (it *memIterator) Err() error   { return nil }
