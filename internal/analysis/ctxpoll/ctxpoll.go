@@ -33,9 +33,10 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // checkedPackages are the packages whose loops drive page I/O on read
-// paths. (Testdata packages reuse one of these names.)
+// paths, blink being the read layer under core and btree. (Testdata
+// packages reuse one of these names.)
 var checkedPackages = map[string]bool{
-	"core": true, "btree": true, "elemlist": true, "join": true,
+	"blink": true, "core": true, "btree": true, "elemlist": true, "join": true,
 }
 
 // triggers are the call names whose presence makes a loop page-bound or

@@ -91,7 +91,8 @@ type summary struct {
 
 // methodLevels summarizes exported entry points of other packages: the
 // lowest lock level the method acquires internally. Matching is by
-// receiver type name, so btree.Tree and core.Tree share the Tree rows.
+// receiver type name, so btree.Tree, core.Tree and the read layer they
+// embed, blink.Tree, share the Tree rows.
 var methodLevels = map[[2]string]int{
 	// Mutations take wlatch; so do the exact-answer fallback inside the
 	// ancestor probe, the full checker, and the space census.
@@ -105,7 +106,7 @@ var methodLevels = map[[2]string]int{
 	{"Tree", "Lookup"}: 3, {"Tree", "SeekGE"}: 3, {"Tree", "Scan"}: 3,
 	{"Tree", "Range"}: 3, {"Tree", "FindDescendants"}: 3,
 	{"Tree", "FindChildren"}: 3, {"Tree", "PrefetchGE"}: 3,
-	{"Tree", "MaxNesting"}: 3,
+	{"Tree", "MaxNesting"}: 3, {"Tree", "SeekInto"}: 3,
 	// platch.Table through a non-field receiver (a local alias); calls
 	// through a classified field (t.pl.Lock) are handled by lockCall.
 	{"Table", "Lock"}: pageLatchLevel, {"Table", "LockRight"}: pageLatchLevel,

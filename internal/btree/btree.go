@@ -7,36 +7,34 @@
 //
 // The tree is dynamic (insert and delete with split, redistribution and
 // merge) and all page access goes through the buffer pool so experiments
-// observe page misses. Iterators support SeekGE, the primitive the B+ join
-// algorithm uses to skip descendants ("range queries"), and sequential
-// scans over the leaf chain.
+// observe page misses. The read side — Lookup, SeekGE, Scan and the
+// leaf-chain Iterator with its finger seeks — is the B-link read layer of
+// internal/blink, which this package embeds; it keeps the write path.
 //
 // # Concurrency
 //
 // The tree uses the B-link protocol (Lehman–Yao): every index page
 // carries a high key (the lowest key of its right sibling; 0 = +∞) and a
-// right-sibling link in its header. Readers never take a tree-wide latch:
-// a descent holds one per-page shared latch at a time (see
-// internal/platch) just long enough to copy the page, and recovers from
-// a concurrent split by moving right whenever the search key is at or
-// beyond the page's high key. Writers serialize against each other on
-// wlatch (the WAL transaction state is per-tree) but block readers only
-// page by page: every byte mutation of a reader-reachable page happens
-// inside that page's exclusive latch, and a split populates the new
-// right sibling before the one latched write that shrinks the left page
-// and installs its right-link — so readers observe either the pre-split
-// page or a well-formed left half whose high key sends them right, never
-// a torn page. Iterators work on private leaf copies and re-latch only
-// for the hop to the next leaf. Query paths attribute costs to
-// caller-supplied counters, never to the shared tree sink.
+// right-sibling link in its header. Readers never take a tree-wide latch
+// (see internal/blink). Writers serialize against each other on wlatch
+// (the WAL transaction state is per-tree) but block readers only page by
+// page: every byte mutation of a reader-reachable page happens inside
+// that page's exclusive latch, and a split populates the new right
+// sibling before the one latched write that shrinks the left page and
+// installs its right-link — so readers observe either the pre-split page
+// or a well-formed left half whose high key sends them right, never a
+// torn page. Query paths attribute costs to caller-supplied counters,
+// never to the shared tree sink.
 package btree
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"xrtree/internal/blink"
 	"xrtree/internal/bufferpool"
 	"xrtree/internal/metrics"
 	"xrtree/internal/pagefile"
@@ -50,11 +48,7 @@ import (
 //
 //	0: magic u32 | 4: root u32 | 8: height u32 | 12: count u32 | 16: docID u32
 //
-// Leaf page:
-//
-//	0: type u8 (=leafType) | 2: count u16 | 4: next u32 | 8: prev u32
-//	12: highKey u32 (lowest key of the right sibling; 0 = +∞)
-//	16: entries, count × xmldoc.EncodedSize, sorted by start
+// Leaf page: the shared B-link leaf (see internal/blink), flags unused.
 //
 // Internal page:
 //
@@ -70,21 +64,13 @@ import (
 const (
 	metaMagic = 0x42545230 // "BTR0"
 
-	leafType     = 1
 	internalType = 2
-
-	leafHeader     = 16
-	offLeafCount   = 2
-	offLeafNext    = 4
-	offLeafPrev    = 8
-	offLeafHigh    = 12
-	internalHeader = 16
-	offIntCount    = 2
-	offIntChild0   = 4
-	offIntNext     = 8
-	offIntHigh     = 12
-	intEntrySize   = 8
 )
+
+// intShape is the internal-page layout above.
+var intShape = blink.Shape{Type: internalType, Header: 16, EntrySize: 8, OffNext: 8, OffHigh: 12}
+
+var le = binary.LittleEndian
 
 // Errors returned by the tree.
 var (
@@ -93,17 +79,15 @@ var (
 	ErrCorrupt   = errors.New("btree: corrupt page")
 )
 
+// Iterator walks leaf entries in ascending start order; see blink.Iterator.
+type Iterator = blink.Iterator
+
 // Tree is a disk-resident B+-tree over elements keyed by Start.
 type Tree struct {
-	pool  *bufferpool.Pool
-	meta  pagefile.PageID
-	docID uint32
+	blink.Tree // the read side: root snapshot, Lookup, SeekGE, Scan
 
-	// rootH packs the root page id (high 32 bits) and the tree height
-	// (low 32 bits; 1 = root is a leaf) into one word so lock-free
-	// readers start every descent from a consistent pair. Stale values
-	// are safe: an old root still reaches every key via right-links.
-	rootH atomic.Uint64
+	pool *bufferpool.Pool
+	meta pagefile.PageID
 
 	count atomic.Int64
 
@@ -119,6 +103,7 @@ type Tree struct {
 	// pl holds the per-page latches of the B-link protocol: readers
 	// latch one page shared while copying it; writers latch a page
 	// exclusively for each byte mutation of a reader-reachable page.
+	// The embedded read layer shares it.
 	pl *platch.Table
 
 	// tx is the WAL transaction of the mutation in flight, nil outside one.
@@ -131,18 +116,6 @@ type Tree struct {
 	debugHeld int
 
 	c *metrics.Counters // optional counter sink, used by write paths only
-}
-
-// loadRoot returns a consistent (root page, height) snapshot.
-func (t *Tree) loadRoot() (pagefile.PageID, int) {
-	v := t.rootH.Load()
-	return pagefile.PageID(v >> 32), int(uint32(v))
-}
-
-// setRoot publishes a new (root page, height) pair. Writer-only; the new
-// root must be fully populated before the call.
-func (t *Tree) setRoot(id pagefile.PageID, h int) {
-	t.rootH.Store(uint64(id)<<32 | uint64(uint32(h)))
 }
 
 // The fetch/unpin wrappers route page accesses through the in-flight WAL
@@ -190,27 +163,39 @@ func (t *Tree) beginTx() func(*error) {
 	}
 }
 
+// newTree returns a tree handle over pool with its read layer set up for
+// document docID; the caller publishes the root.
+func newTree(pool *bufferpool.Pool, meta pagefile.PageID, docID uint32) *Tree {
+	t := &Tree{pool: pool, meta: meta, pl: platch.NewTable()}
+	t.Init(pool, t.pl, &intShape, docID, ErrNotFound, ErrCorrupt)
+	ps := pool.File().PageSize()
+	t.leafCap = (ps - blink.LeafHeader) / xmldoc.EncodedSize
+	t.intCap = (ps - intShape.Header) / intShape.EntrySize
+	if t.leafCap < 2 || t.intCap < 3 {
+		panic(fmt.Sprintf("btree: page size %d too small", ps))
+	}
+	return t
+}
+
 // New creates an empty tree whose pages come from pool's file.
 func New(pool *bufferpool.Pool, docID uint32) (*Tree, error) {
-	t := &Tree{pool: pool, docID: docID, pl: platch.NewTable()}
-	t.computeCaps()
 	metaID, metaData, err := pool.FetchNew()
 	if err != nil {
 		return nil, err
 	}
-	t.meta = metaID
+	t := newTree(pool, metaID, docID)
 	rootID, rootData, err := pool.FetchNew()
 	if err != nil {
 		pool.Unpin(metaID, true)
 		return nil, err
 	}
-	initLeaf(rootData)
+	blink.InitLeaf(rootData)
 	if err := pool.Unpin(rootID, true); err != nil {
 		pool.Unpin(metaID, true) // best-effort: the first error propagates
 		return nil, err
 	}
-	t.setRoot(rootID, 1)
-	putU32(metaData[0:], metaMagic)
+	t.SetRoot(rootID, 1)
+	le.PutUint32(metaData[0:], metaMagic)
 	t.writeMeta(metaData)
 	if err := pool.Unpin(metaID, true); err != nil {
 		return nil, err
@@ -220,29 +205,18 @@ func New(pool *bufferpool.Pool, docID uint32) (*Tree, error) {
 
 // Open reattaches to a tree previously created by New in pool's file.
 func Open(pool *bufferpool.Pool, meta pagefile.PageID) (*Tree, error) {
-	t := &Tree{pool: pool, meta: meta, pl: platch.NewTable()}
-	t.computeCaps()
 	data, err := pool.Fetch(meta)
 	if err != nil {
 		return nil, err
 	}
 	defer pool.Unpin(meta, false)
-	if getU32(data[0:]) != metaMagic {
+	if le.Uint32(data[0:]) != metaMagic {
 		return nil, fmt.Errorf("%w: bad meta magic", ErrCorrupt)
 	}
-	t.setRoot(pagefile.PageID(getU32(data[4:])), int(getU32(data[8:])))
-	t.count.Store(int64(getU32(data[12:])))
-	t.docID = getU32(data[16:])
+	t := newTree(pool, meta, le.Uint32(data[16:]))
+	t.SetRoot(pagefile.PageID(le.Uint32(data[4:])), int(le.Uint32(data[8:])))
+	t.count.Store(int64(le.Uint32(data[12:])))
 	return t, nil
-}
-
-func (t *Tree) computeCaps() {
-	ps := t.pool.File().PageSize()
-	t.leafCap = (ps - leafHeader) / xmldoc.EncodedSize
-	t.intCap = (ps - internalHeader) / intEntrySize
-	if t.leafCap < 2 || t.intCap < 3 {
-		panic(fmt.Sprintf("btree: page size %d too small", ps))
-	}
 }
 
 func (t *Tree) syncMeta() error {
@@ -255,11 +229,11 @@ func (t *Tree) syncMeta() error {
 }
 
 func (t *Tree) writeMeta(data []byte) {
-	root, h := t.loadRoot()
-	putU32(data[4:], uint32(root))
-	putU32(data[8:], uint32(h))
-	putU32(data[12:], uint32(t.count.Load()))
-	putU32(data[16:], t.docID)
+	root, h := t.Root()
+	le.PutUint32(data[4:], uint32(root))
+	le.PutUint32(data[8:], uint32(h))
+	le.PutUint32(data[12:], uint32(t.count.Load()))
+	le.PutUint32(data[16:], t.DocID())
 }
 
 // Meta returns the meta page id, the handle needed by Open.
@@ -267,12 +241,6 @@ func (t *Tree) Meta() pagefile.PageID { return t.meta }
 
 // Len returns the number of elements in the tree.
 func (t *Tree) Len() int { return int(t.count.Load()) }
-
-// Height returns the tree height (1 = root is a leaf).
-func (t *Tree) Height() int { _, h := t.loadRoot(); return h }
-
-// DocID returns the document id of the indexed set.
-func (t *Tree) DocID() uint32 { return t.docID }
 
 // SetCounters directs cost accounting to c (nil detaches).
 func (t *Tree) SetCounters(c *metrics.Counters) { t.c = c }
@@ -289,182 +257,21 @@ func (t *Tree) countLeaf() {
 	}
 }
 
-func (t *Tree) countScan(n int) {
-	if t.c != nil {
-		t.c.ElementsScanned += int64(n)
+// Range returns all elements with start in [lo, hi], a convenience wrapper
+// over SeekGE used in tests and examples.
+func (t *Tree) Range(lo, hi uint32, c *metrics.Counters) ([]xmldoc.Element, error) {
+	it, err := t.SeekGE(lo, c)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// The add* helpers attribute costs to an explicit counter set; query paths
-// use them (instead of the tree-attached sink) so concurrent readers never
-// share mutable counter state.
-func addNode(c *metrics.Counters) {
-	if c != nil {
-		c.IndexNodeReads++
-	}
-}
-
-func addLeaf(c *metrics.Counters) {
-	if c != nil {
-		c.LeafReads++
-	}
-}
-
-func addScan(c *metrics.Counters, n int64) {
-	if c != nil {
-		c.ElementsScanned += n
-	}
-}
-
-// --- page helpers -------------------------------------------------------
-
-func initLeaf(data []byte) {
-	for i := range data[:leafHeader] {
-		data[i] = 0
-	}
-	data[0] = leafType
-	putU32(data[offLeafNext:], uint32(pagefile.InvalidPage))
-	putU32(data[offLeafPrev:], uint32(pagefile.InvalidPage))
-}
-
-func initInternal(data []byte) {
-	for i := range data[:internalHeader] {
-		data[i] = 0
-	}
-	data[0] = internalType
-	putU32(data[offIntNext:], uint32(pagefile.InvalidPage))
-}
-
-func leafCount(data []byte) int    { return int(getU16(data[offLeafCount:])) }
-func intCount(data []byte) int     { return int(getU16(data[offIntCount:])) }
-func isLeaf(data []byte) bool      { return data[0] == leafType }
-func setLeafCount(d []byte, n int) { putU16(d[offLeafCount:], uint16(n)) }
-func setIntCount(d []byte, n int)  { putU16(d[offIntCount:], uint16(n)) }
-
-func leafEntry(data []byte, i int) []byte {
-	off := leafHeader + i*xmldoc.EncodedSize
-	return data[off : off+xmldoc.EncodedSize]
-}
-
-func leafElem(data []byte, i int) xmldoc.Element {
-	e, _ := xmldoc.DecodeElement(leafEntry(data, i))
-	return e
-}
-
-func leafKey(data []byte, i int) uint32 { return getU32(leafEntry(data, i)) }
-
-func leafNext(data []byte) pagefile.PageID     { return pagefile.PageID(getU32(data[offLeafNext:])) }
-func leafPrev(data []byte) pagefile.PageID     { return pagefile.PageID(getU32(data[offLeafPrev:])) }
-func setLeafNext(d []byte, id pagefile.PageID) { putU32(d[offLeafNext:], uint32(id)) }
-func setLeafPrev(d []byte, id pagefile.PageID) { putU32(d[offLeafPrev:], uint32(id)) }
-
-// The high key is the lowest key of the page's right sibling; 0 means +∞
-// (rightmost page at its level). A reader whose search key is ≥ the high
-// key moves right. For leaves the chain's next pointer is the right link.
-func leafHigh(data []byte) uint32             { return getU32(data[offLeafHigh:]) }
-func setLeafHigh(d []byte, k uint32)          { putU32(d[offLeafHigh:], k) }
-func intNext(data []byte) pagefile.PageID     { return pagefile.PageID(getU32(data[offIntNext:])) }
-func setIntNext(d []byte, id pagefile.PageID) { putU32(d[offIntNext:], uint32(id)) }
-func intHigh(data []byte) uint32              { return getU32(data[offIntHigh:]) }
-func setIntHigh(d []byte, k uint32)           { putU32(d[offIntHigh:], k) }
-
-// moveRight reports whether a B-link reader positioned at a page with the
-// given high key and right link must follow the link to find key.
-func moveRight(high uint32, next pagefile.PageID, key uint32) bool {
-	return high != 0 && key >= high && next != pagefile.InvalidPage
-}
-
-func intKey(data []byte, i int) uint32 {
-	return getU32(data[internalHeader+i*intEntrySize:])
-}
-
-func setIntKey(data []byte, i int, k uint32) {
-	putU32(data[internalHeader+i*intEntrySize:], k)
-}
-
-// intChild returns child pointer i (0..m). Child 0 is stored separately.
-func intChild(data []byte, i int) pagefile.PageID {
-	if i == 0 {
-		return pagefile.PageID(getU32(data[offIntChild0:]))
-	}
-	return pagefile.PageID(getU32(data[internalHeader+(i-1)*intEntrySize+4:]))
-}
-
-func setIntChild(data []byte, i int, id pagefile.PageID) {
-	if i == 0 {
-		putU32(data[offIntChild0:], uint32(id))
-		return
-	}
-	putU32(data[internalHeader+(i-1)*intEntrySize+4:], uint32(id))
-}
-
-// leafSearch returns the index of the first entry with start ≥ key.
-func leafSearch(data []byte, key uint32) int { return leafSearchIn(data, 0, leafCount(data), key) }
-
-// leafSearchFrom is leafSearch started from a cursor at index hint: when
-// the answer lies at or after hint it gallops forward (1, 2, 4, … entries)
-// and binary-searches the last gap, so a target k entries ahead costs
-// O(log k) probes instead of O(log n); a key behind the cursor falls back
-// to a binary search over the entries before it.
-func leafSearchFrom(data []byte, hint int, key uint32) int {
-	n := leafCount(data)
-	hint = min(max(hint, 0), n)
-	if hint > 0 && leafKey(data, hint-1) >= key {
-		return leafSearchIn(data, 0, hint-1, key)
-	}
-	lo, hi := hint, hint
-	for step := 1; hi < n && leafKey(data, hi) < key; step <<= 1 {
-		lo = hi + 1
-		hi += step
-	}
-	return leafSearchIn(data, lo, min(hi, n), key)
-}
-
-// leafSearchIn is leafSearch within [lo, hi], for callers that know every
-// entry before lo is below key and entry hi (when hi < count) is not.
-func leafSearchIn(data []byte, lo, hi int, key uint32) int {
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if leafKey(data, mid) < key {
-			lo = mid + 1
-		} else {
-			hi = mid
+	defer it.Close()
+	var out []xmldoc.Element
+	for {
+		e, ok := it.Next()
+		if !ok || e.Start > hi {
+			break
 		}
+		out = append(out, e)
 	}
-	return lo
-}
-
-// intSearch returns the child index to follow for key: the child after the
-// largest separator ≤ key, or child 0 if every separator exceeds key.
-func intSearch(data []byte, key uint32) int {
-	lo, hi := 0, intCount(data) // searching over separators
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if intKey(data, mid) <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo // number of separators ≤ key == child index
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putU16(b []byte, v uint16) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-}
-
-func getU16(b []byte) uint16 {
-	return uint16(b[0]) | uint16(b[1])<<8
+	return out, it.Err()
 }

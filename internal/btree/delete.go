@@ -3,6 +3,7 @@ package btree
 import (
 	"fmt"
 
+	"xrtree/internal/blink"
 	"xrtree/internal/pagefile"
 	"xrtree/internal/xmldoc"
 )
@@ -23,7 +24,7 @@ func (t *Tree) Delete(key uint32) (err error) {
 	defer t.debugPinBalance()()
 	commit := t.beginTx()
 	defer commit(&err)
-	root, h := t.loadRoot()
+	root, h := t.Root()
 	if _, err := t.deleteFrom(root, h, key); err != nil {
 		return err
 	}
@@ -34,19 +35,19 @@ func (t *Tree) Delete(key uint32) (err error) {
 		if err != nil {
 			return err
 		}
-		if intCount(data) > 0 {
+		if intShape.Count(data) > 0 {
 			if err := t.unpin(root, false); err != nil {
 				return err
 			}
 			break
 		}
-		onlyChild := intChild(data, 0)
+		onlyChild := intShape.Child(data, 0)
 		if err := t.unpin(root, false); err != nil {
 			return err
 		}
 		old := root
 		root, h = onlyChild, h-1
-		t.setRoot(root, h)
+		t.SetRoot(root, h)
 		if err := t.free(old); err != nil {
 			return err
 		}
@@ -66,22 +67,22 @@ func (t *Tree) deleteFrom(id pagefile.PageID, height int, key uint32) (bool, err
 	}
 	if height == 1 {
 		t.countLeaf()
-		n := leafCount(data)
-		pos := leafSearch(data, key)
-		if pos >= n || leafKey(data, pos) != key {
+		n := blink.LeafCount(data)
+		pos := blink.LeafSearch(data, key)
+		if pos >= n || blink.LeafKey(data, pos) != key {
 			t.unpin(id, false)
 			return false, fmt.Errorf("%w: start %d", ErrNotFound, key)
 		}
 		t.pl.Lock(id)
-		removeLeafEntry(data, pos, n)
+		blink.RemoveLeafEntry(data, pos, n)
 		t.pl.Unlock(id)
-		under := leafCount(data) < t.leafMin()
+		under := blink.LeafCount(data) < t.leafMin()
 		return under, t.unpin(id, true)
 	}
 
 	t.countNode()
-	ci := intSearch(data, key)
-	child := intChild(data, ci)
+	ci := intShape.Search(data, key)
+	child := intShape.Child(data, ci)
 	childUnder, err := t.deleteFrom(child, height-1, key)
 	if err != nil {
 		t.unpin(id, false)
@@ -94,14 +95,14 @@ func (t *Tree) deleteFrom(id pagefile.PageID, height int, key uint32) (bool, err
 		t.unpin(id, true)
 		return false, err
 	}
-	m := intCount(data)
+	m := intShape.Count(data)
 	return m < t.intMin(), t.unpin(id, true)
 }
 
 // rebalanceChild restores minimum occupancy of the child at index ci of the
 // pinned internal page data (page id), whose children live at childHeight.
 func (t *Tree) rebalanceChild(id pagefile.PageID, data []byte, ci int, childHeight int) error {
-	m := intCount(data)
+	m := intShape.Count(data)
 	// Prefer borrowing from / merging with the left sibling; fall back to
 	// the right sibling when ci is the leftmost child.
 	if ci > 0 {
@@ -122,8 +123,8 @@ func (t *Tree) rebalanceChild(id pagefile.PageID, data []byte, ci int, childHeig
 // descending through the parent never sees a separator pointing at a
 // half-rebalanced pair.
 func (t *Tree) rebalancePair(parentID pagefile.PageID, parent []byte, li int, childHeight int) error {
-	leftID := intChild(parent, li)
-	rightID := intChild(parent, li+1)
+	leftID := intShape.Child(parent, li)
+	rightID := intShape.Child(parent, li+1)
 	left, err := t.fetch(leftID)
 	if err != nil {
 		return err
@@ -168,48 +169,48 @@ func (t *Tree) rebalancePair(parentID pagefile.PageID, parent []byte, li int, ch
 // their B-link high keys. Called with all three page latches held; reports
 // whether the right page was merged away. Pins stay with the caller.
 func (t *Tree) rebalanceLeaves(parent []byte, li int, leftID pagefile.PageID, left []byte, rightID pagefile.PageID, right []byte) (bool, error) {
-	ln, rn := leafCount(left), leafCount(right)
+	ln, rn := blink.LeafCount(left), blink.LeafCount(right)
 	min := t.leafMin()
 	switch {
 	case ln+rn <= t.leafCap:
 		// Merge right into left: left absorbs right's entries, chain link,
 		// and high key.
-		copy(left[leafHeader+ln*xmldoc.EncodedSize:], right[leafHeader:leafHeader+rn*xmldoc.EncodedSize])
-		setLeafCount(left, ln+rn)
-		next := leafNext(right)
-		setLeafNext(left, next)
-		setLeafHigh(left, leafHigh(right))
+		copy(left[blink.LeafHeader+ln*xmldoc.EncodedSize:], right[blink.LeafHeader:blink.LeafHeader+rn*xmldoc.EncodedSize])
+		blink.SetLeafCount(left, ln+rn)
+		next := blink.LeafNext(right)
+		blink.SetLeafNext(left, next)
+		blink.SetLeafHigh(left, blink.LeafHigh(right))
 		if next != pagefile.InvalidPage {
 			nd, err := t.fetch(next)
 			if err != nil {
 				return false, err
 			}
 			t.pl.LockRight(next)
-			setLeafPrev(nd, leftID)
+			blink.SetLeafPrev(nd, leftID)
 			t.pl.Unlock(next)
 			if err := t.unpin(next, true); err != nil {
 				return false, err
 			}
 		}
-		removeIntEntry(parent, li, intCount(parent))
+		intShape.RemoveEntry(parent, li, intShape.Count(parent))
 		return true, nil
 
 	case ln < min:
 		// Borrow the first entry of right.
-		e := leafElem(right, 0)
-		removeLeafEntry(right, 0, rn)
-		insertLeafEntry(left, ln, ln, e)
-		sep := leafKey(right, 0)
-		setIntKey(parent, li, sep)
-		setLeafHigh(left, sep)
+		e, _ := blink.LeafElem(right, 0)
+		blink.RemoveLeafEntry(right, 0, rn)
+		blink.InsertLeafEntry(left, ln, ln, e, 0)
+		sep := blink.LeafKey(right, 0)
+		intShape.SetKey(parent, li, sep)
+		blink.SetLeafHigh(left, sep)
 
 	default:
 		// Borrow the last entry of left.
-		e := leafElem(left, ln-1)
-		setLeafCount(left, ln-1)
-		insertLeafEntry(right, 0, rn, e)
-		setIntKey(parent, li, e.Start)
-		setLeafHigh(left, e.Start)
+		e, _ := blink.LeafElem(left, ln-1)
+		blink.SetLeafCount(left, ln-1)
+		blink.InsertLeafEntry(right, 0, rn, e, 0)
+		intShape.SetKey(parent, li, e.Start)
+		blink.SetLeafHigh(left, e.Start)
 	}
 	return false, nil
 }
@@ -219,66 +220,49 @@ func (t *Tree) rebalanceLeaves(parent []byte, li int, leftID pagefile.PageID, le
 // high keys. Called with all three page latches held; reports whether the
 // right page was merged away. Pins stay with the caller.
 func (t *Tree) rebalanceInternals(parent []byte, li int, left, right []byte) (bool, error) {
-	lm, rm := intCount(left), intCount(right)
-	sep := intKey(parent, li)
+	lm, rm := intShape.Count(left), intShape.Count(right)
+	sep := intShape.Key(parent, li)
 	min := t.intMin()
 	switch {
 	case lm+rm+1 <= t.intCap:
 		// Merge: left ++ sep ++ right; left absorbs right's link and high.
-		setIntKey(left, lm, sep)
-		setIntChild(left, lm+1, intChild(right, 0))
+		intShape.SetKey(left, lm, sep)
+		intShape.SetChild(left, lm+1, intShape.Child(right, 0))
 		for i := 0; i < rm; i++ {
-			setIntKey(left, lm+1+i, intKey(right, i))
-			setIntChild(left, lm+2+i, intChild(right, i+1))
+			intShape.SetKey(left, lm+1+i, intShape.Key(right, i))
+			intShape.SetChild(left, lm+2+i, intShape.Child(right, i+1))
 		}
-		setIntCount(left, lm+rm+1)
-		setIntNext(left, intNext(right))
-		setIntHigh(left, intHigh(right))
-		removeIntEntry(parent, li, intCount(parent))
+		intShape.SetCount(left, lm+rm+1)
+		intShape.SetNext(left, intShape.Next(right))
+		intShape.SetHigh(left, intShape.High(right))
+		intShape.RemoveEntry(parent, li, intShape.Count(parent))
 		return true, nil
 
 	case lm < min:
 		// Rotate left: sep moves down to left, right's first key moves up.
-		newSep := intKey(right, 0)
-		setIntKey(left, lm, sep)
-		setIntChild(left, lm+1, intChild(right, 0))
-		setIntCount(left, lm+1)
-		setIntKey(parent, li, newSep)
-		setIntChild(right, 0, intChild(right, 1))
-		removeIntEntry(right, 0, rm)
-		setIntHigh(left, newSep)
+		newSep := intShape.Key(right, 0)
+		intShape.SetKey(left, lm, sep)
+		intShape.SetChild(left, lm+1, intShape.Child(right, 0))
+		intShape.SetCount(left, lm+1)
+		intShape.SetKey(parent, li, newSep)
+		intShape.SetChild(right, 0, intShape.Child(right, 1))
+		intShape.RemoveEntry(right, 0, rm)
+		intShape.SetHigh(left, newSep)
 
 	default:
 		// Rotate right: left's last key moves up, sep moves down to right.
 		// shiftIntRight moves right's old child 0 into the child-1 slot and
 		// opens key 0 / child 0 for the incoming entry.
-		newSep := intKey(left, lm-1)
+		newSep := intShape.Key(left, lm-1)
 		shiftIntRight(right, rm)
-		setIntKey(right, 0, sep)
-		setIntCount(right, rm+1)
-		setIntKey(parent, li, newSep)
-		setIntChild(right, 0, intChild(left, lm))
-		setIntCount(left, lm-1)
-		setIntHigh(left, newSep)
+		intShape.SetKey(right, 0, sep)
+		intShape.SetCount(right, rm+1)
+		intShape.SetKey(parent, li, newSep)
+		intShape.SetChild(right, 0, intShape.Child(left, lm))
+		intShape.SetCount(left, lm-1)
+		intShape.SetHigh(left, newSep)
 	}
 	return false, nil
-}
-
-// removeLeafEntry deletes entry pos from a leaf with n entries.
-func removeLeafEntry(data []byte, pos, n int) {
-	start := leafHeader + pos*xmldoc.EncodedSize
-	end := leafHeader + n*xmldoc.EncodedSize
-	copy(data[start:], data[start+xmldoc.EncodedSize:end])
-	setLeafCount(data, n-1)
-}
-
-// removeIntEntry deletes separator li and the child to its right from an
-// internal page with m keys.
-func removeIntEntry(data []byte, li, m int) {
-	start := internalHeader + li*intEntrySize
-	end := internalHeader + m*intEntrySize
-	copy(data[start:], data[start+intEntrySize:end])
-	setIntCount(data, m-1)
 }
 
 // shiftIntRight makes room for one entry at the front of an internal page
@@ -287,9 +271,9 @@ func removeIntEntry(data []byte, li, m int) {
 // to fill.
 func shiftIntRight(data []byte, m int) {
 	// Move the key/child entry array right by one slot.
-	start := internalHeader
-	end := internalHeader + m*intEntrySize
-	copy(data[start+intEntrySize:end+intEntrySize], data[start:end])
+	start := intShape.Header
+	end := intShape.Header + m*intShape.EntrySize
+	copy(data[start+intShape.EntrySize:end+intShape.EntrySize], data[start:end])
 	// Old child0 becomes the child of the (new) first entry.
-	putU32(data[internalHeader+4:], getU32(data[offIntChild0:]))
+	intShape.SetChild(data, 1, intShape.Child(data, 0))
 }

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"xrtree/internal/blink"
 	"xrtree/internal/metrics"
 	"xrtree/internal/xmldoc"
 )
@@ -71,19 +72,20 @@ func fingerKeys(t *testing.T, tr *Tree) []uint32 {
 	keys := []uint32{0}
 	var last uint32
 	for {
-		for i := 0; i < leafCount(it.buf); i++ {
-			last = leafKey(it.buf, i)
+		leaf, _ := it.Leaf()
+		for i := 0; i < blink.LeafCount(leaf); i++ {
+			last = blink.LeafKey(leaf, i)
 			keys = append(keys, last, last+1)
 		}
-		if h := leafHigh(it.buf); h != 0 {
-			keys = append(keys, h-1, h)
-		}
-		if !it.advancePage() {
+		h := blink.LeafHigh(leaf)
+		if h == 0 {
 			break
 		}
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
+		keys = append(keys, h-1, h)
+		// A seek to the high key descends to the next leaf.
+		if err := it.SeekGE(h); err != nil {
+			t.Fatal(err)
+		}
 	}
 	keys = append(keys, last+1, last+9)
 	slices.Sort(keys)
@@ -223,41 +225,6 @@ func TestStepMatchesNextPeek(t *testing.T) {
 			}
 			s.Close()
 			n.Close()
-		}
-	}
-}
-
-// TestLeafSearchFrom checks the galloping search against the plain binary
-// search on every leaf of a churned tree and on an empty leaf, from every
-// cursor position, for keys below, inside, equal to and above the entries.
-func TestLeafSearchFrom(t *testing.T) {
-	it, err := fingerTrees(t)["churn"].Scan(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	check := func(data []byte) {
-		n := leafCount(data)
-		keys := []uint32{0, 1 << 31}
-		for i := 0; i < n; i++ {
-			k := leafKey(data, i)
-			keys = append(keys, k-1, k, k+1)
-		}
-		for hint := 0; hint <= n; hint++ {
-			for _, k := range keys {
-				if got, want := leafSearchFrom(data, hint, k), leafSearch(data, k); got != want {
-					t.Fatalf("leaf of %d: leafSearchFrom(hint %d, key %d) = %d, leafSearch = %d", n, hint, k, got, want)
-				}
-			}
-		}
-	}
-	empty := make([]byte, len(it.buf))
-	initLeaf(empty)
-	check(empty)
-	for {
-		check(it.buf)
-		if !it.advancePage() {
-			break
 		}
 	}
 }

@@ -3,6 +3,7 @@ package btree
 import (
 	"fmt"
 
+	"xrtree/internal/blink"
 	"xrtree/internal/pagefile"
 	"xrtree/internal/xmldoc"
 )
@@ -18,37 +19,37 @@ import (
 // page and install its right link in one latched write, then update the
 // parent — readers that race the parent update recover by moving right).
 func (t *Tree) Insert(e xmldoc.Element) (err error) {
-	if e.DocID != t.docID {
-		return fmt.Errorf("btree: insert of DocID %d into tree for DocID %d", e.DocID, t.docID)
+	if e.DocID != t.DocID() {
+		return fmt.Errorf("btree: insert of DocID %d into tree for DocID %d", e.DocID, t.DocID())
 	}
 	t.wlatch.Lock()
 	defer t.wlatch.Unlock()
 	defer t.debugPinBalance()()
 	commit := t.beginTx()
 	defer commit(&err)
-	root, h := t.loadRoot()
+	root, h := t.Root()
 	promoKey, promoChild, err := t.insertInto(root, h, e)
 	if err != nil {
 		return err
 	}
 	if promoChild != pagefile.InvalidPage {
 		// Root split: grow the tree. The new root is unreachable until
-		// setRoot publishes it, so it needs no latch while being built;
+		// SetRoot publishes it, so it needs no latch while being built;
 		// readers still descending from the old root reach the new right
 		// half through its right link.
 		newRootID, data, err := t.fetchNew()
 		if err != nil {
 			return err
 		}
-		initInternal(data)
-		setIntCount(data, 1)
-		setIntChild(data, 0, root)
-		setIntKey(data, 0, promoKey)
-		setIntChild(data, 1, promoChild)
+		intShape.Init(data)
+		intShape.SetCount(data, 1)
+		intShape.SetChild(data, 0, root)
+		intShape.SetKey(data, 0, promoKey)
+		intShape.SetChild(data, 1, promoChild)
 		if err := t.unpin(newRootID, true); err != nil {
 			return err
 		}
-		t.setRoot(newRootID, h+1)
+		t.SetRoot(newRootID, h+1)
 	}
 	t.count.Add(1)
 	return t.syncMeta()
@@ -65,14 +66,14 @@ func (t *Tree) insertInto(id pagefile.PageID, height int, e xmldoc.Element) (uin
 		return 0, pagefile.InvalidPage, err
 	}
 	if height == 1 {
-		if !isLeaf(data) {
+		if !blink.IsLeaf(data) {
 			t.unpin(id, false)
 			return 0, pagefile.InvalidPage, fmt.Errorf("%w: expected leaf at page %d", ErrCorrupt, id)
 		}
 		return t.insertLeaf(id, data, e)
 	}
-	ci := intSearch(data, e.Start)
-	child := intChild(data, ci)
+	ci := intShape.Search(data, e.Start)
+	child := intShape.Child(data, ci)
 	t.countNode()
 	// Unpin before recursing to keep at most O(1) pins per level... we must
 	// re-fetch after the child returns a promotion. Simpler and safe: hold
@@ -92,15 +93,15 @@ func (t *Tree) insertInto(id pagefile.PageID, height int, e xmldoc.Element) (uin
 // It consumes the pin.
 func (t *Tree) insertLeaf(id pagefile.PageID, data []byte, e xmldoc.Element) (uint32, pagefile.PageID, error) {
 	t.countLeaf()
-	n := leafCount(data)
-	pos := leafSearch(data, e.Start)
-	if pos < n && leafKey(data, pos) == e.Start {
+	n := blink.LeafCount(data)
+	pos := blink.LeafSearch(data, e.Start)
+	if pos < n && blink.LeafKey(data, pos) == e.Start {
 		t.unpin(id, false)
 		return 0, pagefile.InvalidPage, fmt.Errorf("%w: start %d", ErrDuplicate, e.Start)
 	}
 	if n < t.leafCap {
 		t.pl.Lock(id)
-		insertLeafEntry(data, pos, n, e)
+		blink.InsertLeafEntry(data, pos, n, e, 0)
 		t.pl.Unlock(id)
 		return 0, pagefile.InvalidPage, t.unpin(id, true)
 	}
@@ -114,19 +115,19 @@ func (t *Tree) insertLeaf(id pagefile.PageID, data []byte, e xmldoc.Element) (ui
 		t.unpin(id, false)
 		return 0, pagefile.InvalidPage, err
 	}
-	initLeaf(newData)
+	blink.InitLeaf(newData)
 	mid := n / 2
 	moved := n - mid
-	copy(newData[leafHeader:], data[leafHeader+mid*xmldoc.EncodedSize:leafHeader+n*xmldoc.EncodedSize])
-	setLeafCount(newData, moved)
-	oldNext := leafNext(data)
-	setLeafNext(newData, oldNext)
-	setLeafPrev(newData, id)
-	setLeafHigh(newData, leafHigh(data))
-	sep := leafKey(newData, 0)
+	copy(newData[blink.LeafHeader:], data[blink.LeafHeader+mid*xmldoc.EncodedSize:blink.LeafHeader+n*xmldoc.EncodedSize])
+	blink.SetLeafCount(newData, moved)
+	oldNext := blink.LeafNext(data)
+	blink.SetLeafNext(newData, oldNext)
+	blink.SetLeafPrev(newData, id)
+	blink.SetLeafHigh(newData, blink.LeafHigh(data))
+	sep := blink.LeafKey(newData, 0)
 	if e.Start >= sep {
-		npos := leafSearch(newData, e.Start)
-		insertLeafEntry(newData, npos, moved, e)
+		npos := blink.LeafSearch(newData, e.Start)
+		blink.InsertLeafEntry(newData, npos, moved, e, 0)
 	}
 
 	// The one latched write that performs the split: shrink the left page,
@@ -134,12 +135,12 @@ func (t *Tree) insertLeaf(id pagefile.PageID, data []byte, e xmldoc.Element) (ui
 	// key together. A reader sees either the full pre-split page or a left
 	// half whose high key routes keys ≥ sep through the new right link.
 	t.pl.Lock(id)
-	setLeafCount(data, mid)
+	blink.SetLeafCount(data, mid)
 	if e.Start < sep {
-		insertLeafEntry(data, pos, mid, e)
+		blink.InsertLeafEntry(data, pos, mid, e, 0)
 	}
-	setLeafNext(data, newID)
-	setLeafHigh(data, sep)
+	blink.SetLeafNext(data, newID)
+	blink.SetLeafHigh(data, sep)
 	t.pl.Unlock(id)
 
 	// Fix the old right neighbor's back pointer (scans only follow next,
@@ -148,7 +149,7 @@ func (t *Tree) insertLeaf(id pagefile.PageID, data []byte, e xmldoc.Element) (ui
 		nd, err := t.fetch(oldNext)
 		if err == nil {
 			t.pl.Lock(oldNext)
-			setLeafPrev(nd, newID)
+			blink.SetLeafPrev(nd, newID)
 			t.pl.Unlock(oldNext)
 			err = t.unpin(oldNext, true)
 		}
@@ -167,23 +168,13 @@ func (t *Tree) insertLeaf(id pagefile.PageID, data []byte, e xmldoc.Element) (ui
 	return sep, newID, nil
 }
 
-// insertLeafEntry shifts entries right and writes e at pos. n is the count
-// before insertion; the caller guarantees capacity.
-func insertLeafEntry(data []byte, pos, n int, e xmldoc.Element) {
-	start := leafHeader + pos*xmldoc.EncodedSize
-	end := leafHeader + n*xmldoc.EncodedSize
-	copy(data[start+xmldoc.EncodedSize:end+xmldoc.EncodedSize], data[start:end])
-	e.Encode(data[start:], 0)
-	setLeafCount(data, n+1)
-}
-
 // insertInternalEntry inserts (key, child) after child index ci in a pinned
 // internal page, splitting on overflow. It consumes the pin.
 func (t *Tree) insertInternalEntry(id pagefile.PageID, data []byte, ci int, key uint32, child pagefile.PageID) (uint32, pagefile.PageID, error) {
-	m := intCount(data)
+	m := intShape.Count(data)
 	if m < t.intCap {
 		t.pl.Lock(id)
-		insertIntEntry(data, ci, m, key, child)
+		intShape.InsertEntry(data, ci, m, key, child)
 		t.pl.Unlock(id)
 		return 0, pagefile.InvalidPage, t.unpin(id, true)
 	}
@@ -192,10 +183,10 @@ func (t *Tree) insertInternalEntry(id pagefile.PageID, data []byte, ci int, key 
 	// middle separator to promote, and distribute.
 	keys := make([]uint32, 0, m+1)
 	childs := make([]pagefile.PageID, 0, m+2)
-	childs = append(childs, intChild(data, 0))
+	childs = append(childs, intShape.Child(data, 0))
 	for i := 0; i < m; i++ {
-		keys = append(keys, intKey(data, i))
-		childs = append(childs, intChild(data, i+1))
+		keys = append(keys, intShape.Key(data, i))
+		childs = append(childs, intShape.Child(data, i+1))
 	}
 	// Insert the new entry at position ci.
 	keys = append(keys[:ci], append([]uint32{key}, keys[ci:]...)...)
@@ -211,29 +202,29 @@ func (t *Tree) insertInternalEntry(id pagefile.PageID, data []byte, ci int, key 
 		t.unpin(id, false)
 		return 0, pagefile.InvalidPage, err
 	}
-	initInternal(newData)
+	intShape.Init(newData)
 	rightKeys := keys[mid+1:]
-	setIntCount(newData, len(rightKeys))
-	setIntChild(newData, 0, childs[mid+1])
+	intShape.SetCount(newData, len(rightKeys))
+	intShape.SetChild(newData, 0, childs[mid+1])
 	for i, k := range rightKeys {
-		setIntKey(newData, i, k)
-		setIntChild(newData, i+1, childs[mid+2+i])
+		intShape.SetKey(newData, i, k)
+		intShape.SetChild(newData, i+1, childs[mid+2+i])
 	}
-	setIntNext(newData, intNext(data))
-	setIntHigh(newData, intHigh(data))
+	intShape.SetNext(newData, intShape.Next(data))
+	intShape.SetHigh(newData, intShape.High(data))
 
 	// Latched split write: left node keeps keys[0:mid], children[0:mid+1];
 	// the promoted key becomes its high key and the right link points at
 	// the new node.
 	t.pl.Lock(id)
-	setIntCount(data, mid)
-	setIntChild(data, 0, childs[0])
+	intShape.SetCount(data, mid)
+	intShape.SetChild(data, 0, childs[0])
 	for i := 0; i < mid; i++ {
-		setIntKey(data, i, keys[i])
-		setIntChild(data, i+1, childs[i+1])
+		intShape.SetKey(data, i, keys[i])
+		intShape.SetChild(data, i+1, childs[i+1])
 	}
-	setIntNext(data, newID)
-	setIntHigh(data, promoted)
+	intShape.SetNext(data, newID)
+	intShape.SetHigh(data, promoted)
 	t.pl.Unlock(id)
 
 	if err := t.unpin(newID, true); err != nil {
@@ -243,17 +234,6 @@ func (t *Tree) insertInternalEntry(id pagefile.PageID, data []byte, ci int, key 
 		return 0, pagefile.InvalidPage, err
 	}
 	return promoted, newID, nil
-}
-
-// insertIntEntry writes (key, child) as entry ci into an internal page with
-// m existing keys and room for one more.
-func insertIntEntry(data []byte, ci, m int, key uint32, child pagefile.PageID) {
-	start := internalHeader + ci*intEntrySize
-	end := internalHeader + m*intEntrySize
-	copy(data[start+intEntrySize:end+intEntrySize], data[start:end])
-	putU32(data[start:], key)
-	putU32(data[start+4:], uint32(child))
-	setIntCount(data, m+1)
 }
 
 // BulkLoad builds the tree from a start-sorted element slice, packing
@@ -290,7 +270,7 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 	// leaf. That page — and everything the leaf chain reaches from it — is
 	// visible to concurrent readers, so mutations of already-linked pages
 	// are latched; a fresh page is filled unlatched and only then linked.
-	root, _ := t.loadRoot()
+	root, _ := t.Root()
 	type levelEntry struct {
 		firstKey uint32
 		id       pagefile.PageID
@@ -316,11 +296,11 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 			return err
 		}
 		fillPage := func() {
-			initLeaf(data)
+			blink.InitLeaf(data)
 			for i := 0; i < n; i++ {
-				es[off+i].Encode(leafEntry(data, i), 0)
+				es[off+i].Encode(blink.LeafEntry(data, i), 0)
 			}
-			setLeafCount(data, n)
+			blink.SetLeafCount(data, n)
 		}
 		if off == 0 {
 			t.pl.Lock(id)
@@ -328,12 +308,12 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 			t.pl.Unlock(id)
 		} else {
 			fillPage()
-			setLeafPrev(data, prevID)
+			blink.SetLeafPrev(data, prevID)
 		}
 		if prevData != nil {
 			t.pl.Lock(prevID)
-			setLeafNext(prevData, id)
-			setLeafHigh(prevData, es[off].Start)
+			blink.SetLeafNext(prevData, id)
+			blink.SetLeafHigh(prevData, es[off].Start)
 			t.pl.Unlock(prevID)
 			if err := t.unpin(prevID, true); err != nil {
 				return err
@@ -347,7 +327,7 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 	}
 
 	// Build internal levels until one node remains. These pages are
-	// unreachable until setRoot publishes the top one, so they are built
+	// unreachable until SetRoot publishes the top one, so they are built
 	// unlatched; the previous node stays pinned so its right link and high
 	// key can be set once its right neighbor exists.
 	height := 1
@@ -373,16 +353,16 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 			if err != nil {
 				return err
 			}
-			initInternal(data)
-			setIntChild(data, 0, level[off].id)
+			intShape.Init(data)
+			intShape.SetChild(data, 0, level[off].id)
 			for i := 1; i < n; i++ {
-				setIntKey(data, i-1, level[off+i].firstKey)
-				setIntChild(data, i, level[off+i].id)
+				intShape.SetKey(data, i-1, level[off+i].firstKey)
+				intShape.SetChild(data, i, level[off+i].id)
 			}
-			setIntCount(data, n-1)
+			intShape.SetCount(data, n-1)
 			if prevData != nil {
-				setIntNext(prevData, id)
-				setIntHigh(prevData, level[off].firstKey)
+				intShape.SetNext(prevData, id)
+				intShape.SetHigh(prevData, level[off].firstKey)
 				if err := t.unpin(prevID, true); err != nil {
 					return err
 				}
@@ -397,7 +377,7 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 		level = next
 		height++
 	}
-	t.setRoot(level[0].id, height)
+	t.SetRoot(level[0].id, height)
 	t.count.Store(int64(len(es)))
 	return t.syncMeta()
 }

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 
+	"xrtree/internal/blink"
 	"xrtree/internal/pagefile"
 	"xrtree/internal/xmldoc"
 )
@@ -42,8 +43,8 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 		if es[i-1].Start >= es[i].Start {
 			return fmt.Errorf("xrtree: BulkLoad input not sorted at %d", i)
 		}
-		if es[i].DocID != t.docID {
-			return fmt.Errorf("xrtree: BulkLoad element %d has DocID %d, tree is %d", i, es[i].DocID, t.docID)
+		if es[i].DocID != t.DocID() {
+			return fmt.Errorf("xrtree: BulkLoad element %d has DocID %d, tree is %d", i, es[i].DocID, t.DocID())
 		}
 	}
 
@@ -53,7 +54,7 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 	// chain reaches from it — is visible to concurrent readers, so
 	// mutations of already-linked pages take their exclusive latch; a fresh
 	// page is filled unlatched and only then linked.
-	root, _ := t.loadRoot()
+	root, _ := t.Root()
 	type levelEntry struct {
 		sep uint32 // separator to the left of this child (unused for [0])
 		id  pagefile.PageID
@@ -80,11 +81,11 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 			return err
 		}
 		fillPage := func() {
-			initLeaf(data)
+			blink.InitLeaf(data)
 			for i := 0; i < n; i++ {
-				es[off+i].Encode(leafEntry(data, i), 0)
+				es[off+i].Encode(blink.LeafEntry(data, i), 0)
 			}
-			setLeafCount(data, n)
+			blink.SetLeafCount(data, n)
 		}
 		sep := uint32(0)
 		if off == 0 {
@@ -94,12 +95,12 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 		} else {
 			fillPage()
 			sep = t.chooseSep(prevLast, es[off].Start)
-			setLeafPrev(data, prevID)
+			blink.SetLeafPrev(data, prevID)
 		}
 		if prevData != nil {
 			t.pl.Lock(prevID)
-			setLeafNext(prevData, id)
-			setLeafHigh(prevData, sep)
+			blink.SetLeafNext(prevData, id)
+			blink.SetLeafHigh(prevData, sep)
 			t.pl.Unlock(prevID)
 			if err := t.unpin(prevID, true); err != nil {
 				return err
@@ -113,7 +114,7 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 		return err
 	}
 
-	// Internal levels. These pages are unreachable until setRoot publishes
+	// Internal levels. These pages are unreachable until SetRoot publishes
 	// the top one, so they are built unlatched; the previous node stays
 	// pinned so its right link and high key can be set once its right
 	// neighbor exists.
@@ -139,7 +140,7 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 				return err
 			}
 			initInternal(data)
-			setIntChild(data, 0, level[off].id)
+			intShape.SetChild(data, 0, level[off].id)
 			for i := 1; i < n; i++ {
 				writeIntEntry(data, i-1, intEntryMem{
 					key:   level[off+i].sep,
@@ -147,10 +148,10 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 					psl:   pagefile.InvalidPage,
 				})
 			}
-			setIntCount(data, n-1)
+			intShape.SetCount(data, n-1)
 			if prevData != nil {
-				setIntNext(prevData, id)
-				setIntHigh(prevData, level[off].sep)
+				intShape.SetNext(prevData, id)
+				intShape.SetHigh(prevData, level[off].sep)
 				if err := t.unpin(prevID, true); err != nil {
 					return err
 				}
@@ -165,7 +166,7 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 		level = next
 		height++
 	}
-	t.setRoot(level[0].id, height)
+	t.SetRoot(level[0].id, height)
 	t.count.Store(int64(len(es)))
 
 	// Home every element: walk the start path from the root and stop at the
@@ -188,7 +189,7 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) error {
 // entry for e must already exist. The tree is already published, so every
 // mutation happens under the page's exclusive latch.
 func (t *Tree) homeElement(e xmldoc.Element) error {
-	id, h := t.loadRoot()
+	id, h := t.Root()
 	homed := false
 	for level := h; level > 1; level-- {
 		data, err := t.fetch(id)
@@ -207,7 +208,7 @@ func (t *Tree) homeElement(e xmldoc.Element) error {
 			homed = true
 			dirty = true
 		}
-		child := intChild(data, intSearch(data, e.Start))
+		child := intShape.Child(data, intShape.Search(data, e.Start))
 		if err := t.unpin(id, dirty); err != nil {
 			return err
 		}
@@ -220,14 +221,14 @@ func (t *Tree) homeElement(e xmldoc.Element) error {
 	if err != nil {
 		return err
 	}
-	pos := leafSearch(data, e.Start)
-	if pos >= leafCount(data) || leafKey(data, pos) != e.Start {
+	pos := blink.LeafSearch(data, e.Start)
+	if pos >= blink.LeafCount(data) || blink.LeafKey(data, pos) != e.Start {
 		t.unpin(id, false)
 		return fmt.Errorf("%w: bulk-loaded element %v missing from leaf", ErrCorrupt, e)
 	}
 	t.pl.Lock(id)
-	_, fl := leafElem(data, pos)
-	setLeafFlags(data, pos, fl|xmldoc.FlagInStabList)
+	_, fl := blink.LeafElem(data, pos)
+	blink.SetLeafFlags(data, pos, fl|xmldoc.FlagInStabList)
 	t.pl.Unlock(id)
 	return t.unpin(id, true)
 }

@@ -7,6 +7,7 @@ package core
 import (
 	"fmt"
 
+	"xrtree/internal/blink"
 	"xrtree/internal/pagefile"
 	"xrtree/internal/xmldoc"
 )
@@ -38,7 +39,7 @@ func (t *Tree) CheckInvariants() error {
 // the write latch — taking it here would self-deadlock the debug build's
 // post-mutation sampling, which runs under the write latch.
 func (t *Tree) checkInvariantsLocked() error {
-	root, h := t.loadRoot()
+	root, h := t.Root()
 	ck := &checker{t: t, rootH: h}
 	if _, _, _, err := ck.walk(root, h, 0, ^uint32(0), nil); err != nil {
 		return err
@@ -107,9 +108,9 @@ func (ck *checker) walk(id pagefile.PageID, height int, lo, hi uint32, ancKeys [
 	var high uint32
 	var right pagefile.PageID
 	if height == 1 {
-		high, right = leafHigh(data), leafNext(data)
-	} else if !isLeaf(data) && data[0] == internalType {
-		high, right = intHigh(data), intNext(data)
+		high, right = blink.LeafHigh(data), blink.LeafNext(data)
+	} else if !blink.IsLeaf(data) && data[0] == internalType {
+		high, right = intShape.High(data), intShape.Next(data)
 	}
 	if hi == ^uint32(0) {
 		if high != 0 {
@@ -135,28 +136,28 @@ func (ck *checker) walk(id pagefile.PageID, height int, lo, hi uint32, ancKeys [
 	ck.nextAt[height] = right
 
 	if height == 1 {
-		if !isLeaf(data) {
+		if !blink.IsLeaf(data) {
 			return 0, 0, true, fmt.Errorf("xrtree: page %d: expected leaf", id)
 		}
-		n := leafCount(data)
-		if leafPrev(data) != ck.prevLeaf {
-			return 0, 0, true, fmt.Errorf("xrtree: leaf %d prev = %d, want %d", id, leafPrev(data), ck.prevLeaf)
+		n := blink.LeafCount(data)
+		if blink.LeafPrev(data) != ck.prevLeaf {
+			return 0, 0, true, fmt.Errorf("xrtree: leaf %d prev = %d, want %d", id, blink.LeafPrev(data), ck.prevLeaf)
 		}
 		if ck.prevLeaf != pagefile.InvalidPage {
 			pd, err := t.fetch(ck.prevLeaf)
 			if err != nil {
 				return 0, 0, true, err
 			}
-			nx := leafNext(pd)
+			nx := blink.LeafNext(pd)
 			t.unpin(ck.prevLeaf, false)
 			if nx != id {
 				return 0, 0, true, fmt.Errorf("xrtree: leaf %d next = %d, want %d", ck.prevLeaf, nx, id)
 			}
 		}
 		for i := 0; i < n; i++ {
-			el, fl := leafElem(data, i)
+			el, fl := blink.LeafElem(data, i)
 			if i > 0 {
-				prev, _ := leafElem(data, i-1)
+				prev, _ := blink.LeafElem(data, i-1)
 				if prev.Start >= el.Start {
 					return 0, 0, true, fmt.Errorf("xrtree: leaf %d unsorted at %d", id, i)
 				}
@@ -183,20 +184,20 @@ func (ck *checker) walk(id pagefile.PageID, height int, lo, hi uint32, ancKeys [
 			return 0, 0, true, nil
 		}
 		ck.prevLeaf = id
-		ck.prevLeafKey = leafKey(data, n-1)
-		return leafKey(data, 0), leafKey(data, n-1), false, nil
+		ck.prevLeafKey = blink.LeafKey(data, n-1)
+		return blink.LeafKey(data, 0), blink.LeafKey(data, n-1), false, nil
 	}
 
-	if isLeaf(data) || data[0] != internalType {
+	if blink.IsLeaf(data) || data[0] != internalType {
 		return 0, 0, true, fmt.Errorf("xrtree: page %d: expected internal node at height %d", id, height)
 	}
-	m := intCount(data)
+	m := intShape.Count(data)
 	if m < 1 && height != ck.rootH {
 		return 0, 0, true, fmt.Errorf("xrtree: non-root node %d has %d keys", id, m)
 	}
 	keys := make([]uint32, m)
 	for i := 0; i < m; i++ {
-		keys[i] = intKey(data, i)
+		keys[i] = intShape.Key(data, i)
 		if i > 0 && keys[i-1] >= keys[i] {
 			return 0, 0, true, fmt.Errorf("xrtree: node %d keys unsorted at %d", id, i)
 		}
@@ -220,7 +221,7 @@ func (ck *checker) walk(id pagefile.PageID, height int, lo, hi uint32, ancKeys [
 		if i < m {
 			chi = keys[i]
 		}
-		cmin, cmax, cempty, err := ck.walk(intChild(data, i), height-1, clo, chi, childAnc)
+		cmin, cmax, cempty, err := ck.walk(intShape.Child(data, i), height-1, clo, chi, childAnc)
 		if err != nil {
 			return 0, 0, true, err
 		}

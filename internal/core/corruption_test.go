@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"xrtree/internal/blink"
 	"xrtree/internal/bufferpool"
 	"xrtree/internal/pagefile"
 	"xrtree/internal/xmldoc"
@@ -76,11 +77,11 @@ func expectViolation(t *testing.T, tr *Tree, what string) {
 
 func TestCheckerDetectsFlippedLeafFlag(t *testing.T) {
 	tr, pool := buildCorruptible(t)
-	leaf := findPage(t, tr, pool, leafType)
+	leaf := findPage(t, tr, pool, blink.LeafType)
 	mutatePage(t, pool, leaf, func(data []byte) {
 		// Flip the InStabList flag of the first entry.
-		_, fl := leafElem(data, 0)
-		setLeafFlags(data, 0, fl^xmldoc.FlagInStabList)
+		_, fl := blink.LeafElem(data, 0)
+		blink.SetLeafFlags(data, 0, fl^xmldoc.FlagInStabList)
 	})
 	expectViolation(t, tr, "flipped flag")
 }
@@ -102,7 +103,7 @@ func TestCheckerDetectsCorruptedPSPE(t *testing.T) {
 			pool.Unpin(pid, false)
 			continue
 		}
-		m := intCount(data)
+		m := intShape.Count(data)
 		hit := false
 		for i := 0; i < m; i++ {
 			if keyPS(data, i) != 0 {
@@ -122,17 +123,17 @@ func TestCheckerDetectsCorruptedPSPE(t *testing.T) {
 
 func TestCheckerDetectsUnsortedLeaf(t *testing.T) {
 	tr, pool := buildCorruptible(t)
-	leaf := findPage(t, tr, pool, leafType)
+	leaf := findPage(t, tr, pool, blink.LeafType)
 	mutatePage(t, pool, leaf, func(data []byte) {
-		if leafCount(data) < 2 {
+		if blink.LeafCount(data) < 2 {
 			t.Skip("leaf too small")
 		}
 		// Swap the first two entries.
 		var a, b [xmldoc.EncodedSize]byte
-		copy(a[:], leafEntry(data, 0))
-		copy(b[:], leafEntry(data, 1))
-		copy(leafEntry(data, 0), b[:])
-		copy(leafEntry(data, 1), a[:])
+		copy(a[:], blink.LeafEntry(data, 0))
+		copy(b[:], blink.LeafEntry(data, 1))
+		copy(blink.LeafEntry(data, 0), b[:])
+		copy(blink.LeafEntry(data, 1), a[:])
 	})
 	expectViolation(t, tr, "unsorted leaf")
 }

@@ -20,6 +20,7 @@ package core
 import (
 	"fmt"
 
+	"xrtree/internal/blink"
 	"xrtree/internal/metrics"
 	"xrtree/internal/obs"
 	"xrtree/internal/pagefile"
@@ -42,7 +43,7 @@ func (t *Tree) Delete(start uint32) (err error) {
 	commit := t.beginTx()
 	defer commit(&err)
 	found := false
-	root, h := t.loadRoot()
+	root, h := t.Root()
 	t.c.Emit(obs.EvIndexDescend, int64(h))
 	if _, err := t.deleteFrom(root, h, e, &found); err != nil {
 		return err
@@ -54,13 +55,13 @@ func (t *Tree) Delete(start uint32) (err error) {
 		if err != nil {
 			return err
 		}
-		if intCount(data) > 0 {
+		if intShape.Count(data) > 0 {
 			if err := t.unpin(root, false); err != nil {
 				return err
 			}
 			break
 		}
-		onlyChild := intChild(data, 0)
+		onlyChild := intShape.Child(data, 0)
 		if stabHead(data) != pagefile.InvalidPage {
 			t.unpin(root, false)
 			return fmt.Errorf("%w: keyless root retains a stab list", ErrCorrupt)
@@ -70,7 +71,7 @@ func (t *Tree) Delete(start uint32) (err error) {
 		}
 		old := root
 		root, h = onlyChild, h-1
-		t.setRoot(root, h)
+		t.SetRoot(root, h)
 		if err := t.free(old); err != nil {
 			return err
 		}
@@ -81,31 +82,11 @@ func (t *Tree) Delete(start uint32) (err error) {
 	return t.debugPostMutation()
 }
 
-// Lookup returns the indexed element whose start equals start, attributing
-// costs to c (nil discards them). Safe for concurrent readers and a
-// concurrent writer: it is a B-link descent over page copies.
-func (t *Tree) Lookup(start uint32, c *metrics.Counters) (xmldoc.Element, error) {
-	bufp := getPageBuf(t.pool.File().PageSize())
-	defer pageBufs.Put(bufp)
-	buf := *bufp
-	if err := t.descendToLeafCopy(start, c, buf); err != nil {
-		return xmldoc.Element{}, err
-	}
-	pos := leafSearch(buf, start)
-	if pos < leafCount(buf) && leafKey(buf, pos) == start {
-		el, _ := leafElem(buf, pos)
-		el.DocID = t.docID
-		addScan(c, 1)
-		return el, nil
-	}
-	return xmldoc.Element{}, fmt.Errorf("%w: start %d", ErrNotFound, start)
-}
-
 // lookupWriter is the writer-side point lookup Delete uses to resolve the
 // full region before the destructive descent. The caller holds wlatch, so
 // the pages are stable and the descent needs no latches or right moves.
 func (t *Tree) lookupWriter(start uint32, c *metrics.Counters) (xmldoc.Element, error) {
-	id, h := t.loadRoot()
+	id, h := t.Root()
 	//xrvet:bounded root-to-leaf descent, at most h iterations
 	for level := h; level > 1; level-- {
 		data, err := t.fetch(id)
@@ -113,7 +94,7 @@ func (t *Tree) lookupWriter(start uint32, c *metrics.Counters) (xmldoc.Element, 
 			return xmldoc.Element{}, err
 		}
 		addNode(c)
-		child := intChild(data, intSearch(data, start))
+		child := intShape.Child(data, intShape.Search(data, start))
 		if err := t.unpin(id, false); err != nil {
 			return xmldoc.Element{}, err
 		}
@@ -125,10 +106,10 @@ func (t *Tree) lookupWriter(start uint32, c *metrics.Counters) (xmldoc.Element, 
 	}
 	defer t.unpin(id, false)
 	addLeaf(c)
-	pos := leafSearch(data, start)
-	if pos < leafCount(data) && leafKey(data, pos) == start {
-		el, _ := leafElem(data, pos)
-		el.DocID = t.docID
+	pos := blink.LeafSearch(data, start)
+	if pos < blink.LeafCount(data) && blink.LeafKey(data, pos) == start {
+		el, _ := blink.LeafElem(data, pos)
+		el.DocID = t.DocID()
 		addScan(c, 1)
 		return el, nil
 	}
@@ -145,16 +126,16 @@ func (t *Tree) deleteFrom(id pagefile.PageID, height int, e xmldoc.Element, foun
 		return false, err
 	}
 	if height == 1 {
-		n := leafCount(data)
-		pos := leafSearch(data, e.Start)
-		if pos >= n || leafKey(data, pos) != e.Start {
+		n := blink.LeafCount(data)
+		pos := blink.LeafSearch(data, e.Start)
+		if pos >= n || blink.LeafKey(data, pos) != e.Start {
 			t.unpin(id, false)
 			return false, fmt.Errorf("%w: start %d vanished mid-delete", ErrCorrupt, e.Start)
 		}
 		t.pl.Lock(id)
-		removeLeafEntry(data, pos, n)
+		blink.RemoveLeafEntry(data, pos, n)
 		t.pl.Unlock(id)
-		under := leafCount(data) < t.leafMin()
+		under := blink.LeafCount(data) < t.leafMin()
 		return under, t.unpin(id, true)
 	}
 
@@ -172,8 +153,8 @@ func (t *Tree) deleteFrom(id pagefile.PageID, height int, e xmldoc.Element, foun
 			*foundInStab = true
 		}
 	}
-	ci := intSearch(data, e.Start)
-	child := intChild(data, ci)
+	ci := intShape.Search(data, e.Start)
+	child := intShape.Child(data, ci)
 	childUnder, err := t.deleteFrom(child, height-1, e, foundInStab)
 	if err != nil {
 		t.unpin(id, true)
@@ -185,7 +166,7 @@ func (t *Tree) deleteFrom(id pagefile.PageID, height int, e xmldoc.Element, foun
 			return false, err
 		}
 	}
-	under := intCount(data) < t.intMin()
+	under := intShape.Count(data) < t.intMin()
 	return under, t.unpin(id, true)
 }
 
@@ -195,7 +176,7 @@ func (t *Tree) deleteFrom(id pagefile.PageID, height int, e xmldoc.Element, foun
 // child, so a reader descending through the parent never sees a separator
 // pointing at a half-rebalanced pair — or a stab list mid-migration.
 func (t *Tree) rebalanceChild(parentID pagefile.PageID, parent []byte, ci int, childHeight int) error {
-	m := intCount(parent)
+	m := intShape.Count(parent)
 	li := ci - 1
 	if ci == 0 {
 		if m == 0 {
@@ -203,8 +184,8 @@ func (t *Tree) rebalanceChild(parentID pagefile.PageID, parent []byte, ci int, c
 		}
 		li = 0
 	}
-	leftID := intChild(parent, li)
-	rightID := intChild(parent, li+1)
+	leftID := intShape.Child(parent, li)
+	rightID := intShape.Child(parent, li+1)
 	left, err := t.fetch(leftID)
 	if err != nil {
 		return err
@@ -261,19 +242,19 @@ func (t *Tree) chooseSep(lastLeft, firstRight uint32) uint32 {
 // clearFlagInLeaf resets the InStabList flag of the entry with the given
 // start in a pinned leaf; missing entries are a corruption error.
 func clearFlagInLeaf(data []byte, start uint32) error {
-	pos := leafSearch(data, start)
-	if pos >= leafCount(data) || leafKey(data, pos) != start {
+	pos := blink.LeafSearch(data, start)
+	if pos >= blink.LeafCount(data) || blink.LeafKey(data, pos) != start {
 		return fmt.Errorf("%w: flag target %d not in leaf", ErrCorrupt, start)
 	}
-	_, fl := leafElem(data, pos)
-	setLeafFlags(data, pos, fl&^xmldoc.FlagInStabList)
+	_, fl := blink.LeafElem(data, pos)
+	blink.SetLeafFlags(data, pos, fl&^xmldoc.FlagInStabList)
 	return nil
 }
 
 // clearFlagInEitherLeaf clears the flag for start in whichever pinned leaf
 // contains it.
 func clearFlagInEitherLeaf(left, right []byte, start uint32) error {
-	if leafCount(right) > 0 && start >= leafKey(right, 0) {
+	if blink.LeafCount(right) > 0 && start >= blink.LeafKey(right, 0) {
 		return clearFlagInLeaf(right, start)
 	}
 	return clearFlagInLeaf(left, start)
@@ -283,15 +264,15 @@ func clearFlagInEitherLeaf(left, right []byte, start uint32) error {
 // by sep into the pinned parent's stab list (the leaf-split StabSet'
 // collection, reused when a separator value changes).
 func (t *Tree) promoteNewlyStabbed(parent, leaf []byte, sep uint32) error {
-	cnt := leafCount(leaf)
+	cnt := blink.LeafCount(leaf)
 	for i := 0; i < cnt; i++ {
-		el, fl := leafElem(leaf, i)
+		el, fl := blink.LeafElem(leaf, i)
 		if fl&xmldoc.FlagInStabList != 0 {
 			continue
 		}
 		if el.Start <= sep && sep <= el.End {
-			setLeafFlags(leaf, i, fl|xmldoc.FlagInStabList)
-			el.DocID = t.docID
+			blink.SetLeafFlags(leaf, i, fl|xmldoc.FlagInStabList)
+			el.DocID = t.DocID()
 			if err := t.stabInsertElement(parent, el); err != nil {
 				return err
 			}
@@ -305,23 +286,23 @@ func (t *Tree) promoteNewlyStabbed(parent, leaf []byte, sep uint32) error {
 // three page latches held; reports whether the right page was merged
 // away. Pins stay with the caller.
 func (t *Tree) rebalanceLeaves(parent []byte, li int, leftID pagefile.PageID, left []byte, rightID pagefile.PageID, right []byte) (bool, error) {
-	ln, rn := leafCount(left), leafCount(right)
+	ln, rn := blink.LeafCount(left), blink.LeafCount(right)
 
 	if ln+rn <= t.leafCap {
 		// D23: merge right into left and drop the separator from the
 		// parent; left absorbs right's entries, chain link, and high key.
-		copy(left[leafHeader+ln*xmldoc.EncodedSize:], right[leafHeader:leafHeader+rn*xmldoc.EncodedSize])
-		setLeafCount(left, ln+rn)
-		next := leafNext(right)
-		setLeafNext(left, next)
-		setLeafHigh(left, leafHigh(right))
+		copy(left[blink.LeafHeader+ln*xmldoc.EncodedSize:], right[blink.LeafHeader:blink.LeafHeader+rn*xmldoc.EncodedSize])
+		blink.SetLeafCount(left, ln+rn)
+		next := blink.LeafNext(right)
+		blink.SetLeafNext(left, next)
+		blink.SetLeafHigh(left, blink.LeafHigh(right))
 		if next != pagefile.InvalidPage {
 			nd, err := t.fetch(next)
 			if err != nil {
 				return false, err
 			}
 			t.pl.LockRight(next)
-			setLeafPrev(nd, leftID)
+			blink.SetLeafPrev(nd, leftID)
 			t.pl.Unlock(next)
 			if err := t.unpin(next, true); err != nil {
 				return false, err
@@ -334,7 +315,7 @@ func (t *Tree) rebalanceLeaves(parent []byte, li int, leftID pagefile.PageID, le
 		if err != nil {
 			return false, err
 		}
-		removeIntEntry(parent, li, intCount(parent))
+		intShape.RemoveEntry(parent, li, intShape.Count(parent))
 		rejects, err := t.stabReinsertAll(parent, ext)
 		if err != nil {
 			return false, err
@@ -351,17 +332,17 @@ func (t *Tree) rebalanceLeaves(parent []byte, li int, leftID pagefile.PageID, le
 	min := t.leafMin()
 	if ln < min {
 		// Borrow the first entry of right.
-		el, fl := leafElem(right, 0)
-		removeLeafEntry(right, 0, rn)
-		insertLeafEntry(left, ln, ln, el, fl)
+		el, fl := blink.LeafElem(right, 0)
+		blink.RemoveLeafEntry(right, 0, rn)
+		blink.InsertLeafEntry(left, ln, ln, el, fl)
 	} else {
 		// Borrow the last entry of left.
-		el, fl := leafElem(left, ln-1)
-		setLeafCount(left, ln-1)
-		insertLeafEntry(right, 0, rn, el, fl)
+		el, fl := blink.LeafElem(left, ln-1)
+		blink.SetLeafCount(left, ln-1)
+		blink.InsertLeafEntry(right, 0, rn, el, fl)
 	}
-	newSep := t.chooseSep(leafKey(left, leafCount(left)-1), leafKey(right, 0))
-	setLeafHigh(left, newSep)
+	newSep := t.chooseSep(blink.LeafKey(left, blink.LeafCount(left)-1), blink.LeafKey(right, 0))
+	blink.SetLeafHigh(left, newSep)
 	return false, t.replaceLeafSeparator(parent, li, newSep, left, right)
 }
 
@@ -374,7 +355,7 @@ func (t *Tree) replaceLeafSeparator(parent []byte, li int, newSep uint32, left, 
 	if err != nil {
 		return err
 	}
-	setIntKey(parent, li, newSep)
+	intShape.SetKey(parent, li, newSep)
 	// A separator that grew may now be the primary stabbing key of entries
 	// in its successor's PSL.
 	if err := t.rekeyStabbedPrefix(parent, li); err != nil {
@@ -400,8 +381,8 @@ func (t *Tree) replaceLeafSeparator(parent []byte, li int, newSep uint32, left, 
 // keys (D32/D33). Called with all three page latches held; reports
 // whether the right page was merged away. Pins stay with the caller.
 func (t *Tree) rebalanceInternals(parent []byte, li int, left, right []byte) (bool, error) {
-	lm, rm := intCount(left), intCount(right)
-	sep := intKey(parent, li)
+	lm, rm := intShape.Count(left), intShape.Count(right)
+	sep := intShape.Key(parent, li)
 
 	if lm+rm+1 <= t.intCap {
 		// D33: merge left ++ sep ++ right; the separator is pulled down into
@@ -414,17 +395,17 @@ func (t *Tree) rebalanceInternals(parent []byte, li int, left, right []byte) (bo
 		if err := t.mergeStabChains(left, right); err != nil {
 			return false, err
 		}
-		writeIntEntry(left, lm, intEntryMem{key: sep, child: intChild(right, 0), psl: pagefile.InvalidPage})
+		writeIntEntry(left, lm, intEntryMem{key: sep, child: intShape.Child(right, 0), psl: pagefile.InvalidPage})
 		for i := 0; i < rm; i++ {
 			writeIntEntry(left, lm+1+i, readIntEntry(right, i))
 		}
-		setIntCount(left, lm+rm+1)
-		setIntNext(left, intNext(right))
-		setIntHigh(left, intHigh(right))
+		intShape.SetCount(left, lm+rm+1)
+		intShape.SetNext(left, intShape.Next(right))
+		intShape.SetHigh(left, intShape.High(right))
 		if err := t.rekeyStabbedPrefix(left, lm); err != nil {
 			return false, err
 		}
-		removeIntEntry(parent, li, intCount(parent))
+		intShape.RemoveEntry(parent, li, intShape.Count(parent))
 
 		// Parent elements primarily stabbed by sep either stay in the
 		// parent under another key or descend into the merged node, where
@@ -457,8 +438,8 @@ func (t *Tree) rebalanceInternals(parent []byte, li int, left, right []byte) (bo
 // key, or down into the left sibling where the separator now lives) and the
 // right sibling's PSL(first key) rises into the parent.
 func (t *Tree) rotateLeft(parent []byte, li int, left, right []byte) error {
-	sep := intKey(parent, li)
-	newSep := intKey(right, 0)
+	sep := intShape.Key(parent, li)
+	newSep := intShape.Key(right, 0)
 
 	extP, err := t.extractPSL(parent, li)
 	if err != nil {
@@ -469,13 +450,13 @@ func (t *Tree) rotateLeft(parent []byte, li int, left, right []byte) error {
 		return err
 	}
 
-	lm := intCount(left)
-	writeIntEntry(left, lm, intEntryMem{key: sep, child: intChild(right, 0), psl: pagefile.InvalidPage})
-	setIntCount(left, lm+1)
-	setIntChild(right, 0, intChild(right, 1))
-	removeIntEntry(right, 0, intCount(right))
-	setIntKey(parent, li, newSep)
-	setIntHigh(left, newSep)
+	lm := intShape.Count(left)
+	writeIntEntry(left, lm, intEntryMem{key: sep, child: intShape.Child(right, 0), psl: pagefile.InvalidPage})
+	intShape.SetCount(left, lm+1)
+	intShape.SetChild(right, 0, intShape.Child(right, 1))
+	intShape.RemoveEntry(right, 0, intShape.Count(right))
+	intShape.SetKey(parent, li, newSep)
+	intShape.SetHigh(left, newSep)
 	if err := t.rekeyStabbedPrefix(parent, li); err != nil {
 		return err
 	}
@@ -505,9 +486,9 @@ func (t *Tree) rotateLeft(parent []byte, li int, left, right []byte) error {
 // old separator down into the right sibling. Elements stabbed by the
 // rotated-up key anywhere in the left sibling's stab list rise with it.
 func (t *Tree) rotateRight(parent []byte, li int, left, right []byte) error {
-	sep := intKey(parent, li)
-	lm := intCount(left)
-	newSep := intKey(left, lm-1)
+	sep := intShape.Key(parent, li)
+	lm := intShape.Count(left)
+	newSep := intShape.Key(left, lm-1)
 
 	extP, err := t.extractPSL(parent, li)
 	if err != nil {
@@ -520,14 +501,14 @@ func (t *Tree) rotateRight(parent []byte, li int, left, right []byte) error {
 		return err
 	}
 
-	lastChild := intChild(left, lm)
-	oldChild0 := intChild(right, 0)
+	lastChild := intShape.Child(left, lm)
+	oldChild0 := intShape.Child(right, 0)
 	shiftIntEntriesRight(right)
 	writeIntEntry(right, 0, intEntryMem{key: sep, child: oldChild0, psl: pagefile.InvalidPage})
-	setIntChild(right, 0, lastChild)
-	setIntCount(left, lm-1)
-	setIntKey(parent, li, newSep)
-	setIntHigh(left, newSep)
+	intShape.SetChild(right, 0, lastChild)
+	intShape.SetCount(left, lm-1)
+	intShape.SetKey(parent, li, newSep)
+	intShape.SetHigh(left, newSep)
 	if err := t.rekeyStabbedPrefix(right, 0); err != nil {
 		return err
 	}
@@ -555,9 +536,9 @@ func (t *Tree) rotateRight(parent []byte, li int, left, right []byte) error {
 // m entries one slot right and bumping the count. The caller fills slot 0
 // and child 0.
 func shiftIntEntriesRight(data []byte) {
-	m := intCount(data)
-	start := intHeader
-	end := intHeader + m*intEntrySize
-	copy(data[start+intEntrySize:end+intEntrySize], data[start:end])
-	setIntCount(data, m+1)
+	m := intShape.Count(data)
+	start := intShape.Header
+	end := intShape.Header + m*intShape.EntrySize
+	copy(data[start+intShape.EntrySize:end+intShape.EntrySize], data[start:end])
+	intShape.SetCount(data, m+1)
 }

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"xrtree/internal/blink"
 	"xrtree/internal/metrics"
 	"xrtree/internal/xmldoc"
 )
@@ -77,17 +78,17 @@ func leafHighs(t *testing.T, tr *Tree) []uint32 {
 	defer it.Close()
 	var hs []uint32
 	for {
-		if h := leafHigh(it.buf); h != 0 {
-			hs = append(hs, h)
+		leaf, _ := it.Leaf()
+		h := blink.LeafHigh(leaf)
+		if h == 0 {
+			return hs
 		}
-		if !it.advancePage() {
-			break
+		hs = append(hs, h)
+		// A seek to the high key descends to the next leaf.
+		if err := it.SeekGE(h); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return hs
 }
 
 // fingerKeys is a sorted key set covering the seek edge cases: zero, every
@@ -179,16 +180,18 @@ func TestFingerAncestorsMatchTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits := 0
+		hits, misses := 0, 0
 		sentinel := xmldoc.Element{Start: 1 << 31}
 		for {
-			lo, high := leafKey(it.buf, 0), leafHigh(it.buf)
+			leaf, _ := it.Leaf()
+			lo, next := blink.LeafKey(leaf, 0), blink.LeafHigh(leaf)
+			high := next
 			if high == 0 {
 				high = last + 3
 			}
 			for sd := lo; sd <= high+1; sd += 1 + uint32(rng.Intn(3)) {
 				for _, minStart := range []uint32{0, sub(lo, 2), sub(lo, 1), lo, lo + (sd-lo)/2, sub(sd, 2), sub(sd, 1)} {
-					hits0, scanned0 := c.FingerHits, c.ElementsScanned
+					hits0, misses0, scanned0 := c.FingerHits, c.FingerMisses, c.ElementsScanned
 					got, err := it.AppendAncestors([]xmldoc.Element{sentinel}, sd, minStart)
 					if err != nil {
 						t.Fatal(err)
@@ -201,6 +204,9 @@ func TestFingerAncestorsMatchTree(t *testing.T) {
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s: AppendAncestors(%d, %d): leaf-local %v, tree %v", ft.name, sd, minStart, got, want)
 					}
+					if c.FingerMisses > misses0 {
+						misses++
+					}
 					if c.FingerHits > hits0 {
 						hits++
 						if n := c.ElementsScanned - scanned0; n != ct.ElementsScanned {
@@ -209,15 +215,20 @@ func TestFingerAncestorsMatchTree(t *testing.T) {
 					}
 				}
 			}
-			if !it.advancePage() {
+			if next == 0 {
 				break
+			}
+			// A seek to the high key descends to the next leaf, with the
+			// cursor on its first entry.
+			if err := it.SeekGE(next); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if err := it.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if hits == 0 || c.FingerMisses == 0 {
-			t.Errorf("%s: %d leaf-local answers, %d fallbacks: both paths must run", ft.name, hits, c.FingerMisses)
+		if hits == 0 || misses == 0 {
+			t.Errorf("%s: %d leaf-local answers, %d fallbacks: both paths must run", ft.name, hits, misses)
 		}
 	}
 }
@@ -314,42 +325,6 @@ func TestStepMatchesNextPeek(t *testing.T) {
 			}
 			s.Close()
 			n.Close()
-		}
-	}
-}
-
-// TestLeafSearchFrom checks the galloping search against the plain binary
-// search on every leaf of a churned tree and on an empty leaf, from every
-// cursor position, for keys below, inside, equal to and above the entries.
-func TestLeafSearchFrom(t *testing.T) {
-	ft := fingerTrees(t)[1]
-	it, err := ft.tr.Scan(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	check := func(data []byte) {
-		n := leafCount(data)
-		keys := []uint32{0, 1 << 31}
-		for i := 0; i < n; i++ {
-			k := leafKey(data, i)
-			keys = append(keys, k-1, k, k+1)
-		}
-		for hint := 0; hint <= n; hint++ {
-			for _, k := range keys {
-				if got, want := leafSearchFrom(data, hint, k), leafSearch(data, k); got != want {
-					t.Fatalf("leaf of %d: leafSearchFrom(hint %d, key %d) = %d, leafSearch = %d", n, hint, k, got, want)
-				}
-			}
-		}
-	}
-	empty := make([]byte, len(it.buf))
-	initLeaf(empty)
-	check(empty)
-	for {
-		check(it.buf)
-		if !it.advancePage() {
-			break
 		}
 	}
 }

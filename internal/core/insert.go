@@ -20,6 +20,7 @@ package core
 import (
 	"fmt"
 
+	"xrtree/internal/blink"
 	"xrtree/internal/obs"
 	"xrtree/internal/pagefile"
 	"xrtree/internal/xmldoc"
@@ -42,29 +43,29 @@ type intEntryMem struct {
 }
 
 func readIntEntry(data []byte, i int) intEntryMem {
-	b := intEntry(data, i)
+	b := intShape.Entry(data, i)
 	return intEntryMem{
-		key:   getU32(b[0:]),
-		child: pagefile.PageID(getU32(b[4:])),
-		ps:    getU32(b[8:]),
-		pe:    getU32(b[12:]),
-		psl:   pagefile.PageID(getU32(b[16:])),
+		key:   le.Uint32(b[0:]),
+		child: pagefile.PageID(le.Uint32(b[4:])),
+		ps:    le.Uint32(b[8:]),
+		pe:    le.Uint32(b[12:]),
+		psl:   pagefile.PageID(le.Uint32(b[16:])),
 	}
 }
 
 func writeIntEntry(data []byte, i int, e intEntryMem) {
-	b := intEntry(data, i)
-	putU32(b[0:], e.key)
-	putU32(b[4:], uint32(e.child))
-	putU32(b[8:], e.ps)
-	putU32(b[12:], e.pe)
-	putU32(b[16:], uint32(e.psl))
+	b := intShape.Entry(data, i)
+	le.PutUint32(b[0:], e.key)
+	le.PutUint32(b[4:], uint32(e.child))
+	le.PutUint32(b[8:], e.ps)
+	le.PutUint32(b[12:], e.pe)
+	le.PutUint32(b[16:], uint32(e.psl))
 }
 
 // Insert adds e to the tree, maintaining every stab-list invariant.
 func (t *Tree) Insert(e xmldoc.Element) (err error) {
-	if e.DocID != t.docID {
-		return fmt.Errorf("xrtree: insert of DocID %d into tree for DocID %d", e.DocID, t.docID)
+	if e.DocID != t.DocID() {
+		return fmt.Errorf("xrtree: insert of DocID %d into tree for DocID %d", e.DocID, t.DocID())
 	}
 	if e.End <= e.Start {
 		return fmt.Errorf("xrtree: degenerate region %v", e)
@@ -75,7 +76,7 @@ func (t *Tree) Insert(e xmldoc.Element) (err error) {
 	defer t.debugPinBalance()()
 	commit := t.beginTx()
 	defer commit(&err)
-	root, h := t.loadRoot()
+	root, h := t.Root()
 	t.c.Emit(obs.EvIndexDescend, int64(h))
 	res, err := t.insertInto(root, h, e, false)
 	if err != nil {
@@ -83,7 +84,7 @@ func (t *Tree) Insert(e xmldoc.Element) (err error) {
 	}
 	if res != nil {
 		// I4: grow the tree with a new root. The new root — including its
-		// stab list — is built while unreachable and published by setRoot;
+		// stab list — is built while unreachable and published by SetRoot;
 		// readers still descending from the old root reach the new right
 		// half through its right link.
 		newRootID, data, err := t.fetchNew()
@@ -91,8 +92,8 @@ func (t *Tree) Insert(e xmldoc.Element) (err error) {
 			return err
 		}
 		initInternal(data)
-		setIntCount(data, 1)
-		setIntChild(data, 0, root)
+		intShape.SetCount(data, 1)
+		intShape.SetChild(data, 0, root)
 		writeIntEntry(data, 0, intEntryMem{key: res.key, child: res.child, psl: pagefile.InvalidPage})
 		rejects, err := t.stabReinsertAll(data, res.stabSet)
 		if err != nil {
@@ -106,7 +107,7 @@ func (t *Tree) Insert(e xmldoc.Element) (err error) {
 		if err := t.unpin(newRootID, true); err != nil {
 			return err
 		}
-		t.setRoot(newRootID, h+1)
+		t.SetRoot(newRootID, h+1)
 	}
 	t.count.Add(1)
 	if err := t.syncMeta(); err != nil {
@@ -125,7 +126,7 @@ func (t *Tree) insertInto(id pagefile.PageID, height int, e xmldoc.Element, home
 		return nil, err
 	}
 	if height == 1 {
-		if !isLeaf(data) {
+		if !blink.IsLeaf(data) {
 			t.unpin(id, false)
 			return nil, fmt.Errorf("%w: expected leaf at page %d", ErrCorrupt, id)
 		}
@@ -146,8 +147,8 @@ func (t *Tree) insertInto(id pagefile.PageID, height int, e xmldoc.Element, home
 		homed = true
 		dirty = true
 	}
-	ci := intSearch(data, e.Start)
-	child := intChild(data, ci)
+	ci := intShape.Search(data, e.Start)
+	child := intShape.Child(data, ci)
 	res, err := t.insertInto(child, height-1, e, homed)
 	if err != nil {
 		t.unpin(id, dirty)
@@ -162,9 +163,9 @@ func (t *Tree) insertInto(id pagefile.PageID, height int, e xmldoc.Element, home
 // insertLeaf inserts e into a pinned leaf, consuming the pin. The element's
 // InStabList flag mirrors whether it was homed above (Definition 4.6).
 func (t *Tree) insertLeaf(id pagefile.PageID, data []byte, e xmldoc.Element, homed bool) (*splitResult, error) {
-	n := leafCount(data)
-	pos := leafSearch(data, e.Start)
-	if pos < n && leafKey(data, pos) == e.Start {
+	n := blink.LeafCount(data)
+	pos := blink.LeafSearch(data, e.Start)
+	if pos < n && blink.LeafKey(data, pos) == e.Start {
 		t.unpin(id, false)
 		return nil, fmt.Errorf("%w: start %d", ErrDuplicate, e.Start)
 	}
@@ -174,7 +175,7 @@ func (t *Tree) insertLeaf(id pagefile.PageID, data []byte, e xmldoc.Element, hom
 	}
 	if n < t.leafCap {
 		t.pl.Lock(id)
-		insertLeafEntry(data, pos, n, e, flags)
+		blink.InsertLeafEntry(data, pos, n, e, flags)
 		t.pl.Unlock(id)
 		return nil, t.unpin(id, true)
 	}
@@ -186,15 +187,15 @@ func (t *Tree) insertLeaf(id pagefile.PageID, data []byte, e xmldoc.Element, hom
 		t.unpin(id, false)
 		return nil, err
 	}
-	initLeaf(newData)
+	blink.InitLeaf(newData)
 	mid := n / 2
 	moved := n - mid
-	copy(newData[leafHeader:], data[leafHeader+mid*xmldoc.EncodedSize:leafHeader+n*xmldoc.EncodedSize])
-	setLeafCount(newData, moved)
-	oldNext := leafNext(data)
-	setLeafNext(newData, oldNext)
-	setLeafPrev(newData, id)
-	setLeafHigh(newData, leafHigh(data))
+	copy(newData[blink.LeafHeader:], data[blink.LeafHeader+mid*xmldoc.EncodedSize:blink.LeafHeader+n*xmldoc.EncodedSize])
+	blink.SetLeafCount(newData, moved)
+	oldNext := blink.LeafNext(data)
+	blink.SetLeafNext(newData, oldNext)
+	blink.SetLeafPrev(newData, id)
+	blink.SetLeafHigh(newData, blink.LeafHigh(data))
 
 	// The split raises StabSet' flags on elements that are not yet in the
 	// parent's chain: a stab move is now in flight until the enclosing
@@ -208,19 +209,19 @@ func (t *Tree) insertLeaf(id pagefile.PageID, data []byte, e xmldoc.Element, hom
 	// right half is still private here, so its mutations ride inside the
 	// same bracket without a latch of their own.
 	t.pl.Lock(id)
-	setLeafCount(data, mid)
-	if e.Start < leafKey(newData, 0) {
-		insertLeafEntry(data, pos, mid, e, flags)
+	blink.SetLeafCount(data, mid)
+	if e.Start < blink.LeafKey(newData, 0) {
+		blink.InsertLeafEntry(data, pos, mid, e, flags)
 	} else {
-		npos := leafSearch(newData, e.Start)
-		insertLeafEntry(newData, npos, moved, e, flags)
+		npos := blink.LeafSearch(newData, e.Start)
+		blink.InsertLeafEntry(newData, npos, moved, e, flags)
 	}
 
 	// Choose the separator (§3.2 key choice): prefer firstRight−1, which
 	// avoids stabbing the right half's first element, when it still
 	// separates the halves.
-	firstRight := leafKey(newData, 0)
-	lastLeft := leafKey(data, leafCount(data)-1)
+	firstRight := blink.LeafKey(newData, 0)
+	lastLeft := blink.LeafKey(data, blink.LeafCount(data)-1)
 	sep := firstRight
 	if !t.opts.DisableKeyChoice && firstRight-1 > lastLeft {
 		sep = firstRight - 1
@@ -230,14 +231,14 @@ func (t *Tree) insertLeaf(id pagefile.PageID, data []byte, e xmldoc.Element, hom
 	// flags turned to yes and move to the parent's stab list.
 	var stabSet []stabEntry
 	collect := func(d []byte) {
-		cnt := leafCount(d)
+		cnt := blink.LeafCount(d)
 		for i := 0; i < cnt; i++ {
-			el, fl := leafElem(d, i)
+			el, fl := blink.LeafElem(d, i)
 			if fl&xmldoc.FlagInStabList != 0 {
 				continue
 			}
 			if el.Start <= sep && sep <= el.End {
-				setLeafFlags(d, i, fl|xmldoc.FlagInStabList)
+				blink.SetLeafFlags(d, i, fl|xmldoc.FlagInStabList)
 				stabSet = append(stabSet, stabEntry{
 					key: sep, start: el.Start, end: el.End, ref: el.Ref, level: el.Level,
 				})
@@ -246,8 +247,8 @@ func (t *Tree) insertLeaf(id pagefile.PageID, data []byte, e xmldoc.Element, hom
 	}
 	collect(data)
 	collect(newData)
-	setLeafNext(data, newID)
-	setLeafHigh(data, sep)
+	blink.SetLeafNext(data, newID)
+	blink.SetLeafHigh(data, sep)
 	t.pl.Unlock(id)
 
 	// Fix the old right neighbor's back pointer (scans only follow next,
@@ -256,7 +257,7 @@ func (t *Tree) insertLeaf(id pagefile.PageID, data []byte, e xmldoc.Element, hom
 		nd, err := t.fetch(oldNext)
 		if err == nil {
 			t.pl.Lock(oldNext)
-			setLeafPrev(nd, newID)
+			blink.SetLeafPrev(nd, newID)
 			t.pl.Unlock(oldNext)
 			err = t.unpin(oldNext, true)
 		}
@@ -284,7 +285,7 @@ func (t *Tree) insertLeaf(id pagefile.PageID, data []byte, e xmldoc.Element, hom
 // movement are invisible to readers until the latch drops, so a reader
 // never observes a stab list mid-migration.
 func (t *Tree) insertInternalEntry(id pagefile.PageID, data []byte, ci int, res *splitResult) (*splitResult, error) {
-	m := intCount(data)
+	m := intShape.Count(data)
 	if m < t.intCap {
 		t.pl.Lock(id)
 		insertIntEntry(data, ci, m, res.key, res.child)
@@ -328,7 +329,7 @@ func (t *Tree) insertInternalEntry(id pagefile.PageID, data []byte, ci int, res 
 		return nil, err
 	}
 	initInternal(newData)
-	child0 := intChild(data, 0)
+	child0 := intShape.Child(data, 0)
 
 	// Splitting the node moves chain content between halves and extracts
 	// the promoted key's elements for the parent: a stab move in flight.
@@ -350,21 +351,21 @@ func (t *Tree) insertInternalEntry(id pagefile.PageID, data []byte, ci int, res 
 		// Lay out both halves; the right node inherits the left's link and
 		// high key, the left's new high key is the promoted separator.
 		right := entries[mid+1:]
-		setIntCount(newData, len(right))
-		setIntChild(newData, 0, promoted.child)
+		intShape.SetCount(newData, len(right))
+		intShape.SetChild(newData, 0, promoted.child)
 		for i, en := range right {
 			writeIntEntry(newData, i, en)
 		}
-		setIntNext(newData, intNext(data))
-		setIntHigh(newData, intHigh(data))
+		intShape.SetNext(newData, intShape.Next(data))
+		intShape.SetHigh(newData, intShape.High(data))
 
-		setIntCount(data, mid)
-		setIntChild(data, 0, child0)
+		intShape.SetCount(data, mid)
+		intShape.SetChild(data, 0, child0)
 		for i := 0; i < mid; i++ {
 			writeIntEntry(data, i, entries[i])
 		}
-		setIntNext(data, newID)
-		setIntHigh(data, midKey)
+		intShape.SetNext(data, newID)
+		intShape.SetHigh(data, midKey)
 
 		// Split the stab chain between the halves (Figure 5(a)).
 		if err := t.splitStabChain(data, newData, midKey); err != nil {

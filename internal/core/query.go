@@ -12,12 +12,11 @@ package core
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 
+	"xrtree/internal/blink"
 	"xrtree/internal/metrics"
 	"xrtree/internal/obs"
 	"xrtree/internal/pagefile"
@@ -79,7 +78,7 @@ func (t *Tree) AppendAncestors(dst []xmldoc.Element, sd uint32, minStart uint32,
 // appendAncestorsOnce is one optimistic probe; see AppendAncestors.
 func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uint32, c *metrics.Counters) ([]xmldoc.Element, error) {
 	out := dst
-	id, h := t.loadRoot()
+	id, h := t.Root()
 	var data []byte
 	// B-link descent holding one shared page latch at a time. The node's
 	// latch covers its stab chain too (writers only mutate a chain under
@@ -95,62 +94,40 @@ func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uin
 			t.pl.RUnlock(id)
 			return nil, err
 		}
-		if isLeaf(d) {
-			if moveRight(leafHigh(d), leafNext(d), sd) {
-				next := leafNext(d)
-				err := t.pool.Unpin(id, false)
-				t.pl.RUnlock(id)
-				if err != nil {
-					return nil, err
-				}
-				if err := c.Interrupted(); err != nil {
-					return nil, err
-				}
-				addLeaf(c)
-				id = next
-				continue
-			}
+		next, mv := intShape.Step(d, sd, c)
+		if mv == blink.Land {
 			data = d // stays pinned and share-latched for the S2 scan
 			break
 		}
-		if d[0] != internalType {
+		if mv == blink.Bad {
 			t.pool.Unpin(id, false)
 			t.pl.RUnlock(id)
-			return nil, fmt.Errorf("%w: expected node at page %d", ErrCorrupt, id)
+			return nil, fmt.Errorf("%w: page %d is neither leaf nor internal", ErrCorrupt, id)
 		}
-		addNode(c)
-		if moveRight(intHigh(d), intNext(d), sd) {
-			next := intNext(d)
-			err := t.pool.Unpin(id, false)
-			t.pl.RUnlock(id)
-			if err != nil {
+		// S11: collect stabbed elements from this node's stab list before
+		// S12/S13 descend by the largest key ≤ sd.
+		if mv == blink.Down {
+			if err := t.searchStabList(d, sd, minStart, c, &out); err != nil {
+				t.pool.Unpin(id, false)
+				t.pl.RUnlock(id)
 				return nil, err
 			}
-			if err := c.Interrupted(); err != nil {
-				return nil, err
-			}
-			id = next
-			continue
 		}
-		// S11: collect stabbed elements from this node's stab list.
-		if err := t.searchStabList(d, sd, minStart, c, &out); err != nil {
-			t.pool.Unpin(id, false)
-			t.pl.RUnlock(id)
-			return nil, err
-		}
-		// S12/S13: descend by the largest key ≤ sd.
-		child := intChild(d, intSearch(d, sd))
 		err = t.pool.Unpin(id, false)
 		t.pl.RUnlock(id)
 		if err != nil {
 			return nil, err
 		}
-		id = child
+		if mv == blink.Right {
+			if err := c.Interrupted(); err != nil {
+				return nil, err
+			}
+		}
+		id = next
 	}
 
 	// S2: the leaf's own entries whose flag is clear; the stabbed ones were
 	// collected from the stab lists above.
-	addLeaf(c)
 	c.Emit(obs.EvIndexDescend, int64(h))
 	out, examined := t.leafAncestors(data, -1, sd, minStart, out, c)
 	c.Emit(obs.EvLeafScan, int64(examined))
@@ -192,15 +169,15 @@ func (t *Tree) leafAncestors(data []byte, from int, sd, minStart uint32, out []x
 	// index i.
 	search := func(i int, key uint32) int {
 		if held {
-			return leafSearchFrom(data, i, key)
+			return blink.LeafSearchFrom(data, i, key)
 		}
-		return leafSearch(data, key)
+		return blink.LeafSearch(data, key)
 	}
-	n := leafCount(data)
+	n := blink.LeafCount(data)
 	examined := 0
 	for i := search(from, minStart+1); i < n; {
 		examined++
-		el, fl := leafElem(data, i)
+		el, fl := blink.LeafElem(data, i)
 		if el.Start >= sd {
 			break
 		}
@@ -212,7 +189,7 @@ func (t *Tree) leafAncestors(data []byte, from int, sd, minStart uint32, out []x
 			continue
 		}
 		if (held || fl&xmldoc.FlagInStabList == 0) && el.Start > minStart {
-			el.DocID = t.docID
+			el.DocID = t.DocID()
 			addScan(c, 1)
 			out = append(out, el)
 		}
@@ -226,8 +203,8 @@ func (t *Tree) leafAncestors(data []byte, from int, sd, minStart uint32, out []x
 // and a PSL is only read when its in-entry (ps, pe) proves its first —
 // outermost — element is stabbed; the stabbed elements then form a prefix.
 func (t *Tree) searchStabList(node []byte, sd uint32, minStart uint32, c *metrics.Counters, out *[]xmldoc.Element) error {
-	m := intCount(node)
-	i := intSearch(node, sd) - 1 // largest key ≤ sd
+	m := intShape.Count(node)
+	i := intShape.Search(node, sd) - 1 // largest key ≤ sd
 	hi := i + 1
 	if hi >= m {
 		hi = m - 1
@@ -259,7 +236,7 @@ func (t *Tree) searchStabList(node []byte, sd uint32, minStart uint32, c *metric
 // latch. Fetches and unpins here are the plain pool calls — this is a
 // reader path and must not touch the writer's t.tx.
 func (t *Tree) scanPSL(node []byte, ki int, sd uint32, minStart uint32, c *metrics.Counters, out *[]xmldoc.Element) error {
-	kv := intKey(node, ki)
+	kv := intShape.Key(node, ki)
 	p := keyPSLPage(node, ki)
 	for p != pagefile.InvalidPage {
 		// A PSL chain grows with the document (deep nesting under one
@@ -285,7 +262,7 @@ func (t *Tree) scanPSL(node []byte, ki int, sd uint32, minStart uint32, c *metri
 				return t.pool.Unpin(p, false)
 			}
 			addScan(c, 1)
-			*out = append(*out, en.element(t.docID))
+			*out = append(*out, en.element(t.DocID()))
 		}
 		next := stabNext(data)
 		if err := t.pool.Unpin(p, false); err != nil {
@@ -327,154 +304,27 @@ func (t *Tree) FindParent(sd uint32, level uint16, c *metrics.Counters) (xmldoc.
 	return xmldoc.Element{}, false, nil
 }
 
-// pageBufs pools the per-iterator leaf-copy buffers as *[]byte, so Seek
-// and Close move the same pointer in and out of the pool and allocate
-// nothing.
-var pageBufs sync.Pool
-
-func getPageBuf(n int) *[]byte {
-	if p, _ := pageBufs.Get().(*[]byte); p != nil && cap(*p) >= n {
-		*p = (*p)[:n]
-		return p
-	}
-	b := make([]byte, n)
-	return &b
-}
-
-// errClosed is returned by a seek on an iterator that was already closed.
-var errClosed = errors.New("xrtree: seek on a closed iterator")
-
-// Iterator walks leaf entries in ascending start order. It owns a private
-// copy of the current leaf, so it holds no page pin and no tree latch
-// between calls: any number of iterators — including several on one tree
-// within a single goroutine, as self-joins require — coexist with point
-// queries and with writers queued on the latch. A scan racing a concurrent
-// Delete's page merge may observe a recycled page; that is detected
-// (ErrCorrupt) rather than latched away. Close returns the copy to a pool.
-//
-// SeekGE and AppendAncestors answer from the held copy when it covers the
-// keys asked about (a finger), so a join that repositions its cursor on
-// every step descends from the root only when it leaves the leaf. Like
-// Next and Peek, a finger answer reads the leaf as of its copy.
+// Iterator walks leaf entries in ascending start order: the shared
+// copy-on-hop iterator of the read layer (see blink.Iterator), which also
+// answers ancestor probes from its held leaf copy.
 type Iterator struct {
-	t    *Tree
-	c    *metrics.Counters
-	bufp *[]byte // pooled buffer; buf is *bufp
-	buf  []byte
-	idx  int
-	err  error
-	done bool
-}
-
-// readPage copies page id into buf under its shared page latch. The copy
-// decouples the caller from writers: once the latch is dropped the bytes
-// are private, so no pin or latch outlives the call.
-func (t *Tree) readPage(id pagefile.PageID, buf []byte, c *metrics.Counters) error {
-	t.pl.RLock(id)
-	err := t.pool.FetchCopyTraced(id, buf, c.TraceSink())
-	t.pl.RUnlock(id)
-	return err
-}
-
-// descendToLeafCopy runs the B-link root-to-leaf descent for key and
-// leaves a private copy of the leaf that covers key in buf. Each step
-// holds one shared page latch only while copying; a key at or beyond a
-// page's high key follows the right link (a concurrent split moved the
-// range) instead of restarting.
-func (t *Tree) descendToLeafCopy(key uint32, c *metrics.Counters, buf []byte) error {
-	id, h := t.loadRoot()
-	//xrvet:bounded root-to-leaf descent, h levels plus finitely many right hops
-	for {
-		if err := t.readPage(id, buf, c); err != nil {
-			return err
-		}
-		if isLeaf(buf) {
-			if moveRight(leafHigh(buf), leafNext(buf), key) {
-				if err := c.Interrupted(); err != nil {
-					return err
-				}
-				addLeaf(c)
-				id = leafNext(buf)
-				continue
-			}
-			addLeaf(c)
-			c.Emit(obs.EvIndexDescend, int64(h))
-			return nil
-		}
-		if buf[0] != internalType {
-			return fmt.Errorf("%w: expected node at page %d", ErrCorrupt, id)
-		}
-		addNode(c)
-		if moveRight(intHigh(buf), intNext(buf), key) {
-			if err := c.Interrupted(); err != nil {
-				return err
-			}
-			id = intNext(buf)
-			continue
-		}
-		id = intChild(buf, intSearch(buf, key))
-	}
+	blink.Iterator
+	t *Tree
 }
 
 // SeekGE returns an iterator positioned at the first element with
 // start ≥ key. FindDescendants and the XR-stack skip operations are built
 // on it.
 func (t *Tree) SeekGE(key uint32, c *metrics.Counters) (*Iterator, error) {
-	if err := c.Interrupted(); err != nil {
+	it := &Iterator{t: t}
+	if err := t.SeekInto(&it.Iterator, key, c); err != nil {
 		return nil, err
 	}
-	bufp := getPageBuf(t.pool.File().PageSize())
-	if err := t.descendToLeafCopy(key, c, *bufp); err != nil {
-		pageBufs.Put(bufp)
-		return nil, err
-	}
-	t.hintNextLeaf(c, *bufp)
-	return &Iterator{t: t, c: c, bufp: bufp, buf: *bufp, idx: leafSearch(*bufp, key)}, nil
+	return it, nil
 }
 
-// holds reports whether the leaf copy is the leaf a descent would land on
-// for every key in [lo, hi]: lo is at or after the copy's first entry and
-// hi is below its B-link high key, or the copy is the rightmost leaf.
-func (it *Iterator) holds(lo, hi uint32) bool {
-	return it.buf != nil && it.err == nil && leafCount(it.buf) > 0 &&
-		lo >= leafKey(it.buf, 0) && !moveRight(leafHigh(it.buf), leafNext(it.buf), hi)
-}
-
-// Holds reports whether SeekGE(key) would be answered from the held leaf
-// copy without a descent.
-func (it *Iterator) Holds(key uint32) bool { return it.holds(key, key) }
-
-// SeekGE repositions the iterator at the first element with start ≥ key:
-// a finger seek. When the held leaf copy covers key it searches in place,
-// galloping forward from the cursor; otherwise it re-descends from the
-// root into the same buffer and binary-searches the new leaf. Neither
-// path allocates.
-func (it *Iterator) SeekGE(key uint32) error {
-	if it.err != nil {
-		return it.err
-	}
-	if it.buf == nil {
-		return errClosed
-	}
-	hit := it.Holds(key)
-	it.c.CountFinger(hit)
-	if hit {
-		it.idx = leafSearchFrom(it.buf, it.idx, key)
-	} else {
-		if err := it.c.Interrupted(); err != nil {
-			it.err = err
-			return err
-		}
-		if err := it.t.descendToLeafCopy(key, it.c, it.buf); err != nil {
-			it.err = err
-			return err
-		}
-		it.t.hintNextLeaf(it.c, it.buf)
-		it.idx = leafSearch(it.buf, key)
-	}
-	it.done = false
-	return nil
-}
+// Scan returns an iterator over the whole indexed set.
+func (t *Tree) Scan(c *metrics.Counters) (*Iterator, error) { return t.SeekGE(0, c) }
 
 // AppendAncestors is Tree.AppendAncestors answered from the held leaf copy
 // when it can be. If every start in (minStart, sd) lies inside the copy,
@@ -485,160 +335,17 @@ func (it *Iterator) SeekGE(key uint32) error {
 // back to Tree.AppendAncestors. The iterator's position is unchanged
 // either way.
 func (it *Iterator) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32) ([]xmldoc.Element, error) {
-	hit := it.holds(minStart+1, sd-1)
-	it.c.CountFinger(hit)
+	c := it.Counters()
+	hit := it.Covers(minStart+1, sd-1)
+	c.CountFinger(hit)
 	if !hit {
-		return it.t.AppendAncestors(dst, sd, minStart, it.c)
+		return it.t.AppendAncestors(dst, sd, minStart, c)
 	}
-	out, examined := it.t.leafAncestors(it.buf, it.idx, sd, minStart, dst, it.c)
-	it.c.Emit(obs.EvLeafScan, int64(examined))
-	it.c.Emit(obs.EvAncProbe, int64(len(out)-len(dst)))
+	leaf, idx := it.Leaf()
+	out, examined := it.t.leafAncestors(leaf, idx, sd, minStart, dst, c)
+	c.Emit(obs.EvLeafScan, int64(examined))
+	c.Emit(obs.EvAncProbe, int64(len(out)-len(dst)))
 	return out, nil
-}
-
-// hintNextLeaf publishes the chained next leaf to the pool's prefetcher,
-// so a leaf-chain scan's I/O overlaps the scan of the current leaf.
-func (t *Tree) hintNextLeaf(c *metrics.Counters, buf []byte) {
-	if t.pool.PrefetchEnabled() {
-		if next := leafNext(buf); next != pagefile.InvalidPage {
-			t.pool.Prefetch(c, next)
-		}
-	}
-}
-
-// PrefetchGE publishes a readahead hint for the landing page of a future
-// SeekGE(key) or AppendAncestors(key) — the XR-stack join calls it for a
-// skip target before starting the stab-list work that precedes the skip,
-// so the landing page's I/O overlaps the in-flight probe. The descent
-// walks resident pages only (no I/O, no pins held across pages, no
-// hit/miss accounting) and hints the first non-resident page on the path.
-func (t *Tree) PrefetchGE(key uint32, c *metrics.Counters) {
-	if !t.pool.PrefetchEnabled() {
-		return
-	}
-	bufp := getPageBuf(t.pool.File().PageSize())
-	defer pageBufs.Put(bufp)
-	buf := *bufp
-	id, h := t.loadRoot()
-	//xrvet:bounded advisory root-to-leaf descent, at most h iterations
-	for level := h; level > 1; level-- {
-		// Advisory path: on latch contention just hint the page reached so
-		// far rather than waiting behind a writer.
-		if !t.pl.TryRLock(id) {
-			break
-		}
-		ok, err := t.pool.TryFetchCopy(id, buf)
-		t.pl.RUnlock(id)
-		if err != nil || !ok || isLeaf(buf) {
-			break
-		}
-		id = intChild(buf, intSearch(buf, key))
-	}
-	// id is the first page the future probe will miss on (or its leaf).
-	t.pool.Prefetch(c, id)
-}
-
-// Scan returns an iterator over the whole indexed set.
-func (t *Tree) Scan(c *metrics.Counters) (*Iterator, error) { return t.SeekGE(0, c) }
-
-// Next returns the next element; each returned element counts as scanned.
-func (it *Iterator) Next() (xmldoc.Element, bool) {
-	if !it.positioned() {
-		return xmldoc.Element{}, false
-	}
-	e := it.elem()
-	it.idx++
-	addScan(it.c, 1)
-	return e, true
-}
-
-// Peek returns the element Next would return without consuming it and
-// without counting a scan.
-func (it *Iterator) Peek() (xmldoc.Element, bool) {
-	if !it.positioned() {
-		return xmldoc.Element{}, false
-	}
-	return it.elem(), true
-}
-
-// Step is Next followed by Peek in one call: it consumes the current
-// element (one scan, as Next counts it) and returns the one after it,
-// decoding only that entry. Leaf hops, and so cancellation polls, leaf
-// reads and readahead hints, happen exactly where Next and Peek would
-// make them.
-func (it *Iterator) Step() (xmldoc.Element, bool) {
-	if !it.positioned() {
-		return xmldoc.Element{}, false
-	}
-	it.idx++
-	addScan(it.c, 1)
-	if it.idx < leafCount(it.buf) {
-		return it.elem(), true
-	}
-	return it.Peek()
-}
-
-// positioned moves the iterator onto a readable entry, hopping to the next
-// leaf while the current one is used up; false at the end or on error.
-func (it *Iterator) positioned() bool {
-	if it.err != nil || it.done {
-		return false
-	}
-	for it.idx >= leafCount(it.buf) {
-		if !it.advancePage() {
-			return false
-		}
-	}
-	return true
-}
-
-// elem decodes the entry under the cursor.
-func (it *Iterator) elem() xmldoc.Element {
-	e, _ := leafElem(it.buf, it.idx)
-	e.DocID = it.t.docID
-	return e
-}
-
-// advancePage replaces the iterator's leaf copy with the next leaf on the
-// chain, taking only that page's shared latch for the hop.
-func (it *Iterator) advancePage() bool {
-	next := leafNext(it.buf)
-	if next == pagefile.InvalidPage {
-		it.done = true
-		return false
-	}
-	// Page boundary: the natural cancellation point of a leaf-chain scan.
-	if err := it.c.Interrupted(); err != nil {
-		it.err = err
-		return false
-	}
-	if err := it.t.readPage(next, it.buf, it.c); err != nil {
-		it.err = err
-		return false
-	}
-	if !isLeaf(it.buf) {
-		// The page was merged away and recycled between hops.
-		it.err = fmt.Errorf("%w: leaf chain broken at page %d by a concurrent structural change", ErrCorrupt, next)
-		return false
-	}
-	it.t.hintNextLeaf(it.c, it.buf)
-	it.idx = 0
-	if it.c != nil {
-		it.c.LeafReads++
-	}
-	return true
-}
-
-// Err returns the first iteration error.
-func (it *Iterator) Err() error { return it.err }
-
-// Close releases the iterator's page copy; safe to call repeatedly.
-func (it *Iterator) Close() error {
-	if it.bufp != nil {
-		pageBufs.Put(it.bufp)
-		it.bufp, it.buf = nil, nil
-	}
-	return it.err
 }
 
 // FindDescendants returns every indexed element strictly inside (sa, ea):

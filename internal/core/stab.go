@@ -76,7 +76,7 @@ func (t *Tree) stabInsertElement(node []byte, e xmldoc.Element) error {
 	if j < 0 {
 		return fmt.Errorf("%w: stabInsertElement: no key stabs %v", ErrCorrupt, e)
 	}
-	kv := intKey(node, j)
+	kv := intShape.Key(node, j)
 	se := stabEntry{key: kv, start: e.Start, end: e.End, ref: e.Ref, level: e.Level}
 
 	loc, err := t.findStabInsertPos(node, j, se)
@@ -107,7 +107,7 @@ func (t *Tree) stabInsertElement(node []byte, e xmldoc.Element) error {
 // otherwise the head of the next non-empty PSL (or the chain tail) bounds
 // the position — the same ≤2-page guarantee the paper's ps directory gives.
 func (t *Tree) findStabInsertPos(node []byte, j int, se stabEntry) (stabLoc, error) {
-	m := intCount(node)
+	m := intShape.Count(node)
 	if p := keyPSLPage(node, j); p != pagefile.InvalidPage {
 		return t.scanForward(p, se)
 	}
@@ -115,7 +115,7 @@ func (t *Tree) findStabInsertPos(node []byte, j int, se stabEntry) (stabLoc, err
 	// non-empty PSL.
 	for nj := j + 1; nj < m; nj++ {
 		if p := keyPSLPage(node, nj); p != pagefile.InvalidPage {
-			nk := intKey(node, nj)
+			nk := intShape.Key(node, nj)
 			data, err := t.fetchStab(p)
 			if err != nil {
 				return stabLoc{}, err
@@ -299,7 +299,7 @@ func (t *Tree) popPSLHead(node []byte, j int) (stabEntry, error) {
 	if p == pagefile.InvalidPage {
 		return stabEntry{}, fmt.Errorf("%w: popPSLHead of empty PSL", ErrCorrupt)
 	}
-	kv := intKey(node, j)
+	kv := intShape.Key(node, j)
 	data, err := t.fetchStab(p)
 	if err != nil {
 		return stabEntry{}, err
@@ -387,7 +387,7 @@ func (t *Tree) refreshHeadFromSucc(node []byte, j int, succ stabLoc) error {
 		t.clearPSL(node, j)
 		return nil
 	}
-	kv := intKey(node, j)
+	kv := intShape.Key(node, j)
 	data, err := t.fetchStab(succ.page)
 	if err != nil {
 		return err
@@ -422,7 +422,7 @@ func (t *Tree) stabDeleteElement(node []byte, s, e uint32) (bool, error) {
 	if j < 0 {
 		return false, nil
 	}
-	kv := intKey(node, j)
+	kv := intShape.Key(node, j)
 	p := keyPSLPage(node, j)
 	if p == pagefile.InvalidPage {
 		return false, nil
@@ -486,7 +486,7 @@ func (t *Tree) extractPSL(node []byte, j int) ([]stabEntry, error) {
 // page accesses — the StabSet' extraction of Figure 5(b).
 func (t *Tree) extractStabbedBy(node []byte, k uint32) ([]stabEntry, error) {
 	var out []stabEntry
-	m := intCount(node)
+	m := intShape.Count(node)
 	for c := 0; c < m; c++ {
 		for {
 			ps := keyPS(node, c)
@@ -513,7 +513,7 @@ func (t *Tree) stabReinsertAll(node []byte, entries []stabEntry) ([]stabEntry, e
 			rejects = append(rejects, se)
 			continue
 		}
-		if err := t.stabInsertElement(node, se.element(t.docID)); err != nil {
+		if err := t.stabInsertElement(node, se.element(t.DocID())); err != nil {
 			return rejects, err
 		}
 	}
@@ -527,11 +527,11 @@ func (t *Tree) stabReinsertAll(node []byte, entries []stabEntry) ([]stabEntry, e
 // nesting the affected entries are a prefix of the successor's PSL, and the
 // (ps, pe) guard makes the call free when nothing is affected.
 func (t *Tree) rekeyStabbedPrefix(node []byte, li int) error {
-	m := intCount(node)
+	m := intShape.Count(node)
 	if li+1 >= m {
 		return nil
 	}
-	k := intKey(node, li)
+	k := intShape.Key(node, li)
 	var moved []stabEntry
 	for {
 		ps := keyPS(node, li+1)
@@ -545,7 +545,7 @@ func (t *Tree) rekeyStabbedPrefix(node []byte, li int) error {
 		moved = append(moved, se)
 	}
 	for _, se := range moved {
-		if err := t.stabInsertElement(node, se.element(t.docID)); err != nil {
+		if err := t.stabInsertElement(node, se.element(t.DocID())); err != nil {
 			return err
 		}
 	}
@@ -564,7 +564,7 @@ func (t *Tree) splitStabChain(left, right []byte, midKey uint32) error {
 	setStabTail(right, pagefile.InvalidPage)
 	// Locate the first right-hand entry via the right node's directory: the
 	// first key with a non-empty PSL owns the first entry with key > midKey.
-	rm := intCount(right)
+	rm := intShape.Count(right)
 	firstRight := -1
 	for i := 0; i < rm; i++ {
 		if keyPSLPage(right, i) != pagefile.InvalidPage {

@@ -34,7 +34,7 @@ func (t *Tree) Space() (SpaceStats, error) {
 	t.wlatch.Lock()
 	defer t.wlatch.Unlock()
 	var st SpaceStats
-	root, h := t.loadRoot()
+	root, h := t.Root()
 	if err := t.spaceWalk(root, h, &st); err != nil {
 		return SpaceStats{}, err
 	}
@@ -73,10 +73,10 @@ func (t *Tree) spaceWalk(id pagefile.PageID, height int, st *SpaceStats) error {
 	if pages > st.MaxStabPages {
 		st.MaxStabPages = pages
 	}
-	m := intCount(data)
+	m := intShape.Count(data)
 	children := make([]pagefile.PageID, 0, m+1)
 	for i := 0; i <= m; i++ {
-		children = append(children, intChild(data, i))
+		children = append(children, intShape.Child(data, i))
 	}
 	if err := t.unpin(id, false); err != nil {
 		return err

@@ -41,21 +41,23 @@
 // node's stab pages while still holding that node's shared latch, and
 // writers keep the owning node latched exclusively for the duration of
 // any stab-chain mutation, so stab pages need no latches of their own.
-// Iterators keep no latch (or page pin) between calls: each leaf hop
-// latches the next leaf only long enough to copy it into an
-// iterator-private buffer, so several iterators can live in one goroutine
-// (as self-joins require) without deadlocking against a writer. Query
-// paths attribute costs to the caller-supplied counter set and share no
-// mutable tree state; the SetCounters sink is consulted by write paths
-// only.
+// Everything else on the read side — the copy descent behind Lookup and
+// SeekGE, and the leaf-chain Iterator with its finger seeks — is the
+// B-link read layer of internal/blink, shared with the B+-tree baseline;
+// the ancestor probe's pinned descent advances by that layer's descent
+// step. Query paths attribute costs to the caller-supplied counter set and
+// share no mutable tree state; the SetCounters sink is consulted by write
+// paths only.
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"xrtree/internal/blink"
 	"xrtree/internal/bufferpool"
 	"xrtree/internal/metrics"
 	"xrtree/internal/pagefile"
@@ -71,12 +73,8 @@ import (
 //	20: stabCount u32 (elements currently held in stab lists)
 //	24: stabPages u32 (stab-list pages currently allocated)
 //
-// Leaf page (identical to the B+-tree backbone):
-//
-//	0: type u8 (=leafType) | 2: count u16 | 4: next u32 | 8: prev u32
-//	12: highKey u32 (lowest key of the right sibling; 0 = +∞)
-//	16: entries, count × xmldoc.EncodedSize, sorted by start;
-//	    flags bit 0 = InStabList
+// Leaf page: the shared B-link leaf (see internal/blink), identical to the
+// B+-tree backbone's; flags bit 0 = InStabList.
 //
 // Internal page:
 //
@@ -99,24 +97,11 @@ import (
 const (
 	metaMagic = 0x58525431 // "XRT1"
 
-	leafType     = 1
 	internalType = 3
 	stabType     = 4
 
-	leafHeader   = 16
-	offLeafCount = 2
-	offLeafNext  = 4
-	offLeafPrev  = 8
-	offLeafHigh  = 12
-
-	intHeader      = 24
-	offIntCount    = 2
-	offIntChild0   = 4
 	offIntStabHead = 8
 	offIntStabTail = 12
-	offIntNext     = 16
-	offIntHigh     = 20
-	intEntrySize   = 20
 
 	stabHeader    = 12
 	offStabCount  = 2
@@ -124,6 +109,11 @@ const (
 	offStabPrev   = 8
 	stabEntrySize = 20
 )
+
+// intShape is the internal-page layout above.
+var intShape = blink.Shape{Type: internalType, Header: 24, EntrySize: 20, OffNext: 16, OffHigh: 20}
+
+var le = binary.LittleEndian
 
 // Errors returned by the XR-tree.
 var (
@@ -142,16 +132,11 @@ type Options struct {
 
 // Tree is a disk-resident XR-tree over one document's element set.
 type Tree struct {
-	pool  *bufferpool.Pool
-	meta  pagefile.PageID
-	docID uint32
-	opts  Options
+	blink.Tree // the read side: root snapshot, Lookup, PrefetchGE
 
-	// rootH packs the root page id (high 32 bits) and the tree height
-	// (low 32 bits; 1 = root is a leaf) into one word so latch-free
-	// readers start every descent from a consistent pair. Stale values
-	// are safe: an old root still reaches every key via right links.
-	rootH atomic.Uint64
+	pool *bufferpool.Pool
+	meta pagefile.PageID
+	opts Options
 
 	count atomic.Int64
 
@@ -177,7 +162,8 @@ type Tree struct {
 	wlatch sync.Mutex
 
 	// pl holds the per-page latches of the B-link protocol. A node's
-	// latch also covers its stab chain (see the package doc).
+	// latch also covers its stab chain (see the package doc). The
+	// embedded read layer shares it.
 	pl *platch.Table
 
 	// stabEpoch is a seqlock-style generation counter around moves of
@@ -232,18 +218,6 @@ func (t *Tree) endStabMove() {
 	}
 }
 
-// loadRoot returns a consistent (root page, height) snapshot.
-func (t *Tree) loadRoot() (pagefile.PageID, int) {
-	v := t.rootH.Load()
-	return pagefile.PageID(v >> 32), int(uint32(v))
-}
-
-// setRoot publishes a new (root page, height) pair. Writer-only; the new
-// root must be fully populated before the call.
-func (t *Tree) setRoot(id pagefile.PageID, h int) {
-	t.rootH.Store(uint64(id)<<32 | uint64(uint32(h)))
-}
-
 // The fetch/unpin wrappers route every page access through the in-flight
 // WAL transaction when one exists; outside a transaction (queries, bulk
 // load, stores without a log) they are the plain pool calls. Only writers
@@ -293,27 +267,40 @@ func (t *Tree) beginTx() func(*error) {
 	}
 }
 
+// newTree returns a tree handle over pool with its read layer set up for
+// document docID; the caller publishes the root.
+func newTree(pool *bufferpool.Pool, meta pagefile.PageID, docID uint32, opts Options) *Tree {
+	t := &Tree{pool: pool, meta: meta, opts: opts, pl: platch.NewTable()}
+	t.Init(pool, t.pl, &intShape, docID, ErrNotFound, ErrCorrupt)
+	ps := pool.File().PageSize()
+	t.leafCap = (ps - blink.LeafHeader) / xmldoc.EncodedSize
+	t.intCap = (ps - intShape.Header) / intShape.EntrySize
+	t.stabCap = (ps - stabHeader) / stabEntrySize
+	if t.leafCap < 4 || t.intCap < 4 || t.stabCap < 4 {
+		panic(fmt.Sprintf("xrtree: page size %d too small", ps))
+	}
+	return t
+}
+
 // New creates an empty XR-tree whose pages come from pool's file.
 func New(pool *bufferpool.Pool, docID uint32, opts Options) (*Tree, error) {
-	t := &Tree{pool: pool, docID: docID, opts: opts, pl: platch.NewTable()}
-	t.computeCaps()
 	metaID, metaData, err := pool.FetchNew()
 	if err != nil {
 		return nil, err
 	}
-	t.meta = metaID
+	t := newTree(pool, metaID, docID, opts)
 	rootID, rootData, err := pool.FetchNew()
 	if err != nil {
 		pool.Unpin(metaID, true)
 		return nil, err
 	}
-	initLeaf(rootData)
+	blink.InitLeaf(rootData)
 	if err := pool.Unpin(rootID, true); err != nil {
 		pool.Unpin(metaID, true) // best-effort: the first error propagates
 		return nil, err
 	}
-	t.setRoot(rootID, 1)
-	putU32(metaData[0:], metaMagic)
+	t.SetRoot(rootID, 1)
+	le.PutUint32(metaData[0:], metaMagic)
 	t.writeMeta(metaData)
 	if err := pool.Unpin(metaID, true); err != nil {
 		return nil, err
@@ -323,42 +310,30 @@ func New(pool *bufferpool.Pool, docID uint32, opts Options) (*Tree, error) {
 
 // Open reattaches to an XR-tree previously created by New in pool's file.
 func Open(pool *bufferpool.Pool, meta pagefile.PageID, opts Options) (*Tree, error) {
-	t := &Tree{pool: pool, meta: meta, opts: opts, pl: platch.NewTable()}
-	t.computeCaps()
 	data, err := pool.Fetch(meta)
 	if err != nil {
 		return nil, err
 	}
 	defer pool.Unpin(meta, false)
-	if getU32(data[0:]) != metaMagic {
+	if le.Uint32(data[0:]) != metaMagic {
 		return nil, fmt.Errorf("%w: bad meta magic", ErrCorrupt)
 	}
-	t.setRoot(pagefile.PageID(getU32(data[4:])), int(getU32(data[8:])))
-	t.count.Store(int64(getU32(data[12:])))
-	t.docID = getU32(data[16:])
-	t.stabCount.Store(int64(getU32(data[20:])))
-	t.stabPages.Store(int64(getU32(data[24:])))
+	t := newTree(pool, meta, le.Uint32(data[16:]), opts)
+	t.SetRoot(pagefile.PageID(le.Uint32(data[4:])), int(le.Uint32(data[8:])))
+	t.count.Store(int64(le.Uint32(data[12:])))
+	t.stabCount.Store(int64(le.Uint32(data[20:])))
+	t.stabPages.Store(int64(le.Uint32(data[24:])))
 	return t, nil
 }
 
-func (t *Tree) computeCaps() {
-	ps := t.pool.File().PageSize()
-	t.leafCap = (ps - leafHeader) / xmldoc.EncodedSize
-	t.intCap = (ps - intHeader) / intEntrySize
-	t.stabCap = (ps - stabHeader) / stabEntrySize
-	if t.leafCap < 4 || t.intCap < 4 || t.stabCap < 4 {
-		panic(fmt.Sprintf("xrtree: page size %d too small", ps))
-	}
-}
-
 func (t *Tree) writeMeta(data []byte) {
-	root, h := t.loadRoot()
-	putU32(data[4:], uint32(root))
-	putU32(data[8:], uint32(h))
-	putU32(data[12:], uint32(t.count.Load()))
-	putU32(data[16:], t.docID)
-	putU32(data[20:], uint32(t.stabCount.Load()))
-	putU32(data[24:], uint32(t.stabPages.Load()))
+	root, h := t.Root()
+	le.PutUint32(data[4:], uint32(root))
+	le.PutUint32(data[8:], uint32(h))
+	le.PutUint32(data[12:], uint32(t.count.Load()))
+	le.PutUint32(data[16:], t.DocID())
+	le.PutUint32(data[20:], uint32(t.stabCount.Load()))
+	le.PutUint32(data[24:], uint32(t.stabPages.Load()))
 }
 
 func (t *Tree) syncMeta() error {
@@ -376,12 +351,6 @@ func (t *Tree) Meta() pagefile.PageID { return t.meta }
 // Len returns the number of indexed elements.
 func (t *Tree) Len() int { return int(t.count.Load()) }
 
-// Height returns the tree height (1 = the root is a leaf).
-func (t *Tree) Height() int { _, h := t.loadRoot(); return h }
-
-// DocID returns the document id of the indexed element set.
-func (t *Tree) DocID() uint32 { return t.docID }
-
 // StabStats returns the number of elements currently held in stab lists and
 // the number of stab-list pages allocated — the quantities measured by the
 // §3.3 stab-list size study.
@@ -391,30 +360,6 @@ func (t *Tree) StabStats() (elements, pages int) {
 
 // SetCounters directs cost accounting to c (nil detaches).
 func (t *Tree) SetCounters(c *metrics.Counters) { t.c = c }
-
-func (t *Tree) countNode() {
-	if t.c != nil {
-		t.c.IndexNodeReads++
-	}
-}
-
-func (t *Tree) countLeaf() {
-	if t.c != nil {
-		t.c.LeafReads++
-	}
-}
-
-func (t *Tree) countStabPage() {
-	if t.c != nil {
-		t.c.StabPageReads++
-	}
-}
-
-func (t *Tree) countScan(n int) {
-	if t.c != nil {
-		t.c.ElementsScanned += int64(n)
-	}
-}
 
 // The add* helpers attribute costs to an explicit counter set; the query
 // paths use them (instead of the tree-attached sink) so concurrent readers
@@ -444,192 +389,41 @@ func addScan(c *metrics.Counters, n int64) {
 	}
 }
 
-// --- leaf page helpers ---------------------------------------------------
-
-func initLeaf(data []byte) {
-	for i := range data[:leafHeader] {
-		data[i] = 0
-	}
-	data[0] = leafType
-	putU32(data[offLeafNext:], uint32(pagefile.InvalidPage))
-	putU32(data[offLeafPrev:], uint32(pagefile.InvalidPage))
-}
-
-func isLeaf(data []byte) bool                  { return data[0] == leafType }
-func leafCount(data []byte) int                { return int(getU16(data[offLeafCount:])) }
-func setLeafCount(d []byte, n int)             { putU16(d[offLeafCount:], uint16(n)) }
-func leafNext(d []byte) pagefile.PageID        { return pagefile.PageID(getU32(d[offLeafNext:])) }
-func leafPrev(d []byte) pagefile.PageID        { return pagefile.PageID(getU32(d[offLeafPrev:])) }
-func setLeafNext(d []byte, id pagefile.PageID) { putU32(d[offLeafNext:], uint32(id)) }
-func setLeafPrev(d []byte, id pagefile.PageID) { putU32(d[offLeafPrev:], uint32(id)) }
-
-// The high key is the lowest key of the page's right sibling; 0 means +∞
-// (rightmost page at its level). A reader whose search key is ≥ the high
-// key moves right. For leaves the chain's next pointer is the right link.
-func leafHigh(d []byte) uint32       { return getU32(d[offLeafHigh:]) }
-func setLeafHigh(d []byte, k uint32) { putU32(d[offLeafHigh:], k) }
-
-// moveRight reports whether a B-link reader positioned at a page with the
-// given high key and right link must follow the link to find key.
-func moveRight(high uint32, next pagefile.PageID, key uint32) bool {
-	return high != 0 && key >= high && next != pagefile.InvalidPage
-}
-
-func leafEntry(data []byte, i int) []byte {
-	off := leafHeader + i*xmldoc.EncodedSize
-	return data[off : off+xmldoc.EncodedSize]
-}
-
-func leafElem(data []byte, i int) (xmldoc.Element, uint16) {
-	return xmldoc.DecodeElement(leafEntry(data, i))
-}
-
-func leafKey(data []byte, i int) uint32 { return getU32(leafEntry(data, i)) }
-
-func setLeafFlags(data []byte, i int, flags uint16) {
-	putU16(leafEntry(data, i)[10:], flags)
-}
-
-// leafSearch returns the index of the first entry with start ≥ key.
-func leafSearch(data []byte, key uint32) int { return leafSearchIn(data, 0, leafCount(data), key) }
-
-// leafSearchFrom is leafSearch started from a cursor at index hint: when
-// the answer lies at or after hint it gallops forward (1, 2, 4, … entries)
-// and binary-searches the last gap, so a target k entries ahead costs
-// O(log k) probes instead of O(log n); a key behind the cursor falls back
-// to a binary search over the entries before it.
-func leafSearchFrom(data []byte, hint int, key uint32) int {
-	n := leafCount(data)
-	hint = min(max(hint, 0), n)
-	if hint > 0 && leafKey(data, hint-1) >= key {
-		return leafSearchIn(data, 0, hint-1, key)
-	}
-	lo, hi := hint, hint
-	for step := 1; hi < n && leafKey(data, hi) < key; step <<= 1 {
-		lo = hi + 1
-		hi += step
-	}
-	return leafSearchIn(data, lo, min(hi, n), key)
-}
-
-// leafSearchIn is leafSearch within [lo, hi], for callers that know every
-// entry before lo is below key and entry hi (when hi < count) is not.
-func leafSearchIn(data []byte, lo, hi int, key uint32) int {
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if leafKey(data, mid) < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// insertLeafEntry writes e at position pos in a leaf with n entries and
-// room for one more.
-func insertLeafEntry(data []byte, pos, n int, e xmldoc.Element, flags uint16) {
-	start := leafHeader + pos*xmldoc.EncodedSize
-	end := leafHeader + n*xmldoc.EncodedSize
-	copy(data[start+xmldoc.EncodedSize:end+xmldoc.EncodedSize], data[start:end])
-	e.Encode(data[start:], flags)
-	setLeafCount(data, n+1)
-}
-
-// removeLeafEntry deletes entry pos from a leaf with n entries.
-func removeLeafEntry(data []byte, pos, n int) {
-	start := leafHeader + pos*xmldoc.EncodedSize
-	end := leafHeader + n*xmldoc.EncodedSize
-	copy(data[start:], data[start+xmldoc.EncodedSize:end])
-	setLeafCount(data, n-1)
-}
-
 // --- internal page helpers -----------------------------------------------
 
 func initInternal(data []byte) {
-	for i := range data[:intHeader] {
-		data[i] = 0
-	}
-	data[0] = internalType
-	putU32(data[offIntStabHead:], uint32(pagefile.InvalidPage))
-	putU32(data[offIntStabTail:], uint32(pagefile.InvalidPage))
-	putU32(data[offIntNext:], uint32(pagefile.InvalidPage))
+	intShape.Init(data)
+	setStabHead(data, pagefile.InvalidPage)
+	setStabTail(data, pagefile.InvalidPage)
 }
 
-func intCount(data []byte) int    { return int(getU16(data[offIntCount:])) }
-func setIntCount(d []byte, n int) { putU16(d[offIntCount:], uint16(n)) }
-
-func intNext(d []byte) pagefile.PageID        { return pagefile.PageID(getU32(d[offIntNext:])) }
-func setIntNext(d []byte, id pagefile.PageID) { putU32(d[offIntNext:], uint32(id)) }
-func intHigh(d []byte) uint32                 { return getU32(d[offIntHigh:]) }
-func setIntHigh(d []byte, k uint32)           { putU32(d[offIntHigh:], k) }
-
-func stabHead(d []byte) pagefile.PageID        { return pagefile.PageID(getU32(d[offIntStabHead:])) }
-func stabTail(d []byte) pagefile.PageID        { return pagefile.PageID(getU32(d[offIntStabTail:])) }
-func setStabHead(d []byte, id pagefile.PageID) { putU32(d[offIntStabHead:], uint32(id)) }
-func setStabTail(d []byte, id pagefile.PageID) { putU32(d[offIntStabTail:], uint32(id)) }
-
-func intEntry(data []byte, i int) []byte {
-	off := intHeader + i*intEntrySize
-	return data[off : off+intEntrySize]
-}
-
-func intKey(data []byte, i int) uint32       { return getU32(intEntry(data, i)) }
-func setIntKey(data []byte, i int, k uint32) { putU32(intEntry(data, i), k) }
-
-// intChild returns child pointer i (0..m).
-func intChild(data []byte, i int) pagefile.PageID {
-	if i == 0 {
-		return pagefile.PageID(getU32(data[offIntChild0:]))
-	}
-	return pagefile.PageID(getU32(intEntry(data, i-1)[4:]))
-}
-
-func setIntChild(data []byte, i int, id pagefile.PageID) {
-	if i == 0 {
-		putU32(data[offIntChild0:], uint32(id))
-		return
-	}
-	putU32(intEntry(data, i-1)[4:], uint32(id))
-}
+func stabHead(d []byte) pagefile.PageID        { return pagefile.PageID(le.Uint32(d[offIntStabHead:])) }
+func stabTail(d []byte) pagefile.PageID        { return pagefile.PageID(le.Uint32(d[offIntStabTail:])) }
+func setStabHead(d []byte, id pagefile.PageID) { le.PutUint32(d[offIntStabHead:], uint32(id)) }
+func setStabTail(d []byte, id pagefile.PageID) { le.PutUint32(d[offIntStabTail:], uint32(id)) }
 
 // keyPS/keyPE return the (ps, pe) fields of key i; ps == 0 means nil.
-func keyPS(data []byte, i int) uint32 { return getU32(intEntry(data, i)[8:]) }
-func keyPE(data []byte, i int) uint32 { return getU32(intEntry(data, i)[12:]) }
+func keyPS(data []byte, i int) uint32 { return le.Uint32(intShape.Entry(data, i)[8:]) }
+func keyPE(data []byte, i int) uint32 { return le.Uint32(intShape.Entry(data, i)[12:]) }
 
 func setKeyPSPE(data []byte, i int, ps, pe uint32) {
-	putU32(intEntry(data, i)[8:], ps)
-	putU32(intEntry(data, i)[12:], pe)
+	le.PutUint32(intShape.Entry(data, i)[8:], ps)
+	le.PutUint32(intShape.Entry(data, i)[12:], pe)
 }
 
 // keyPSLPage returns the stab page holding the head of PSL(key i).
 func keyPSLPage(data []byte, i int) pagefile.PageID {
-	return pagefile.PageID(getU32(intEntry(data, i)[16:]))
+	return pagefile.PageID(le.Uint32(intShape.Entry(data, i)[16:]))
 }
 
 func setKeyPSLPage(data []byte, i int, id pagefile.PageID) {
-	putU32(intEntry(data, i)[16:], uint32(id))
-}
-
-// intSearch returns the child index to follow for key: the number of
-// separators ≤ key (Definition 4.3 and Algorithm 3 line 3-4).
-func intSearch(data []byte, key uint32) int {
-	lo, hi := 0, intCount(data)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if intKey(data, mid) <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	le.PutUint32(intShape.Entry(data, i)[16:], uint32(id))
 }
 
 // keyIndex returns the index of the key with exact value k, or -1.
 func keyIndex(data []byte, k uint32) int {
-	i := intSearch(data, k) - 1 // largest key ≤ k
-	if i >= 0 && intKey(data, i) == k {
+	i := intShape.Search(data, k) - 1 // largest key ≤ k
+	if i >= 0 && intShape.Key(data, i) == k {
 		return i
 	}
 	return -1
@@ -640,17 +434,17 @@ func keyIndex(data []byte, k uint32) int {
 // if no key stabs it.
 func primaryKeyIndex(data []byte, s, e uint32) int {
 	// Smallest key ≥ s; it stabs iff it is ≤ e.
-	m := intCount(data)
+	m := intShape.Count(data)
 	lo, hi := 0, m
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if intKey(data, mid) < s {
+		if intShape.Key(data, mid) < s {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < m && intKey(data, lo) <= e {
+	if lo < m && intShape.Key(data, lo) <= e {
 		return lo
 	}
 	return -1
@@ -660,25 +454,9 @@ func primaryKeyIndex(data []byte, s, e uint32) int {
 // with m existing keys and room for one more. The new key's (ps, pe) is nil
 // and its PSL pointer invalid; the caller populates them afterwards.
 func insertIntEntry(data []byte, ci, m int, key uint32, child pagefile.PageID) {
-	start := intHeader + ci*intEntrySize
-	end := intHeader + m*intEntrySize
-	copy(data[start+intEntrySize:end+intEntrySize], data[start:end])
-	entry := data[start : start+intEntrySize]
-	putU32(entry[0:], key)
-	putU32(entry[4:], uint32(child))
-	putU32(entry[8:], 0)
-	putU32(entry[12:], 0)
-	putU32(entry[16:], uint32(pagefile.InvalidPage))
-	setIntCount(data, m+1)
-}
-
-// removeIntEntry deletes key li and the child to its right from an internal
-// page with m keys. The caller must have emptied PSL(key li) first.
-func removeIntEntry(data []byte, li, m int) {
-	start := intHeader + li*intEntrySize
-	end := intHeader + m*intEntrySize
-	copy(data[start:], data[start+intEntrySize:end])
-	setIntCount(data, m-1)
+	intShape.InsertEntry(data, ci, m, key, child)
+	setKeyPSPE(data, ci, 0, 0)
+	setKeyPSLPage(data, ci, pagefile.InvalidPage)
 }
 
 // --- stab page helpers ----------------------------------------------------
@@ -704,39 +482,39 @@ func initStabPage(data []byte) {
 		data[i] = 0
 	}
 	data[0] = stabType
-	putU32(data[offStabNext:], uint32(pagefile.InvalidPage))
-	putU32(data[offStabPrev:], uint32(pagefile.InvalidPage))
+	le.PutUint32(data[offStabNext:], uint32(pagefile.InvalidPage))
+	le.PutUint32(data[offStabPrev:], uint32(pagefile.InvalidPage))
 }
 
-func stabCount(data []byte) int    { return int(getU16(data[offStabCount:])) }
-func setStabCount(d []byte, n int) { putU16(d[offStabCount:], uint16(n)) }
+func stabCount(data []byte) int    { return int(le.Uint16(data[offStabCount:])) }
+func setStabCount(d []byte, n int) { le.PutUint16(d[offStabCount:], uint16(n)) }
 
-func stabNext(d []byte) pagefile.PageID        { return pagefile.PageID(getU32(d[offStabNext:])) }
-func stabPrev(d []byte) pagefile.PageID        { return pagefile.PageID(getU32(d[offStabPrev:])) }
-func setStabNext(d []byte, id pagefile.PageID) { putU32(d[offStabNext:], uint32(id)) }
-func setStabPrev(d []byte, id pagefile.PageID) { putU32(d[offStabPrev:], uint32(id)) }
+func stabNext(d []byte) pagefile.PageID        { return pagefile.PageID(le.Uint32(d[offStabNext:])) }
+func stabPrev(d []byte) pagefile.PageID        { return pagefile.PageID(le.Uint32(d[offStabPrev:])) }
+func setStabNext(d []byte, id pagefile.PageID) { le.PutUint32(d[offStabNext:], uint32(id)) }
+func setStabPrev(d []byte, id pagefile.PageID) { le.PutUint32(d[offStabPrev:], uint32(id)) }
 
 func stabEntryAt(data []byte, i int) stabEntry {
 	off := stabHeader + i*stabEntrySize
 	b := data[off : off+stabEntrySize]
 	return stabEntry{
-		key:   getU32(b[0:]),
-		start: getU32(b[4:]),
-		end:   getU32(b[8:]),
-		ref:   getU32(b[12:]),
-		level: getU16(b[16:]),
+		key:   le.Uint32(b[0:]),
+		start: le.Uint32(b[4:]),
+		end:   le.Uint32(b[8:]),
+		ref:   le.Uint32(b[12:]),
+		level: le.Uint16(b[16:]),
 	}
 }
 
 func putStabEntry(data []byte, i int, se stabEntry) {
 	off := stabHeader + i*stabEntrySize
 	b := data[off : off+stabEntrySize]
-	putU32(b[0:], se.key)
-	putU32(b[4:], se.start)
-	putU32(b[8:], se.end)
-	putU32(b[12:], se.ref)
-	putU16(b[16:], se.level)
-	putU16(b[18:], 0)
+	le.PutUint32(b[0:], se.key)
+	le.PutUint32(b[4:], se.start)
+	le.PutUint32(b[8:], se.end)
+	le.PutUint32(b[12:], se.ref)
+	le.PutUint16(b[16:], se.level)
+	le.PutUint16(b[18:], 0)
 }
 
 // insertStabEntry writes se at position pos in a stab page with n entries
@@ -763,24 +541,4 @@ func stabLess(aKey, aStart, bKey, bStart uint32) bool {
 		return aKey < bKey
 	}
 	return aStart < bStart
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putU16(b []byte, v uint16) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-}
-
-func getU16(b []byte) uint16 {
-	return uint16(b[0]) | uint16(b[1])<<8
 }

@@ -9,6 +9,7 @@
 package elemlist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -17,6 +18,8 @@ import (
 	"xrtree/internal/pagefile"
 	"xrtree/internal/xmldoc"
 )
+
+var le = binary.LittleEndian
 
 // Page layout:
 //
@@ -82,13 +85,13 @@ func Build(pool *bufferpool.Pool, es []xmldoc.Element) (*List, error) {
 		if n > perPage {
 			n = perPage
 		}
-		putU16(data[offCount:], uint16(n))
-		putU32(data[offNext:], uint32(pagefile.InvalidPage))
+		le.PutUint16(data[offCount:], uint16(n))
+		le.PutUint32(data[offNext:], uint32(pagefile.InvalidPage))
 		for i := 0; i < n; i++ {
 			es[off+i].Encode(data[headerSize+i*xmldoc.EncodedSize:], 0)
 		}
 		if prevData != nil {
-			putU32(prevData[offNext:], uint32(id))
+			le.PutUint32(prevData[offNext:], uint32(id))
 			if err := pool.Unpin(prevID, true); err != nil {
 				pool.Unpin(id, false) // abandon the page fetched this iteration
 				return nil, err
@@ -202,7 +205,7 @@ func (l *List) ensurePageIDs() error {
 		if err != nil {
 			return err
 		}
-		next := pagefile.PageID(getU32(data[offNext:]))
+		next := pagefile.PageID(le.Uint32(data[offNext:]))
 		if err := l.pool.Unpin(p, false); err != nil {
 			return err
 		}
@@ -232,7 +235,7 @@ func (it *Iterator) loadPage() bool {
 		return false
 	}
 	it.data = data
-	it.count = int(getU16(data[offCount:]))
+	it.count = int(le.Uint16(data[offCount:]))
 	it.idx = -1
 	if it.hasPending {
 		it.idx = it.pendingIdx
@@ -272,12 +275,12 @@ func (it *Iterator) hintReadahead() {
 		}
 		return
 	}
-	pool.Prefetch(it.c, pagefile.PageID(getU32(it.data[offNext:])))
+	pool.Prefetch(it.c, pagefile.PageID(le.Uint32(it.data[offNext:])))
 }
 
 // advancePage releases the current page and steps to the chained next one.
 func (it *Iterator) advancePage() bool {
-	next := pagefile.PageID(getU32(it.data[offNext:]))
+	next := pagefile.PageID(le.Uint32(it.data[offNext:]))
 	if err := it.list.pool.Unpin(it.pageID, false); err != nil {
 		it.err = err
 		return false
@@ -407,24 +410,4 @@ func (it *Iterator) Close() error {
 		return err
 	}
 	return nil
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putU16(b []byte, v uint16) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-}
-
-func getU16(b []byte) uint16 {
-	return uint16(b[0]) | uint16(b[1])<<8
 }

@@ -155,11 +155,11 @@ func (s XRTreeSource) Len() int { return s.T.Len() }
 
 // --- shared helpers -------------------------------------------------------
 
-// finger is an index iterator that repositions itself (core.Iterator,
-// btree.Iterator, and pathexpr's in-memory iterator, which holds
-// everything): SeekGE searches the leaf copy it holds and descends from
-// the root only when the key lies beyond it; Holds reports whether it
-// would.
+// finger is an index iterator that repositions itself (blink.Iterator,
+// the read layer's leaf-chain cursor that core and btree iterators are,
+// and pathexpr's in-memory iterator, which holds everything): SeekGE
+// searches the leaf copy it holds and descends from the root only when
+// the key lies beyond it; Holds reports whether it would.
 type finger interface {
 	SeekGE(key uint32) error
 	Holds(key uint32) bool
@@ -173,8 +173,9 @@ type ancestorFinger interface {
 }
 
 // stepper is an iterator that consumes its current element and returns the
-// next one in a single call (core, btree and elemlist iterators): Next
-// followed by Peek, with one decode instead of two.
+// next one in a single call (blink.Iterator under core and btree, and
+// elemlist's iterator): Next followed by Peek, with one decode instead of
+// two.
 type stepper interface {
 	Step() (xmldoc.Element, bool)
 }

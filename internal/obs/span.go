@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -124,8 +125,8 @@ func (s *IDSource) TraceID() TraceID {
 	var t TraceID
 	s.mu.Lock()
 	for t.IsZero() {
-		putU64(t[0:8], s.rng.Uint64())
-		putU64(t[8:16], s.rng.Uint64())
+		binary.LittleEndian.PutUint64(t[0:8], s.rng.Uint64())
+		binary.LittleEndian.PutUint64(t[8:16], s.rng.Uint64())
 	}
 	s.mu.Unlock()
 	return t
@@ -136,16 +137,10 @@ func (s *IDSource) SpanID() SpanID {
 	var id SpanID
 	s.mu.Lock()
 	for id.IsZero() {
-		putU64(id[:], s.rng.Uint64())
+		binary.LittleEndian.PutUint64(id[:], s.rng.Uint64())
 	}
 	s.mu.Unlock()
 	return id
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 // Sampler makes head-based trace-sampling decisions at the given rate in

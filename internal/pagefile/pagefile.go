@@ -10,16 +10,20 @@
 package pagefile
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"xrtree/internal/metrics"
 	"xrtree/internal/obs"
 )
+
+var le = binary.LittleEndian
 
 // PageID identifies a page within a File. Page 0 is the file header and is
 // never handed out; InvalidPage (0) therefore doubles as a nil pointer in
@@ -99,10 +103,12 @@ func (m *memBackend) WriteAt(p []byte, off int64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	end := off + int64(len(p))
-	if end > int64(len(m.buf)) {
-		grown := make([]byte, end)
-		copy(grown, m.buf)
-		m.buf = grown
+	if n := int64(len(m.buf)); end > n {
+		// Grow with amortised capacity, so building a store page by page
+		// reallocates O(log n) times. The bytes past len may be a truncated
+		// tail: zero them, as a file extension reads zeros.
+		m.buf = slices.Grow(m.buf, int(end-n))[:end]
+		clear(m.buf[n:end])
 	}
 	copy(m.buf[off:end], p)
 	return len(p), nil
@@ -266,11 +272,11 @@ func (f *File) writeHeader() error {
 		f.hdr = make([]byte, f.pageSize)
 	}
 	buf := f.hdr
-	putU32(buf[0:], headerMagic)
-	putU32(buf[4:], headerVersion)
-	putU32(buf[8:], uint32(f.pageSize))
-	putU32(buf[12:], f.pageCount)
-	putU32(buf[16:], uint32(f.freeHead))
+	le.PutUint32(buf[0:], headerMagic)
+	le.PutUint32(buf[4:], headerVersion)
+	le.PutUint32(buf[8:], uint32(f.pageSize))
+	le.PutUint32(buf[12:], f.pageCount)
+	le.PutUint32(buf[16:], uint32(f.freeHead))
 	if _, err := f.b.WriteAt(buf, 0); err != nil {
 		return fmt.Errorf("pagefile: write header: %w", err)
 	}
@@ -283,22 +289,22 @@ func (f *File) readHeader() error {
 	if _, err := io.ReadFull(readerAt{f.b, 0}, buf); err != nil {
 		return fmt.Errorf("pagefile: read header: %w", err)
 	}
-	if getU32(buf[0:]) != headerMagic {
+	if le.Uint32(buf[0:]) != headerMagic {
 		return ErrBadHeader
 	}
-	if v := getU32(buf[4:]); v != headerVersion {
+	if v := le.Uint32(buf[4:]); v != headerVersion {
 		if v > 0 && v < headerVersion {
 			return fmt.Errorf("%w: file version %d, this build reads %d", ErrVersion, v, headerVersion)
 		}
 		return ErrBadHeader
 	}
-	ps := int(getU32(buf[8:]))
+	ps := int(le.Uint32(buf[8:]))
 	if ps < MinPageSize || ps&(ps-1) != 0 {
 		return ErrBadHeader
 	}
 	f.pageSize = ps
-	f.pageCount = getU32(buf[12:])
-	f.freeHead = PageID(getU32(buf[16:]))
+	f.pageCount = le.Uint32(buf[12:])
+	f.freeHead = PageID(le.Uint32(buf[16:]))
 	if f.pageCount == 0 {
 		return ErrBadHeader
 	}
@@ -400,7 +406,7 @@ func (f *File) Allocate() (PageID, error) {
 			return InvalidPage, fmt.Errorf("pagefile: read free list: %w", err)
 		}
 		f.countRead()
-		f.freeHead = PageID(getU32(buf))
+		f.freeHead = PageID(le.Uint32(buf))
 		return id, f.writeHeader()
 	}
 	id := PageID(f.pageCount)
@@ -429,7 +435,7 @@ func (f *File) Free(id PageID) error {
 		return fmt.Errorf("%w: free %d of %d", ErrPageOutOfRange, id, f.pageCount)
 	}
 	buf := f.u32[:]
-	putU32(buf, uint32(f.freeHead))
+	le.PutUint32(buf, uint32(f.freeHead))
 	if _, err := f.b.WriteAt(buf, int64(id)*int64(f.pageSize)); err != nil {
 		return fmt.Errorf("pagefile: write free list: %w", err)
 	}
@@ -641,15 +647,4 @@ func (f *File) Close() error {
 		return err
 	}
 	return f.b.Close()
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

@@ -209,7 +209,7 @@ func TestOpenRefusesOldVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		putU32(raw[4:], version)
+		le.PutUint32(raw[4:], version)
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}

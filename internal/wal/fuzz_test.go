@@ -61,14 +61,14 @@ func (f *memFile) Close() error         { return nil }
 func fuzzSeedSegment() []byte {
 	img := make([]byte, 4+fuzzPS)
 	data := encodeSegmentHeader(fuzzPS, 0)
-	putU32(img, 3)
+	le.PutUint32(img, 3)
 	data = append(data, appendRecord(nil, recPage, 1, img)...)
 	data = append(data, appendRecord(nil, recCommit, 1, nil)...)
 	data = append(data, appendRecord(nil, recCheckpoint, 0, nil)...)
-	putU32(img, 5)
+	le.PutUint32(img, 5)
 	data = append(data, appendRecord(nil, recPage, 2, img)...)
 	data = append(data, appendRecord(nil, recCommit, 2, nil)...)
-	putU32(img, 7)
+	le.PutUint32(img, 7)
 	data = append(data, appendRecord(nil, recPage, 3, img)...)
 	return data
 }
@@ -90,7 +90,7 @@ func FuzzWALReplay(f *testing.F) {
 	flip[segHeader+recHeader+2] ^= 0x40
 	f.Add(flip)
 	huge := append([]byte(nil), seed...) // absurd stated record length
-	putU32(huge[segHeader:], 0xfffffff0)
+	le.PutUint32(huge[segHeader:], 0xfffffff0)
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,12 +1,15 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 
 	"xrtree/internal/pagefile"
 )
+
+var le = binary.LittleEndian
 
 // On-disk format.
 //
@@ -64,12 +67,12 @@ type PageImage struct {
 // appendRecord serializes one record onto buf.
 func appendRecord(buf []byte, typ byte, txid uint64, payload []byte) []byte {
 	var hdr [recHeader]byte
-	putU32(hdr[0:], uint32(len(payload)))
+	le.PutUint32(hdr[0:], uint32(len(payload)))
 	hdr[4] = typ
-	putU64(hdr[5:], txid)
+	le.PutUint64(hdr[5:], txid)
 	crc := crc32.ChecksumIEEE(hdr[4:13])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	putU32(hdr[13:], crc)
+	le.PutUint32(hdr[13:], crc)
 	buf = append(buf, hdr[:]...)
 	return append(buf, payload...)
 }
@@ -88,20 +91,20 @@ func parseRecord(b []byte) (record, bool) {
 	if len(b) < recHeader {
 		return record{}, false
 	}
-	n := int(getU32(b[0:]))
+	n := int(le.Uint32(b[0:]))
 	if n < 0 || len(b) < recHeader+n {
 		return record{}, false
 	}
 	crc := crc32.ChecksumIEEE(b[4:13])
 	crc = crc32.Update(crc, crc32.IEEETable, b[recHeader:recHeader+n])
-	if crc != getU32(b[13:]) {
+	if crc != le.Uint32(b[13:]) {
 		return record{}, false
 	}
 	typ := b[4]
 	if typ < recPage || typ > recClean {
 		return record{}, false
 	}
-	return record{typ: typ, txid: getU64(b[5:]), payload: b[recHeader : recHeader+n], size: recHeader + n}, true
+	return record{typ: typ, txid: le.Uint64(b[5:]), payload: b[recHeader : recHeader+n], size: recHeader + n}, true
 }
 
 // segmentName renders the file name of the segment with the given base LSN.
@@ -132,42 +135,22 @@ func parseSegmentName(name string) (uint64, bool) {
 // encodeSegmentHeader renders a segment header.
 func encodeSegmentHeader(pageSize int, base uint64) []byte {
 	hdr := make([]byte, segHeader)
-	putU32(hdr[0:], segMagic)
-	putU32(hdr[4:], segVersion)
-	putU32(hdr[8:], uint32(pageSize))
-	putU64(hdr[16:], base)
+	le.PutUint32(hdr[0:], segMagic)
+	le.PutUint32(hdr[4:], segVersion)
+	le.PutUint32(hdr[8:], uint32(pageSize))
+	le.PutUint64(hdr[16:], base)
 	return hdr
 }
 
 // parseSegmentHeader validates a segment header and returns its page size
 // and base LSN.
 func parseSegmentHeader(hdr []byte) (pageSize int, base uint64, err error) {
-	if len(hdr) < segHeader || getU32(hdr[0:]) != segMagic || getU32(hdr[4:]) != segVersion {
+	if len(hdr) < segHeader || le.Uint32(hdr[0:]) != segMagic || le.Uint32(hdr[4:]) != segVersion {
 		return 0, 0, ErrBadSegment
 	}
-	ps := int(getU32(hdr[8:]))
+	ps := int(le.Uint32(hdr[8:]))
 	if ps < pagefile.MinPageSize || ps&(ps-1) != 0 {
 		return 0, 0, ErrBadSegment
 	}
-	return ps, getU64(hdr[16:]), nil
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putU64(b []byte, v uint64) {
-	putU32(b, uint32(v))
-	putU32(b[4:], uint32(v>>32))
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(getU32(b)) | uint64(getU32(b[4:]))<<32
+	return ps, le.Uint64(hdr[16:]), nil
 }

@@ -108,7 +108,7 @@ scan:
 					rep.TornTail = true
 					break scan
 				}
-				id := pagefile.PageID(getU32(rec.payload))
+				id := pagefile.PageID(le.Uint32(rec.payload))
 				if id == pagefile.InvalidPage {
 					rep.TornTail = true
 					break scan

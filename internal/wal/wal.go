@@ -320,7 +320,7 @@ func (l *Log) Commit(images []PageImage) (uint64, error) {
 			l.mu.Unlock()
 			return 0, fmt.Errorf("wal: page image is %d bytes, want %d", len(im.Data), l.pageSize)
 		}
-		putU32(payload, uint32(im.ID))
+		le.PutUint32(payload, uint32(im.ID))
 		copy(payload[4:], im.Data)
 		buf = appendRecord(buf, recPage, txid, payload)
 	}

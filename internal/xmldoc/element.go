@@ -15,9 +15,12 @@
 package xmldoc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
+
+var le = binary.LittleEndian
 
 // Position is a location in the document's region numbering space.
 type Position = uint32
@@ -48,21 +51,21 @@ const (
 // DocID travels out of band, as in the paper's (DocId, start, end, level)
 // lists that are grouped by document.
 func (e Element) Encode(b []byte, flags uint16) {
-	putU32(b[0:], e.Start)
-	putU32(b[4:], e.End)
-	putU16(b[8:], e.Level)
-	putU16(b[10:], flags)
-	putU32(b[12:], e.Ref)
+	le.PutUint32(b[0:], e.Start)
+	le.PutUint32(b[4:], e.End)
+	le.PutUint16(b[8:], e.Level)
+	le.PutUint16(b[10:], flags)
+	le.PutUint32(b[12:], e.Ref)
 }
 
 // DecodeElement reads an element entry written by Encode.
 func DecodeElement(b []byte) (Element, uint16) {
 	return Element{
-		Start: getU32(b[0:]),
-		End:   getU32(b[4:]),
-		Level: getU16(b[8:]),
-		Ref:   getU32(b[12:]),
-	}, getU16(b[10:])
+		Start: le.Uint32(b[0:]),
+		End:   le.Uint32(b[4:]),
+		Level: le.Uint16(b[8:]),
+		Ref:   le.Uint32(b[12:]),
+	}, le.Uint16(b[10:])
 }
 
 // IsAncestorOf reports whether e is a (strict) ancestor of d under region
@@ -135,24 +138,4 @@ func ValidateStrictNesting(es []Element) error {
 		stack = append(stack, e)
 	}
 	return nil
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putU16(b []byte, v uint16) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-}
-
-func getU16(b []byte) uint16 {
-	return uint16(b[0]) | uint16(b[1])<<8
 }
