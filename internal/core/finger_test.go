@@ -328,3 +328,43 @@ func TestStepMatchesNextPeek(t *testing.T) {
 		}
 	}
 }
+
+// TestLeafSearchFrom checks the galloping search against the plain binary
+// search on every leaf of a churned tree, from every cursor position, for
+// keys below, inside, equal to and above the entries.
+func TestLeafSearchFrom(t *testing.T) {
+	it, err := fingerTrees(t)[1].tr.Scan(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	leaves := 0
+	for {
+		if _, ok := it.Peek(); !ok {
+			break
+		}
+		if data, idx := it.Leaf(); idx == 0 {
+			leaves++
+			n := blink.LeafCount(data)
+			keys := []uint32{0, 1 << 31}
+			for i := 0; i < n; i++ {
+				k := blink.LeafKey(data, i)
+				keys = append(keys, k-1, k, k+1)
+			}
+			for hint := 0; hint <= n; hint++ {
+				for _, k := range keys {
+					if got, want := blink.LeafSearchFrom(data, hint, k), blink.LeafSearch(data, k); got != want {
+						t.Fatalf("leaf %d of %d entries: LeafSearchFrom(hint %d, key %d) = %d, LeafSearch = %d", leaves, n, hint, k, got, want)
+					}
+				}
+			}
+		}
+		it.Next()
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if leaves < 2 {
+		t.Fatalf("checked %d leaves: the churned tree must span several", leaves)
+	}
+}
