@@ -16,6 +16,14 @@
 // (Fetch, FetchTraced, FetchCopy, FetchCopyTraced, FetchNew,
 // TryFetchCopy) at an in-Tx position is flagged.
 //
+// The backbone half of every btree and core mutation runs in
+// internal/blink's write layer, another package, which this per-package
+// analysis does not follow into. That layer makes no pool call on its
+// write side: it reaches pages only through the owner's held-page helpers
+// (blink.Pages — the owner's fetch, fetchNew, unpin, discard and free), so
+// every pool call a mutation makes, and the beginTx that opens it, stay in
+// the owner's package where they are checked.
+//
 // Matching is by type and method name (a named type Pool with the fetch
 // methods), so analysistest packages can model the pool locally. The
 // region tracking is lexical within a function: in the repo's idiom the

@@ -1,8 +1,8 @@
-// Package blink is the B-link read layer shared by the two paged trees:
+// Package blink is the B-link tree layer shared by the two paged trees:
 // the B+-tree of the Anc_Des_B+ baseline (internal/btree) and the XR-tree
 // (internal/core), which is that same B+-tree backbone with stab lists
-// hung off its internal nodes (§3). It holds everything a reader of either
-// tree needs and nothing a writer does:
+// hung off its internal nodes (§3). It holds the backbone once, read and
+// write side:
 //
 //   - the leaf page format, byte-identical in both trees, and its
 //     accessors and in-leaf searches;
@@ -10,21 +10,40 @@
 //     descent step over it;
 //   - Tree, the root snapshot plus the copy-on-read descent, Lookup and
 //     PrefetchGE;
-//   - Iterator, the copy-on-hop leaf-chain cursor with finger seeks.
+//   - Iterator, the copy-on-hop leaf-chain cursor with finger seeks;
+//   - the write layer: the insert and delete descents with leaf and node
+//     splits, borrows, rotations and merges, root growth and shrink, the
+//     bulk-load level builder, and the backbone invariant walk.
 //
-// Each tree package embeds Tree and keeps its own write path and its
-// transaction-routed page helpers.
+// Each tree package embeds Tree and keeps its meta page, its writer latch
+// and transaction, and the held-page helpers the write layer reaches pages
+// through (Pages). The XR-tree's stab-list upkeep runs as Hooks at the
+// steps Algorithms 1 and 2 name; the B+-tree has none.
 //
 // # Concurrency
 //
-// This is the reader side of the Lehman–Yao B-link protocol. Every page
-// carries a high key (the lowest key of its right sibling; 0 = +∞) and a
-// right link; a page covers keys strictly below its high key. A reader
-// holds one shared page latch at a time, only while copying (or, for the
-// XR-tree's ancestor probe, reading) a page, and recovers from a
-// concurrent split by moving right whenever its key is at or beyond the
-// page's high key — at every level, including the leaves, where a stale
-// parent may have sent it to a freshly split left half.
+// This is the Lehman–Yao B-link protocol. Every page carries a high key
+// (the lowest key of its right sibling; 0 = +∞) and a right link; a page
+// covers keys strictly below its high key. A reader holds one shared page
+// latch at a time, only while copying (or, for the XR-tree's ancestor
+// probe, reading) a page, and recovers from a concurrent split by moving
+// right whenever its key is at or beyond the page's high key — at every
+// level, including the leaves, where a stale parent may have sent it to a
+// freshly split left half.
+//
+// Writers are serialized by their owner and latch a page exclusively for
+// each mutation of it, so a reader sees every page before or after a
+// write, never torn. A split populates the new right page while it is
+// unreachable, then one latched write shrinks the left page and installs
+// its right link and high key, then the old right neighbour's back link is
+// fixed in a write of its own (scans follow next links only), and the
+// parent learns of the split last. A rebalance latches the parent, then
+// the left and the right sibling (LockRight: top-down, left to right) and
+// does all its work — separator and stab hooks included — inside that
+// bracket; a merge's back-link fix latches the next leaf rightward inside
+// it too, and the merged right page is discarded only after its latch
+// drops, so a reader that resolved its id finds a recycled page by its
+// type byte and reports corruption instead of wrong data.
 package blink
 
 import (

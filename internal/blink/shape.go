@@ -13,6 +13,10 @@ import (
 //
 //	btree: Header 16, EntrySize 8,  OffNext 8,  OffHigh 12
 //	core:  Header 24, EntrySize 20, OffNext 16, OffHigh 20
+//
+// The write layer moves entries as raw EntrySize bytes, so it carries the
+// owner's own fields along without knowing them. A fresh page or entry
+// starts those fields at zero, which is InvalidPage for a page link.
 type Shape struct {
 	Type      byte // page type byte
 	Header    int  // header size; entry 0 starts here
@@ -27,7 +31,6 @@ const (
 )
 
 // Init formats data as an empty internal page with no right sibling.
-// Header fields beyond the shared ones are zeroed for the caller to set.
 func (s *Shape) Init(data []byte) {
 	clear(data[:s.Header])
 	data[0] = s.Type
@@ -82,15 +85,22 @@ func (s *Shape) Search(d []byte, key uint32) int {
 	return lo
 }
 
+// fresh writes entry bytes b as a new (key, child) pair, the owner's
+// fields past them zeroed.
+func fresh(b []byte, key uint32, child pagefile.PageID) {
+	le.PutUint32(b, key)
+	le.PutUint32(b[4:], uint32(child))
+	clear(b[8:])
+}
+
 // InsertEntry shifts entries ci.. of a page with m keys one slot right and
-// writes (key, child) as entry ci; the caller guarantees room for one more.
-// The rest of the entry keeps the bytes of the entry shifted out of it.
+// writes (key, child) as fresh entry ci; the caller guarantees room for
+// one more.
 func (s *Shape) InsertEntry(d []byte, ci, m int, key uint32, child pagefile.PageID) {
 	start := s.Header + ci*s.EntrySize
 	end := s.Header + m*s.EntrySize
 	copy(d[start+s.EntrySize:end+s.EntrySize], d[start:end])
-	s.SetKey(d, ci, key)
-	s.SetChild(d, ci+1, child)
+	fresh(s.Entry(d, ci), key, child)
 	s.SetCount(d, m+1)
 }
 

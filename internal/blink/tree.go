@@ -13,19 +13,28 @@ import (
 	"xrtree/internal/xmldoc"
 )
 
-// Tree is the read side of one B-link tree. A tree package embeds it, sets
-// it up with Init, and so inherits the reader entry points (Lookup,
-// SeekGE, Scan, PrefetchGE) along with the root snapshot its writers
-// publish through SetRoot.
+// Tree is one B-link tree's backbone. A tree package embeds it, sets it
+// up with Init, and so inherits the reader entry points (Lookup, SeekGE,
+// Scan, PrefetchGE) and the write layer its own Insert, Delete, BulkLoad
+// and CheckInvariants wrap (InsertLocked, DeleteLocked, BulkLoadLocked,
+// CheckLocked).
 type Tree struct {
 	pool  *bufferpool.Pool
-	pl    *platch.Table // per-page latches, shared with the owner's writers
+	pl    *platch.Table // per-page latches, shared with the owner
 	shape *Shape
 	docID uint32
 
-	// notFound and corrupt are the owning package's sentinel errors, which
-	// the read layer wraps so errors.Is matches them.
-	notFound, corrupt error
+	// notFound, duplicate and corrupt are the owning package's sentinel
+	// errors, which the layer wraps so errors.Is matches them.
+	notFound, duplicate, corrupt error
+
+	// The write layer's view of the owner: its held-page helpers, its stab
+	// hooks (nil for the B+-tree), whether separators use the §3.2 key
+	// choice, and the page capacities.
+	pages           Pages
+	hooks           Hooks
+	keyChoice       bool
+	leafCap, intCap int
 
 	// rootH packs the root page id (high 32 bits) and the tree height
 	// (low 32 bits; 1 = root is a leaf) into one word so latch-free
@@ -34,12 +43,35 @@ type Tree struct {
 	rootH atomic.Uint64
 }
 
-// Init sets the read layer up over pool and the owner's page latches, for
-// internal pages of the given shape and elements of document docID.
-func (t *Tree) Init(pool *bufferpool.Pool, pl *platch.Table, shape *Shape, docID uint32, notFound, corrupt error) {
-	t.pool, t.pl, t.shape, t.docID = pool, pl, shape, docID
-	t.notFound, t.corrupt = notFound, corrupt
+// Config is what an owning tree package declares to Init.
+type Config struct {
+	Shape *Shape // the internal-page layout
+	DocID uint32 // the indexed document
+
+	// The owner's sentinel errors.
+	NotFound, Duplicate, Corrupt error
+
+	Pages     Pages // the owner's held-page helpers
+	Hooks     Hooks // stab-list upkeep; nil for a plain B+-tree
+	KeyChoice bool  // separators prefer firstRight−1 (§3.2)
 }
+
+// Init sets the layer up over pool and the owner's page latches. It panics
+// when a page cannot hold two leaf entries and three separators.
+func (t *Tree) Init(pool *bufferpool.Pool, pl *platch.Table, cfg Config) {
+	t.pool, t.pl, t.shape, t.docID = pool, pl, cfg.Shape, cfg.DocID
+	t.notFound, t.duplicate, t.corrupt = cfg.NotFound, cfg.Duplicate, cfg.Corrupt
+	t.pages, t.hooks, t.keyChoice = cfg.Pages, cfg.Hooks, cfg.KeyChoice
+	ps := pool.File().PageSize()
+	t.leafCap = (ps - LeafHeader) / xmldoc.EncodedSize
+	t.intCap = (ps - t.shape.Header) / t.shape.EntrySize
+	if t.leafCap < 2 || t.intCap < 3 {
+		panic(fmt.Sprintf("blink: page size %d too small", ps))
+	}
+}
+
+// Caps returns the most entries a leaf and keys an internal page hold.
+func (t *Tree) Caps() (leaf, node int) { return t.leafCap, t.intCap }
 
 // Root returns a consistent (root page, height) snapshot.
 func (t *Tree) Root() (pagefile.PageID, int) {

@@ -7,24 +7,19 @@
 //
 // The tree is dynamic (insert and delete with split, redistribution and
 // merge) and all page access goes through the buffer pool so experiments
-// observe page misses. The read side — Lookup, SeekGE, Scan and the
-// leaf-chain Iterator with its finger seeks — is the B-link read layer of
-// internal/blink, which this package embeds; it keeps the write path.
+// observe page misses. Both sides are the B-link layer of internal/blink,
+// which this package embeds without stab hooks: the read side (Lookup,
+// SeekGE, Scan and the leaf-chain Iterator with its finger seeks) and the
+// write side behind Insert, Delete and BulkLoad. This package keeps the
+// meta page, the writer latch and the transaction-routed page helpers.
 //
 // # Concurrency
 //
-// The tree uses the B-link protocol (Lehman–Yao): every index page
-// carries a high key (the lowest key of its right sibling; 0 = +∞) and a
-// right-sibling link in its header. Readers never take a tree-wide latch
-// (see internal/blink). Writers serialize against each other on wlatch
-// (the WAL transaction state is per-tree) but block readers only page by
-// page: every byte mutation of a reader-reachable page happens inside
-// that page's exclusive latch, and a split populates the new right
-// sibling before the one latched write that shrinks the left page and
-// installs its right-link — so readers observe either the pre-split page
-// or a well-formed left half whose high key sends them right, never a
-// torn page. Query paths attribute costs to caller-supplied counters,
-// never to the shared tree sink.
+// The tree uses the B-link protocol (Lehman–Yao; see internal/blink).
+// Readers never take a tree-wide latch. Writers serialize against each
+// other on wlatch (the WAL transaction state is per-tree) but block
+// readers only page by page. Query paths attribute costs to
+// caller-supplied counters, never to the shared tree sink.
 package btree
 
 import (
@@ -91,9 +86,6 @@ type Tree struct {
 
 	count atomic.Int64
 
-	leafCap int // max elements per leaf
-	intCap  int // max keys per internal node
-
 	// wlatch serializes writers (Insert, Delete, BulkLoad) against each
 	// other; the per-mutation WAL transaction state below is per-tree.
 	// Readers never take it — they synchronize with writers through the
@@ -103,7 +95,7 @@ type Tree struct {
 	// pl holds the per-page latches of the B-link protocol: readers
 	// latch one page shared while copying it; writers latch a page
 	// exclusively for each byte mutation of a reader-reachable page.
-	// The embedded read layer shares it.
+	// The embedded layer takes them.
 	pl *platch.Table
 
 	// tx is the WAL transaction of the mutation in flight, nil outside one.
@@ -120,7 +112,8 @@ type Tree struct {
 
 // The fetch/unpin wrappers route page accesses through the in-flight WAL
 // transaction when one exists; otherwise they are the plain pool calls.
-// Only writers use them; readers copy pages through the pool directly.
+// Only writers — the embedded write layer — and the wlatch-holding checker
+// use them; readers copy pages through the pool directly.
 
 func (t *Tree) fetch(id pagefile.PageID) ([]byte, error) {
 	data, err := t.pool.FetchHeld(t.tx, id)
@@ -163,17 +156,15 @@ func (t *Tree) beginTx() func(*error) {
 	}
 }
 
-// newTree returns a tree handle over pool with its read layer set up for
+// newTree returns a tree handle over pool with its B-link layer set up for
 // document docID; the caller publishes the root.
 func newTree(pool *bufferpool.Pool, meta pagefile.PageID, docID uint32) *Tree {
 	t := &Tree{pool: pool, meta: meta, pl: platch.NewTable()}
-	t.Init(pool, t.pl, &intShape, docID, ErrNotFound, ErrCorrupt)
-	ps := pool.File().PageSize()
-	t.leafCap = (ps - blink.LeafHeader) / xmldoc.EncodedSize
-	t.intCap = (ps - intShape.Header) / intShape.EntrySize
-	if t.leafCap < 2 || t.intCap < 3 {
-		panic(fmt.Sprintf("btree: page size %d too small", ps))
-	}
+	t.Init(pool, t.pl, blink.Config{
+		Shape: &intShape, DocID: docID,
+		NotFound: ErrNotFound, Duplicate: ErrDuplicate, Corrupt: ErrCorrupt,
+		Pages: blink.Pages{Fetch: t.fetch, FetchNew: t.fetchNew, Unpin: t.unpin, Discard: t.discard, Free: t.free},
+	})
 	return t
 }
 
@@ -242,20 +233,9 @@ func (t *Tree) Meta() pagefile.PageID { return t.meta }
 // Len returns the number of elements in the tree.
 func (t *Tree) Len() int { return int(t.count.Load()) }
 
-// SetCounters directs cost accounting to c (nil detaches).
+// SetCounters directs the write paths' node and leaf reads to c (nil
+// detaches).
 func (t *Tree) SetCounters(c *metrics.Counters) { t.c = c }
-
-func (t *Tree) countNode() {
-	if t.c != nil {
-		t.c.IndexNodeReads++
-	}
-}
-
-func (t *Tree) countLeaf() {
-	if t.c != nil {
-		t.c.LeafReads++
-	}
-}
 
 // Range returns all elements with start in [lo, hi], a convenience wrapper
 // over SeekGE used in tests and examples.

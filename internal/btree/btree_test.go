@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
+	"xrtree/internal/blink"
 	"xrtree/internal/bufferpool"
 	"xrtree/internal/metrics"
 	"xrtree/internal/pagefile"
@@ -211,7 +213,10 @@ func TestDeleteAllShrinksTree(t *testing.T) {
 	tr, _ := New(pool, 1)
 	n := 300
 	for i := 1; i <= n; i++ {
-		tr.Insert(elem(uint32(i)))
+		if err := tr.Insert(elem(uint32(i))); err != nil {
+			t.Fatal(err)
+		}
+		checkTree(t, tr)
 	}
 	hBefore := tr.Height()
 	if hBefore < 2 {
@@ -222,6 +227,7 @@ func TestDeleteAllShrinksTree(t *testing.T) {
 		if err := tr.Delete(uint32(k + 1)); err != nil {
 			t.Fatalf("Delete(%d): %v", k+1, err)
 		}
+		checkTree(t, tr)
 	}
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d, want 0", tr.Len())
@@ -270,6 +276,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 					t.Fatalf("op %d: Delete(missing %d) err = %v", op, k, err)
 				}
 			}
+			checkTree(t, tr)
 			if op%500 == 0 {
 				verifyMatchesModel(t, tr, model)
 			}
@@ -278,6 +285,14 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		if pool.PinnedCount() != 0 {
 			t.Errorf("leaked pins: %d", pool.PinnedCount())
 		}
+	}
+}
+
+// checkTree fails the test when the tree breaks a structural invariant.
+func checkTree(t *testing.T, tr *Tree) {
+	t.Helper()
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -350,6 +365,18 @@ func TestBulkLoadErrors(t *testing.T) {
 	if err := tr3.BulkLoad(nil, 1.0); err != nil {
 		t.Errorf("BulkLoad(nil): %v", err)
 	}
+	// Every element passes Insert's check, the first one included.
+	foreign := elem(1)
+	foreign.DocID = 2
+	for name, es := range map[string][]xmldoc.Element{
+		"foreign first element": {foreign, elem(3)},
+		"foreign only element":  {foreign},
+	} {
+		tr, _ := New(pool, 1)
+		if err := tr.BulkLoad(es, 1.0); err == nil {
+			t.Errorf("%s: BulkLoad accepted it", name)
+		}
+	}
 }
 
 func TestBulkLoadPartialFill(t *testing.T) {
@@ -362,10 +389,12 @@ func TestBulkLoadPartialFill(t *testing.T) {
 	if err := full.BulkLoad(es, 1.0); err != nil {
 		t.Fatal(err)
 	}
+	checkTree(t, full)
 	half, _ := New(pool, 1)
 	if err := half.BulkLoad(es, 0.5); err != nil {
 		t.Fatal(err)
 	}
+	checkTree(t, half)
 	got := collect(t, half)
 	if len(got) != 1000 {
 		t.Fatalf("half-fill scan found %d", len(got))
@@ -447,6 +476,53 @@ func TestSequentialAndReverseInsert(t *testing.T) {
 			if got[i].Start != uint32(i+1) {
 				t.Fatalf("%s: scan[%d] = %d", name, i, got[i].Start)
 			}
+		}
+	}
+}
+
+// TestCheckInvariantsDetectsCorruption breaks one backbone invariant at a
+// time on a healthy tree and expects the checker to report it.
+func TestCheckInvariantsDetectsCorruption(t *testing.T) {
+	es := make([]xmldoc.Element, 200)
+	for i := range es {
+		es[i] = elem(uint32(2*i + 1))
+	}
+	for name, corrupt := range map[string]func(leaf []byte){
+		"high key":  func(leaf []byte) { blink.SetLeafHigh(leaf, blink.LeafHigh(leaf)+1) },
+		"prev link": func(leaf []byte) { blink.SetLeafPrev(leaf, blink.LeafNext(leaf)) },
+		"unsorted": func(leaf []byte) {
+			e, _ := blink.LeafElem(leaf, 0)
+			blink.RemoveLeafEntry(leaf, 0, blink.LeafCount(leaf))
+			blink.InsertLeafEntry(leaf, 1, blink.LeafCount(leaf), e, 0)
+		},
+		"count": func(leaf []byte) { blink.RemoveLeafEntry(leaf, 0, blink.LeafCount(leaf)) },
+	} {
+		pool := newPool(t, 256, 32)
+		tr, _ := New(pool, 1)
+		if err := tr.BulkLoad(es, 1.0); err != nil {
+			t.Fatal(err)
+		}
+		checkTree(t, tr)
+		// Corrupt the first leaf with neighbours on both sides.
+		for id := pagefile.PageID(1); int(id) < pool.File().NumPages(); id++ {
+			data, err := pool.Fetch(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner := id != tr.Meta() && blink.IsLeaf(data) &&
+				blink.LeafPrev(data) != pagefile.InvalidPage && blink.LeafNext(data) != pagefile.InvalidPage
+			if inner {
+				corrupt(data)
+			}
+			pool.Unpin(id, inner)
+			if inner {
+				break
+			}
+		}
+		if err := tr.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants accepted a corrupted tree", name)
+		} else if !strings.HasPrefix(err.Error(), "btree: ") {
+			t.Errorf("%s: error %q lacks the package prefix", name, err)
 		}
 	}
 }

@@ -387,6 +387,18 @@ func TestBulkLoadErrors(t *testing.T) {
 	if err := tr2.BulkLoad([]xmldoc.Element{{DocID: 1, Start: 5, End: 6}}, 1.0); err == nil {
 		t.Error("BulkLoad into non-empty tree accepted")
 	}
+	// Every element passes Insert's checks, the first one included.
+	for name, es := range map[string][]xmldoc.Element{
+		"foreign first element": {{DocID: 2, Start: 1, End: 2}, {DocID: 1, Start: 3, End: 4}},
+		"foreign only element":  {{DocID: 2, Start: 1, End: 2}},
+		"degenerate region":     {{DocID: 1, Start: 1, End: 2}, {DocID: 1, Start: 3, End: 3}},
+		"inverted region":       {{DocID: 1, Start: 5, End: 4}},
+	} {
+		tr, _ := New(pool, 1, Options{})
+		if err := tr.BulkLoad(es, 1.0); err == nil {
+			t.Errorf("%s: BulkLoad accepted it", name)
+		}
+	}
 }
 
 func TestDuplicateAndErrors(t *testing.T) {

@@ -43,7 +43,7 @@ func staleTree(t *testing.T) *Tree {
 		blink.SetLeafHigh(pages[i], high)
 	}
 	node := func(i int, child, next pagefile.PageID, high uint32) {
-		initInternal(pages[i])
+		intShape.Init(pages[i])
 		intShape.SetChild(pages[i], 0, child)
 		intShape.SetNext(pages[i], next)
 		intShape.SetHigh(pages[i], high)
