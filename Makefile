@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench-test race bench bench-json bench-smoke microbench microbench-smoke serve-smoke cluster-smoke examples experiments verify clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
+.PHONY: all build test bench-test race bench bench-json bench-smoke microbench microbench-smoke serve-smoke cluster-smoke examples examples-check experiments verify clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
 
 all: build test
 
@@ -127,7 +127,7 @@ lint:
 	fi
 
 # Everything the CI pipeline runs, in the same order, runnable locally.
-ci: build fmt-check lint vet test bench-test race test-debug microbench-smoke bench-smoke serve-smoke cluster-smoke crash-smoke
+ci: build fmt-check lint vet test bench-test race test-debug microbench-smoke bench-smoke serve-smoke cluster-smoke crash-smoke examples-check
 	@echo "ci: all checks passed"
 
 examples:
@@ -136,6 +136,11 @@ examples:
 	$(GO) run ./examples/conference
 	$(GO) run ./examples/maintenance
 	$(GO) run ./examples/persistence
+
+# The examples drive the public facade and print only counts, so their
+# output repeats byte for byte; diff it against the recorded run.
+examples-check:
+	@out="$$($(MAKE) -s examples)" && printf '%s\n' "$$out" | diff -u testdata/examples.golden -
 
 # Regenerate every table and figure of the paper (EXPERIMENTS.md records
 # the reference output).
