@@ -35,7 +35,7 @@ func TestCatalogPersistsAcrossReopen(t *testing.T) {
 		t.Fatalf("SaveSet: %v", err)
 	}
 	var wantPairs []xrtree.Pair
-	wantPairs, err = xrtree.JoinPairs(xrtree.AlgXRStack, xrtree.AncestorDescendant, emps, names, nil)
+	wantPairs, err = joinPairs(xrtree.AlgXRStack, xrtree.AncestorDescendant, emps, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestCatalogPersistsAcrossReopen(t *testing.T) {
 		t.Fatalf("reopened sizes: %d, %d", emps2.Len(), names2.Len())
 	}
 	for _, alg := range []xrtree.Algorithm{xrtree.AlgNoIndex, xrtree.AlgBPlus, xrtree.AlgXRStack} {
-		got, err := xrtree.JoinPairs(alg, xrtree.AncestorDescendant, emps2, names2, nil)
+		got, err := joinPairs(alg, xrtree.AncestorDescendant, emps2, names2)
 		if err != nil {
 			t.Fatalf("%s after reopen: %v", alg, err)
 		}

@@ -210,10 +210,10 @@ func runJoins(store *xrtree.Store, a, d *xrtree.ElementSet, algs []xrtree.Algori
 				printed++
 			}
 		}
+		st := xrtree.Stats{Ctx: opts.ctx}
 		if !opts.stats && !opts.statsJSON {
-			var st xrtree.Stats
 			store.AttachStats(&st)
-			err := xrtree.JoinContext(opts.ctx, algo, mode, a, d, emit, &st)
+			err := xrtree.Join(algo, mode, a, d, emit, &st)
 			store.AttachStats(nil)
 			if err != nil {
 				opts.fatal(algo.String(), err)
@@ -222,7 +222,7 @@ func runJoins(store *xrtree.Store, a, d *xrtree.ElementSet, algs []xrtree.Algori
 				algo, st.OutputPairs, st.ElementsScanned, st.BufferMisses, st.Elapsed)
 			continue
 		}
-		rep, err := xrtree.ObservedJoinContext(opts.ctx, algo, mode, a, d, emit)
+		rep, err := xrtree.ObservedJoin(algo, mode, a, d, emit, &st)
 		if err != nil {
 			opts.fatal(algo.String(), err)
 		}
@@ -243,8 +243,8 @@ func runCollection(store *xrtree.Store, docs []*xrtree.Document, query, alg stri
 	ancTag, descTag, mode, err := parseQuery(query)
 	if err != nil {
 		// Path pipeline across the collection.
-		var st xrtree.Stats
-		els, err := coll.QueryContext(opts.ctx, query, &st)
+		st := xrtree.Stats{Ctx: opts.ctx}
+		els, err := coll.QueryDocs(query, nil, &st)
 		if err != nil {
 			opts.fatal("path query", err)
 		}
@@ -266,16 +266,16 @@ func runCollection(store *xrtree.Store, docs []*xrtree.Document, query, alg stri
 				printed++
 			}
 		}
+		st := xrtree.Stats{Ctx: opts.ctx}
 		if opts.stats || opts.statsJSON {
-			rep, err := coll.ObservedParallelJoinContext(opts.ctx, algo, mode, ancTag, descTag, emit, jopts)
+			rep, err := coll.ObservedParallelJoin(algo, mode, ancTag, descTag, emit, &st, jopts)
 			if err != nil {
 				opts.fatal(algo.String(), err)
 			}
 			printObservation(rep, opts)
 			continue
 		}
-		var st xrtree.Stats
-		if err := coll.ParallelJoinContext(opts.ctx, algo, mode, ancTag, descTag, emit, &st, jopts); err != nil {
+		if err := coll.ParallelJoin(algo, mode, ancTag, descTag, emit, &st, jopts); err != nil {
 			opts.fatal(algo.String(), err)
 		}
 		fmt.Printf("%-9s pairs=%d scanned=%d misses=%d elapsed=%v (%d docs, %d workers)\n",
@@ -348,8 +348,8 @@ func printElements(els []xrtree.Element, opts runOpts) {
 // pipeline and prints the matching elements.
 func runPath(store *xrtree.Store, doc *xrtree.Document, query string, opts runOpts) {
 	idx := store.IndexDocument(doc)
-	var st xrtree.Stats
-	els, err := idx.QueryContext(opts.ctx, query, &st)
+	st := xrtree.Stats{Ctx: opts.ctx}
+	els, err := idx.Query(query, &st)
 	if err != nil {
 		opts.fatal("path query", err)
 	}

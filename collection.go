@@ -9,7 +9,6 @@ package xrtree
 // single-document machinery.
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -51,30 +50,10 @@ func (c *Collection) Documents() []*IndexedDocument {
 
 // Join runs the structural join ancTag × descTag across every document of
 // the collection with the given algorithm, enforcing the DocId condition
-// by joining per document. Costs accumulate into st.
+// by joining per document: it is ParallelJoin with one worker. Costs
+// accumulate into st, whose Ctx, when set, cancels the run.
 func (c *Collection) Join(alg Algorithm, mode Mode, ancTag, descTag string, emit EmitFunc, st *Stats) error {
-	if emit == nil {
-		emit = func(Element, Element) {}
-	}
-	for _, idx := range c.docs {
-		as := idx.doc.ElementsByTag(ancTag)
-		ds := idx.doc.ElementsByTag(descTag)
-		if len(as) == 0 || len(ds) == 0 {
-			continue
-		}
-		a, err := c.setFor(idx, ancTag, as)
-		if err != nil {
-			return err
-		}
-		d, err := c.setFor(idx, descTag, ds)
-		if err != nil {
-			return err
-		}
-		if err := Join(alg, mode, a, d, emit, st); err != nil {
-			return fmt.Errorf("xrtree: DocID %d: %w", idx.doc.DocID, err)
-		}
-	}
-	return nil
+	return c.ParallelJoin(alg, mode, ancTag, descTag, emit, st, ParallelJoinOptions{Workers: 1})
 }
 
 // ParallelJoinOptions configures Collection.ParallelJoin.
@@ -94,13 +73,27 @@ type ParallelJoinOptions struct {
 // runs whole per-document joins, and results reach emit in document order
 // — the exact pair stream of the sequential Join. Costs from every worker
 // are merged into st after the pool drains, so st needs no atomicity; a
-// Tracer carried by st must be safe for concurrent use (Collector is).
-// Index building happens up front in the calling goroutine and is not
-// parallelized.
+// Tracer carried by st must be safe for concurrent use (Collector is). A
+// canceled or timed-out st.Ctx stops dispatching new per-document
+// partitions, stops each in-flight one at its next poll point, and returns
+// the context's error. Index building happens up front in the calling
+// goroutine and is not parallelized.
 func (c *Collection) ParallelJoin(alg Algorithm, mode Mode, ancTag, descTag string, emit EmitFunc, st *Stats, opts ParallelJoinOptions) error {
+	_, err := c.parallelJoin(alg, mode, ancTag, descTag, emit, st, opts)
+	return err
+}
+
+// parallelJoin is the one per-document enumeration behind every collection
+// join: one task per document opts.Keep accepts that holds both tags, its
+// full index sets built (or reused) up front, run by the parallel driver.
+// It returns the tasks' total input size, which skip effectiveness is
+// measured against.
+func (c *Collection) parallelJoin(alg Algorithm, mode Mode, ancTag, descTag string, emit EmitFunc, st *Stats, opts ParallelJoinOptions) (int64, error) {
 	var tasks []join.Task
+	var inputs int64
 	for _, idx := range c.docs {
-		if opts.Keep != nil && !opts.Keep(idx.doc.DocID) {
+		docID := idx.doc.DocID
+		if opts.Keep != nil && !opts.Keep(docID) {
 			continue
 		}
 		as := idx.doc.ElementsByTag(ancTag)
@@ -108,15 +101,15 @@ func (c *Collection) ParallelJoin(alg Algorithm, mode Mode, ancTag, descTag stri
 		if len(as) == 0 || len(ds) == 0 {
 			continue
 		}
-		a, err := c.setFor(idx, ancTag, as)
+		a, err := idx.fullSet(ancTag, as)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		d, err := c.setFor(idx, descTag, ds)
+		d, err := idx.fullSet(descTag, ds)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		docID := idx.doc.DocID
+		inputs += int64(len(as) + len(ds))
 		tasks = append(tasks, join.Task{
 			DocID: docID,
 			Run: func(emit EmitFunc, jc *metrics.Counters) error {
@@ -127,23 +120,7 @@ func (c *Collection) ParallelJoin(alg Algorithm, mode Mode, ancTag, descTag stri
 			},
 		})
 	}
-	return join.Parallel(tasks, join.Options{Workers: opts.Workers}, emit, st)
-}
-
-// ParallelJoinContext is ParallelJoin with cancellation: a canceled or
-// timed-out context stops dispatching new per-document partitions, stops
-// each in-flight partition at its next poll point, and returns ctx's error.
-func (c *Collection) ParallelJoinContext(ctx context.Context, alg Algorithm, mode Mode, ancTag, descTag string, emit EmitFunc, st *Stats, opts ParallelJoinOptions) error {
-	return withCtx(ctx, st, func(st *Stats) error {
-		return c.ParallelJoin(alg, mode, ancTag, descTag, emit, st, opts)
-	})
-}
-
-// setFor builds (or reuses) the full three-path index for a tag within one
-// document, serialized by the document's mutex so concurrent requests
-// against one collection never race on lazy index construction.
-func (c *Collection) setFor(idx *IndexedDocument, tag string, els []Element) (*ElementSet, error) {
-	return idx.fullSet(tag, els)
+	return inputs, join.Parallel(tasks, join.Options{Workers: opts.Workers}, emit, st)
 }
 
 // DocIDs returns the collection's document ids in ascending order.
@@ -156,14 +133,11 @@ func (c *Collection) DocIDs() []uint32 {
 	return ids
 }
 
-// Query evaluates a path expression over every document and returns the
-// union of the results, sorted by (DocID, start).
-func (c *Collection) Query(expr string, st *Stats) ([]Element, error) {
-	return c.QueryDocs(expr, nil, st)
-}
-
-// QueryDocs is Query restricted to the documents keep accepts (nil keeps
-// all) — the query-side counterpart of ParallelJoinOptions.Keep.
+// QueryDocs evaluates a path expression over every document keep accepts
+// (nil keeps all) — the query-side counterpart of ParallelJoinOptions.Keep
+// — and returns the union of the results, sorted by (DocID, start). Costs
+// accumulate into st; a canceled or timed-out st.Ctx stops the run between
+// per-document evaluations and at the pipeline's poll points within one.
 func (c *Collection) QueryDocs(expr string, keep func(docID uint32) bool, st *Stats) ([]Element, error) {
 	var out []Element
 	for _, idx := range c.docs {
@@ -183,21 +157,4 @@ func (c *Collection) QueryDocs(expr string, keep func(docID uint32) bool, st *St
 		return out[i].Start < out[j].Start
 	})
 	return out, nil
-}
-
-// QueryContext is Query with cancellation, stopping between per-document
-// evaluations and at the pipeline's poll points within one.
-func (c *Collection) QueryContext(ctx context.Context, expr string, st *Stats) ([]Element, error) {
-	return c.QueryContextDocs(ctx, expr, nil, st)
-}
-
-// QueryContextDocs is QueryDocs with cancellation.
-func (c *Collection) QueryContextDocs(ctx context.Context, expr string, keep func(docID uint32) bool, st *Stats) ([]Element, error) {
-	var out []Element
-	err := withCtx(ctx, st, func(st *Stats) error {
-		var err error
-		out, err = c.QueryDocs(expr, keep, st)
-		return err
-	})
-	return out, err
 }

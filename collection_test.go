@@ -69,7 +69,7 @@ func TestCollectionDuplicateDocID(t *testing.T) {
 
 func TestCollectionQueryUnionsDocuments(t *testing.T) {
 	coll, _ := newCollection(t)
-	els, err := coll.Query("emp//name", nil)
+	els, err := coll.QueryDocs("emp//name", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,35 +191,23 @@ func runPoint(cfg ExperimentConfig, pct float64, sets workload.Sets) (SweepPoint
 		if err := store.DropCache(); err != nil {
 			return point, err
 		}
-		var st Stats
-		var col *Collector
+		r := AlgResult{Alg: alg}
 		if cfg.Observe {
-			col = NewCollector()
-			st.Tracer = col
+			rep, err := ObservedJoin(alg, cfg.Mode, a, d, nil, nil)
+			if err != nil {
+				return point, fmt.Errorf("%s: %w", alg, err)
+			}
+			r.Stats, r.Phases, r.Events = rep.Stats, &rep.Phases, &rep.Events
+			r.SkipEffectiveness = rep.SkipEffectiveness
+		} else {
+			store.AttachStats(&r.Stats)
+			err := Join(alg, cfg.Mode, a, d, nil, &r.Stats)
+			store.AttachStats(nil)
+			if err != nil {
+				return point, fmt.Errorf("%s: %w", alg, err)
+			}
 		}
-		store.AttachStats(&st)
-		err := Join(alg, cfg.Mode, a, d, nil, &st)
-		store.AttachStats(nil)
-		if err != nil {
-			return point, fmt.Errorf("%s: %w", alg, err)
-		}
-		r := AlgResult{
-			Alg:     alg,
-			Stats:   st,
-			Derived: cfg.Model.DerivedTime(&st),
-		}
-		if col != nil {
-			// Physical I/O is counted at the file layer; recover the
-			// per-run counts from the traced page events.
-			r.Stats.PhysicalReads = col.Count(EvPageRead)
-			r.Stats.PhysicalWrites = col.Count(EvPageWrite)
-			ph := col.JoinPhases()
-			ev := col.Snapshot()
-			r.Phases = &ph
-			r.Events = &ev
-			r.SkipEffectiveness = SkippingEffectiveness(
-				st.ElementsScanned, int64(a.Len()+d.Len()))
-		}
+		r.Derived = cfg.Model.DerivedTime(&r.Stats)
 		point.Results = append(point.Results, r)
 	}
 	return point, nil

@@ -129,7 +129,6 @@ var methodLevels = map[[2]string]int{
 	// or shutting down the prefetcher while a shard mutex is held (Close
 	// would deadlock outright against a worker blocked on that shard).
 	{"Pool", "TryFetchCopy"}: 4, {"Pool", "Prefetch"}: 4, {"Pool", "Close"}: 4,
-	{"Pool", "EnableHitRateSeries"}: 5, {"Pool", "HitRateSeries"}: 5,
 	// Cluster router-side leaves: the coordinator's per-shard inventory
 	// mutex and the health prober's state mutex. Prober.Start spawns the
 	// probe loop and Close joins it, so both count as acquisitions — Close

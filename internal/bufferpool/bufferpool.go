@@ -242,53 +242,8 @@ type Pool struct {
 	// sink's Tracer, if set, receives PageEvict events.
 	sink atomic.Pointer[metrics.Counters]
 
-	// series, when enabled, records the hit rate of every window of page
-	// accesses — the hit-rate-over-time view of the paper's dominant cost.
-	// seriesOn mirrors series.window != 0 so the disabled fast path is one
-	// atomic load instead of a mutex acquisition.
-	seriesMu sync.Mutex
-	seriesOn atomic.Bool
-	series   hitRateSeries
-
 	// debugPins is the xrtreedebug net-pin ledger (see debug.go).
 	debugPins atomic.Int64
-}
-
-// hitRateSeries accumulates a bounded hit-rate time series. When the point
-// buffer is full, adjacent points are merged pairwise and the window
-// doubles, so memory stays constant over arbitrarily long runs while the
-// whole history keeps uniform resolution.
-type hitRateSeries struct {
-	window   int // accesses per point; 0 = disabled
-	hits     int // hits in the current window
-	accesses int // accesses in the current window
-	points   []float64
-}
-
-// seriesMaxPoints bounds the series buffer before pairwise compaction.
-const seriesMaxPoints = 512
-
-func (s *hitRateSeries) record(hit bool) {
-	if s.window == 0 {
-		return
-	}
-	s.accesses++
-	if hit {
-		s.hits++
-	}
-	if s.accesses < s.window {
-		return
-	}
-	s.points = append(s.points, float64(s.hits)/float64(s.accesses))
-	s.hits, s.accesses = 0, 0
-	if len(s.points) >= seriesMaxPoints {
-		half := s.points[:0]
-		for i := 0; i+1 < len(s.points); i += 2 {
-			half = append(half, (s.points[i]+s.points[i+1])/2)
-		}
-		s.points = half
-		s.window *= 2
-	}
 }
 
 // defaultShards returns the heuristic shard count for a pool of the given
@@ -452,32 +407,8 @@ func (p *Pool) ResetStats() {
 	p.stats.Reset()
 }
 
-// EnableHitRateSeries starts recording the pool hit rate once per window
-// of page accesses (window ≥ 1); 0 disables. When the internal buffer
-// fills, adjacent points merge and the effective window doubles, so the
-// series stays bounded. Enabling resets any prior series.
-func (p *Pool) EnableHitRateSeries(window int) {
-	p.seriesMu.Lock()
-	defer p.seriesMu.Unlock()
-	if window < 0 {
-		window = 0
-	}
-	p.series = hitRateSeries{window: window}
-	p.seriesOn.Store(window != 0)
-}
-
-// HitRateSeries returns the recorded hit-rate points and the number of
-// page accesses each point currently spans (0 when disabled).
-func (p *Pool) HitRateSeries() (window int, points []float64) {
-	p.seriesMu.Lock()
-	defer p.seriesMu.Unlock()
-	out := make([]float64, len(p.series.points))
-	copy(out, p.series.points)
-	return p.series.window, out
-}
-
-// countAccess records one pool lookup in the always-on stats, the attached
-// sink, and (when enabled) the hit-rate series.
+// countAccess records one pool lookup in the always-on stats and the
+// attached sink.
 func (p *Pool) countAccess(hit bool) {
 	if hit {
 		p.stats.BufferHits.Add(1)
@@ -490,11 +421,6 @@ func (p *Pool) countAccess(hit bool) {
 		} else {
 			atomic.AddInt64(&sink.BufferMisses, 1)
 		}
-	}
-	if p.seriesOn.Load() {
-		p.seriesMu.Lock()
-		p.series.record(hit)
-		p.seriesMu.Unlock()
 	}
 }
 

@@ -293,65 +293,3 @@ func TestEvictionCounting(t *testing.T) {
 		t.Errorf("sink evictions %d != pool %d", sink.PageEvictions, st.PageEvictions)
 	}
 }
-
-// TestHitRateSeries checks the bounded hit-rate-over-time series: points
-// appear per window, and when the buffer fills, pairwise compaction halves
-// the point count and doubles the window.
-func TestHitRateSeries(t *testing.T) {
-	f := pagefile.NewMem(pagefile.Options{PageSize: 256})
-	defer f.Close()
-	pool, err := New(f, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _, err := pool.FetchNew()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Unpin(id, true); err != nil {
-		t.Fatal(err)
-	}
-
-	pool.EnableHitRateSeries(2)
-	for i := 0; i < 10; i++ { // all hits after the first admission
-		if _, err := pool.Fetch(id); err != nil {
-			t.Fatal(err)
-		}
-		pool.Unpin(id, false)
-	}
-	window, points := pool.HitRateSeries()
-	if window != 2 || len(points) != 5 {
-		t.Fatalf("window=%d points=%d, want 2 and 5", window, len(points))
-	}
-	for _, p := range points {
-		if p != 1.0 {
-			t.Errorf("expected all-hit windows, got %v", points)
-		}
-	}
-
-	// Force compaction: with window 1, the buffer fills at seriesMaxPoints
-	// accesses and halves; the window doubles.
-	pool.EnableHitRateSeries(1)
-	for i := 0; i < seriesMaxPoints+10; i++ {
-		if _, err := pool.Fetch(id); err != nil {
-			t.Fatal(err)
-		}
-		pool.Unpin(id, false)
-	}
-	window, points = pool.HitRateSeries()
-	if window != 2 {
-		t.Errorf("window after compaction = %d, want 2", window)
-	}
-	if len(points) >= seriesMaxPoints || len(points) == 0 {
-		t.Errorf("points after compaction = %d", len(points))
-	}
-
-	pool.EnableHitRateSeries(0) // disable
-	if _, err := pool.Fetch(id); err != nil {
-		t.Fatal(err)
-	}
-	pool.Unpin(id, false)
-	if _, points = pool.HitRateSeries(); len(points) != 0 {
-		t.Errorf("disabled series still records: %d points", len(points))
-	}
-}

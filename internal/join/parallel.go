@@ -163,7 +163,7 @@ func (e *taskEmitter) finishLocked() {
 // loop) and merging every task's counters into c. The merge happens
 // per-task under a lock and folds into c only after every worker has
 // returned, so c needs no atomicity; c.Elapsed receives the driver's
-// wall-clock time, not the sum of the concurrent per-task spans. A tracer
+// wall-clock time, not the sum of the per-task spans. A tracer
 // carried by c receives events from all workers and must be safe for
 // concurrent use (obs.Collector is).
 func Parallel(tasks []Task, opts Options, emit EmitFunc, c *metrics.Counters) error {
@@ -177,18 +177,37 @@ func Parallel(tasks []Task, opts Options, emit EmitFunc, c *metrics.Counters) er
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
+	start := time.Now()
+	var prior time.Duration
+	if c != nil {
+		prior = c.Elapsed
+	}
+	var err error
 	if workers <= 1 {
 		// Sequential fast path: no buffering, counters accumulate in place.
-		defer startTimer(c)()
 		for _, t := range tasks {
-			if err := t.Run(emit, c); err != nil {
-				return err
+			if err = t.Run(emit, c); err != nil {
+				break
 			}
 		}
-		return nil
+	} else {
+		err = runConcurrent(tasks, workers, emit, c)
 	}
+	if err != nil {
+		return err
+	}
+	if c != nil {
+		// The driver's wall clock replaces the tasks' own spans, which
+		// overlap when concurrent and would count twice when sequential.
+		wall := time.Since(start)
+		c.Elapsed = prior + wall
+		c.Emit(obs.EvJoinSpan, int64(wall))
+	}
+	return nil
+}
 
-	start := time.Now()
+// runConcurrent is Parallel's worker pool for workers ≥ 2.
+func runConcurrent(tasks []Task, workers int, emit EmitFunc, c *metrics.Counters) error {
 	var tracer obs.Tracer
 	var ctx context.Context
 	if c != nil {
@@ -247,9 +266,6 @@ func Parallel(tasks []Task, opts Options, emit EmitFunc, c *metrics.Counters) er
 				e := &taskEmitter{s: s, i: i, chunk: getChunk()}
 				err := tasks[i].Run(e.emit, &local)
 				sp.End()
-				// The concurrent spans overlap; the driver's wall clock is
-				// the meaningful elapsed time.
-				local.Elapsed = 0
 
 				s.mu.Lock()
 				if err != nil {
@@ -275,8 +291,6 @@ func Parallel(tasks []Task, opts Options, emit EmitFunc, c *metrics.Counters) er
 	// buffer pool's sink, if c is attached there), so a plain merge is safe.
 	if c != nil {
 		c.Add(&s.merged)
-		c.Elapsed += time.Since(start)
-		c.Emit(obs.EvJoinSpan, int64(time.Since(start)))
 	}
 	return nil
 }

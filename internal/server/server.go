@@ -550,7 +550,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
 	}
 
 	var col *obs.Collector
-	var st xrtree.Stats
+	st := xrtree.Stats{Ctx: r.Context()}
 	if withStats {
 		col = obs.NewCollector()
 		st.Tracer = col
@@ -583,9 +583,8 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
 	}
 
 	start := time.Now()
-	ctx := r.Context()
 	if b.coll != nil {
-		err = b.coll.ParallelJoinContext(ctx, alg, mode, anc, desc, emit, &st,
+		err = b.coll.ParallelJoin(alg, mode, anc, desc, emit, &st,
 			xrtree.ParallelJoinOptions{Workers: workers, Keep: keep})
 	} else {
 		var a, d *xrtree.ElementSet
@@ -595,7 +594,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
 		if d, err = b.set(desc); err != nil {
 			return err
 		}
-		err = xrtree.JoinContext(ctx, alg, mode, a, d, emit, &st)
+		err = xrtree.Join(alg, mode, a, d, emit, &st)
 	}
 	if err != nil {
 		return err
@@ -677,7 +676,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 
-	var st xrtree.Stats
+	st := xrtree.Stats{Ctx: r.Context()}
 	tr := traceFrom(r.Context())
 	var querySpan *obs.Span
 	if tr != nil {
@@ -686,7 +685,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 		st.Tracer = querySpan
 	}
 	start := time.Now()
-	els, err := b.coll.QueryContextDocs(r.Context(), path, keep, &st)
+	els, err := b.coll.QueryDocs(path, keep, &st)
 	if err != nil {
 		var he *httpError
 		if errors.As(err, &he) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {

@@ -7,11 +7,7 @@ package xrtree
 // call is two nil checks and zero allocations (see
 // BenchmarkJoinTracerOverhead).
 
-import (
-	"context"
-
-	"xrtree/internal/obs"
-)
+import "xrtree/internal/obs"
 
 // Tracer receives structured trace events. Implementations must be safe
 // for concurrent use; Collector is the standard implementation.
@@ -125,28 +121,48 @@ type JoinReport struct {
 	FingerHitShare float64 `json:"finger_hit_share"`
 }
 
-// ObservedJoin runs Join with a fresh Collector attached and returns the
+// ObservedJoin is Join with a fresh Collector attached, returning the
 // complete observation: classic counters, per-phase breakdown, raw event
 // histograms, and skipping effectiveness. Buffer-pool and physical-I/O
-// costs of the sets' store(s) are attributed to the run.
-func ObservedJoin(alg Algorithm, mode Mode, a, d *ElementSet, emit EmitFunc) (*JoinReport, error) {
-	return ObservedJoinContext(context.Background(), alg, mode, a, d, emit)
+// costs of the sets' store(s) are attributed to the run. The counts land
+// in the report; st is read only for its Ctx, which cancels the run as it
+// does Join's (nil means no cancellation).
+func ObservedJoin(alg Algorithm, mode Mode, a, d *ElementSet, emit EmitFunc, st *Stats) (*JoinReport, error) {
+	return observe(alg, st, []*Store{a.store, d.store}, func(run *Stats) (int64, error) {
+		return int64(a.Len() + d.Len()), Join(alg, mode, a, d, emit, run)
+	})
 }
 
-// ObservedJoinContext is ObservedJoin with cancellation: a canceled or
-// timed-out ctx stops the join at its next poll point (see JoinContext)
-// and returns ctx's error.
-func ObservedJoinContext(ctx context.Context, alg Algorithm, mode Mode, a, d *ElementSet, emit EmitFunc) (*JoinReport, error) {
+// ObservedParallelJoin is Collection.ParallelJoin with a fresh Collector
+// attached, returning one merged observation: the workers' counters fold
+// into a single Stats, and their trace events — emitted concurrently into
+// the lock-free Collector — yield one phase breakdown and histogram set
+// spanning the whole run. Stats.Elapsed is the driver's wall-clock time,
+// and skip effectiveness counts the inputs of the documents the join ran
+// over. st supplies the Ctx as it does for ObservedJoin.
+func (c *Collection) ObservedParallelJoin(alg Algorithm, mode Mode, ancTag, descTag string, emit EmitFunc, st *Stats, opts ParallelJoinOptions) (*JoinReport, error) {
+	return observe(alg, st, []*Store{c.store}, func(run *Stats) (int64, error) {
+		return c.parallelJoin(alg, mode, ancTag, descTag, emit, run, opts)
+	})
+}
+
+// observe is the one builder of a JoinReport. It runs fn on a fresh
+// counter set carrying st's Ctx and a fresh Collector, attached to each
+// store for the run, then derives the report from the counters and the
+// collector. fn returns the input size skip effectiveness is measured
+// against.
+func observe(alg Algorithm, st *Stats, stores []*Store, fn func(run *Stats) (int64, error)) (*JoinReport, error) {
 	col := NewCollector()
-	st := Stats{Tracer: col, Ctx: ctx}
-	a.store.AttachStats(&st)
-	if d.store != a.store {
-		d.store.AttachStats(&st)
+	run := Stats{Tracer: col}
+	if st != nil {
+		run.Ctx = st.Ctx
 	}
-	err := Join(alg, mode, a, d, emit, &st)
-	a.store.AttachStats(nil)
-	if d.store != a.store {
-		d.store.AttachStats(nil)
+	for _, s := range stores {
+		s.AttachStats(&run)
+	}
+	inputs, err := fn(&run)
+	for _, s := range stores {
+		s.AttachStats(nil) //xrvet:nocounters detaches the run's counters
 	}
 	if err != nil {
 		return nil, err
@@ -154,51 +170,14 @@ func ObservedJoinContext(ctx context.Context, alg Algorithm, mode Mode, a, d *El
 	// Physical I/O is counted at the file layer, not in the per-run
 	// counter set; the tracer saw every page event, so recover the counts
 	// from it.
-	st.PhysicalReads = col.Count(obs.EvPageRead)
-	st.PhysicalWrites = col.Count(obs.EvPageWrite)
+	run.PhysicalReads = col.Count(obs.EvPageRead)
+	run.PhysicalWrites = col.Count(obs.EvPageWrite)
 	return &JoinReport{
 		Alg:               alg,
-		Stats:             st,
+		Stats:             run,
 		Phases:            col.JoinPhases(),
 		Events:            col.Snapshot(),
-		SkipEffectiveness: SkippingEffectiveness(st.ElementsScanned, int64(a.Len()+d.Len())),
-		FingerHitShare:    st.FingerHitShare(),
-	}, nil
-}
-
-// ObservedParallelJoin runs Collection.ParallelJoin with a fresh Collector
-// attached and returns one merged observation: the workers' counters fold
-// into a single Stats, and their trace events — emitted concurrently into
-// the lock-free Collector — yield one phase breakdown and histogram set
-// spanning the whole run. Stats.Elapsed is the driver's wall-clock time.
-func (c *Collection) ObservedParallelJoin(alg Algorithm, mode Mode, ancTag, descTag string, emit EmitFunc, opts ParallelJoinOptions) (*JoinReport, error) {
-	return c.ObservedParallelJoinContext(context.Background(), alg, mode, ancTag, descTag, emit, opts)
-}
-
-// ObservedParallelJoinContext is ObservedParallelJoin with cancellation:
-// a canceled or timed-out ctx stops dispatching partitions and stops each
-// in-flight worker at its next poll point.
-func (c *Collection) ObservedParallelJoinContext(ctx context.Context, alg Algorithm, mode Mode, ancTag, descTag string, emit EmitFunc, opts ParallelJoinOptions) (*JoinReport, error) {
-	col := NewCollector()
-	st := Stats{Tracer: col, Ctx: ctx}
-	c.store.AttachStats(&st)
-	err := c.ParallelJoin(alg, mode, ancTag, descTag, emit, &st, opts)
-	c.store.AttachStats(nil)
-	if err != nil {
-		return nil, err
-	}
-	st.PhysicalReads = col.Count(obs.EvPageRead)
-	st.PhysicalWrites = col.Count(obs.EvPageWrite)
-	var total int64
-	for _, idx := range c.docs {
-		total += int64(len(idx.doc.ElementsByTag(ancTag)) + len(idx.doc.ElementsByTag(descTag)))
-	}
-	return &JoinReport{
-		Alg:               alg,
-		Stats:             st,
-		Phases:            col.JoinPhases(),
-		Events:            col.Snapshot(),
-		SkipEffectiveness: SkippingEffectiveness(st.ElementsScanned, total),
-		FingerHitShare:    st.FingerHitShare(),
+		SkipEffectiveness: SkippingEffectiveness(run.ElementsScanned, inputs),
+		FingerHitShare:    run.FingerHitShare(),
 	}, nil
 }

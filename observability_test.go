@@ -88,7 +88,7 @@ func TestObservedJoinPhases(t *testing.T) {
 	_, a, d := obsWorkload(t)
 	var pairsRef int64
 	for _, alg := range []xrtree.Algorithm{xrtree.AlgNoIndex, xrtree.AlgMPMGJN, xrtree.AlgBPlus, xrtree.AlgBPlusSP, xrtree.AlgXRStack} {
-		rep, err := xrtree.ObservedJoin(alg, xrtree.AncestorDescendant, a, d, nil)
+		rep, err := xrtree.ObservedJoin(alg, xrtree.AncestorDescendant, a, d, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -173,11 +173,11 @@ func TestXRStackSkipsMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noRep, err := xrtree.ObservedJoin(xrtree.AlgNoIndex, xrtree.AncestorDescendant, a, d, nil)
+	noRep, err := xrtree.ObservedJoin(xrtree.AlgNoIndex, xrtree.AncestorDescendant, a, d, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xr, err := xrtree.ObservedJoin(xrtree.AlgXRStack, xrtree.AncestorDescendant, a, d, nil)
+	xr, err := xrtree.ObservedJoin(xrtree.AlgXRStack, xrtree.AncestorDescendant, a, d, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

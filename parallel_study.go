@@ -156,17 +156,10 @@ func RunParallelStudy(cfg ParallelStudyConfig) (*ParallelStudy, error) {
 	// Model input: each document's join measured alone, costed with the
 	// paper-style model.
 	study := &ParallelStudy{CPUs: runtime.NumCPU(), Docs: coll.Len()}
-	for _, idx := range coll.docs {
-		a, err := coll.setFor(idx, "employee", idx.doc.ElementsByTag("employee"))
-		if err != nil {
-			return nil, err
-		}
-		d, err := coll.setFor(idx, "name", idx.doc.ElementsByTag("name"))
-		if err != nil {
-			return nil, err
-		}
+	for _, id := range coll.DocIDs() {
 		var st Stats
-		if err := Join(cfg.Alg, AncestorDescendant, a, d, nil, &st); err != nil {
+		if err := coll.ParallelJoin(cfg.Alg, AncestorDescendant, "employee", "name", nil, &st,
+			ParallelJoinOptions{Workers: 1, Keep: func(doc uint32) bool { return doc == id }}); err != nil {
 			return nil, err
 		}
 		study.TaskModelMS = append(study.TaskModelMS,

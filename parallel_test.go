@@ -1,10 +1,13 @@
 package xrtree_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"xrtree"
 )
@@ -127,7 +130,7 @@ func TestParallelJoinAllAlgorithms(t *testing.T) {
 func TestObservedParallelJoin(t *testing.T) {
 	coll := newParallelCollection(t, 6)
 	rep, err := coll.ObservedParallelJoin(xrtree.AlgXRStack, xrtree.AncestorDescendant, "a", "d",
-		nil, xrtree.ParallelJoinOptions{Workers: 4})
+		nil, nil, xrtree.ParallelJoinOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,5 +148,65 @@ func TestObservedParallelJoin(t *testing.T) {
 	}
 	if rep.SkipEffectiveness < 0 || rep.SkipEffectiveness > 1 {
 		t.Fatalf("SkipEffectiveness = %v out of range", rep.SkipEffectiveness)
+	}
+}
+
+// TestParallelJoinElapsedWithinWall checks that the driver's Elapsed is
+// the join's wall-clock time for one worker as for several: the
+// sequential path once timed each task's join and the loop around them,
+// reporting about twice the wall time.
+func TestParallelJoinElapsedWithinWall(t *testing.T) {
+	coll := newParallelCollection(t, 8)
+	// Build every document's indexes first, so the timed runs are joins.
+	if err := coll.Join(xrtree.AlgXRStack, xrtree.AncestorDescendant, "a", "d", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		var st xrtree.Stats
+		start := time.Now()
+		err := coll.ParallelJoin(xrtree.AlgXRStack, xrtree.AncestorDescendant, "a", "d", nil, &st,
+			xrtree.ParallelJoinOptions{Workers: workers})
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Elapsed <= 0 || st.Elapsed > wall {
+			t.Errorf("workers=%d: Elapsed %v, want in (0, %v]", workers, st.Elapsed, wall)
+		}
+	}
+}
+
+// TestObservedParallelJoinKeepSkip checks that skip effectiveness counts
+// only the inputs of the documents the join ran over: a no-index join
+// scans every input of the one document Keep accepts, so it skipped none.
+func TestObservedParallelJoinKeepSkip(t *testing.T) {
+	coll := newParallelCollection(t, 8)
+	rep, err := coll.ObservedParallelJoin(xrtree.AlgNoIndex, xrtree.AncestorDescendant, "a", "d", nil, nil,
+		xrtree.ParallelJoinOptions{Workers: 2, Keep: func(id uint32) bool { return id == 3 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.ElementsScanned == 0 {
+		t.Fatal("no scans observed")
+	}
+	if rep.SkipEffectiveness != 0 {
+		t.Errorf("SkipEffectiveness = %v after scanning %d elements, want 0",
+			rep.SkipEffectiveness, rep.Stats.ElementsScanned)
+	}
+}
+
+// TestCollectionJoinCanceled checks that Stats.Ctx cancels a collection
+// join on the sequential and the concurrent path alike.
+func TestCollectionJoinCanceled(t *testing.T) {
+	coll := newParallelCollection(t, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		st := xrtree.Stats{Ctx: ctx}
+		err := coll.ParallelJoin(xrtree.AlgXRStack, xrtree.AncestorDescendant, "a", "d", nil, &st,
+			xrtree.ParallelJoinOptions{Workers: workers})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
 	}
 }

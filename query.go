@@ -5,7 +5,6 @@ package xrtree
 // internal/pathexpr).
 
 import (
-	"context"
 	"sync"
 
 	"xrtree/internal/core"
@@ -97,26 +96,15 @@ func (d *IndexedDocument) XRTreeForTag(tag string) (*core.Tree, error) {
 // wildcard, "@attr"/"#text" node tests (when the document was parsed with
 // those nodes materialized), and bracketed existence predicates evaluated
 // as structural semi-joins: "employee[email]//name". Costs accumulate into
-// st.
+// st; a canceled or timed-out st.Ctx stops the pipeline at its next poll
+// point (a step boundary, a page boundary, or an element stride) and
+// returns the context's error.
 func (d *IndexedDocument) Query(expr string, st *Stats) ([]Element, error) {
 	p, err := pathexpr.Parse(expr)
 	if err != nil {
 		return nil, err
 	}
 	return pathexpr.Evaluate(p, d, st)
-}
-
-// QueryContext is Query with cancellation: a canceled or timed-out context
-// stops the pipeline at its next poll point (a step boundary, a page
-// boundary, or an element stride) and returns ctx's error.
-func (d *IndexedDocument) QueryContext(ctx context.Context, expr string, st *Stats) ([]Element, error) {
-	var out []Element
-	err := withCtx(ctx, st, func(st *Stats) error {
-		var err error
-		out, err = d.Query(expr, st)
-		return err
-	})
-	return out, err
 }
 
 // QueryNodes is Query with results resolved back to document nodes (tag,

@@ -19,7 +19,6 @@
 package xrtree
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -477,7 +476,11 @@ type Pair = join.Pair
 
 // Join runs the structural join between ancestor set a and descendant set d
 // with the chosen algorithm, streaming result pairs to emit and accounting
-// costs into st (both may be nil).
+// costs into st (both may be nil). When st.Ctx is canceled or its deadline
+// passes, the join stops at its next poll point — a page boundary of an
+// index or list scan, or a fixed element stride — releasing every page pin
+// on the way out, and returns the context's error (context.Canceled or
+// context.DeadlineExceeded).
 func Join(alg Algorithm, mode Mode, a, d *ElementSet, emit EmitFunc, st *Stats) error {
 	if emit == nil {
 		emit = func(Element, Element) {}
@@ -515,35 +518,4 @@ func Join(alg Algorithm, mode Mode, a, d *ElementSet, emit EmitFunc, st *Stats) 
 	default:
 		return fmt.Errorf("xrtree: unknown algorithm %d", alg)
 	}
-}
-
-// withCtx attaches ctx to st for the duration of fn, restoring the prior
-// context afterward; a nil st gets a local scratch counter set. The context
-// rides inside the counters (like the Tracer) so cancellation reaches every
-// layer without changing the internal call signatures.
-func withCtx(ctx context.Context, st *Stats, fn func(st *Stats) error) error {
-	var local Stats
-	if st == nil {
-		st = &local
-	}
-	prev := st.Ctx
-	st.Ctx = ctx
-	defer func() { st.Ctx = prev }()
-	return fn(st)
-}
-
-// JoinContext is Join with cancellation: when ctx is canceled or its
-// deadline passes, the join stops at its next poll point — a page boundary
-// of an index or list scan, or a fixed element stride — releasing every
-// page pin on the way out, and returns ctx's error (context.Canceled or
-// context.DeadlineExceeded).
-func JoinContext(ctx context.Context, alg Algorithm, mode Mode, a, d *ElementSet, emit EmitFunc, st *Stats) error {
-	return withCtx(ctx, st, func(st *Stats) error { return Join(alg, mode, a, d, emit, st) })
-}
-
-// JoinPairs is Join materialized into a slice, for small inputs and tests.
-func JoinPairs(alg Algorithm, mode Mode, a, d *ElementSet, st *Stats) ([]Pair, error) {
-	var out []Pair
-	err := Join(alg, mode, a, d, join.Collect(&out), st)
-	return out, err
 }

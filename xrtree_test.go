@@ -45,7 +45,7 @@ func TestEndToEndQuickFlow(t *testing.T) {
 	// emp//name: every name is under at least one emp; the doubly nested
 	// name matches three emps.
 	for _, alg := range []xrtree.Algorithm{xrtree.AlgNoIndex, xrtree.AlgMPMGJN, xrtree.AlgBPlus, xrtree.AlgXRStack} {
-		pairs, err := xrtree.JoinPairs(alg, xrtree.AncestorDescendant, emps, names, nil)
+		pairs, err := joinPairs(alg, xrtree.AncestorDescendant, emps, names)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -54,7 +54,7 @@ func TestEndToEndQuickFlow(t *testing.T) {
 		}
 	}
 	// emp/name: direct children only.
-	pairs, err := xrtree.JoinPairs(xrtree.AlgXRStack, xrtree.ParentChild, emps, names, nil)
+	pairs, err := joinPairs(xrtree.AlgXRStack, xrtree.ParentChild, emps, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestDiskBackedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := xrtree.JoinPairs(xrtree.AlgXRStack, xrtree.AncestorDescendant, a, d, nil)
+	pairs, err := joinPairs(xrtree.AlgXRStack, xrtree.AncestorDescendant, a, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,4 +396,11 @@ func TestWriteCSV(t *testing.T) {
 			t.Errorf("row has wrong arity: %q", line)
 		}
 	}
+}
+
+// joinPairs is Join materialized into a slice, for small inputs.
+func joinPairs(alg xrtree.Algorithm, mode xrtree.Mode, a, d *xrtree.ElementSet) ([]xrtree.Pair, error) {
+	var out []xrtree.Pair
+	err := xrtree.Join(alg, mode, a, d, func(av, dv xrtree.Element) { out = append(out, xrtree.Pair{A: av, D: dv}) }, nil)
+	return out, err
 }
