@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench-test race bench bench-json bench-smoke microbench microbench-smoke serve-smoke cluster-smoke examples examples-check experiments verify clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
+.PHONY: all build test bench-test race bench microbench microbench-smoke serve-smoke cluster-smoke examples examples-check experiments clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
 
 all: build test
 
@@ -25,28 +25,6 @@ race:
 # One testing.B benchmark per paper table/figure; see bench_test.go.
 bench:
 	$(GO) test -bench=. -benchmem -run XXX .
-
-# Machine-readable benchmark report (schema xrtree-bench/1): all three
-# selectivity sweeps with phase breakdowns, event histograms, and skipping
-# effectiveness. BENCH_baseline.json in the repo is one committed run.
-bench-json:
-	$(GO) run ./cmd/xrbench -json BENCH_xrbench.json
-
-# Bench-regression gate: a reduced-scale report diffed against the
-# committed baseline by shape (schema, sweeps, phase breakdowns, parallel,
-# serving, storage, and mixed rows) — never by timing, so it is safe on
-# loaded CI machines, with one exception: the mixed read/write section
-# gates on B-link reader throughput beating the coarse-latch emulation,
-# a relative comparison within one run that holds on any hardware. Runs
-# once under each buffer-replacement policy so both the LRU default and
-# the 2Q+readahead configuration stay green, plus one human-readable
-# mixed run covering the 1-writer and 4-writer points.
-bench-smoke:
-	$(GO) run ./cmd/xrbench -exp mixed -writers 4 -readers 4
-	$(GO) run ./cmd/xrbench -json /tmp/xrtree_bench_smoke.json -scale 0.2
-	$(GO) run ./cmd/xrcheckbench -baseline BENCH_baseline.json /tmp/xrtree_bench_smoke.json
-	$(GO) run ./cmd/xrbench -json /tmp/xrtree_bench_smoke_2q.json -scale 0.2 -pool-policy 2q -prefetch
-	$(GO) run ./cmd/xrcheckbench -baseline BENCH_baseline.json /tmp/xrtree_bench_smoke_2q.json
 
 # Storage-stack microbenchmarks (allocation counts are the regression
 # signal, hence -benchmem; -count=5 for a spread benchstat can consume):
@@ -127,7 +105,7 @@ lint:
 	fi
 
 # Everything the CI pipeline runs, in the same order, runnable locally.
-ci: build fmt-check lint vet test bench-test race test-debug microbench-smoke bench-smoke serve-smoke cluster-smoke crash-smoke examples-check
+ci: build fmt-check lint vet test bench-test race test-debug microbench-smoke serve-smoke cluster-smoke crash-smoke examples-check
 	@echo "ci: all checks passed"
 
 examples:

@@ -11,21 +11,12 @@
 //	ops      — §5 basic-operation cost study (Theorems 3–4)
 //	ablation — §3.2 separator key-choice ablation
 //	pc       — §5.3 extension: the ancestor sweep under parent-child joins
-//	parallel — workers-speedup sweep of the parallel join driver
-//	storage  — storage-stack study: LRU vs 2Q+readahead on the mixed
-//	           probe/scan/join workload
-//	mixed    — concurrent read/write latching study: coarse-latch
-//	           emulation vs B-link per-page latching, -writers writers
-//	           against -readers readers
 //	all      — everything above
 //
 // Usage:
 //
 //	xrbench -exp table2 -scale 1.0 -seed 1
 //	xrbench -exp table2 -csv out/   # also write plotting-friendly CSVs
-//	xrbench -json BENCH_xrbench.json  # machine-readable report of all
-//	                                  # three selectivity sweeps, with
-//	                                  # phase breakdowns and histograms
 package main
 
 import (
@@ -47,38 +38,11 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 		scale   = flag.Float64("scale", 1.0, "corpus size multiplier")
 		buffers = flag.Int("buffers", 100, "buffer pool pages")
-		workers = flag.Int("workers", 4, "maximum worker count for the parallel experiment")
-		writers = flag.Int("writers", 4, "maximum concurrent writer count for the mixed experiment (sweeps 1 and this)")
-		readers = flag.Int("readers", 4, "concurrent reader count for the mixed experiment")
 		csvDir  = flag.String("csv", "", "also write each sweep as CSV files into this directory")
-		jsonOut = flag.String("json", "", "write the machine-readable benchmark report (schema xrtree-bench/1) to this file and exit")
-		policy  = flag.String("pool-policy", "lru", "buffer replacement policy for every measured store: lru or 2q")
-		prefet  = flag.Bool("prefetch", false, "enable asynchronous readahead in every measured store")
 	)
 	flag.Parse()
 
-	pol, err := xrtree.ParsePoolPolicy(*policy)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := xrtree.ExperimentConfig{
-		Seed: *seed, Scale: *scale, BufferPages: *buffers,
-		PoolPolicy: pol, Prefetch: *prefet,
-	}
-
-	if *jsonOut != "" {
-		// Open the output before the (long) sweep run so a bad path fails
-		// immediately.
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep := must(xrtree.BuildBenchReport(cfg))
-		check(rep.WriteJSON(f))
-		check(f.Close())
-		log.Printf("wrote %s", *jsonOut)
-		return
-	}
+	cfg := xrtree.ExperimentConfig{Seed: *seed, Scale: *scale, BufferPages: *buffers}
 	run := func(id string) {
 		switch id {
 		case "table2":
@@ -125,40 +89,6 @@ func main() {
 				fmt.Printf("\n§5.3 extension — parent-child joins, ancestor sweep (%s)\n", r.Corpus)
 				check(xrtree.FormatScannedTable(os.Stdout, r, "Join-A"))
 			}
-		case "parallel":
-			ws := []int{1}
-			for w := 2; w < *workers; w *= 2 {
-				ws = append(ws, w)
-			}
-			if *workers > 1 {
-				ws = append(ws, *workers)
-			}
-			s := must(xrtree.RunParallelStudy(xrtree.ParallelStudyConfig{
-				Seed:        *seed,
-				Departments: int(25 * *scale),
-				Workers:     ws,
-			}))
-			fmt.Println("\nParallel driver — workers speedup, multi-document employee//name join")
-			check(xrtree.FormatParallelStudy(os.Stdout, s))
-		case "storage":
-			s := must(xrtree.RunStorageStudy(xrtree.StorageStudyConfig{
-				Seed: *seed, BufferPages: *buffers,
-			}))
-			fmt.Println("\nStorage stack — LRU baseline vs 2Q+readahead, mixed probe/scan/join workload")
-			check(xrtree.FormatStorageStudy(os.Stdout, s))
-		case "mixed":
-			ws := []int{1}
-			if *writers > 1 {
-				ws = append(ws, *writers)
-			}
-			s := must(xrtree.RunMixedStudy(xrtree.MixedStudyConfig{
-				Seed:     *seed,
-				Elements: int(20000 * *scale),
-				Writers:  ws,
-				Readers:  *readers,
-			}))
-			fmt.Println("\nMixed read/write — coarse-latch emulation vs B-link per-page latching")
-			check(xrtree.FormatMixedStudy(os.Stdout, s))
 		case "stablist":
 			rows := must(xrtree.RunStabListStudy(xrtree.StabStudyConfig{
 				Seed: *seed, Elements: int(20000 * *scale),
@@ -191,7 +121,7 @@ func main() {
 	}
 
 	if *exp == "all" {
-		for _, id := range []string{"table2", "fig8ab", "table3", "fig8cd", "fig8ef", "stablist", "updates", "ops", "ablation", "pc", "parallel", "storage", "mixed"} {
+		for _, id := range []string{"table2", "fig8ab", "table3", "fig8cd", "fig8ef", "stablist", "updates", "ops", "ablation", "pc"} {
 			fmt.Printf("\n==== %s ====\n", strings.ToUpper(id))
 			run(id)
 		}

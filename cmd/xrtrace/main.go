@@ -13,9 +13,16 @@
 //	xrtrace -url http://localhost:8080 -slow           # pinned outliers only
 //	xrtrace -url http://localhost:8080 -trace 4bf92f…  # one trace by id
 //	curl -s localhost:8080/debug/traces | xrtrace -    # from a saved scrape
+//	curl -s localhost:8080/metrics | xrtrace -promlint -
 //
 // Trace ids come from the join/query responses (trace_id), from response
 // traceparent headers, or from xrblast's slowest-decile report.
+//
+// With -promlint the input is a Prometheus text-exposition document (a
+// /metrics scrape) instead, checked the way promtool's linter would check
+// it (internal/obs.PromLint): declared types, legal names, cumulative
+// histogram buckets, no duplicate samples. The exit status is 0 when the
+// exposition is clean and 1 with a list of problems otherwise.
 package main
 
 import (
@@ -40,8 +47,12 @@ func main() {
 		slow    = flag.Bool("slow", false, "only traces pinned by the slow-trace threshold")
 		traceID = flag.String("trace", "", "only the trace whose id starts with this hex prefix")
 		timeout = flag.Duration("timeout", 10*time.Second, "fetch timeout with -url")
+		lint    = flag.Bool("promlint", false, "lint a Prometheus text-exposition file (- for stdin) instead of rendering traces")
 	)
 	flag.Parse()
+	if *lint {
+		os.Exit(promLint(flag.Args()))
+	}
 
 	var r io.Reader
 	switch {
@@ -124,4 +135,32 @@ func decode(r io.Reader) ([]*obs.TraceRecord, *obs.RecorderStats, error) {
 		return nil, nil, fmt.Errorf("input is neither a /debug/traces document nor a trace array: %w", err)
 	}
 	return bare, nil, nil
+}
+
+// promLint runs the shared exposition linter (internal/obs.PromLint, the
+// same checks the serving tests apply to /metrics) over a file or stdin.
+func promLint(args []string) int {
+	var r io.Reader = os.Stdin
+	name := "stdin"
+	switch {
+	case len(args) > 1:
+		log.Fatal("usage: xrtrace -promlint [file | -]")
+	case len(args) == 1 && args[0] != "-":
+		f, err := os.Open(args[0])
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer f.Close()
+		r, name = f, args[0]
+	}
+	problems := obs.PromLint(r)
+	for _, p := range problems {
+		log.Printf("PROMLINT: %s: %s", name, p)
+	}
+	if len(problems) > 0 {
+		log.Printf("%d exposition problems in %s", len(problems), name)
+		return 1
+	}
+	fmt.Printf("ok: %s is a clean Prometheus text exposition\n", name)
+	return 0
 }

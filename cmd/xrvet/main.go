@@ -8,8 +8,8 @@
 // The checks (see DESIGN.md "Static analysis & invariants"):
 //
 //	pinleak        every buffer-pool pin is released on every path
-//	latchorder     locks follow tree latch → ckpt gate → pool shard →
-//	               pool series → cluster shard state → prober
+//	latchorder     locks follow tree latch → ckpt gate → page latch →
+//	               pool shard → cluster shard state → prober
 //	ctxpoll        page/cursor loops poll Counters.Interrupted
 //	countersthread Counters is threaded by pointer, never copied/dropped
 //	walheld        page mutations inside a Tx use held-frame fetches

@@ -46,12 +46,6 @@ type ExperimentConfig struct {
 	// fills the observability fields of each AlgResult (phase breakdown,
 	// event histograms, skipping effectiveness).
 	Observe bool
-	// PoolPolicy selects the buffer replacement policy of every measured
-	// store ("" / PoolLRU is the paper-faithful default; Pool2Q is the
-	// scan-resistant variant).
-	PoolPolicy PoolPolicy
-	// Prefetch enables the pool's asynchronous readahead workers.
-	Prefetch bool
 }
 
 func (c *ExperimentConfig) defaults() {
@@ -172,8 +166,6 @@ func runPoint(cfg ExperimentConfig, pct float64, sets workload.Sets) (SweepPoint
 	store, err := NewMemStore(StoreOptions{
 		PageSize:    cfg.PageSize,
 		BufferPages: cfg.BufferPages,
-		PoolPolicy:  cfg.PoolPolicy,
-		Prefetch:    cfg.Prefetch,
 	})
 	if err != nil {
 		return point, err

@@ -3,7 +3,7 @@ package cluster
 // Router-side cluster metrics: per-shard sub-request accounting plus the
 // request-level degraded counter, exported on the existing /metrics
 // exposition as the xr_cluster_* families and as the /api/v1/cluster
-// status document xrblast scrapes for the bench JSON cluster section.
+// status document xrblast scrapes for the cluster section of its report.
 
 import (
 	"sync/atomic"
@@ -132,7 +132,7 @@ type ShardStatus struct {
 }
 
 // Status is the body of /api/v1/cluster: the router's live view of the
-// fleet, scraped by xrblast for the bench JSON cluster section.
+// fleet, scraped by xrblast for the cluster section of its report.
 type Status struct {
 	Shards   []ShardStatus `json:"shards"`
 	Docs     int           `json:"docs"`

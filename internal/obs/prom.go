@@ -15,7 +15,7 @@ import (
 //
 // PromLint (promlint.go) validates the output the way promtool's linter
 // would, and is shared by the obs tests, the server tests, and the
-// `xrcheckbench -promlint` CI check.
+// `xrtrace -promlint` step of the smoke scripts.
 
 // PromLabel is one label pair of a sample.
 type PromLabel struct {

@@ -17,7 +17,7 @@ import (
 // to _count, and no sample (name + label set) may repeat. It returns one
 // message per problem; an empty slice means the document is clean.
 //
-// It lives here rather than in cmd/xrcheckbench so the serving tests, the
+// It lives here rather than in cmd/xrtrace so the serving tests, the
 // obs tests, and the CI lint step all run the same checks.
 func PromLint(r io.Reader) []string {
 	var problems []string

@@ -199,7 +199,7 @@ func TestSlowTraceQueryablePinned(t *testing.T) {
 
 // TestMetricsEndpointLints: the exposition covers the serving counters,
 // the event histograms, and the per-backend pool counters, and survives
-// the same linter CI runs via xrcheckbench -promlint.
+// the same linter the smoke scripts run via xrtrace -promlint.
 func TestMetricsEndpointLints(t *testing.T) {
 	s := tracedStoreServer(t, Config{TraceSample: 1})
 	ts := httptest.NewServer(s.Handler())

@@ -10,7 +10,7 @@
 #      pinned pages.
 #   3. A traced request (xrblast -trace) must surface in /debug/traces
 #      with its xrblast-reported trace id, and /metrics must be a clean
-#      Prometheus text exposition (xrcheckbench -promlint).
+#      Prometheus text exposition (xrtrace -promlint).
 #   4. Concurrent ingest (xrblast -ingest against POST /api/v1/insert)
 #      must complete without errors while readers keep flowing: reader
 #      p99 under ingest is bounded relative to a read-only baseline.
@@ -29,7 +29,7 @@ trap cleanup EXIT INT TERM
 
 echo "== build"
 $GO build -o "$TMP" ./cmd/xrgen ./cmd/xrload ./cmd/xrserve ./cmd/xrblast \
-    ./cmd/xrtrace ./cmd/xrcheckbench
+    ./cmd/xrtrace
 
 echo "== corpus + store"
 "$TMP/xrgen" -dtd department -out "$TMP/dept.xml"
@@ -78,7 +78,7 @@ grep -q "trace $TID" "$TMP/trace.txt" || { echo "FAIL: trace $TID missing from x
 echo "== /metrics must be a clean Prometheus text exposition"
 curl -fsS "$BASE/metrics" >"$TMP/metrics.txt"
 grep -q 'xrtree_serve_requests_total' "$TMP/metrics.txt" || { echo "FAIL: serving counters missing from /metrics"; exit 1; }
-"$TMP/xrcheckbench" -promlint "$TMP/metrics.txt"
+"$TMP/xrtrace" -promlint "$TMP/metrics.txt"
 
 echo "== ingest: concurrent inserts must not starve readers"
 # 4 readers + 2 insert workers stay under the 8 execution slots, so the

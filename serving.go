@@ -1,15 +1,10 @@
 package xrtree
 
-// Serving-layer benchmark types: the "serving" section of the bench JSON
-// document (additive to schema xrtree-bench/1, like the parallel study —
-// readers of the original shape ignore it). Rows are produced by
-// cmd/xrblast driving cmd/xrserve; cmd/xrcheckbench verifies the shape
-// against a committed baseline without comparing timings.
-
-// LatencySummary digests a latency distribution in milliseconds. xrblast
-// reports quantiles from the power-of-two histogram of internal/obs —
-// upper bounds, coarse but stable across runs; the serving endpoint
-// /api/v1/stats reports the same digest for the server-side view.
+// LatencySummary digests a latency distribution in milliseconds. The
+// serving endpoints (/api/v1/stats of xrserve, /api/v1/cluster of a
+// router) and the xrblast load generator report quantiles from the
+// power-of-two histogram of internal/obs — upper bounds, coarse but stable
+// across runs.
 type LatencySummary struct {
 	Count  int64   `json:"count"`
 	MeanMS float64 `json:"mean_ms"`
@@ -17,47 +12,4 @@ type LatencySummary struct {
 	P90MS  float64 `json:"p90_ms"`
 	P99MS  float64 `json:"p99_ms"`
 	MaxMS  float64 `json:"max_ms,omitempty"`
-}
-
-// ServingRow is one load-generation run against one serving target.
-type ServingRow struct {
-	// Label names the run ("smoke", "closed-64", ...).
-	Label string `json:"label"`
-	// Target is the request path+query that was driven.
-	Target string `json:"target"`
-	// Clients is the closed-loop worker count, or the outstanding-request
-	// bound in open loop.
-	Clients int `json:"clients"`
-	// RateRPS is the open-loop arrival rate; 0 means closed loop.
-	RateRPS float64 `json:"rate_rps,omitempty"`
-	// DurationSec is the measured wall time of the run.
-	DurationSec float64 `json:"duration_sec"`
-	// Requests counts every attempt; the outcome classes below partition it.
-	Requests int64 `json:"requests"`
-	OK       int64 `json:"ok"`       // 2xx responses
-	Rejected int64 `json:"rejected"` // 429: admission queue full
-	Timeouts int64 `json:"timeouts"` // 503: deadline exceeded
-	Errors   int64 `json:"errors"`   // transport failures and other statuses
-	// ThroughputRPS is OK responses per second of wall time.
-	ThroughputRPS float64 `json:"throughput_rps"`
-	// Latency digests the end-to-end client-observed request latency.
-	Latency LatencySummary `json:"latency"`
-	// SlowTraces lists the server-assigned trace ids of the run's
-	// slowest-decile requests (present when the run propagated trace
-	// context), so a load run ends with handles to feed /debug/traces
-	// and xrtrace rather than just aggregate quantiles.
-	SlowTraces []TraceHandle `json:"slow_traces,omitempty"`
-}
-
-// TraceHandle points at one traced request: the client-observed latency
-// and the trace id the server echoed back in its traceparent header.
-type TraceHandle struct {
-	TraceID   string  `json:"trace_id"`
-	LatencyMS float64 `json:"latency_ms"`
-}
-
-// ServingStudy is the root of the bench JSON "serving" section.
-type ServingStudy struct {
-	BaseURL string       `json:"base_url"`
-	Rows    []ServingRow `json:"rows"`
 }

@@ -57,9 +57,6 @@ const (
 	Pool2Q = bufferpool.Policy2Q
 )
 
-// ParsePoolPolicy validates a policy name ("", "lru", "2q").
-func ParsePoolPolicy(s string) (PoolPolicy, error) { return bufferpool.ParsePolicy(s) }
-
 // CostModel converts counted page misses and scans into a derived time.
 type CostModel = metrics.CostModel
 
