@@ -28,10 +28,11 @@ bench:
 
 # Storage-stack microbenchmarks (allocation counts are the regression
 # signal, hence -benchmem; -count=5 for a spread benchstat can consume):
-# the pool pin/unpin fast path, a full leaf-chain scan, and the XR-stack
-# (ancestor-descendant and parent-child), B+ and no-index joins end to end.
+# the pool pin/unpin fast path, a full leaf-chain scan, the XR-stack
+# (ancestor-descendant and parent-child), B+ and no-index joins end to end,
+# and the parallel driver on dense and output-light partitions.
 microbench:
-	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkLeafChainScan|BenchmarkXRStackJoin|BenchmarkBPlusJoin|BenchmarkStackTreeDescJoin' \
+	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkLeafChainScan|BenchmarkXRStackJoin|BenchmarkBPlusJoin|BenchmarkStackTreeDescJoin|BenchmarkParallel' \
 		-benchmem -count=5 ./internal/bufferpool ./internal/elemlist ./internal/join
 
 # Every microbenchmark body under internal/ run once, so a benchmark that

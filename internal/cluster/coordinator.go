@@ -7,10 +7,10 @@ package cluster
 // stretches of the global DocId-sorted document list owned by the same
 // shard — and each run becomes one join.Task fetching that shard's
 // sub-join over exactly those documents. The tasks then flow through
-// join.Parallel, the same chunked head-streaming ordered merge that backs
-// single-node parallel joins: task order is ascending DocId, so the merged
-// stream is byte-identical to the single-node join over the union of the
-// fleet's documents (the equivalence the router tests assert).
+// join.Parallel, the same ordered merge that backs single-node parallel
+// joins: task order is ascending DocId, so the merged stream is
+// byte-identical to the single-node join over the union of the fleet's
+// documents (the equivalence the router tests assert).
 //
 // Failure handling is per-request: with the partial-result policy on, a
 // failed shard's documents drop out and the response carries the shard in

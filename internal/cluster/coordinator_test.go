@@ -100,6 +100,72 @@ func TestGatherMergesInDocumentOrder(t *testing.T) {
 	}
 }
 
+// denseShard is a one-document shard whose join answer is perDoc pairs,
+// encoded once up front so that serving it costs only the delay.
+func denseShard(t *testing.T, id uint32, perDoc int, delay time.Duration) *httptest.Server {
+	t.Helper()
+	resp := subJoinResponse{Pairs: int64(perDoc)}
+	for i := uint32(0); i < uint32(perDoc); i++ {
+		resp.Sample = append(resp.Sample, subPair{
+			Anc:  xmldoc.Element{DocID: id, Start: 1, End: 10 + 2*i, Level: 1},
+			Desc: xmldoc.Element{DocID: id, Start: 2 + 2*i, End: 3 + 2*i, Level: 2},
+		})
+	}
+	body, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/api/v1/backends", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(map[string]any{
+			"backends": []BackendInfo{{Name: "docs", Kind: "documents", Documents: 1, DocIDs: []uint32{id}}},
+		})
+	})
+	mux.HandleFunc("/api/v1/join", func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(delay)
+		w.Write(body)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestGatherFanoutOverlaps checks that an output-dense scatter still
+// fetches its shards concurrently: each of three shards answers after the
+// same delay with more pairs than the parallel driver's 2048-pair chunk,
+// and the gather returns them in document order within two delays. The
+// delay is long because under -race decoding the 6 300 pairs alone takes
+// about 200 ms on two CPUs; run one after another, the sub-requests would
+// take three delays.
+func TestGatherFanoutOverlaps(t *testing.T) {
+	const delay, perDoc = 500 * time.Millisecond, 2100
+	var specs []ShardSpec
+	for i, name := range []string{"a", "b", "c"} {
+		id := uint32(i + 1)
+		specs = append(specs, ShardSpec{Name: name, Addr: denseShard(t, id, perDoc, delay).URL, Lo: id, Hi: id, HasRange: true})
+	}
+	co := testCoord(t, &Config{Shards: specs}, Options{})
+
+	start := time.Now()
+	res, err := co.Gather(context.Background(), &Request{Kind: "join", Params: url.Values{}}, nil)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Pairs) != 3*perDoc || res.Total != 3*perDoc {
+		t.Fatalf("got %d pairs (total %d), want %d", len(res.Pairs), res.Total, 3*perDoc)
+	}
+	for i, p := range res.Pairs {
+		if p.A.DocID != uint32(i/perDoc+1) || p.D.Start != uint32(2+2*(i%perDoc)) {
+			t.Fatalf("pair %d = doc %d start %d: stream not in document order", i, p.A.DocID, p.D.Start)
+		}
+	}
+	t.Logf("gather took %v", wall)
+	if wall >= 2*delay {
+		t.Fatalf("gather took %v over three %v shards: the sub-requests did not overlap", wall, delay)
+	}
+}
+
 func TestGatherPartialResultPolicy(t *testing.T) {
 	a, _ := fakeShard(t, []uint32{1, 2}, 0)
 	b, _ := fakeShard(t, []uint32{3, 4}, 0)

@@ -2,6 +2,7 @@ package join
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"xrtree/internal/btree"
@@ -114,3 +115,60 @@ func BenchmarkStackTreeDescJoin(b *testing.B) {
 		return StackTreeDesc(AncestorDescendant, la, ld, emit, c)
 	})
 }
+
+// spinTask is a synthetic partition: it emits pairs pairs, spending work
+// rounds of xorshift on each, so dense and output-light runs differ only
+// in the ratio of join work to output.
+func spinTask(doc uint32, pairs, work int) Task {
+	return Task{DocID: doc, Run: func(emit EmitFunc, c *metrics.Counters) error {
+		x := uint32(doc)*2654435761 | 1
+		for i := 0; i < pairs; i++ {
+			for r := 0; r < work; r++ {
+				x ^= x << 13
+				x ^= x >> 17
+				x ^= x << 5
+			}
+			emit(xmldoc.Element{DocID: doc, Start: uint32(i)}, xmldoc.Element{DocID: doc, Start: uint32(i) + 1, End: x})
+			c.OutputPairs++
+		}
+		return nil
+	}}
+}
+
+// BenchmarkParallel measures the parallel driver as a layer: eight
+// synthetic partitions at one and two workers. The dense case emits four
+// chunks per partition at a few nanoseconds of work per pair (the
+// employee//name shape); the sparse case emits 64 pairs after
+// microseconds of work each, so its output never fills a chunk.
+func BenchmarkParallel(b *testing.B) {
+	for _, tc := range []struct {
+		name        string
+		pairs, work int
+	}{{"dense", 4 * emitChunkPairs, 8}, {"sparse", 64, 2000}} {
+		tasks := make([]Task, 8)
+		for i := range tasks {
+			tasks[i] = spinTask(uint32(i+1), tc.pairs, tc.work)
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(tc.name+"/workers="+strconv.Itoa(workers), func(b *testing.B) {
+				var sink uint64
+				emit := func(a, d xmldoc.Element) { sink += uint64(d.End) }
+				b.ReportAllocs()
+				var c metrics.Counters
+				for i := 0; i < b.N; i++ {
+					c = metrics.Counters{}
+					if err := Parallel(tasks, Options{Workers: workers}, emit, &c); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if want := int64(len(tasks) * tc.pairs); c.OutputPairs != want {
+					b.Fatalf("%d pairs, want %d", c.OutputPairs, want)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*c.OutputPairs), "ns/pair")
+				benchSink = sink
+			})
+		}
+	}
+}
+
+var benchSink uint64

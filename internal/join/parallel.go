@@ -14,15 +14,17 @@ package join
 // plain increments, and the per-task counters are folded into the caller's
 // set when the pool drains.
 //
-// Output ordering uses a chunked head-streaming scheme: the task at the
-// front of the flush order streams its pairs to the caller's emit in
-// fixed-size chunks, while tasks running ahead of the front spill their
-// chunks aside; when the front task finishes, the spilled chunks of the
-// next tasks drain in order and the new front task switches to streaming.
-// Chunks are recycled through a sync.Pool, so an output-heavy join does
-// not allocate proportionally to its result size the way a naive
-// buffer-everything merge would (which showed up as a GC-bound slowdown
-// well below sequential speed in profiles).
+// Output crosses goroutines only where that pays. The front task (the
+// first whose pairs have not all reached the caller) calls the caller's
+// emit directly. A task ahead of the front buffers into one pooled chunk:
+// if it finishes inside it, the goroutine that advances the front replays
+// the chunk; if the chunk fills, the task waits to become the front, then
+// flushes it and streams the rest itself. A full chunk marks the run
+// dense: no task is dispatched ahead of the front from then on, so dense
+// output runs at one-worker speed instead of paying a copy and a
+// cross-core replay per pair, while output-light runs — and a cluster
+// fan-out, whose tasks fetch a whole shard response before their first
+// emit — stay fully concurrent.
 
 import (
 	"context"
@@ -53,8 +55,8 @@ type Options struct {
 	Workers int
 }
 
-// emitChunkPairs is the spill-chunk size: 2048 pairs ≈ 80 KiB, large
-// enough to amortize the lock per delivery, small enough to recycle.
+// emitChunkPairs is the most pairs a task ahead of the front buffers:
+// 2048 pairs ≈ 80 KiB.
 const emitChunkPairs = 2048
 
 var chunkPool = sync.Pool{New: func() any {
@@ -65,107 +67,96 @@ var chunkPool = sync.Pool{New: func() any {
 func getChunk() []Pair      { return *(chunkPool.Get().(*[]Pair)) }
 func putChunk(chunk []Pair) { chunk = chunk[:0]; chunkPool.Put(&chunk) }
 
-// driverState is the shared merge state of one Parallel run; mu guards
-// everything, including calls to the caller's emit (which must serialize).
+// driverState is the shared state of one concurrent Parallel run. mu
+// guards every field but emit and tasks; cond wakes tasks waiting to
+// become the front and idle workers. Only the goroutine holding the front
+// — running task front, or replaying its chunk — calls emit, never under mu.
 type driverState struct {
-	mu        sync.Mutex
-	emit      EmitFunc
-	spill     [][][]Pair // per task: completed chunks waiting for the front
-	done      []bool
-	flushNext int // first task whose output has not fully reached emit
-	merged    metrics.Counters
-	firstErr  error
-	failed    bool
-	next      int // task dispatch counter
+	mu       sync.Mutex
+	cond     sync.Cond
+	emit     EmitFunc
+	tasks    []Task
+	held     [][]Pair // per task: its chunk, once it finished ahead of the front
+	front    int      // first task whose output has not fully reached emit
+	next     int      // task dispatch counter
+	dense    bool     // a task filled its chunk: dispatch none ahead of the front
+	merged   metrics.Counters
+	firstErr error
 }
 
-// drainLocked advances the front: emit spilled chunks in task order until
-// reaching an unfinished task (which then streams directly) or the end.
-func (s *driverState) drainLocked() {
-	for s.flushNext < len(s.done) {
-		j := s.flushNext
-		for _, chunk := range s.spill[j] {
-			for _, p := range chunk {
-				s.emit(p.A, p.D)
-			}
-			putChunk(chunk)
-		}
-		s.spill[j] = nil
-		if !s.done[j] {
-			return
-		}
-		s.flushNext++
+// failLocked records the run's first error and wakes every waiter.
+func (s *driverState) failLocked(err error) {
+	if err != nil && s.firstErr == nil {
+		s.firstErr = err
+		s.cond.Broadcast()
 	}
 }
 
-// taskEmitter is the per-task EmitFunc target: pairs accumulate in a
-// pooled chunk; full chunks either stream to the caller (front task) or
-// spill aside (tasks ahead of the front).
+// advanceLocked moves the front past a task whose output has fully
+// reached emit, replaying (outside mu) the held chunks of the tasks that
+// finished ahead of it, up to a task that delivers its own output. It
+// wakes the waiters unless that task is undispatched — the calling
+// worker's own next task — and the run goes on.
+func (s *driverState) advanceLocked() {
+	for s.front++; s.front < len(s.held) && s.held[s.front] != nil && s.firstErr == nil; s.front++ {
+		chunk := s.held[s.front]
+		s.held[s.front] = nil
+		s.mu.Unlock()
+		replay(chunk, s.emit)
+		s.mu.Lock()
+	}
+	if s.front != s.next || s.next == len(s.tasks) {
+		s.cond.Broadcast()
+	}
+}
+
+func replay(chunk []Pair, emit EmitFunc) {
+	for _, p := range chunk {
+		emit(p.A, p.D)
+	}
+	putChunk(chunk)
+}
+
+// taskEmitter holds the output of a task dispatched ahead of the front.
 type taskEmitter struct {
-	s     *driverState
-	i     int
-	chunk []Pair
+	s         *driverState
+	i         int
+	chunk     []Pair
+	streaming bool
 }
 
-func (e *taskEmitter) emit(a, d xmldoc.Element) {
-	e.chunk = append(e.chunk, Pair{A: a, D: d})
-	if len(e.chunk) == cap(e.chunk) {
-		e.deliver()
+// buffer adds a pair to the chunk. With the chunk full, it marks the run
+// dense and waits to become the front, then flushes the chunk and streams.
+func (e *taskEmitter) buffer(a, d xmldoc.Element) {
+	if len(e.chunk) < cap(e.chunk) {
+		e.chunk = append(e.chunk, Pair{A: a, D: d})
+		return
 	}
-}
-
-func (e *taskEmitter) deliver() {
 	s := e.s
 	s.mu.Lock()
-	e.deliverLocked()
+	s.dense = true
+	for s.front != e.i && s.firstErr == nil {
+		s.cond.Wait()
+	}
+	failed := s.firstErr != nil
 	s.mu.Unlock()
-}
-
-func (e *taskEmitter) deliverLocked() {
-	s := e.s
-	switch {
-	case s.failed:
-		// A task already failed: the run's output is abandoned, keep the
-		// chunk for reuse.
-		e.chunk = e.chunk[:0]
-	case e.i == s.flushNext:
-		// Front task: stream through and reuse the chunk in place. Any
-		// spill this task accumulated before becoming the front was drained
-		// when the front reached it.
-		for _, p := range e.chunk {
-			s.emit(p.A, p.D)
-		}
-		e.chunk = e.chunk[:0]
-	default:
-		s.spill[e.i] = append(s.spill[e.i], e.chunk)
-		e.chunk = getChunk()
+	if failed {
+		e.chunk = e.chunk[:0] // the run's output is abandoned
+		return
 	}
-}
-
-// finishLocked delivers the final partial chunk, marks the task done, and
-// advances the front past it if it was the front.
-func (e *taskEmitter) finishLocked() {
-	if len(e.chunk) > 0 {
-		e.deliverLocked()
-	}
-	s := e.s
-	s.done[e.i] = true
-	if e.i == s.flushNext {
-		s.flushNext++
-		s.drainLocked()
-	}
-	putChunk(e.chunk)
-	e.chunk = nil
+	replay(e.chunk, s.emit)
+	e.streaming = true
+	s.emit(a, d)
 }
 
 // Parallel runs tasks on a pool of opts.Workers goroutines, streaming
 // result pairs to emit in task order (the DocId order of the sequential
-// loop) and merging every task's counters into c. The merge happens
-// per-task under a lock and folds into c only after every worker has
-// returned, so c needs no atomicity; c.Elapsed receives the driver's
-// wall-clock time, not the sum of the per-task spans. A tracer
-// carried by c receives events from all workers and must be safe for
-// concurrent use (obs.Collector is).
+// loop; emit is called from the workers, one call at a time) and merging
+// every task's counters into c. The merge happens per task under a lock
+// and folds into c only after every worker has returned, so c needs no
+// atomicity; c.Elapsed receives the driver's wall-clock time, not the sum
+// of the per-task spans. A tracer carried by c receives events from all
+// workers and must be safe for concurrent use (obs.Collector is).
 func Parallel(tasks []Task, opts Options, emit EmitFunc, c *metrics.Counters) error {
 	if emit == nil {
 		emit = func(a, d xmldoc.Element) {}
@@ -206,83 +197,20 @@ func Parallel(tasks []Task, opts Options, emit EmitFunc, c *metrics.Counters) er
 	return nil
 }
 
-// runConcurrent is Parallel's worker pool for workers ≥ 2.
+// runConcurrent is Parallel's worker pool for workers ≥ 2; the calling
+// goroutine is one of the workers.
 func runConcurrent(tasks []Task, workers int, emit EmitFunc, c *metrics.Counters) error {
-	var tracer obs.Tracer
-	var ctx context.Context
-	if c != nil {
-		tracer = c.Tracer
-		ctx = c.Ctx
-	}
-	// When the caller's tracer carries spans, each partition gets a child
-	// span so a request trace shows the per-document tasks individually
-	// (their overlap is the parallelism; their attributes partition the
-	// request's page reads and scans). Flat tracers see the same event
-	// stream as before.
-	spanner, _ := tracer.(obs.SpanTracer)
-	s := &driverState{
-		emit:  emit,
-		spill: make([][][]Pair, len(tasks)),
-		done:  make([]bool, len(tasks)),
-	}
-
+	s := &driverState{emit: emit, tasks: tasks, held: make([][]Pair, len(tasks))}
+	s.cond.L = &s.mu
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				s.mu.Lock()
-				if s.failed || s.next >= len(tasks) {
-					s.mu.Unlock()
-					return
-				}
-				i := s.next
-				s.next++
-				s.mu.Unlock()
-
-				// A canceled run stops dispatching new partitions; the one
-				// in flight on each worker stops at its next poll point via
-				// the Ctx carried by the task-local counters.
-				if ctx != nil {
-					if err := ctx.Err(); err != nil {
-						s.mu.Lock()
-						if !s.failed {
-							s.failed = true
-							s.firstErr = err
-						}
-						s.mu.Unlock()
-						return
-					}
-				}
-
-				tr := tracer
-				var sp *obs.Span
-				if spanner != nil {
-					sp = spanner.StartSpan("task doc=" + strconv.FormatUint(uint64(tasks[i].DocID), 10))
-					tr = sp
-				}
-				local := metrics.Counters{Tracer: tr, Ctx: ctx}
-				e := &taskEmitter{s: s, i: i, chunk: getChunk()}
-				err := tasks[i].Run(e.emit, &local)
-				sp.End()
-
-				s.mu.Lock()
-				if err != nil {
-					if !s.failed {
-						s.failed = true
-						s.firstErr = err
-					}
-					putChunk(e.chunk)
-					s.mu.Unlock()
-					return
-				}
-				s.merged.Add(&local)
-				e.finishLocked()
-				s.mu.Unlock()
-			}
+			s.work(c)
 		}()
 	}
+	s.work(c)
 	wg.Wait()
 	if s.firstErr != nil {
 		return s.firstErr
@@ -293,4 +221,74 @@ func runConcurrent(tasks []Task, workers int, emit EmitFunc, c *metrics.Counters
 		c.Add(&s.merged)
 	}
 	return nil
+}
+
+// work is one worker: it runs tasks until none is left or the run fails.
+func (s *driverState) work(c *metrics.Counters) {
+	var tracer obs.Tracer
+	var ctx context.Context
+	if c != nil {
+		tracer, ctx = c.Tracer, c.Ctx
+	}
+	// A span-carrying tracer gets a child span per partition: their overlap
+	// is the parallelism, their attributes split the request's page reads.
+	spanner, _ := tracer.(obs.SpanTracer)
+	s.mu.Lock()
+	for {
+		for s.dense && s.next != s.front && s.next < len(s.tasks) && s.firstErr == nil {
+			s.cond.Wait()
+		}
+		// A canceled run stops dispatching; a task in flight stops at its
+		// next poll of the Ctx carried by its task-local counters.
+		if ctx != nil && s.next < len(s.tasks) {
+			s.failLocked(ctx.Err())
+		}
+		if s.firstErr != nil || s.next >= len(s.tasks) {
+			s.mu.Unlock()
+			return
+		}
+		i := s.next
+		s.next++
+		run, e := s.emit, (*taskEmitter)(nil)
+		if i != s.front {
+			e = &taskEmitter{s: s, i: i, chunk: getChunk()}
+			emit := s.emit
+			run = func(a, d xmldoc.Element) {
+				if e.streaming {
+					emit(a, d) // dense output: keep this path one call deep
+				} else {
+					e.buffer(a, d)
+				}
+			}
+		}
+		s.mu.Unlock()
+
+		tr := tracer
+		var sp *obs.Span
+		if spanner != nil {
+			sp = spanner.StartSpan("task doc=" + strconv.FormatUint(uint64(s.tasks[i].DocID), 10))
+			tr = sp
+		}
+		local := metrics.Counters{Tracer: tr, Ctx: ctx}
+		err := s.tasks[i].Run(run, &local)
+		sp.End()
+
+		s.mu.Lock()
+		if s.failLocked(err); s.firstErr != nil {
+			continue
+		}
+		s.merged.Add(&local)
+		if e != nil && !e.streaming {
+			if s.front != i {
+				// Whoever advances the front onto this task replays it.
+				s.held[i] = e.chunk
+				continue
+			}
+			// This task became the front while it ran.
+			s.mu.Unlock()
+			replay(e.chunk, s.emit)
+			s.mu.Lock()
+		}
+		s.advanceLocked()
+	}
 }

@@ -1,7 +1,11 @@
 package join
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,35 +34,154 @@ func synthTask(doc uint32, count int) Task {
 	}}
 }
 
+// TestParallelPreservesTaskOrder checks that the pair stream and the
+// merged counters are exactly the sequential loop's at every worker
+// count: with output-light tasks, which finish inside their chunks out of
+// order, and with dense ones, which fill their chunks so that tasks ahead
+// of the front wait, then stream, and the run stops dispatching ahead.
 func TestParallelPreservesTaskOrder(t *testing.T) {
-	const tasks, perTask = 12, 50
-	ts := make([]Task, tasks)
-	for i := range ts {
-		ts[i] = synthTask(uint32(i+1), perTask)
-	}
-	for _, workers := range []int{0, 1, 2, 4, 16} {
-		var pairs []Pair
-		var c metrics.Counters
-		if err := Parallel(ts, Options{Workers: workers}, Collect(&pairs), &c); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	const tasks = 12
+	for _, tc := range []struct {
+		perTask int
+		workers []int
+	}{{50, []int{0, 1, 2, 4, 16}}, {3*emitChunkPairs + 7, []int{2, 4, 16}}} {
+		perTask := tc.perTask
+		ts := make([]Task, tasks)
+		for i := range ts {
+			ts[i] = synthTask(uint32(i+1), perTask)
 		}
-		if len(pairs) != tasks*perTask {
-			t.Fatalf("workers=%d: %d pairs, want %d", workers, len(pairs), tasks*perTask)
-		}
-		for i, p := range pairs {
-			wantDoc := uint32(i/perTask + 1)
-			wantStart := uint32(i%perTask + 1)
-			if p.A.DocID != wantDoc || p.A.Start != wantStart {
-				t.Fatalf("workers=%d: pair %d = doc %d start %d, want doc %d start %d",
-					workers, i, p.A.DocID, p.A.Start, wantDoc, wantStart)
+		for _, workers := range tc.workers {
+			var pairs []Pair
+			var c metrics.Counters
+			if err := Parallel(ts, Options{Workers: workers}, Collect(&pairs), &c); err != nil {
+				t.Fatalf("perTask=%d workers=%d: %v", perTask, workers, err)
+			}
+			if len(pairs) != tasks*perTask {
+				t.Fatalf("perTask=%d workers=%d: %d pairs, want %d", perTask, workers, len(pairs), tasks*perTask)
+			}
+			for i, p := range pairs {
+				wantDoc := uint32(i/perTask + 1)
+				wantStart := uint32(i%perTask + 1)
+				if p.A.DocID != wantDoc || p.A.Start != wantStart {
+					t.Fatalf("perTask=%d workers=%d: pair %d = doc %d start %d, want doc %d start %d",
+						perTask, workers, i, p.A.DocID, p.A.Start, wantDoc, wantStart)
+				}
+			}
+			if c.ElementsScanned != int64(tasks*perTask) || c.OutputPairs != int64(tasks*perTask) {
+				t.Fatalf("perTask=%d workers=%d: merged counters scanned=%d pairs=%d, want %d",
+					perTask, workers, c.ElementsScanned, c.OutputPairs, tasks*perTask)
+			}
+			if c.Elapsed <= 0 {
+				t.Fatalf("perTask=%d workers=%d: Elapsed not recorded", perTask, workers)
 			}
 		}
-		if c.ElementsScanned != tasks*perTask || c.OutputPairs != tasks*perTask {
-			t.Fatalf("workers=%d: merged counters scanned=%d pairs=%d, want %d",
-				workers, c.ElementsScanned, c.OutputPairs, tasks*perTask)
+	}
+}
+
+// TestParallelBoundsBufferedPairs checks that a dense run holds at most
+// one chunk per task ahead of the front: the pairs that tasks ahead of
+// the first incompletely delivered task have produced, but the caller has
+// not received, never exceed (workers − 1) chunks.
+func TestParallelBoundsBufferedPairs(t *testing.T) {
+	const tasks, perTask = 8, 3*emitChunkPairs + 7
+	for _, workers := range []int{2, 4} {
+		var (
+			mu        sync.Mutex
+			produced  [tasks]int
+			delivered [tasks]int
+			front     int // first task not fully delivered
+			high      int
+		)
+		ts := make([]Task, tasks)
+		for i := range ts {
+			inner := synthTask(uint32(i+1), perTask)
+			ts[i] = Task{DocID: inner.DocID, Run: func(emit EmitFunc, c *metrics.Counters) error {
+				return inner.Run(func(a, d xmldoc.Element) {
+					emit(a, d)
+					mu.Lock()
+					defer mu.Unlock()
+					produced[i]++
+					ahead := 0
+					for k := front + 1; k < tasks; k++ {
+						ahead += produced[k]
+					}
+					high = max(high, ahead)
+				}, c)
+			}}
 		}
-		if c.Elapsed <= 0 {
-			t.Fatalf("workers=%d: Elapsed not recorded", workers)
+		emit := func(a, d xmldoc.Element) {
+			mu.Lock()
+			defer mu.Unlock()
+			delivered[a.DocID-1]++
+			for front < tasks && delivered[front] == perTask {
+				front++
+			}
+		}
+		if err := Parallel(ts, Options{Workers: workers}, emit, nil); err != nil {
+			t.Fatal(err)
+		}
+		if front != tasks {
+			t.Fatalf("workers=%d: delivered %v, want %d per task", workers, delivered, perTask)
+		}
+		t.Logf("workers=%d: at most %d pairs buffered ahead of the front", workers, high)
+		if limit := (workers - 1) * emitChunkPairs; high > limit {
+			t.Fatalf("workers=%d: %d pairs buffered ahead of the front, want ≤ %d", workers, high, limit)
+		}
+	}
+}
+
+// awaitParked blocks until a task ahead of the front waits, with its
+// chunk full, to become the front.
+func awaitParked() error {
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+			if bytes.Contains(g, []byte("sync.(*Cond).Wait")) && bytes.Contains(g, []byte("(*taskEmitter).buffer")) {
+				return nil
+			}
+		}
+	}
+	return errors.New("no task waited to become the front")
+}
+
+// TestParallelFailureReleasesWaitingTask fails the run while a task ahead
+// of the front waits on its full chunk, once by the front task's error and
+// once by cancellation: the run returns the error and leaves no goroutine.
+func TestParallelFailureReleasesWaitingTask(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name  string
+		front func(cancel context.CancelFunc, c *metrics.Counters) error
+		want  error
+	}{
+		{"front fails", func(context.CancelFunc, *metrics.Counters) error { return boom }, boom},
+		{"canceled", func(cancel context.CancelFunc, c *metrics.Counters) error {
+			cancel()
+			<-c.Ctx.Done()
+			return c.Ctx.Err()
+		}, context.Canceled},
+	} {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		ts := []Task{
+			{DocID: 1, Run: func(emit EmitFunc, c *metrics.Counters) error {
+				if err := awaitParked(); err != nil {
+					return err
+				}
+				return tc.front(cancel, c)
+			}},
+			synthTask(2, 2*emitChunkPairs),
+			synthTask(3, 2*emitChunkPairs),
+		}
+		err := Parallel(ts, Options{Workers: 2}, nil, &metrics.Counters{Ctx: ctx})
+		cancel()
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before the run", tc.name, runtime.NumGoroutine(), base)
+			}
 		}
 	}
 }
