@@ -57,13 +57,15 @@ cluster-smoke:
 # Project-specific invariant checkers (cmd/xrvet). vet-analyzers runs
 # the analyzers' own suites (per-analyzer `// want` testdata plus the
 # harness meta-tests); vet-run applies all eight checkers over the whole
-# module and stock `go vet` (copylocks and friends) alongside.
+# module and stock `go vet` (copylocks and friends) alongside, over the
+# nested bench module too.
 vet-analyzers:
 	$(GO) test ./internal/analysis/...
 
 vet-run:
 	$(GO) run ./cmd/xrvet ./...
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 vet: vet-analyzers vet-run
 

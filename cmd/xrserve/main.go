@@ -14,7 +14,7 @@
 //	curl 'localhost:8080/api/v1/query?path=departments//employee/name'
 //
 // Endpoints: /api/v1/join, /api/v1/query, /api/v1/insert, /api/v1/stats,
-// /api/v1/backends, /debug/vars, /debug/traces, /metrics, /healthz. Request tracing is
+// /api/v1/backends, /debug/traces, /metrics, /healthz. Request tracing is
 // enabled with -trace-sample (or per request via a sampled traceparent
 // header); -slow-trace pins outliers in the flight recorder; -debug-addr
 // serves net/http/pprof on a separate listener. See DESIGN.md "Serving"

@@ -112,7 +112,6 @@ func openStoreWAL(path string, opts StoreOptions) (*Store, error) {
 // and the log's unsynced tail are simply lost, as in a crash. The crash
 // harness uses it where a real deployment would lose power.
 func (s *Store) Abandon() {
-	s.pool.Close()
 	if s.wal != nil {
 		s.wal.Abandon()
 	}

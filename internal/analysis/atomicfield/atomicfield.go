@@ -1,6 +1,6 @@
 // Package atomicfield flags mixed atomic/plain access to struct fields.
 //
-// The repo's hot counters (pagefile physical-read stats, prefetch sink
+// The repo's hot counters (pagefile physical-read stats, the pool sink's
 // hit counters) are updated with sync/atomic from reader goroutines and
 // scraped by the metrics endpoint. A field that is touched with
 // atomic.AddUint64 in one place and read with a plain load in another is

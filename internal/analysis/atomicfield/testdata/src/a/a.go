@@ -1,4 +1,4 @@
-// Package a models the pagefile/prefetch counter idiom for the
+// Package a models the pagefile/pool-sink counter idiom for the
 // atomicfield analyzer tests: a stats struct whose counters are bumped
 // with sync/atomic and must never be touched plainly.
 package a

@@ -103,12 +103,12 @@ var methodLevels = map[[2]string]int{
 	// self-deadlock on that same page's latch.
 	{"Tree", "Lookup"}: 3, {"Tree", "SeekGE"}: 3, {"Tree", "Scan"}: 3,
 	{"Tree", "Range"}: 3, {"Tree", "FindDescendants"}: 3,
-	{"Tree", "FindChildren"}: 3, {"Tree", "PrefetchGE"}: 3,
-	{"Tree", "MaxNesting"}: 3, {"Tree", "SeekInto"}: 3,
+	{"Tree", "FindChildren"}: 3, {"Tree", "MaxNesting"}: 3,
+	{"Tree", "SeekInto"}: 3,
 	// platch.Table through a non-field receiver (a local alias); calls
 	// through a classified field (t.pl.Lock) are handled by lockCall.
 	{"Table", "Lock"}: pageLatchLevel, {"Table", "LockRight"}: pageLatchLevel,
-	{"Table", "RLock"}: pageLatchLevel, {"Table", "TryRLock"}: pageLatchLevel,
+	{"Table", "RLock"}: pageLatchLevel,
 	// The WAL protocol methods take the checkpoint gate: commits and
 	// unlogged bulk builds on the read side, checkpoints on the write side.
 	{"Pool", "CommitTx"}: 2, {"Pool", "BeginUnlogged"}: 2,
@@ -121,12 +121,6 @@ var methodLevels = map[[2]string]int{
 	{"Pool", "DiscardTx"}: 4, {"Pool", "FreeTx"}: 4,
 	{"Pool", "Unpin"}: 4, {"Pool", "Discard"}: 4, {"Pool", "FlushAll"}: 4,
 	{"Pool", "DropClean"}: 4, {"Pool", "PinnedCount"}: 4,
-	// TryFetchCopy locks the target shard like any fetch. Prefetch only
-	// enqueues, but its hints are consumed by workers that lock shards, and
-	// Close joins those workers — treating both as level 4 forbids hinting
-	// or shutting down the prefetcher while a shard mutex is held (Close
-	// would deadlock outright against a worker blocked on that shard).
-	{"Pool", "TryFetchCopy"}: 4, {"Pool", "Prefetch"}: 4, {"Pool", "Close"}: 4,
 	// Cluster router-side leaves: the coordinator's per-shard inventory
 	// mutex and the health prober's state mutex. Prober.Start spawns the
 	// probe loop and Close joins it, so both count as acquisitions — Close

@@ -11,13 +11,10 @@ type Pool struct {
 	ckptGate sync.RWMutex
 }
 
-func (p *Pool) Fetch(id uint32) ([]byte, error)         { return nil, nil }
-func (p *Pool) Unpin(id uint32, dirty bool) error       { return nil }
-func (p *Pool) Prefetch(ids ...uint32)                  {}
-func (p *Pool) TryFetchCopy(id uint32, dst []byte) bool { return false }
-func (p *Pool) Close()                                  {}
-func (p *Pool) CommitTx(tx any) error                   { return nil }
-func (p *Pool) FlushAll() error                         { return nil }
+func (p *Pool) Fetch(id uint32) ([]byte, error)   { return nil, nil }
+func (p *Pool) Unpin(id uint32, dirty bool) error { return nil }
+func (p *Pool) CommitTx(tx any) error             { return nil }
+func (p *Pool) FlushAll() error                   { return nil }
 
 type shard struct {
 	mu sync.Mutex
@@ -27,12 +24,11 @@ type shard struct {
 // ID, with the LockRight spelling for B-link coupling acquisitions.
 type Table struct{}
 
-func (t *Table) Lock(id uint32)          {}
-func (t *Table) LockRight(id uint32)     {}
-func (t *Table) Unlock(id uint32)        {}
-func (t *Table) RLock(id uint32)         {}
-func (t *Table) TryRLock(id uint32) bool { return true }
-func (t *Table) RUnlock(id uint32)       {}
+func (t *Table) Lock(id uint32)      {}
+func (t *Table) LockRight(id uint32) {}
+func (t *Table) Unlock(id uint32)    {}
+func (t *Table) RLock(id uint32)     {}
+func (t *Table) RUnlock(id uint32)   {}
 
 type Tree struct {
 	wlatch sync.Mutex
@@ -41,9 +37,8 @@ type Tree struct {
 	s      *shard
 }
 
-func (t *Tree) Insert(k int)        {}
-func (t *Tree) Lookup(k uint32)     {}
-func (t *Tree) PrefetchGE(k uint32) {}
+func (t *Tree) Insert(k int)    {}
+func (t *Tree) Lookup(k uint32) {}
 
 type shardState struct {
 	mu sync.Mutex
@@ -133,17 +128,6 @@ func goodReaderHop(t *Tree) {
 	t.pl.RUnlock(1)
 	t.pl.RLock(2)
 	t.pl.RUnlock(2)
-}
-
-// goodTryReaderProbe mirrors PrefetchGE: an advisory residency probe
-// under a shared page latch taken with TryRLock.
-func goodTryReaderProbe(t *Tree, buf []byte) {
-	if !t.pl.TryRLock(5) {
-		return
-	}
-	t.pool.TryFetchCopy(5, buf)
-	t.pool.Prefetch(6)
-	t.pl.RUnlock(5)
 }
 
 // goodCommitUnderLatch mirrors the WAL protocol: a mutation holds
@@ -293,23 +277,6 @@ func badNestedTreeOp(t, u *Tree) {
 	t.wlatch.Lock()
 	defer t.wlatch.Unlock()
 	u.Insert(1) // want `latch order violation: calling u.Insert \(acquires level 1\) while holding t.wlatch \(level 1\)`
-}
-
-// badPrefetchUnderShard publishes a readahead hint while holding a shard
-// mutex: the hint's consumer locks shards, so the order check treats
-// Prefetch as a shard-level acquisition.
-func badPrefetchUnderShard(t *Tree) {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	t.pool.Prefetch(1) // want `latch order violation: calling t.pool.Prefetch \(acquires level 4\) while holding t.s.mu \(level 4\)`
-}
-
-// badCloseUnderShard joins the prefetch workers while holding a shard
-// mutex — a worker blocked on that same shard would never exit.
-func badCloseUnderShard(t *Tree) {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	t.pool.Close() // want `latch order violation: calling t.pool.Close \(acquires level 4\) while holding t.s.mu \(level 4\)`
 }
 
 // lockHelper gives the fixpoint a same-package summary to propagate.

@@ -55,11 +55,10 @@ var hooks = &flow.Hooks{
 		}
 		return nil
 	},
-	// Pinless copies and readahead hints read page ids without assuming
-	// any pin obligation, so passing a pinned id to them is not an
-	// ownership transfer (a hint must never be mistaken for an Unpin).
+	// Pinless copies read page ids without assuming any pin obligation,
+	// so passing a pinned id to one is not an ownership transfer.
 	Advisory: func(w *flow.Walker, call *ast.CallExpr) bool {
-		return poolCall(w, call, "FetchCopy", "TryFetchCopy", "Prefetch")
+		return poolCall(w, call, "FetchCopy")
 	},
 	// Returning a pin whose page id came in as a parameter makes the
 	// function a pin-returning wrapper: calling it pins the page passed at

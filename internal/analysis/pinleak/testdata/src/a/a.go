@@ -13,13 +13,11 @@ var errShort = errors.New("short page")
 
 type Pool struct{}
 
-func (p *Pool) Fetch(id PageID) ([]byte, error)         { return nil, nil }
-func (p *Pool) FetchNew() (PageID, []byte, error)       { return 0, nil, nil }
-func (p *Pool) FetchCopy(id PageID, dst []byte) error   { return nil }
-func (p *Pool) TryFetchCopy(id PageID, dst []byte) bool { return false }
-func (p *Pool) Prefetch(ids ...PageID)                  {}
-func (p *Pool) Unpin(id PageID, dirty bool) error       { return nil }
-func (p *Pool) Discard(id PageID) error                 { return nil }
+func (p *Pool) Fetch(id PageID) ([]byte, error)       { return nil, nil }
+func (p *Pool) FetchNew() (PageID, []byte, error)     { return 0, nil, nil }
+func (p *Pool) FetchCopy(id PageID, dst []byte) error { return nil }
+func (p *Pool) Unpin(id PageID, dirty bool) error     { return nil }
+func (p *Pool) Discard(id PageID) error               { return nil }
 
 func use(b byte) {}
 
@@ -148,48 +146,16 @@ func goodWrapCaller(p *Pool, id PageID) error {
 	return p.Unpin(id, false)
 }
 
-// goodReadaheadDescent mirrors core.Tree.PrefetchGE and the prefetcher's
-// serve loop: residency probes (TryFetchCopy), pinless copies (FetchCopy),
-// and published hints (Prefetch) create no pin obligation, so a function
-// built only from them owes no releases on any path — prefetched pages are
-// admitted unpinned and must not trip the net-pin ledger.
-func goodReadaheadDescent(p *Pool, ids []PageID, buf []byte) error {
-	id := ids[0]
-	for range ids {
-		if ok := p.TryFetchCopy(id, buf); !ok {
-			break
-		}
-		id = PageID(buf[0])
-	}
-	p.Prefetch(id)
-	for _, id := range ids[1:] {
-		if err := p.FetchCopy(id, buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// goodPrefetchThenDemand: hinting a page and later demand-fetching it
-// carries exactly one obligation — the demand pin, not the hint.
-func goodPrefetchThenDemand(p *Pool, id PageID) (byte, error) {
-	p.Prefetch(id)
-	data, err := p.Fetch(id)
-	if err != nil {
-		return 0, err
-	}
-	defer p.Unpin(id, false)
-	return data[0], nil
-}
-
-// badPrefetchDoesNotRelease: a hint is not a release — the demand pin from
-// Fetch still leaks even though the same id was handed to Prefetch.
-func badPrefetchDoesNotRelease(p *Pool, id PageID) error {
+// badCopyDoesNotRelease: a pinless copy is not a release — the demand pin
+// from Fetch still leaks even though the same id was handed to FetchCopy.
+func badCopyDoesNotRelease(p *Pool, id PageID, buf []byte) error {
 	_, err := p.Fetch(id)
 	if err != nil {
 		return err
 	}
-	p.Prefetch(id)
+	if err := p.FetchCopy(id, buf); err != nil {
+		return err // want `pin leak: id fetched at line \d+ is still pinned on this return path`
+	}
 	return nil // want `pin leak: id fetched at line \d+ is still pinned on this return path`
 }
 

@@ -23,10 +23,9 @@ func (p *Pool) Fetch(id PageID) ([]byte, error)             { return nil, nil }
 func (p *Pool) FetchTraced(id PageID, tr Tracer) ([]byte, error) {
 	return nil, nil
 }
-func (p *Pool) FetchCopy(id PageID, dst []byte) error   { return nil }
-func (p *Pool) TryFetchCopy(id PageID, dst []byte) bool { return false }
-func (p *Pool) CommitTx(tx *Tx) error                   { return nil }
-func (p *Pool) Unpin(id PageID, dirty bool) error       { return nil }
+func (p *Pool) FetchCopy(id PageID, dst []byte) error { return nil }
+func (p *Pool) CommitTx(tx *Tx) error                 { return nil }
+func (p *Pool) Unpin(id PageID, dirty bool) error     { return nil }
 
 type Tree struct {
 	pool *Pool

@@ -13,8 +13,8 @@
 // same-package function called from in-Tx code is wholly in-Tx —
 // propagated to a fixpoint, so helpers inherit their callers'
 // obligations the way core's fetchStab chain does. Any plain fetch
-// (Fetch, FetchTraced, FetchCopy, FetchCopyTraced, FetchNew,
-// TryFetchCopy) at an in-Tx position is flagged.
+// (Fetch, FetchTraced, FetchCopy, FetchCopyTraced, FetchNew) at an in-Tx
+// position is flagged.
 //
 // The backbone half of every btree and core mutation runs in
 // internal/blink's write layer, another package, which this per-package
@@ -60,7 +60,7 @@ var (
 	}
 	plainFetches = map[string]bool{
 		"Fetch": true, "FetchTraced": true, "FetchCopy": true,
-		"FetchCopyTraced": true, "FetchNew": true, "TryFetchCopy": true,
+		"FetchCopyTraced": true, "FetchNew": true,
 	}
 )
 

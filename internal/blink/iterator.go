@@ -57,7 +57,6 @@ func (t *Tree) SeekInto(it *Iterator, key uint32, c *metrics.Counters) error {
 		pageBufs.Put(bufp)
 		return err
 	}
-	t.hintNextLeaf(c, *bufp)
 	*it = Iterator{t: t, c: c, bufp: bufp, buf: *bufp, idx: LeafSearch(*bufp, key)}
 	return nil
 }
@@ -72,10 +71,6 @@ func (it *Iterator) Covers(lo, hi uint32) bool {
 	return it.buf != nil && it.err == nil && LeafCount(it.buf) > 0 &&
 		lo >= LeafKey(it.buf, 0) && !moveRight(LeafHigh(it.buf), LeafNext(it.buf), hi)
 }
-
-// Holds reports whether SeekGE(key) would be answered from the held leaf
-// copy without a descent.
-func (it *Iterator) Holds(key uint32) bool { return it.Covers(key, key) }
 
 // Leaf returns the held leaf copy and the cursor's index in it, for
 // answers computed in place from the copy. The bytes are valid until the
@@ -97,7 +92,7 @@ func (it *Iterator) SeekGE(key uint32) error {
 	if it.buf == nil {
 		return errClosed
 	}
-	hit := it.Holds(key)
+	hit := it.Covers(key, key)
 	it.c.CountFinger(hit)
 	if hit {
 		it.idx = LeafSearchFrom(it.buf, it.idx, key)
@@ -110,7 +105,6 @@ func (it *Iterator) SeekGE(key uint32) error {
 			it.err = err
 			return err
 		}
-		it.t.hintNextLeaf(it.c, it.buf)
 		it.idx = LeafSearch(it.buf, key)
 	}
 	it.done = false
@@ -140,9 +134,8 @@ func (it *Iterator) Peek() (xmldoc.Element, bool) {
 
 // Step is Next followed by Peek in one call: it consumes the current
 // element (one scan, as Next counts it) and returns the one after it,
-// decoding only that entry. Leaf hops, and so cancellation polls, leaf
-// reads and readahead hints, happen exactly where Next and Peek would
-// make them.
+// decoding only that entry. Leaf hops, and so cancellation polls and leaf
+// reads, happen exactly where Next and Peek would make them.
 func (it *Iterator) Step() (xmldoc.Element, bool) {
 	if !it.positioned() {
 		return xmldoc.Element{}, false
@@ -198,7 +191,6 @@ func (it *Iterator) advancePage() bool {
 		it.err = fmt.Errorf("%w: leaf chain broken at page %d by a concurrent structural change", it.t.corrupt, next)
 		return false
 	}
-	it.t.hintNextLeaf(it.c, it.buf)
 	it.idx = 0
 	addLeaf(it.c)
 	return true

@@ -8,8 +8,7 @@
 //     accessors and in-leaf searches;
 //   - the internal-page Shape each tree declares once, and the one B-link
 //     descent step over it;
-//   - Tree, the root snapshot plus the copy-on-read descent, Lookup and
-//     PrefetchGE;
+//   - Tree, the root snapshot plus the copy-on-read descent and Lookup;
 //   - Iterator, the copy-on-hop leaf-chain cursor with finger seeks;
 //   - the write layer: the insert and delete descents with leaf and node
 //     splits, borrows, rotations and merges, root growth and shrink, the

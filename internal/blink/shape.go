@@ -134,8 +134,8 @@ const (
 // caller holds under its shared page latch (as a private copy or a pinned
 // frame). It returns the page to visit next — the right sibling for Right,
 // the child for Down — and counts d as a leaf or index-node read in c. The
-// copy descent, the XR-tree's pinned ancestor descent and PrefetchGE all
-// advance by it.
+// copy descent and the XR-tree's pinned ancestor descent both advance by
+// it.
 func (s *Shape) Step(d []byte, key uint32, c *metrics.Counters) (pagefile.PageID, Move) {
 	if IsLeaf(d) {
 		addLeaf(c)

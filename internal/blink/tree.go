@@ -15,8 +15,8 @@ import (
 
 // Tree is one B-link tree's backbone. A tree package embeds it, sets it
 // up with Init, and so inherits the reader entry points (Lookup, SeekGE,
-// Scan, PrefetchGE) and the write layer its own Insert, Delete, BulkLoad
-// and CheckInvariants wrap (InsertLocked, DeleteLocked, BulkLoadLocked,
+// Scan) and the write layer its own Insert, Delete, BulkLoad and
+// CheckInvariants wrap (InsertLocked, DeleteLocked, BulkLoadLocked,
 // CheckLocked).
 type Tree struct {
 	pool  *bufferpool.Pool
@@ -161,51 +161,4 @@ func (t *Tree) Lookup(key uint32, c *metrics.Counters) (xmldoc.Element, error) {
 		return e, nil
 	}
 	return xmldoc.Element{}, fmt.Errorf("%w: start %d", t.notFound, key)
-}
-
-// hintNextLeaf publishes the chained next leaf to the pool's prefetcher,
-// so a leaf-chain scan's I/O overlaps the scan of the current leaf.
-func (t *Tree) hintNextLeaf(c *metrics.Counters, buf []byte) {
-	if t.pool.PrefetchEnabled() {
-		if next := LeafNext(buf); next != pagefile.InvalidPage {
-			t.pool.Prefetch(c, next)
-		}
-	}
-}
-
-// PrefetchGE publishes a readahead hint for the landing page of a future
-// SeekGE(key) — the XR-stack join calls it for a skip target before
-// starting the stab-list work that precedes the skip, so the landing
-// page's I/O overlaps the in-flight probe. The descent walks resident
-// pages only (no I/O, no pins held across pages, no hit/miss accounting)
-// and hints the first non-resident page on the path.
-func (t *Tree) PrefetchGE(key uint32, c *metrics.Counters) {
-	if !t.pool.PrefetchEnabled() {
-		return
-	}
-	bufp := t.getPageBuf()
-	defer pageBufs.Put(bufp)
-	buf := *bufp
-	id, h := t.Root()
-	//xrvet:bounded advisory root-to-leaf descent, at most h iterations
-	for level := h; level > 1; level-- {
-		// Advisory path: on latch contention just hint the page reached so
-		// far rather than waiting behind a writer.
-		if !t.pl.TryRLock(id) {
-			break
-		}
-		ok, err := t.pool.TryFetchCopy(id, buf)
-		t.pl.RUnlock(id)
-		if err != nil || !ok {
-			break
-		}
-		//xrvet:nocounters advisory descent: the hinted probe counts its own reads
-		next, mv := t.shape.Step(buf, key, nil)
-		if mv == Land || mv == Bad {
-			break
-		}
-		id = next
-	}
-	// id is the first page the future probe will miss on (or its leaf).
-	t.pool.Prefetch(c, id)
 }

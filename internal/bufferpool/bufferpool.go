@@ -6,28 +6,6 @@
 // misses, so the miss counter is the primary cost signal of the benchmark
 // harness).
 //
-// # Replacement policies
-//
-// Two policies are available (Config.Policy): PolicyLRU, strict
-// least-recently-unpinned replacement and the paper-faithful default; and
-// Policy2Q, a scan-resistant 2Q-style scheme in which first-touch pages
-// enter a per-shard probationary FIFO and only re-referenced pages are
-// promoted to a protected LRU segment. Eviction prefers the probation tail
-// whenever probation holds its quota (a quarter of the shard), so one large
-// sequential leaf-chain scan recycles its own probationary frames instead
-// of flushing the hot internal nodes every probe needs. A bounded ghost
-// list of ids recently evicted from probation (the classic A1out) lets a
-// page whose re-reference interval exceeds the short probation queue still
-// reach the protected segment on its second touch. The scan_evictions and
-// protected_hits counters expose the split.
-//
-// # Readahead
-//
-// Config.Prefetch starts one background worker per shard; iterators
-// publish next-page hints via Pool.Prefetch and the workers pull the pages
-// into the probationary queue without pinning them, coalescing physically
-// adjacent pages into vectored reads (see prefetch.go).
-//
 // The paper runs all join experiments with a pool of 100 pages and reports
 // that varying the pool size does not essentially change the results; the
 // default here is likewise 100 frames and the size is configurable for the
@@ -78,40 +56,22 @@ var (
 	ErrZeroFrames = errors.New("bufferpool: pool must have at least one frame")
 )
 
-// Replacement-list membership of a frame. A frame is on at most one list.
-const (
-	offList uint8 = iota
-	onProbation
-	onProtected
-)
-
-// frame is one buffered page. Frames on a replacement list link to each
-// other intrusively so pin/unpin never allocates.
+// frame is one buffered page. Frames on their shard's LRU list link to
+// each other intrusively so pin/unpin never allocates.
 type frame struct {
 	id    pagefile.PageID
 	data  []byte
 	pins  int
 	dirty bool
-	// prev/next form the replacement list the frame is on when unpinned;
-	// where marks which list (offList while pinned or being admitted).
+	// prev/next link the frame into its shard's LRU list while it is
+	// unpinned; listed marks membership (false while pinned, held, or
+	// being admitted).
 	prev, next *frame
-	where      uint8
-	// 2Q state: ref marks a re-reference observed while the frame was off
-	// its list (pinned), deferring promotion to release time; prot marks a
-	// frame that has been promoted to the protected segment (sticky while
-	// resident). Both are always false under plain LRU.
-	ref  bool
-	prot bool
-	// ra marks a frame admitted by the readahead workers that has not yet
-	// been demanded. It grants one eviction reprieve (victimLocked) so a
-	// burst of point-query misses cannot wash readahead out of probation
-	// just ahead of the consuming scan, and it makes the first demand hit
-	// count as a first touch rather than a promoting re-reference.
-	ra bool
+	listed     bool
 	// held marks a frame touched by an in-flight WAL transaction (no-steal
 	// policy, see wal.go in this package): set at fetch time, cleared at
-	// commit. A held frame is never on a replacement list — it stays
-	// offList when its pins drop to zero — and flushLocked skips it, so it
+	// commit. A held frame is never on the LRU list — it stays unlisted
+	// when its pins drop to zero — and flushLocked skips it, so it
 	// cannot reach the page file before its redo records are durable.
 	held bool
 	// lsn is the commit LSN of the frame's newest logged image; write-back
@@ -130,82 +90,12 @@ type flist struct {
 }
 
 // shard is one lock-striped partition of the pool: its own mutex, frame
-// map, and replacement lists over its slice of the capacity.
-//
-// Under plain LRU only the probation list is used, as the single LRU list.
-// Under 2Q, first-touch pages go to the probation FIFO and re-referenced
-// pages to the protected LRU; eviction prefers the probation tail whenever
-// probation holds at least probTarget frames, so a sequential scan churns
-// through probation without displacing the protected working set.
+// map, and LRU list over its slice of the capacity.
 type shard struct {
-	mu               sync.Mutex
-	frames           map[pagefile.PageID]*frame
-	prob             flist // probation FIFO (LRU policy: the only list)
-	prot             flist // protected LRU (2Q only)
-	probLen, protLen int
-	probTarget       int // 2Q probation quota; 0 under LRU
-	twoQ             bool
-	cap              int
-
-	// The 2Q ghost list (the classic A1out): a bounded FIFO of page ids
-	// recently evicted from probation, holding ids only — no page data. A
-	// miss on a remembered id is a genuine re-reference whose first touch
-	// was washed out of probation by intervening traffic, so the page is
-	// admitted directly to the protected segment. Without it, any page
-	// whose re-reference interval exceeds the short probation queue could
-	// never be promoted at all. ghost is a ring (ghostPos next overwrite);
-	// ghostSet counts live ring occurrences per id.
-	ghost    []pagefile.PageID
-	ghostPos int
-	ghostSet map[pagefile.PageID]int
-}
-
-// ghostFactor sizes the ghost ring at ghostFactor × the shard's frame
-// count, the memory-cheap "twice the cache" retention the 2Q authors
-// suggest for A1out (ids only: 8 bytes per remembered eviction).
-const ghostFactor = 2
-
-// ghostPush remembers a page id just evicted from probation, forgetting
-// the oldest remembered id when the ring is full.
-func (s *shard) ghostPush(id pagefile.PageID) {
-	if len(s.ghost) == 0 {
-		return
-	}
-	if old := s.ghost[s.ghostPos]; old != pagefile.InvalidPage {
-		if n := s.ghostSet[old]; n <= 1 {
-			delete(s.ghostSet, old)
-		} else {
-			s.ghostSet[old] = n - 1
-		}
-	}
-	s.ghost[s.ghostPos] = id
-	s.ghostSet[id]++
-	s.ghostPos = (s.ghostPos + 1) % len(s.ghost)
-}
-
-// ghostHit reports whether id was recently evicted from probation and
-// forgets it (stale ring slots are reconciled lazily by ghostPush).
-func (s *shard) ghostHit(id pagefile.PageID) bool {
-	if s.ghostSet == nil {
-		return false
-	}
-	if _, ok := s.ghostSet[id]; !ok {
-		return false
-	}
-	delete(s.ghostSet, id)
-	return true
-}
-
-// ghostClear forgets every remembered eviction (deterministic cold start).
-func (s *shard) ghostClear() {
-	if len(s.ghost) == 0 {
-		return
-	}
-	for i := range s.ghost {
-		s.ghost[i] = pagefile.InvalidPage
-	}
-	s.ghostPos = 0
-	clear(s.ghostSet)
+	mu     sync.Mutex
+	frames map[pagefile.PageID]*frame
+	lru    flist
+	cap    int
 }
 
 // Pool is a sharded buffer pool over a single pagefile.File. All methods
@@ -216,10 +106,6 @@ type Pool struct {
 	shards []*shard
 	mask   uint32 // len(shards)-1; len(shards) is a power of two
 	cap    int
-	policy Policy
-
-	// pf is the asynchronous readahead machinery; nil when disabled.
-	pf *prefetcher
 
 	// wal, when set, is the write-ahead log beneath the pool: mutations run
 	// as transactions (Begin/CommitTx) whose touched frames are held back
@@ -258,68 +144,18 @@ func defaultShards(capacity int) int {
 	return n
 }
 
-// Policy selects the pool's replacement policy.
-type Policy string
-
-const (
-	// PolicyLRU is strict least-recently-unpinned replacement, the
-	// paper-faithful default.
-	PolicyLRU Policy = "lru"
-	// Policy2Q is scan-resistant 2Q-style replacement: first-touch pages
-	// enter a probationary FIFO and only re-referenced pages reach the
-	// protected LRU segment, so one large sequential scan cannot flush the
-	// hot working set.
-	Policy2Q Policy = "2q"
-)
-
-// ParsePolicy validates a policy name ("" means PolicyLRU).
-func ParsePolicy(s string) (Policy, error) {
-	switch Policy(s) {
-	case "":
-		return PolicyLRU, nil
-	case PolicyLRU, Policy2Q:
-		return Policy(s), nil
-	}
-	return "", fmt.Errorf("bufferpool: unknown policy %q (want %q or %q)", s, PolicyLRU, Policy2Q)
-}
-
-// Config configures NewWithConfig.
-type Config struct {
-	// Capacity is the pool size in frames; must be ≥ 1.
-	Capacity int
-	// Shards is the lock-stripe count (rounded up to a power of two,
-	// clamped to capacity); ≤ 0 selects the heuristic.
-	Shards int
-	// Policy is the replacement policy; "" means PolicyLRU.
-	Policy Policy
-	// Prefetch enables the asynchronous readahead workers (one per shard)
-	// that pull hinted pages into the pool without pinning them.
-	Prefetch bool
-}
-
 // New creates a pool of capacity frames over file with the heuristic shard
 // count. Capacity must be ≥ 1.
 func New(file *pagefile.File, capacity int) (*Pool, error) {
-	return NewWithConfig(file, Config{Capacity: capacity})
+	return NewSharded(file, capacity, 0)
 }
 
 // NewSharded creates a pool with an explicit shard count (rounded up to a
 // power of two, clamped to capacity); shards ≤ 0 selects the heuristic.
 func NewSharded(file *pagefile.File, capacity, shards int) (*Pool, error) {
-	return NewWithConfig(file, Config{Capacity: capacity, Shards: shards})
-}
-
-// NewWithConfig creates a pool from an explicit configuration.
-func NewWithConfig(file *pagefile.File, cfg Config) (*Pool, error) {
-	capacity := cfg.Capacity
 	if capacity <= 0 {
 		return nil, ErrZeroFrames
 	}
-	policy, err := ParsePolicy(string(cfg.Policy))
-	if err != nil {
-		return nil, err
-	}
-	shards := cfg.Shards
 	if shards <= 0 {
 		shards = defaultShards(capacity)
 	}
@@ -330,44 +166,19 @@ func NewWithConfig(file *pagefile.File, cfg Config) (*Pool, error) {
 	for n < shards {
 		n *= 2
 	}
-	p := &Pool{file: file, shards: make([]*shard, n), mask: uint32(n - 1), cap: capacity, policy: policy}
+	p := &Pool{file: file, shards: make([]*shard, n), mask: uint32(n - 1), cap: capacity}
 	for i := range p.shards {
 		c := capacity / n
 		if i < capacity%n {
 			c++
 		}
-		s := &shard{frames: make(map[pagefile.PageID]*frame, c), cap: c}
-		if policy == Policy2Q {
-			s.twoQ = true
-			// Probation quota: a quarter of the shard, at least one frame.
-			s.probTarget = c / 4
-			if s.probTarget < 1 {
-				s.probTarget = 1
-			}
-			s.ghost = make([]pagefile.PageID, ghostFactor*c)
-			for i := range s.ghost {
-				s.ghost[i] = pagefile.InvalidPage
-			}
-			s.ghostSet = make(map[pagefile.PageID]int, ghostFactor*c)
-		}
-		p.shards[i] = s
-	}
-	if cfg.Prefetch {
-		p.pf = newPrefetcher(p, n)
+		p.shards[i] = &shard{frames: make(map[pagefile.PageID]*frame, c), cap: c}
 	}
 	return p, nil
 }
 
-// Close stops the pool's background prefetch workers, if any. It does not
-// flush or close the underlying file. Safe to call more than once.
-func (p *Pool) Close() {
-	if p.pf != nil {
-		p.pf.stop()
-	}
-}
-
-// ReplacementPolicy returns the pool's replacement policy.
-func (p *Pool) ReplacementPolicy() Policy { return p.policy }
+// Close is a no-op kept because bench/xrperf calls it.
+func (p *Pool) Close() {}
 
 // File returns the underlying paged file.
 func (p *Pool) File() *pagefile.File { return p.file }
@@ -424,7 +235,7 @@ func (p *Pool) countAccess(hit bool) {
 	}
 }
 
-// --- intrusive replacement lists (per shard) -------------------------------
+// --- intrusive LRU list (per shard) ----------------------------------------
 
 func (l *flist) pushFront(f *frame) {
 	f.prev = nil
@@ -452,60 +263,19 @@ func (l *flist) remove(f *frame) {
 	f.prev, f.next = nil, nil
 }
 
-// listRemove takes f off whichever replacement list it is on.
+// listRemove takes f off the LRU list if it is on it.
 func (s *shard) listRemove(f *frame) {
-	switch f.where {
-	case onProbation:
-		s.prob.remove(f)
-		s.probLen--
-	case onProtected:
-		s.prot.remove(f)
-		s.protLen--
+	if f.listed {
+		s.lru.remove(f)
+		f.listed = false
 	}
-	f.where = offList
 }
 
-// releaseLocked puts an unpinned frame on the appropriate replacement
-// list: the single LRU list under PolicyLRU; under Policy2Q the protected
-// segment when the frame has been re-referenced (prot sticky, ref set
-// during a pinned hit), the probation FIFO otherwise.
+// releaseLocked puts an unpinned frame at the most-recent end of the LRU
+// list.
 func (s *shard) releaseLocked(f *frame) {
-	if s.twoQ && (f.prot || f.ref) {
-		f.prot, f.ref = true, false
-		s.prot.pushFront(f)
-		s.protLen++
-		f.where = onProtected
-		return
-	}
-	s.prob.pushFront(f)
-	s.probLen++
-	f.where = onProbation
-}
-
-// victimLocked picks the frame to evict. Under LRU this is the tail of the
-// single list. Under 2Q the probation tail goes first whenever probation
-// holds its quota (scans evict only themselves); otherwise the protected
-// tail, falling back to whichever list is non-empty.
-func (s *shard) victimLocked() *frame {
-	// Readahead reprieve: a frame pulled in by the prefetcher but never yet
-	// demanded gets one trip back to the probation head before becoming a
-	// victim. ra is cleared as the frame is recycled, so the loop visits
-	// each frame at most once and a second trip to the tail evicts normally.
-	for f := s.prob.tail; f != nil && f.ra; f = s.prob.tail {
-		f.ra = false
-		s.prob.remove(f)
-		s.prob.pushFront(f)
-	}
-	if !s.twoQ {
-		return s.prob.tail
-	}
-	if s.probLen >= s.probTarget && s.prob.tail != nil {
-		return s.prob.tail
-	}
-	if s.prot.tail != nil {
-		return s.prot.tail
-	}
-	return s.prob.tail
+	s.lru.pushFront(f)
+	f.listed = true
 }
 
 // Fetch pins page id and returns its in-pool bytes. The returned slice
@@ -555,31 +325,11 @@ func (p *Pool) FetchCopyTraced(id pagefile.PageID, dst []byte, tr obs.Tracer) er
 		return err
 	}
 	copy(dst, f.data)
-	if f.pins == 0 && f.where == offList && !f.held {
+	if f.pins == 0 && !f.listed && !f.held {
 		// Freshly admitted by this call: make it a replacement candidate.
 		s.releaseLocked(f)
 	}
 	return nil
-}
-
-// TryFetchCopy copies page id into dst only when the page is already
-// resident, without pinning, hit/miss accounting, or replacement-state
-// changes. Advisory readahead descents (core.Tree.PrefetchGE) use it to
-// walk cached internal nodes without distorting the cost metrics.
-func (p *Pool) TryFetchCopy(id pagefile.PageID, dst []byte) (bool, error) {
-	if len(dst) != p.file.PageSize() {
-		return false, fmt.Errorf("bufferpool: TryFetchCopy buffer is %d bytes, want %d", len(dst), p.file.PageSize())
-	}
-	s := p.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.frames[id]
-	if !ok {
-		return false, nil
-	}
-	f.verifySum()
-	copy(dst, f.data)
-	return true, nil
 }
 
 // fetchLocked returns the resident frame for page id, admitting and
@@ -590,13 +340,6 @@ func (p *Pool) TryFetchCopy(id pagefile.PageID, dst []byte) (bool, error) {
 func (p *Pool) fetchLocked(s *shard, id pagefile.PageID, tr obs.Tracer) (*frame, error) {
 	if f, ok := s.frames[id]; ok {
 		p.countAccess(true)
-		if f.ra {
-			// First demand hit on a readahead frame: the page has now been
-			// touched once, not re-referenced, so it stays probationary.
-			f.ra = false
-		} else if s.twoQ {
-			p.touch2Q(s, f)
-		}
 		f.verifySum()
 		return f, nil
 	}
@@ -707,19 +450,16 @@ func (p *Pool) FlushAll() error {
 func (p *Pool) DropClean() error {
 	for _, s := range p.shards {
 		s.mu.Lock()
-		for _, l := range []*flist{&s.prob, &s.prot} {
-			for f := l.head; f != nil; {
-				next := f.next
-				if err := p.flushLocked(f); err != nil {
-					s.mu.Unlock()
-					return err
-				}
-				s.listRemove(f)
-				delete(s.frames, f.id)
-				f = next
+		for f := s.lru.head; f != nil; {
+			next := f.next
+			if err := p.flushLocked(f); err != nil {
+				s.mu.Unlock()
+				return err
 			}
+			s.listRemove(f)
+			delete(s.frames, f.id)
+			f = next
 		}
-		s.ghostClear()
 		s.mu.Unlock()
 	}
 	return nil
@@ -741,38 +481,9 @@ func (p *Pool) PinnedCount() int {
 }
 
 func (s *shard) pinLocked(f *frame) {
-	if f.pins == 0 && f.where != offList {
-		s.listRemove(f)
-	}
+	s.listRemove(f)
 	f.dropSum()
 	f.pins++
-}
-
-// touch2Q records a re-reference under Policy2Q: hits on protected frames
-// count toward the protected-hit metric (and refresh their LRU position);
-// a first re-reference promotes a probationary frame immediately when it
-// is unpinned, or defers via ref when it is currently pinned.
-func (p *Pool) touch2Q(s *shard, f *frame) {
-	if f.prot {
-		p.stats.ProtectedHits.Add(1)
-		if sink := p.sink.Load(); sink != nil {
-			atomic.AddInt64(&sink.ProtectedHits, 1)
-		}
-		if f.where == onProtected {
-			s.listRemove(f)
-			f.prot = true
-			s.releaseLocked(f)
-		}
-		return
-	}
-	if f.where == onProbation {
-		s.listRemove(f)
-		f.prot = true
-		s.releaseLocked(f)
-		return
-	}
-	// Pinned (or mid-admission) first-touch frame: promote at release.
-	f.ref = true
 }
 
 // admitLocked finds a frame for page id within shard s, evicting the
@@ -780,7 +491,7 @@ func (p *Pool) touch2Q(s *shard, f *frame) {
 // frame is registered in the frame map with zero pins and stale data.
 func (p *Pool) admitLocked(s *shard, id pagefile.PageID) (*frame, error) {
 	if len(s.frames) >= s.cap {
-		victim := s.victimLocked()
+		victim := s.lru.tail
 		if victim == nil {
 			return nil, fmt.Errorf("%w (%d of %d shard frames)", ErrPoolFull, s.cap, p.cap)
 		}
@@ -788,38 +499,19 @@ func (p *Pool) admitLocked(s *shard, id pagefile.PageID) (*frame, error) {
 			return nil, err
 		}
 		p.stats.PageEvictions.Add(1)
-		scanEvict := s.twoQ && victim.where == onProbation && !victim.ref
-		if scanEvict {
-			p.stats.ScanEvictions.Add(1)
-		}
 		if sink := p.sink.Load(); sink != nil {
 			atomic.AddInt64(&sink.PageEvictions, 1)
-			if scanEvict {
-				atomic.AddInt64(&sink.ScanEvictions, 1)
-			}
 			sink.Emit(obs.EvPageEvict, 1)
-		}
-		if s.twoQ && victim.where == onProbation {
-			s.ghostPush(victim.id)
 		}
 		s.listRemove(victim)
 		delete(s.frames, victim.id)
 		victim.id = id
 		victim.dirty = false
-		victim.ref, victim.prot, victim.ra = false, false, false
-		if s.twoQ && s.ghostHit(id) {
-			// Second touch of a page whose first touch was already washed
-			// out of probation: admit straight to the protected segment.
-			victim.prot = true
-		}
 		victim.dropSum()
 		s.frames[id] = victim
 		return victim, nil
 	}
 	f := &frame{id: id, data: make([]byte, p.file.PageSize())}
-	if s.twoQ && s.ghostHit(id) {
-		f.prot = true
-	}
 	s.frames[id] = f
 	return f, nil
 }

@@ -14,7 +14,7 @@ import (
 //
 // A mutation runs as a transaction: every page it touches is fetched
 // "held" (FetchHeld / FetchNewHeld), which marks the frame no-steal — it
-// stays off the replacement lists and is skipped by every write-back path
+// stays off the LRU list and is skipped by every write-back path
 // until CommitTx has appended its after-image to the log and the
 // group-commit flusher has fsynced past the commit record. Only the
 // mutation's owner touches its held frames (the index latching protocol
@@ -76,11 +76,9 @@ func (tx *Tx) hold(s *shard, f *frame) {
 	tx.seen[f.id] = struct{}{}
 	tx.pages = append(tx.pages, f.id)
 	f.held = true
-	// A held frame must not sit on a replacement list: it would become an
+	// A held frame must not sit on the LRU list: it would become an
 	// eviction victim, and eviction writes frames back.
-	if f.pins == 0 && f.where != offList {
-		s.listRemove(f)
-	}
+	s.listRemove(f)
 }
 
 // FetchHeld is Fetch within a transaction: the frame is pinned and marked
@@ -126,7 +124,7 @@ func (p *Pool) FetchNewHeld(tx *Tx) (pagefile.PageID, []byte, error) {
 }
 
 // UnpinTx is Unpin within a transaction. The frame stays held (and off
-// the replacement lists) until commit. Unpin itself is transaction-aware,
+// the LRU list) until commit. Unpin itself is transaction-aware,
 // so this is a plain alias kept for call-site symmetry.
 func (p *Pool) UnpinTx(tx *Tx, id pagefile.PageID, dirty bool) error {
 	return p.Unpin(id, dirty)
@@ -171,9 +169,7 @@ func (p *Pool) FreeTx(tx *Tx, id pagefile.PageID) error {
 			s.mu.Unlock()
 			return fmt.Errorf("bufferpool: free of pinned page %d", id)
 		}
-		if f.where != offList {
-			s.listRemove(f)
-		}
+		s.listRemove(f)
 		f.held = false
 		delete(s.frames, id)
 	}

@@ -133,7 +133,7 @@ type Options struct {
 
 // Tree is a disk-resident XR-tree over one document's element set.
 type Tree struct {
-	blink.Tree // the read side: root snapshot, Lookup, PrefetchGE
+	blink.Tree // the read side: root snapshot, Lookup
 
 	pool *bufferpool.Pool
 	meta pagefile.PageID

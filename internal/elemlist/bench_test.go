@@ -11,7 +11,7 @@ import (
 
 // BenchmarkLeafChainScan measures one full sequential scan of a paged
 // element list through a pool smaller than the list, so every iteration
-// pays real page replacement — the workload the readahead path targets.
+// pays real page replacement.
 func BenchmarkLeafChainScan(b *testing.B) {
 	const elements = 50000
 	es := make([]xmldoc.Element, elements)

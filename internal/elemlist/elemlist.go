@@ -135,13 +135,6 @@ func (l *List) DocID() uint32 { return l.docID }
 // Head returns the first page of the list (for diagnostics).
 func (l *List) Head() pagefile.PageID { return l.head }
 
-// readaheadWindow is how far ahead, in pages, an iterator hints to the
-// pool's prefetcher when the positional page map is known. Hints go out in
-// half-window batches (see hintReadahead), so the prefetcher always has a
-// multi-page run to coalesce and a few pages of demand headroom to win the
-// race against the scan.
-const readaheadWindow = 8
-
 // Iterator walks the list in start order. It pins at most one page at a
 // time; Close releases the current pin.
 type Iterator struct {
@@ -153,13 +146,6 @@ type Iterator struct {
 	count  int
 	idx    int
 	err    error
-
-	// ord is the ordinal of pageID within the list when known (enables
-	// windowed readahead hints); -1 when position tracking was lost.
-	ord int
-	// hinted is the readahead high-water mark: the first list ordinal not
-	// yet published to the prefetcher (see hintReadahead).
-	hinted int
 
 	// pendingIdx/hasPending carry a Restore'd position across the page
 	// re-fetch that the next Next performs.
@@ -185,7 +171,7 @@ func (l *List) ScanAt(ordinal int, c *metrics.Counters) (*Iterator, error) {
 		return nil, err
 	}
 	page := ordinal / l.perPage
-	it := &Iterator{list: l, c: c, pageID: l.pageIDs[page], idx: -1, ord: page}
+	it := &Iterator{list: l, c: c, pageID: l.pageIDs[page], idx: -1}
 	it.pendingIdx = ordinal%l.perPage - 1
 	it.hasPending = true
 	return it, nil
@@ -218,8 +204,8 @@ func (l *List) ensurePageIDs() error {
 }
 
 // loadPage pins the iterator's current page, applies any pending Restore
-// position, counts the leaf read, and publishes readahead hints. Returns
-// false when the chain is exhausted or on error/cancellation (it.err set).
+// position and counts the leaf read. Returns false when the chain is
+// exhausted or on error/cancellation (it.err set).
 func (it *Iterator) loadPage() bool {
 	if it.pageID == pagefile.InvalidPage {
 		return false
@@ -244,38 +230,7 @@ func (it *Iterator) loadPage() bool {
 	if it.c != nil {
 		it.c.LeafReads++
 	}
-	it.hintReadahead()
 	return true
-}
-
-// hintReadahead publishes the iterator's upcoming pages to the pool's
-// prefetcher: positional pages when the page map and ordinal are known,
-// otherwise just the chained next page. The positional path tops up in
-// half-window batches against a hinted high-water mark rather than
-// re-hinting an overlapping window at every page boundary — each hint then
-// carries a fresh multi-page run the prefetcher can coalesce into one
-// vectored read, instead of one new page buried under already-sent ids.
-func (it *Iterator) hintReadahead() {
-	pool := it.list.pool
-	if !pool.PrefetchEnabled() {
-		return
-	}
-	if it.ord >= 0 && len(it.list.pageIDs) == it.list.pages {
-		lo := it.ord + 1
-		hi := lo + readaheadWindow
-		if hi > it.list.pages {
-			hi = it.list.pages
-		}
-		if lo < it.hinted {
-			lo = it.hinted
-		}
-		if lo < hi && hi-lo >= readaheadWindow/2 {
-			pool.Prefetch(it.c, it.list.pageIDs[lo:hi]...)
-			it.hinted = hi
-		}
-		return
-	}
-	pool.Prefetch(it.c, pagefile.PageID(le.Uint32(it.data[offNext:])))
 }
 
 // advancePage releases the current page and steps to the chained next one.
@@ -287,9 +242,6 @@ func (it *Iterator) advancePage() bool {
 	}
 	it.data = nil
 	it.pageID = next
-	if it.ord >= 0 {
-		it.ord++
-	}
 	return true
 }
 
@@ -315,8 +267,8 @@ func (it *Iterator) Peek() (xmldoc.Element, bool) {
 
 // Step is Next followed by Peek in one call: it consumes the next element
 // (one scan, as Next counts it) and returns the one after it, decoding
-// only that entry. Page hops, and so cancellation polls, leaf reads and
-// readahead hints, happen exactly where Next and Peek would make them.
+// only that entry. Page hops, and so cancellation polls and leaf reads,
+// happen exactly where Next and Peek would make them.
 func (it *Iterator) Step() (xmldoc.Element, bool) {
 	if !it.positioned() {
 		return xmldoc.Element{}, false
@@ -370,12 +322,11 @@ func (it *Iterator) Err() error { return it.err }
 type Mark struct {
 	pageID pagefile.PageID
 	idx    int
-	ord    int
 }
 
 // Mark returns the position of the next element Next would return.
 func (it *Iterator) Mark() Mark {
-	return Mark{pageID: it.pageID, idx: it.idx, ord: it.ord}
+	return Mark{pageID: it.pageID, idx: it.idx}
 }
 
 // Restore repositions the iterator at a previously captured Mark. The page
@@ -391,7 +342,6 @@ func (it *Iterator) Restore(m Mark) error {
 	}
 	it.pageID = m.pageID
 	it.idx = m.idx
-	it.ord = m.ord
 	// Force a re-fetch positioned so that Next returns entry idx+1 … the
 	// stored idx is "last returned", matching Next's post-increment.
 	it.pendingIdx = m.idx

@@ -204,10 +204,6 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 	defer func() { ca.close(); cd.close() }()
 	var stack ancStack
 	var pl poller
-	// Skip targets are known before the work that precedes the skip runs,
-	// so indexes that support readahead get hinted early (see below).
-	pa, _ := a.(PrefetchSeeker)
-	pd, _ := d.(PrefetchSeeker)
 
 	for ca.valid && cd.valid {
 		if err := pl.interrupted(c); err != nil {
@@ -226,12 +222,6 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 			minStart := stack.topStart()
 			if ca.cur.Start-1 > minStart {
 				minStart = ca.cur.Start - 1
-			}
-			if pa != nil && !ca.holds(cd.cur.Start) {
-				// Line 12's SeekGE target is already known and lies beyond
-				// the held leaf; hint its landing page now so the read
-				// overlaps the stab-list probe below.
-				pa.PrefetchGE(cd.cur.Start, c)
 			}
 			// The probe appends the ancestors, sorted by start, straight
 			// onto the stack: they nest inside its top.
@@ -260,11 +250,6 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 				// accounting as the B+ algorithm's descendant skip).
 				countScan(c, 1)
 				c.Emit(obs.EvSkipDesc, int64(ca.cur.Start+1)-int64(cd.cur.Start))
-				if pd != nil && !cd.holds(ca.cur.Start+1) {
-					// Hint the skip landing page; its read overlaps the
-					// seek's root-to-leaf descent.
-					pd.PrefetchGE(ca.cur.Start+1, c)
-				}
 				if err := cd.seek(d, ca.cur.Start+1, c); err != nil {
 					return err
 				}

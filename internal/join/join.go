@@ -86,11 +86,7 @@ type AncestorSeeker interface {
 	AppendAncestors(dst []xmldoc.Element, sd, minStart uint32, c *metrics.Counters) ([]xmldoc.Element, error)
 }
 
-// PrefetchSeeker is an optional extension of Seeker: an index that can
-// publish an asynchronous readahead hint for the landing page of a future
-// SeekGE/AppendAncestors probe (core.Tree.PrefetchGE). Join algorithms
-// type-assert for it and hint skip targets before the work that precedes
-// the skip, so the landing page's I/O overlaps in-flight computation.
+// PrefetchSeeker has no implementer; it stays because bench/xrperf names it.
 type PrefetchSeeker interface {
 	PrefetchGE(key uint32, c *metrics.Counters)
 }
@@ -147,9 +143,6 @@ func (s XRTreeSource) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32,
 	return s.T.AppendAncestors(dst, sd, minStart, c)
 }
 
-// PrefetchGE publishes a readahead hint for a future probe's landing page.
-func (s XRTreeSource) PrefetchGE(key uint32, c *metrics.Counters) { s.T.PrefetchGE(key, c) }
-
 // Len returns the number of elements.
 func (s XRTreeSource) Len() int { return s.T.Len() }
 
@@ -159,10 +152,9 @@ func (s XRTreeSource) Len() int { return s.T.Len() }
 // the read layer's leaf-chain cursor that core and btree iterators are,
 // and pathexpr's in-memory iterator, which holds everything): SeekGE
 // searches the leaf copy it holds and descends from the root only when
-// the key lies beyond it; Holds reports whether it would.
+// the key lies beyond it.
 type finger interface {
 	SeekGE(key uint32) error
-	Holds(key uint32) bool
 }
 
 // ancestorFinger is an index iterator that answers FindAncestors probes
@@ -241,9 +233,6 @@ func (c *cursor) seek(s Seeker, key uint32, m *metrics.Counters) error {
 	}
 	return c.replace(it)
 }
-
-// holds reports whether seek(key) would be answered from the held leaf.
-func (c *cursor) holds(key uint32) bool { return c.f != nil && c.f.Holds(key) }
 
 // ancestors appends the ancestors of sd with start > minStart, through the
 // iterator's leaf-local probe when it has one and through s otherwise.

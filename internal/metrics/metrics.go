@@ -53,17 +53,6 @@ type Counters struct {
 	// so PhysicalReads/ReadCalls is the coalescing ratio.
 	ReadCalls int64
 
-	// ScanEvictions and ProtectedHits describe the 2Q replacement policy:
-	// frames evicted from probation without re-reference, and hits on the
-	// protected (re-referenced) segment. Zero under plain LRU.
-	ScanEvictions int64
-	ProtectedHits int64
-
-	// PrefetchIssued and PrefetchReads count readahead hints accepted by
-	// the pool's prefetcher and the pages it actually pulled in.
-	PrefetchIssued int64
-	PrefetchReads  int64
-
 	// FingerHits counts join steps (finger seeks and ancestor probes) that
 	// an index iterator answered from the leaf it already holds, without a
 	// root-to-leaf descent; FingerMisses counts the finger steps that fell
@@ -151,10 +140,6 @@ func FromSnapshot(s obs.CountersSnapshot) Counters {
 		PhysicalWrites:  s.PhysicalWrites,
 		PageEvictions:   s.PageEvictions,
 		ReadCalls:       s.ReadCalls,
-		ScanEvictions:   s.ScanEvictions,
-		ProtectedHits:   s.ProtectedHits,
-		PrefetchIssued:  s.PrefetchIssued,
-		PrefetchReads:   s.PrefetchReads,
 	}
 }
 
@@ -174,10 +159,6 @@ func (c *Counters) Add(other *Counters) {
 	c.PhysicalWrites += other.PhysicalWrites
 	c.PageEvictions += other.PageEvictions
 	c.ReadCalls += other.ReadCalls
-	c.ScanEvictions += other.ScanEvictions
-	c.ProtectedHits += other.ProtectedHits
-	c.PrefetchIssued += other.PrefetchIssued
-	c.PrefetchReads += other.PrefetchReads
 	c.FingerHits += other.FingerHits
 	c.FingerMisses += other.FingerMisses
 	c.Elapsed += other.Elapsed

@@ -26,19 +26,6 @@ type Counters struct {
 	// adjacent pages, so PhysicalReads / ReadCalls ≥ 1 is the coalescing
 	// ratio.
 	ReadCalls atomic.Int64
-
-	// ScanEvictions counts frames evicted from the probationary queue
-	// without ever being re-referenced — the pages a scan streamed through
-	// the pool once. ProtectedHits counts hits on re-referenced (protected)
-	// frames. Both are zero under plain LRU.
-	ScanEvictions atomic.Int64
-	ProtectedHits atomic.Int64
-
-	// PrefetchIssued counts readahead hints accepted by the prefetcher;
-	// PrefetchReads counts pages it actually pulled in (hints for already
-	// resident or raced-in pages are dropped).
-	PrefetchIssued atomic.Int64
-	PrefetchReads  atomic.Int64
 }
 
 // CountersSnapshot is a plain-data copy of a Counters at one instant,
@@ -56,10 +43,6 @@ type CountersSnapshot struct {
 	PhysicalWrites  int64 `json:"physical_writes"`
 	PageEvictions   int64 `json:"page_evictions"`
 	ReadCalls       int64 `json:"read_calls,omitempty"`
-	ScanEvictions   int64 `json:"scan_evictions,omitempty"`
-	ProtectedHits   int64 `json:"protected_hits,omitempty"`
-	PrefetchIssued  int64 `json:"prefetch_issued,omitempty"`
-	PrefetchReads   int64 `json:"prefetch_reads,omitempty"`
 }
 
 // Snapshot returns a point-in-time copy of the counters. Under concurrent
@@ -78,10 +61,6 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		PhysicalWrites:  c.PhysicalWrites.Load(),
 		PageEvictions:   c.PageEvictions.Load(),
 		ReadCalls:       c.ReadCalls.Load(),
-		ScanEvictions:   c.ScanEvictions.Load(),
-		ProtectedHits:   c.ProtectedHits.Load(),
-		PrefetchIssued:  c.PrefetchIssued.Load(),
-		PrefetchReads:   c.PrefetchReads.Load(),
 	}
 }
 
@@ -98,10 +77,6 @@ func (c *Counters) Reset() {
 	c.PhysicalWrites.Store(0)
 	c.PageEvictions.Store(0)
 	c.ReadCalls.Store(0)
-	c.ScanEvictions.Store(0)
-	c.ProtectedHits.Store(0)
-	c.PrefetchIssued.Store(0)
-	c.PrefetchReads.Store(0)
 }
 
 // Sub returns the per-field difference s − old, for before/after deltas.
@@ -118,9 +93,5 @@ func (s CountersSnapshot) Sub(old CountersSnapshot) CountersSnapshot {
 		PhysicalWrites:  s.PhysicalWrites - old.PhysicalWrites,
 		PageEvictions:   s.PageEvictions - old.PageEvictions,
 		ReadCalls:       s.ReadCalls - old.ReadCalls,
-		ScanEvictions:   s.ScanEvictions - old.ScanEvictions,
-		ProtectedHits:   s.ProtectedHits - old.ProtectedHits,
-		PrefetchIssued:  s.PrefetchIssued - old.PrefetchIssued,
-		PrefetchReads:   s.PrefetchReads - old.PrefetchReads,
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -83,24 +82,3 @@ func (h HistogramSnapshot) quantile(q float64) int64 {
 
 // Quantile returns an upper bound for the q-quantile of the snapshot.
 func (h HistogramSnapshot) Quantile(q float64) int64 { return h.quantile(q) }
-
-// expvarFunc adapts a snapshot producer to the expvar.Var interface
-// (interface{ String() string }, where String returns valid JSON) without
-// importing expvar — importing it would drag net/http and its debug
-// handlers into every binary.
-type expvarFunc func() string
-
-func (f expvarFunc) String() string { return f() }
-
-// Var returns an expvar-compatible variable: its String method renders the
-// collector's live snapshot as JSON. Register it with
-// expvar.Publish("xrtree", collector.Var()) to expose it on /debug/vars.
-func (c *Collector) Var() interface{ String() string } {
-	return expvarFunc(func() string {
-		b, err := json.Marshal(c.Snapshot())
-		if err != nil {
-			return `{"error":"snapshot marshal failed"}`
-		}
-		return string(b)
-	})
-}

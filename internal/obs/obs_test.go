@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -160,19 +159,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if back.Events["StabScan"].Sum != 4 || back.Events["JoinSpan"].Count != 1 {
 		t.Errorf("round trip lost data: %+v", back)
-	}
-}
-
-func TestExpvarCompatibleVar(t *testing.T) {
-	c := NewCollector()
-	c.Event(EvPageEvict, 1)
-	var v expvar.Var = c.Var() // must satisfy the expvar contract
-	var parsed Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &parsed); err != nil {
-		t.Fatalf("Var().String() is not valid JSON: %v", err)
-	}
-	if parsed.Events["PageEvict"].Count != 1 {
-		t.Errorf("expvar snapshot = %+v", parsed)
 	}
 }
 

@@ -486,6 +486,7 @@ func (f *File) ReadPageTo(id PageID, dst []byte, tr obs.Tracer) error {
 // calls (at most maxCoalesce pages per call). It reorders ids and dsts in
 // tandem in place, so callers must own both slices. Each dst must be
 // exactly PageSize bytes. Reads of distinct batches run concurrently.
+// Its only caller is bench/xrperf's pagefile.readv_ns_per_page probe.
 func (f *File) ReadPages(ids []PageID, dsts [][]byte) error {
 	if len(ids) != len(dsts) {
 		return fmt.Errorf("pagefile: ReadPages got %d ids and %d buffers", len(ids), len(dsts))
@@ -496,8 +497,7 @@ func (f *File) ReadPages(ids []PageID, dsts [][]byte) error {
 		}
 	}
 	// Insertion sort by page id, moving the buffers in tandem. Batches are
-	// small (prefetch windows), so this beats sort.Slice and allocates
-	// nothing.
+	// small, so this beats sort.Slice and allocates nothing.
 	for i := 1; i < len(ids); i++ {
 		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
 			ids[j], ids[j-1] = ids[j-1], ids[j]

@@ -521,9 +521,6 @@ func (it *memIterator) SeekGE(key uint32) error {
 	return nil
 }
 
-// Holds reports that every seek is answered in place.
-func (it *memIterator) Holds(uint32) bool { return true }
-
 // AppendAncestors is memSource.AppendAncestors over the iterator's slice.
 func (it *memIterator) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32) ([]xmldoc.Element, error) {
 	return appendAncestors(it.els, dst, sd, minStart, it.c), nil

@@ -414,9 +414,6 @@ func TestStepMatchesNextPeek(t *testing.T) {
 				gn, okn = n.Peek()
 			default:
 				k := uint32(rng.Intn(3*len(els) + 10))
-				if !s.Holds(k) {
-					t.Fatalf("Holds(%d) = false", k)
-				}
 				s.SeekGE(k)
 				n.SeekGE(k)
 				gs, oks = s.Peek()

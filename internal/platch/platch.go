@@ -95,14 +95,8 @@ func (s *latchShard) pin(id pagefile.PageID) *entry {
 	return e
 }
 
-// unpin drops one reference to id's latch entry, recycling it when the
-// last holder leaves.
-func (s *latchShard) unpin(id pagefile.PageID) {
-	s.mu.Lock()
-	s.unpinLocked(id)
-	s.mu.Unlock()
-}
-
+// unpinLocked drops one reference to id's latch entry, recycling it when
+// the last holder leaves. The caller holds s.mu.
 func (s *latchShard) unpinLocked(id pagefile.PageID) {
 	e := s.m[id]
 	e.refs--
@@ -178,19 +172,6 @@ func (t *Table) Unlock(id pagefile.PageID) {
 // shared coupling variant.
 func (t *Table) RLock(id pagefile.PageID) {
 	t.shard(id).pin(id).mu.RLock()
-}
-
-// TryRLock acquires id's latch shared without blocking, reporting
-// success. Advisory paths (readahead hints) use it so they never queue
-// behind a writer.
-func (t *Table) TryRLock(id pagefile.PageID) bool {
-	s := t.shard(id)
-	e := s.pin(id)
-	if e.mu.TryRLock() {
-		return true
-	}
-	s.unpin(id)
-	return false
 }
 
 // RUnlock releases a shared latch on id.

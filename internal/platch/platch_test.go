@@ -76,23 +76,6 @@ func TestSharedReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTryRLock verifies the advisory acquisition fails without blocking
-// against a writer and releases its reference either way.
-func TestTryRLock(t *testing.T) {
-	tab := NewTable()
-	id := pagefile.PageID(11)
-	tab.Lock(id)
-	if tab.TryRLock(id) {
-		t.Fatal("TryRLock succeeded against a held exclusive latch")
-	}
-	tab.Unlock(id)
-	if !tab.TryRLock(id) {
-		t.Fatal("TryRLock failed on an idle latch")
-	}
-	tab.RUnlock(id)
-	checkQuiesced(t, tab)
-}
-
 // TestColdRetention verifies that a page latched repeatedly keeps its
 // entry resident between acquisitions (no map churn on the hot path)
 // and that a scan over many distinct pages stays within the retention

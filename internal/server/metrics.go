@@ -28,9 +28,6 @@ func NewMetrics() *Metrics {
 	return &Metrics{col: obs.NewCollector()}
 }
 
-// Collector exposes the underlying event collector (for expvar export).
-func (m *Metrics) Collector() *obs.Collector { return m.col }
-
 // Arrived records one request arrival and samples the queue depth it saw.
 func (m *Metrics) Arrived(queueDepth int) {
 	m.requests.Add(1)
@@ -94,8 +91,8 @@ func (m *Metrics) summarize(kind obs.EventKind) xrtree.LatencySummary {
 	}
 }
 
-// MetricsSnapshot is the JSON shape of /api/v1/stats and the expvar
-// variable: outcome counts, live gauges, latency digests, and the raw
+// MetricsSnapshot is the JSON shape of /api/v1/stats' server section:
+// outcome counts, live gauges, latency digests, and the raw
 // event snapshot for anything not pre-digested.
 type MetricsSnapshot struct {
 	Requests int64 `json:"requests"`

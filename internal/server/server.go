@@ -168,7 +168,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /api/v1/backends", s.handleBackends)
 	s.mux.HandleFunc("GET /api/v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /debug/vars", s.handleVars)
 	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.Handle("GET /api/v1/join", s.admit(s.handleJoin))
@@ -252,9 +251,6 @@ func (s *Server) backend(name string) (*backend, error) {
 	}
 	return b, nil
 }
-
-// Metrics exposes the serving metrics (for expvar publication or tests).
-func (s *Server) Metrics() *Metrics { return s.met }
 
 // Handler returns the server's HTTP handler, for tests and embedding.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -915,11 +911,4 @@ func (s *Server) statsSnapshot() statsResponse {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.statsSnapshot())
-}
-
-// handleVars serves the metrics in expvar's JSON-map shape (one top-level
-// key per variable) without registering in the process-global expvar
-// namespace, so multiple servers coexist in one process (tests).
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"xrtree_serve": s.statsSnapshot()})
 }

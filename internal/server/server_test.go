@@ -461,13 +461,6 @@ func TestStatsAndDiscoveryEndpoints(t *testing.T) {
 	if len(bl.Backends) != 1 || bl.Backends[0].Kind != "store" || len(bl.Backends[0].Sets) != 3 {
 		t.Errorf("backend listing wrong: %+v", bl.Backends)
 	}
-
-	var vars map[string]json.RawMessage
-	if code, body := getJSON(t, ts, "/debug/vars", &vars); code != http.StatusOK {
-		t.Fatalf("/debug/vars = %d: %s", code, body)
-	} else if _, ok := vars["xrtree_serve"]; !ok {
-		t.Errorf("/debug/vars lacks xrtree_serve: %s", body)
-	}
 }
 
 func TestGracefulDrain(t *testing.T) {

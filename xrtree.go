@@ -45,18 +45,6 @@ type Document = xmldoc.Document
 // misses, I/Os, elapsed time).
 type Stats = metrics.Counters
 
-// PoolPolicy selects the buffer-pool replacement policy (StoreOptions).
-type PoolPolicy = bufferpool.Policy
-
-// Buffer replacement policies.
-const (
-	// PoolLRU is strict least-recently-unpinned replacement (default).
-	PoolLRU = bufferpool.PolicyLRU
-	// Pool2Q is scan-resistant 2Q-style replacement: a probationary FIFO
-	// for first-touch pages and a protected LRU for re-referenced ones.
-	Pool2Q = bufferpool.Policy2Q
-)
-
 // CostModel converts counted page misses and scans into a derived time.
 type CostModel = metrics.CostModel
 
@@ -110,14 +98,6 @@ type StoreOptions struct {
 	// 1 shard for small pools (preserving exact global LRU), up to 8 with
 	// at least 16 frames each. See DESIGN.md "Concurrency".
 	PoolShards int
-	// PoolPolicy selects the buffer replacement policy: PolicyLRU (the
-	// default, paper-faithful) or Policy2Q (scan-resistant; see DESIGN.md
-	// "Storage performance").
-	PoolPolicy PoolPolicy
-	// Prefetch starts the pool's asynchronous readahead workers: iterators
-	// publish next-page hints and the workers pull the pages in with
-	// coalesced vectored reads, without pinning them.
-	Prefetch bool
 	// Tracer, when non-nil, receives structured trace events (page I/O,
 	// index descents, skips, output batches) from every operation on the
 	// store. Equivalent to calling SetTracer after creation.
@@ -160,12 +140,7 @@ func newStore(file *pagefile.File, opts StoreOptions) (*Store, error) {
 	if frames == 0 {
 		frames = bufferpool.DefaultFrames
 	}
-	pool, err := bufferpool.NewWithConfig(file, bufferpool.Config{
-		Capacity: frames,
-		Shards:   opts.PoolShards,
-		Policy:   opts.PoolPolicy,
-		Prefetch: opts.Prefetch,
-	})
+	pool, err := bufferpool.NewSharded(file, frames, opts.PoolShards)
 	if err != nil {
 		file.Close()
 		return nil, err
@@ -219,12 +194,10 @@ func NewMemStore(opts StoreOptions) (*Store, error) {
 	return newStore(pagefile.NewMem(pagefile.Options{PageSize: opts.PageSize}), opts)
 }
 
-// Close stops the pool's background workers, then flushes and closes the
-// underlying file. With a WAL attached it also fsyncs the page file and
-// writes a clean-shutdown record, so the next open skips redo and keeps
-// the free list.
+// Close flushes and closes the underlying file. With a WAL attached it
+// also fsyncs the page file and writes a clean-shutdown record, so the
+// next open skips redo and keeps the free list.
 func (s *Store) Close() error {
-	s.pool.Close()
 	if err := s.pool.FlushAll(); err != nil {
 		if s.wal != nil {
 			s.wal.Abandon()
@@ -360,8 +333,7 @@ func (e *ElementSet) Len() int { return len(e.els) }
 func (e *ElementSet) Elements() []Element { return e.els }
 
 // List exposes the set's paged element list — the sequential access path
-// the no-index algorithms scan. Its iterator publishes windowed readahead
-// hints when the store runs with StoreOptions.Prefetch.
+// the no-index algorithms scan.
 func (e *ElementSet) List() (*elemlist.List, error) {
 	if e.list == nil {
 		return nil, ErrNoAccessPath
