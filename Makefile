@@ -30,10 +30,11 @@ bench:
 # signal, hence -benchmem; -count=5 for a spread benchstat can consume):
 # the pool pin/unpin fast path, a full leaf-chain scan, the XR-stack
 # (ancestor-descendant and parent-child), B+ and no-index joins end to end,
-# and the parallel driver on dense and output-light partitions.
+# the parallel driver on dense and output-light partitions, and the admitted
+# join and query handlers without sockets (response bytes per request too).
 microbench:
-	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkLeafChainScan|BenchmarkXRStackJoin|BenchmarkBPlusJoin|BenchmarkStackTreeDescJoin|BenchmarkParallel' \
-		-benchmem -count=5 ./internal/bufferpool ./internal/elemlist ./internal/join
+	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkLeafChainScan|BenchmarkXRStackJoin|BenchmarkBPlusJoin|BenchmarkStackTreeDescJoin|BenchmarkParallel|BenchmarkServe' \
+		-benchmem -count=5 ./internal/bufferpool ./internal/elemlist ./internal/join ./internal/server
 
 # Every microbenchmark body under internal/ run once, so a benchmark that
 # no longer builds, fails or finds no pairs breaks CI; no timing is judged.

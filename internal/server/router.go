@@ -88,8 +88,7 @@ func routerTrace(r *http.Request, req *cluster.Request, name string) (*obs.Span,
 
 // routeJoin is handleJoin in router mode: validate locally (a malformed
 // request must 400 here, not 400 on every shard), scatter, merge, respond.
-func (s *Server) routeJoin(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
+func (s *Server) routeJoin(w http.ResponseWriter, r *http.Request, q url.Values) error {
 	anc, desc := q.Get("anc"), q.Get("desc")
 	if anc == "" || desc == "" {
 		return badRequest("anc and desc parameters are required")
@@ -172,8 +171,7 @@ func (s *Server) routeJoin(w http.ResponseWriter, r *http.Request) error {
 }
 
 // routeQuery is handleQuery in router mode.
-func (s *Server) routeQuery(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
+func (s *Server) routeQuery(w http.ResponseWriter, r *http.Request, q url.Values) error {
 	path := q.Get("path")
 	if path == "" {
 		return badRequest("path parameter is required")

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -282,22 +284,45 @@ type errorBody struct {
 	Status int    `json:"status"`
 }
 
+// jsonBufs recycles the buffers responses are encoded into.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledJSON caps the capacity of a buffer returned to jsonBufs, so an
+// occasional large body (a full /debug/traces dump) is not kept alive.
+const maxPooledJSON = 64 << 10
+
+// writeJSON is the one wire path of every JSON response: v is encoded
+// compactly into a pooled buffer before the header goes out, so the body
+// is sent in one write framed by Content-Length, and a value that cannot be
+// encoded becomes a 500 with the JSON error body instead of a 200 with a
+// truncated one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(errorBody{Error: "encode response: " + err.Error(), Status: code})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // header already sent; a broken client connection is not actionable
+	_, _ = w.Write(buf.Bytes()) // a broken client connection is not actionable
+	if buf.Cap() <= maxPooledJSON {
+		jsonBufs.Put(buf)
+	}
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, errorBody{Error: msg, Status: code})
 }
 
-// apiFunc is an admitted handler: it returns nil after writing a 2xx
-// response, or an error that admit maps to an HTTP status (httpError →
-// its code, context errors → 503, anything else → 500).
-type apiFunc func(w http.ResponseWriter, r *http.Request) error
+// apiFunc is an admitted handler: it receives the query string admit
+// already parsed and returns nil after writing a 2xx response, or an error
+// that admit maps to an HTTP status (httpError → its code, context errors
+// → 503, anything else → 500).
+type apiFunc func(w http.ResponseWriter, r *http.Request, q url.Values) error
 
 // admit wraps an apiFunc with the admission policy: parse and apply the
 // request deadline, acquire an execution slot (bounded queue, 429 on
@@ -307,7 +332,8 @@ type apiFunc func(w http.ResponseWriter, r *http.Request) error
 func (s *Server) admit(fn apiFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		arrive := time.Now()
-		timeout, err := parseTimeout(r.URL.Query().Get("timeout"), s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
+		q := r.URL.Query()
+		timeout, err := parseTimeout(q.Get("timeout"), s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 		if err != nil {
 			s.met.Failed()
 			writeError(w, http.StatusBadRequest, err.Error())
@@ -348,7 +374,7 @@ func (s *Server) admit(fn apiFunc) http.Handler {
 			tr.Root().Event(obs.EvServeQueueWait, wait.Nanoseconds())
 		}
 
-		err = fn(w, r.WithContext(ctx))
+		err = fn(w, r.WithContext(ctx), q)
 		switch {
 		case err == nil:
 		case errors.Is(err, context.DeadlineExceeded):
@@ -505,11 +531,10 @@ type joinResponse struct {
 
 // handleJoin runs one structural join: GET /api/v1/join?backend=&anc=&
 // desc=&axis=&alg=&workers=&limit=&timeout=&stats=1.
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, q url.Values) error {
 	if s.coord != nil {
-		return s.routeJoin(w, r)
+		return s.routeJoin(w, r, q)
 	}
-	q := r.URL.Query()
 	b, err := s.backend(q.Get("backend"))
 	if err != nil {
 		return err
@@ -566,7 +591,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
 	}
 	var (
 		pairs     int64
-		sample    []pairJSON
+		sample    = make([]pairJSON, 0, min(limit, 64))
 		truncated bool
 	)
 	emit := func(a, d xrtree.Element) {
@@ -647,11 +672,10 @@ type queryResponse struct {
 
 // handleQuery evaluates a path expression over a document backend:
 // GET /api/v1/query?backend=&path=&limit=&timeout=.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, q url.Values) error {
 	if s.coord != nil {
-		return s.routeQuery(w, r)
+		return s.routeQuery(w, r, q)
 	}
-	q := r.URL.Query()
 	b, err := s.backend(q.Get("backend"))
 	if err != nil {
 		return err
@@ -742,11 +766,10 @@ const maxInsertBody = 1 << 20
 // same execution slots the limiter meters. Inserted elements are visible
 // to the XR-tree access path (xr joins, FindAncestors probes); the set's
 // catalogued element list and B+-tree are not updated.
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, q url.Values) error {
 	if s.coord != nil {
 		return badRequest("the router does not accept inserts; POST to the shard that owns the document")
 	}
-	q := r.URL.Query()
 	b, err := s.backend(q.Get("backend"))
 	if err != nil {
 		return err

@@ -19,7 +19,7 @@ import (
 )
 
 // testStore creates a memory store sized like the paper's setup but small.
-func testStore(t *testing.T) *xrtree.Store {
+func testStore(t testing.TB) *xrtree.Store {
 	t.Helper()
 	st, err := xrtree.NewMemStore(xrtree.StoreOptions{PageSize: 1024, BufferPages: 128})
 	if err != nil {
