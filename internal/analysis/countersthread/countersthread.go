@@ -6,8 +6,8 @@
 //
 //   - copying Counters by value — a value parameter or a `x := *c`
 //     deref-copy accumulates into the copy and the increments are lost
-//     when it dies (value *returns* are fine: Pool.Stats and
-//     metrics.FromSnapshot hand out deliberate snapshots);
+//     when it dies (value *returns* are fine: Pool.Stats hands out a
+//     deliberate snapshot);
 //
 //   - dropping the counters mid-path — calling a counted layer with a
 //     literal nil Counters argument while the caller itself received a

@@ -22,7 +22,7 @@ func goodPtrParam(c *Counters) {
 }
 
 // goodSnapshotReturn returns a value copy deliberately — the snapshot
-// idiom (Pool.Stats, metrics.FromSnapshot) is allowed.
+// idiom (Pool.Stats) is allowed.
 func goodSnapshotReturn(c *Counters) Counters {
 	return *c
 }

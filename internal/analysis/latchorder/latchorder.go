@@ -2,7 +2,8 @@
 // concurrency design (the sharded pool, the WAL, the cluster router and
 // the B-link protocol) layers six lock classes:
 //
-//	level 1: Tree.wlatch     — btree/core writer mutex
+//	level 1: Tree.wlatch     — the B-link writer latch (blink.Tree; the
+//	                           XR-tree takes it as Tree.w, its blink.Writer)
 //	level 2: Pool.ckptGate   — WAL checkpoint gate (RWMutex, PR 7)
 //	level 3: Tree.pl         — per-page latches (platch.Table)
 //	level 4: shard.mu        — buffer-pool shard mutexes
@@ -66,6 +67,7 @@ var Analyzer = &analysis.Analyzer{
 // into the lock identity.
 var lockClasses = map[[2]string]int{
 	{"Tree", "wlatch"}:   1,
+	{"Tree", "w"}:        1,
 	{"Pool", "ckptGate"}: 2,
 	{"Tree", "pl"}:       pageLatchLevel,
 	{"shard", "mu"}:      4,
@@ -89,7 +91,7 @@ type summary struct {
 
 // methodLevels summarizes exported entry points of other packages: the
 // lowest lock level the method acquires internally. Matching is by
-// receiver type name, so btree.Tree, core.Tree and the read layer they
+// receiver type name, so btree.Tree, core.Tree and the B-link tree they
 // embed, blink.Tree, share the Tree rows.
 var methodLevels = map[[2]string]int{
 	// Mutations take wlatch; so do the exact-answer fallback inside the
@@ -116,11 +118,13 @@ var methodLevels = map[[2]string]int{
 	{"Pool", "Fetch"}: 4, {"Pool", "FetchTraced"}: 4,
 	{"Pool", "FetchCopy"}: 4, {"Pool", "FetchCopyTraced"}: 4,
 	{"Pool", "FetchNew"}:  4,
-	{"Pool", "FetchHeld"}: 4, {"Pool", "FetchHeldTraced"}: 4,
-	{"Pool", "FetchNewHeld"}: 4, {"Pool", "UnpinTx"}: 4,
+	{"Pool", "FetchHeld"}: 4, {"Pool", "FetchNewHeld"}: 4, {"Pool", "UnpinTx"}: 4,
 	{"Pool", "DiscardTx"}: 4, {"Pool", "FreeTx"}: 4,
 	{"Pool", "Unpin"}: 4, {"Pool", "Discard"}: 4, {"Pool", "FlushAll"}: 4,
 	{"Pool", "DropClean"}: 4, {"Pool", "PinnedCount"}: 4,
+	// The write side's held-page helpers, as the XR-tree calls them.
+	{"Writer", "Fetch"}: 4, {"Writer", "FetchNew"}: 4,
+	{"Writer", "Unpin"}: 4, {"Writer", "Discard"}: 4,
 	// Cluster router-side leaves: the coordinator's per-shard inventory
 	// mutex and the health prober's state mutex. Prober.Start spawns the
 	// probe loop and Close joins it, so both count as acquisitions — Close

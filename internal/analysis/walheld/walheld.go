@@ -1,34 +1,37 @@
 // Package walheld proves the WAL no-steal protocol at the fetch layer:
 // every page fetched inside an open transaction must come through a
-// held-frame fetch (Pool.FetchHeld / FetchHeldTraced / FetchNewHeld). A
-// plain Fetch in a mutation path produces a frame the commit's snapshot
-// never sees — its after-image never reaches the log, and eviction can
-// steal it before the commit is durable. PR 7's crash harness caught
-// exactly this bug dynamically in the stab-chain maintenance code; this
-// analyzer decides it statically.
+// held-frame fetch (Pool.FetchHeld / FetchNewHeld). A plain Fetch in a
+// mutation path produces a frame the commit's snapshot never sees — its
+// after-image never reaches the log, and eviction can steal it before the
+// commit is durable. PR 7's crash harness caught exactly this bug
+// dynamically in the stab-chain maintenance code; this analyzer decides
+// it statically.
 //
 // A function is a mutation entry point when it opens a transaction
 // (calls Pool.Begin, directly or through a same-package helper like
-// core's beginTx). Code is "in-Tx" from that call onward, and every
+// blink's beginTx). Code is "in-Tx" from that call onward, and every
 // same-package function called from in-Tx code is wholly in-Tx —
 // propagated to a fixpoint, so helpers inherit their callers'
 // obligations the way core's fetchStab chain does. Any plain fetch
 // (Fetch, FetchTraced, FetchCopy, FetchCopyTraced, FetchNew) at an in-Tx
 // position is flagged.
 //
-// The backbone half of every btree and core mutation runs in
-// internal/blink's write layer, another package, which this per-package
-// analysis does not follow into. That layer makes no pool call on its
-// write side: it reaches pages only through the owner's held-page helpers
-// (blink.Pages — the owner's fetch, fetchNew, unpin, discard and free), so
-// every pool call a mutation makes, and the beginTx that opens it, stay in
-// the owner's package where they are checked.
+// The analysis is per package, and one mutation spans two: the
+// transaction bracket of every btree and core mutation is in
+// internal/blink, whose write layer then calls the XR-tree's stab upkeep
+// in core through blink.Hooks. blink is checked as above, its bracket
+// being an ordinary opener. In the owner's package, every method that
+// implements a blink.Hooks method is wholly in-Tx, as if called from an
+// opener: the hooks run inside blink's transaction (or its unlogged bulk
+// build), so their callees are checked too. A hook reaches pages through
+// blink.Writer's held-page helpers, which are not pool calls and pass.
 //
 // Matching is by type and method name (a named type Pool with the fetch
-// methods), so analysistest packages can model the pool locally. The
-// region tracking is lexical within a function: in the repo's idiom the
-// transaction opens at the top of the mutation and commits in a deferred
-// closure, so source position order coincides with execution order.
+// methods, an interface Hooks of a package named blink), so analysistest
+// packages can model the pool locally. The region tracking is lexical
+// within a function: in the repo's idiom the transaction opens at the top
+// of the mutation and commits in a deferred closure, so source position
+// order coincides with execution order.
 //
 // `//xrvet:unlogged <reason>` on the call line (or the line above, or
 // the function declaration) escapes an audited unlogged write — bulk
@@ -56,7 +59,7 @@ var Analyzer = &analysis.Analyzer{
 // hold protocol and are forbidden at in-Tx positions.
 var (
 	heldFetches = map[string]bool{
-		"FetchHeld": true, "FetchHeldTraced": true, "FetchNewHeld": true,
+		"FetchHeld": true, "FetchNewHeld": true,
 	}
 	plainFetches = map[string]bool{
 		"Fetch": true, "FetchTraced": true, "FetchCopy": true,
@@ -71,6 +74,7 @@ func run(pass *analysis.Pass) (any, error) {
 		inTx:     map[types.Object]bool{},
 		unlogged: analysis.CommentLines(pass.Fset, pass.Files, "//xrvet:unlogged"),
 	}
+	c.seedHooks()
 	// Fixpoint: discover transaction openers (and the position their Tx
 	// opens at), then functions called from in-Tx code, until nothing
 	// changes. Opener positions only move earlier and the in-Tx set only
@@ -95,6 +99,42 @@ type checker struct {
 	inTx     map[types.Object]bool
 	unlogged map[analysis.LineKey]string
 	changed  bool
+}
+
+// seedHooks marks wholly in-Tx every method declared in the package that
+// implements a method of blink.Hooks: blink's write layer calls them
+// inside its transaction.
+func (c *checker) seedHooks() {
+	var hooks *types.Interface
+	for _, imp := range c.pass.Pkg.Imports() {
+		if obj := imp.Scope().Lookup("Hooks"); imp.Name() == "blink" && obj != nil {
+			hooks, _ = obj.Type().Underlying().(*types.Interface)
+		}
+	}
+	if hooks == nil {
+		return
+	}
+	for _, f := range c.pass.Files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil {
+				continue
+			}
+			obj, _ := c.pass.TypesInfo.Defs[fn.Name].(*types.Func)
+			if obj == nil {
+				continue
+			}
+			recv := obj.Type().(*types.Signature).Recv().Type()
+			if !types.Implements(recv, hooks) && !types.Implements(types.NewPointer(recv), hooks) {
+				continue
+			}
+			for i := range hooks.NumMethods() {
+				if hooks.Method(i).Name() == obj.Name() {
+					c.inTx[obj] = true
+				}
+			}
+		}
+	}
 }
 
 func (c *checker) scanAll(report bool) {
@@ -177,6 +217,6 @@ func (c *checker) checkFetch(fn *ast.FuncDecl, call *ast.CallExpr) {
 		return
 	}
 	c.pass.Reportf(call.Pos(),
-		"unlogged page fetch in a mutation transaction: %s bypasses the held-frame protocol — use FetchHeld/FetchHeldTraced/FetchNewHeld so the commit logs the page's after-image, or annotate an audited bulk-build path with //xrvet:unlogged <reason>",
+		"unlogged page fetch in a mutation transaction: %s bypasses the held-frame protocol — use FetchHeld/FetchNewHeld so the commit logs the page's after-image, or annotate an audited bulk-build path with //xrvet:unlogged <reason>",
 		types.ExprString(call.Fun))
 }

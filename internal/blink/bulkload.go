@@ -7,27 +7,53 @@ import (
 	"xrtree/internal/xmldoc"
 )
 
-// BulkLoadLocked builds the tree bottom-up from es into the empty tree
-// and publishes its root. valid is the owner's Insert check, applied to
-// every element; starts must ascend strictly. fill is the target page
-// occupancy in (0,1]; anything else means fully packed. The caller holds
-// its write latch and brackets the unlogged build.
+// BulkLoad builds the empty tree bottom-up from es, which must ascend
+// strictly by start, packing pages to fill — the target occupancy in
+// (0,1]; anything else means fully packed, which is what the read-only
+// join experiments use. Every element passes Insert's check. The XR-tree
+// then homes every element (Hooks.Loaded).
 //
-// The empty root leaf becomes the first leaf. It and every page the leaf
-// chain reaches from it are visible to readers, so their mutations are
-// latched; a fresh page is filled unlatched and only then linked. The
-// internal levels stay unreachable until SetRoot and take no latches.
-func (t *Tree) BulkLoadLocked(es []xmldoc.Element, fill float64, valid func(xmldoc.Element) error) error {
+// The build is unlogged: its durability point is the store's explicit
+// save, and the bracket keeps fuzzy WAL checkpoints from reading
+// half-built frames. The empty root leaf becomes the first leaf. It and
+// every page the leaf chain reaches from it are visible to readers, so
+// their mutations are latched; a fresh page is filled unlatched and only
+// then linked. The internal levels stay unreachable until SetRoot and take
+// no latches.
+func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) (err error) {
+	t.wlatch.Lock()
+	defer t.wlatch.Unlock()
+	defer t.done(&err)
+	defer t.debugPinBalance()()
+	t.pool.BeginUnlogged()
+	defer t.pool.EndUnlogged()
+	if n := t.count.Load(); n != 0 {
+		return fmt.Errorf("blink: BulkLoad into non-empty tree (%d elements)", n)
+	}
+	if len(es) == 0 {
+		return nil
+	}
+	if err := t.bulkLoad(es, fill); err != nil {
+		return err
+	}
+	t.count.Store(int64(len(es)))
+	if t.hooks != nil {
+		if err := t.hooks.Loaded(es); err != nil {
+			return err
+		}
+	}
+	return t.syncMeta()
+}
+
+// bulkLoad checks es and builds the backbone levels.
+func (t *Tree) bulkLoad(es []xmldoc.Element, fill float64) error {
 	for i, e := range es {
-		if err := valid(e); err != nil {
+		if err := t.valid(e); err != nil {
 			return fmt.Errorf("%w (BulkLoad element %d)", err, i)
 		}
 		if i > 0 && es[i-1].Start >= e.Start {
 			return fmt.Errorf("blink: BulkLoad input not sorted at %d", i)
 		}
-	}
-	if len(es) == 0 {
-		return nil
 	}
 	if fill <= 0 || fill > 1 {
 		fill = 1
@@ -50,9 +76,9 @@ func (t *Tree) BulkLoadLocked(es []xmldoc.Element, fill float64, valid func(xmld
 		var err error
 		if off == 0 {
 			id, _ = t.Root()
-			d, err = t.pages.Fetch(id)
+			d, err = t.fetch(id)
 		} else {
-			id, d, err = t.pages.FetchNew()
+			id, d, err = t.fetchNew()
 		}
 		if err != nil {
 			return err
@@ -70,14 +96,14 @@ func (t *Tree) BulkLoadLocked(es []xmldoc.Element, fill float64, valid func(xmld
 			SetLeafNext(prev, id)
 			SetLeafHigh(prev, sep)
 			t.pl.Unlock(prevID)
-			if err := t.pages.Unpin(prevID, true); err != nil {
+			if err := t.unpin(prevID, true); err != nil {
 				return err
 			}
 		}
 		level = append(level, levelEntry{sep, id})
 		prevID, prev = id, d
 	}
-	if err := t.pages.Unpin(prevID, true); err != nil {
+	if err := t.unpin(prevID, true); err != nil {
 		return err
 	}
 
@@ -94,7 +120,7 @@ func (t *Tree) BulkLoadLocked(es []xmldoc.Element, fill float64, valid func(xmld
 			if len(level)-off-n == 1 {
 				n-- // a node needs two children: leave the last one a pair
 			}
-			id, d, err := t.pages.FetchNew()
+			id, d, err := t.fetchNew()
 			if err != nil {
 				return err
 			}
@@ -107,7 +133,7 @@ func (t *Tree) BulkLoadLocked(es []xmldoc.Element, fill float64, valid func(xmld
 			if prev != nil {
 				s.SetNext(prev, id)
 				s.SetHigh(prev, level[off].sep)
-				if err := t.pages.Unpin(prevID, true); err != nil {
+				if err := t.unpin(prevID, true); err != nil {
 					return err
 				}
 			}
@@ -115,7 +141,7 @@ func (t *Tree) BulkLoadLocked(es []xmldoc.Element, fill float64, valid func(xmld
 			prevID, prev = id, d
 			off += n
 		}
-		if err := t.pages.Unpin(prevID, true); err != nil {
+		if err := t.unpin(prevID, true); err != nil {
 			return err
 		}
 		level = next

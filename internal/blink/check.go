@@ -6,34 +6,53 @@ import (
 	"xrtree/internal/pagefile"
 )
 
-// Checker is the owner's part of an invariant walk: CheckLocked calls it
-// for every internal node and every leaf once the backbone checks on that
-// page pass, with the keys of every node above it.
+// Checker is the owner's part of an invariant walk: the walk calls Node
+// for every internal node and Leaf for every leaf once the backbone checks
+// on that page pass, with the keys of every node above it, and Done once
+// the whole walk passed.
 type Checker interface {
 	Node(id pagefile.PageID, d []byte, height int, anc []uint32) error
 	Leaf(d []byte, anc []uint32) error
+	Done() error
 }
 
-// CheckLocked walks the whole tree and validates the backbone:
+// CheckInvariants walks the whole tree and validates the backbone:
 //
 //   - B+-tree structure: keys sorted and inside their subtree's range,
 //     every non-root internal node keyed, leaf entries sorted and in
-//     range, prev and next links of the leaf chain symmetric, and want
-//     elements in all;
+//     range, prev and next links of the leaf chain symmetric, and as many
+//     elements in all as the meta count says;
 //   - B-link structure: every page's high key equals its subtree's upper
 //     bound (0 on the rightmost spine), and right links chain each level
 //     left to right with no skips.
 //
-// ck, when non-nil, checks the owner's own invariants page by page. The
-// caller holds its write latch. Errors carry no package prefix.
-func (t *Tree) CheckLocked(want int, ck Checker) error {
+// The owner's Checker adds its own invariants page by page. A violation
+// wraps the owner's ErrCorrupt. CheckInvariants takes the writer latch: it
+// excludes writers for the whole walk (readers never modify pages and may
+// run alongside it).
+func (t *Tree) CheckInvariants() error {
+	t.wlatch.Lock()
+	defer t.wlatch.Unlock()
+	return t.check()
+}
+
+// check is CheckInvariants under the writer latch.
+func (t *Tree) check() error {
+	var ck Checker
+	if t.hooks != nil {
+		ck = t.hooks.Checker()
+	}
 	root, h := t.Root()
 	w := &walker{t: t, ck: ck, rootH: h, nextAt: make(map[int]pagefile.PageID)}
-	if err := w.walk(root, h, 0, ^uint32(0), nil); err != nil {
-		return err
+	err := w.walk(root, h, 0, ^uint32(0), nil)
+	if err == nil && w.elems != t.Len() {
+		err = fmt.Errorf("meta count %d but %d elements in leaves", t.Len(), w.elems)
 	}
-	if w.elems != want {
-		return fmt.Errorf("meta count %d but %d elements in leaves", want, w.elems)
+	if err == nil && ck != nil {
+		err = ck.Done()
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", t.corrupt, err)
 	}
 	return nil
 }
@@ -53,11 +72,11 @@ type walker struct {
 // anc holds the keys of every node above it.
 func (w *walker) walk(id pagefile.PageID, height int, lo, hi uint32, anc []uint32) error {
 	t, s := w.t, w.t.shape
-	d, err := t.pages.Fetch(id)
+	d, err := t.fetch(id)
 	if err != nil {
 		return err
 	}
-	defer t.pages.Unpin(id, false)
+	defer t.unpin(id, false)
 	if height == 1 && !IsLeaf(d) {
 		return fmt.Errorf("page %d: expected leaf", id)
 	}
@@ -135,12 +154,12 @@ func (w *walker) leaf(id pagefile.PageID, d []byte, lo, hi uint32, anc []uint32)
 		return fmt.Errorf("leaf %d prev = %d, want %d", id, LeafPrev(d), w.prevLeaf)
 	}
 	if w.prevLeaf != pagefile.InvalidPage {
-		pd, err := t.pages.Fetch(w.prevLeaf)
+		pd, err := t.fetch(w.prevLeaf)
 		if err != nil {
 			return err
 		}
 		next := LeafNext(pd)
-		t.pages.Unpin(w.prevLeaf, false)
+		t.unpin(w.prevLeaf, false)
 		if next != id {
 			return fmt.Errorf("leaf %d next = %d, want %d", w.prevLeaf, next, id)
 		}

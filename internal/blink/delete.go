@@ -3,31 +3,47 @@ package blink
 import (
 	"fmt"
 
-	"xrtree/internal/metrics"
 	"xrtree/internal/pagefile"
 	"xrtree/internal/xmldoc"
 )
 
-// DeleteLocked removes the element starting at e.Start — its region
-// matters only to the stab hooks — rebalancing underfull pages on the way
-// back up and shrinking the tree while the root is a keyless internal
-// node. The caller holds its write latch and has opened its transaction;
-// c, when non-nil, counts the descent's node and leaf reads.
+// Delete removes the element whose region starts at start, or returns the
+// owner's ErrNotFound. It runs under the writer latch in one WAL
+// transaction; the XR-tree first resolves the full region (Hooks.Region),
+// which its stab steps need.
 //
-// Removals are one latched write on their page. A rebalance latches the
-// parent and both siblings top-to-bottom, left-to-right (the B-link
-// order) and does all of its work, separator and stab re-homing included,
-// inside that bracket, so readers see the pair before or after it. A
-// merged right page is discarded only after its latch drops; a reader that
-// already resolved its id finds the recycled page by its type byte and
-// reports the owner's ErrCorrupt rather than wrong data.
-func (t *Tree) DeleteLocked(e xmldoc.Element, c *metrics.Counters) error {
-	root, h := t.Root()
+// The descent rebalances underfull pages on the way back up and shrinks
+// the tree while the root is a keyless internal node. Removals are one
+// latched write on their page. A rebalance latches the parent and both
+// siblings top-to-bottom, left-to-right (the B-link order) and does all of
+// its work, separator and stab re-homing included, inside that bracket, so
+// readers see the pair before or after it. A merged right page is
+// discarded only after its latch drops; a reader that already resolved its
+// id finds the recycled page by its type byte and reports the owner's
+// ErrCorrupt rather than wrong data.
+func (t *Tree) Delete(start uint32) (err error) {
+	t.wlatch.Lock()
+	defer t.wlatch.Unlock()
+	defer t.done(&err)
+	defer t.debugPinBalance()()
+	e := xmldoc.Element{Start: start}
+	if t.hooks != nil {
+		if e, err = t.hooks.Region(start); err != nil {
+			return err
+		}
+	}
+	commit := t.beginTx()
+	defer commit(&err)
 	found := false
-	if _, err := t.deleteFrom(root, h, e, &found, c); err != nil {
+	root, h := t.Root()
+	if _, err := t.deleteFrom(root, h, e, &found); err != nil {
 		return err
 	}
-	return t.shrinkRoot()
+	if err := t.shrinkRoot(); err != nil {
+		return err
+	}
+	t.count.Add(-1)
+	return t.syncMeta()
 }
 
 // shrinkRoot drops keyless internal roots, publishing the only child as
@@ -35,27 +51,27 @@ func (t *Tree) DeleteLocked(e xmldoc.Element, c *metrics.Counters) error {
 func (t *Tree) shrinkRoot() error {
 	root, h := t.Root()
 	for h > 1 {
-		d, err := t.pages.Fetch(root)
+		d, err := t.fetch(root)
 		if err != nil {
 			return err
 		}
 		if t.shape.Count(d) > 0 {
-			return t.pages.Unpin(root, false)
+			return t.unpin(root, false)
 		}
 		only := t.shape.Child(d, 0)
 		if t.hooks != nil {
 			if err := t.hooks.ShrinkRoot(d); err != nil {
-				t.pages.Unpin(root, false)
+				t.unpin(root, false)
 				return err
 			}
 		}
-		if err := t.pages.Unpin(root, false); err != nil {
+		if err := t.unpin(root, false); err != nil {
 			return err
 		}
 		old := root
 		root, h = only, h-1
 		t.SetRoot(root, h)
-		if err := t.pages.Free(old); err != nil {
+		if err := t.free(old); err != nil {
 			return err
 		}
 	}
@@ -65,25 +81,23 @@ func (t *Tree) shrinkRoot() error {
 // deleteFrom removes e from the subtree under page id at the given height
 // (1 = leaf) and reports whether that page is left underfull. found tracks
 // whether D1 already removed e from a stab list higher up.
-func (t *Tree) deleteFrom(id pagefile.PageID, height int, e xmldoc.Element, found *bool, c *metrics.Counters) (bool, error) {
-	d, err := t.pages.Fetch(id)
+func (t *Tree) deleteFrom(id pagefile.PageID, height int, e xmldoc.Element, found *bool) (bool, error) {
+	d, err := t.fetch(id)
 	if err != nil {
 		return false, err
 	}
 	if height == 1 {
-		addLeaf(c)
 		n := LeafCount(d)
 		pos := LeafSearch(d, e.Start)
 		if pos >= n || LeafKey(d, pos) != e.Start {
-			t.pages.Unpin(id, false)
+			t.unpin(id, false)
 			return false, fmt.Errorf("%w: start %d", t.notFound, e.Start)
 		}
 		t.pl.Lock(id)
 		RemoveLeafEntry(d, pos, n)
 		t.pl.Unlock(id)
-		return n-1 < t.leafCap/2, t.pages.Unpin(id, true)
+		return n-1 < t.leafCap/2, t.unpin(id, true)
 	}
-	addNode(c)
 	// The trees differ here, and their page files depend on it: the
 	// XR-tree writes back every node on the path (D1 may edit its stab
 	// chain) and reports any node below its minimum; the B+-tree writes
@@ -96,22 +110,22 @@ func (t *Tree) deleteFrom(id pagefile.PageID, height int, e xmldoc.Element, foun
 		*found, err = t.hooks.Unhome(d, e)
 		t.pl.Unlock(id)
 		if err != nil {
-			t.pages.Unpin(id, true)
+			t.unpin(id, true)
 			return false, err
 		}
 	}
 	ci := t.shape.Search(d, e.Start)
-	under, err := t.deleteFrom(t.shape.Child(d, ci), height-1, e, found, c)
+	under, err := t.deleteFrom(t.shape.Child(d, ci), height-1, e, found)
 	if err == nil && under {
 		dirty = true
 		err = t.rebalance(id, d, ci, height-1)
 	}
 	if err != nil {
-		t.pages.Unpin(id, dirty)
+		t.unpin(id, dirty)
 		return false, err
 	}
 	under = (xr || under) && t.shape.Count(d) < t.intCap/2
-	return under, t.pages.Unpin(id, dirty)
+	return under, t.unpin(id, dirty)
 }
 
 // rebalance restores the minimum occupancy of child ci of the pinned
@@ -128,13 +142,13 @@ func (t *Tree) rebalance(pid pagefile.PageID, parent []byte, ci, childHeight int
 		li = 0
 	}
 	lid, rid := s.Child(parent, li), s.Child(parent, li+1)
-	left, err := t.pages.Fetch(lid)
+	left, err := t.fetch(lid)
 	if err != nil {
 		return err
 	}
-	right, err := t.pages.Fetch(rid)
+	right, err := t.fetch(rid)
 	if err != nil {
-		t.pages.Unpin(lid, false)
+		t.unpin(lid, false)
 		return err
 	}
 	t.pl.Lock(pid)
@@ -146,20 +160,20 @@ func (t *Tree) rebalance(pid pagefile.PageID, parent []byte, ci, childHeight int
 	t.pl.Unlock(pid)
 
 	if err != nil {
-		t.pages.Unpin(lid, true)
-		t.pages.Unpin(rid, true)
+		t.unpin(lid, true)
+		t.unpin(rid, true)
 		return err
 	}
-	if err := t.pages.Unpin(lid, true); err != nil {
-		t.pages.Unpin(rid, true)
+	if err := t.unpin(lid, true); err != nil {
+		t.unpin(rid, true)
 		return err
 	}
 	if merged {
 		// The right page left the tree; discard it only now that its latch
 		// is released.
-		return t.pages.Discard(rid)
+		return t.discard(rid)
 	}
-	return t.pages.Unpin(rid, true)
+	return t.unpin(rid, true)
 }
 
 // rebalancePair merges or evens out sibling pages left (page lid) and

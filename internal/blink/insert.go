@@ -3,32 +3,53 @@ package blink
 import (
 	"fmt"
 
-	"xrtree/internal/metrics"
 	"xrtree/internal/pagefile"
 	"xrtree/internal/xmldoc"
 )
 
-// InsertLocked adds e below the root, splitting full pages on the way back
-// up and growing the tree when the root splits. The caller holds its write
-// latch and has opened its transaction; c, when non-nil, counts the
-// descent's node and leaf reads.
+// Insert adds e to the tree. Its start must be unique within the indexed
+// set (region starts of distinct elements are distinct by construction):
+// a duplicate start returns the owner's ErrDuplicate and leaves the tree
+// as it was. The element must belong to the tree's document and have a
+// non-empty region.
 //
-// The writer's descent reads pages without latching — writers are
-// serialized and readers only copy — and latches a page exclusively for
-// each mutation. A split follows the B-link order: the new right page is
-// populated while unreachable, one latched write shrinks the left page and
-// installs its right link and high key, and the parent learns of the split
-// last; a reader racing that update moves right.
-func (t *Tree) InsertLocked(e xmldoc.Element, c *metrics.Counters) error {
+// Insert runs under the writer latch in one WAL transaction. It descends
+// from the root, splitting full pages on the way back up and growing the
+// tree when the root splits. The writer's descent reads pages without
+// latching — writers are serialized and readers only copy — and latches a
+// page exclusively for each mutation. A split follows the B-link order:
+// the new right page is populated while unreachable, one latched write
+// shrinks the left page and installs its right link and high key, and the
+// parent learns of the split last; a reader racing that update moves
+// right.
+func (t *Tree) Insert(e xmldoc.Element) (err error) {
+	if err := t.valid(e); err != nil {
+		return err
+	}
+	t.wlatch.Lock()
+	defer t.wlatch.Unlock()
+	defer t.done(&err)
+	defer t.debugPinBalance()()
+	commit := t.beginTx()
+	defer commit(&err)
+	if err := t.insert(e); err != nil {
+		return err
+	}
+	t.count.Add(1)
+	return t.syncMeta()
+}
+
+// insert is Insert's descent and root growth (I4).
+func (t *Tree) insert(e xmldoc.Element) error {
 	root, h := t.Root()
-	key, child, err := t.insertInto(root, h, e, false, c)
+	key, child, err := t.insertInto(root, h, e, false)
 	if err != nil || child == pagefile.InvalidPage {
 		return err
 	}
 	// The root split: grow the tree (I4). The new root is unreachable until
 	// SetRoot publishes it, so it is built without a latch; readers still
 	// descending from the old root reach the new right half by its link.
-	id, d, err := t.pages.FetchNew()
+	id, d, err := t.fetchNew()
 	if err != nil {
 		return err
 	}
@@ -37,11 +58,11 @@ func (t *Tree) InsertLocked(e xmldoc.Element, c *metrics.Counters) error {
 	t.shape.InsertEntry(d, 0, 0, key, child)
 	if t.hooks != nil {
 		if err := t.hooks.GrowRoot(d); err != nil {
-			t.pages.Unpin(id, true)
+			t.unpin(id, true)
 			return err
 		}
 	}
-	if err := t.pages.Unpin(id, true); err != nil {
+	if err := t.unpin(id, true); err != nil {
 		return err
 	}
 	t.SetRoot(id, h+1)
@@ -50,21 +71,21 @@ func (t *Tree) InsertLocked(e xmldoc.Element, c *metrics.Counters) error {
 
 // insertInto inserts e under page id at the given height (1 = leaf); homed
 // reports whether e already joined a stab list higher up. On a split it
-// returns the separator and the new right page.
-func (t *Tree) insertInto(id pagefile.PageID, height int, e xmldoc.Element, homed bool, c *metrics.Counters) (uint32, pagefile.PageID, error) {
-	d, err := t.pages.Fetch(id)
+// returns the separator and the new right page. When the insert fails
+// below the node that homed e, that node unhomes it again, so a rejected
+// element leaves no stab entry behind.
+func (t *Tree) insertInto(id pagefile.PageID, height int, e xmldoc.Element, homed bool) (uint32, pagefile.PageID, error) {
+	d, err := t.fetch(id)
 	if err != nil {
 		return 0, pagefile.InvalidPage, err
 	}
 	if height == 1 {
 		if !IsLeaf(d) {
-			t.pages.Unpin(id, false)
+			t.unpin(id, false)
 			return 0, pagefile.InvalidPage, fmt.Errorf("%w: expected leaf at page %d", t.corrupt, id)
 		}
-		addLeaf(c)
 		return t.insertLeaf(id, d, e, homed)
 	}
-	addNode(c)
 	dirty := false
 	// I1: home e in the highest node with a stabbing key.
 	if !homed && t.hooks != nil && t.hooks.Stabs(d, e) {
@@ -72,15 +93,23 @@ func (t *Tree) insertInto(id pagefile.PageID, height int, e xmldoc.Element, home
 		err := t.hooks.Home(d, e)
 		t.pl.Unlock(id)
 		if err != nil {
-			t.pages.Unpin(id, true)
+			t.unpin(id, true)
 			return 0, pagefile.InvalidPage, err
 		}
 		homed, dirty = true, true
 	}
 	ci := t.shape.Search(d, e.Start)
-	key, child, err := t.insertInto(t.shape.Child(d, ci), height-1, e, homed, c)
+	key, child, err := t.insertInto(t.shape.Child(d, ci), height-1, e, homed)
+	if err != nil && dirty {
+		t.pl.Lock(id)
+		_, uerr := t.hooks.Unhome(d, e)
+		t.pl.Unlock(id)
+		if uerr != nil {
+			err = fmt.Errorf("%w (undoing its stab entry: %w)", err, uerr)
+		}
+	}
 	if err != nil || child == pagefile.InvalidPage {
-		if uerr := t.pages.Unpin(id, dirty); err == nil {
+		if uerr := t.unpin(id, dirty); err == nil {
 			err = uerr
 		}
 		return 0, pagefile.InvalidPage, err
@@ -94,7 +123,7 @@ func (t *Tree) insertLeaf(id pagefile.PageID, d []byte, e xmldoc.Element, homed 
 	n := LeafCount(d)
 	pos := LeafSearch(d, e.Start)
 	if pos < n && LeafKey(d, pos) == e.Start {
-		t.pages.Unpin(id, false)
+		t.unpin(id, false)
 		return 0, pagefile.InvalidPage, fmt.Errorf("%w: start %d", t.duplicate, e.Start)
 	}
 	var flags uint16
@@ -105,14 +134,14 @@ func (t *Tree) insertLeaf(id pagefile.PageID, d []byte, e xmldoc.Element, homed 
 		t.pl.Lock(id)
 		InsertLeafEntry(d, pos, n, e, flags)
 		t.pl.Unlock(id)
-		return 0, pagefile.InvalidPage, t.pages.Unpin(id, true)
+		return 0, pagefile.InvalidPage, t.unpin(id, true)
 	}
 
 	// Split: the upper half moves to a new right page, populated — entries,
 	// chain links, inherited high key — while unreachable.
-	rid, rd, err := t.pages.FetchNew()
+	rid, rd, err := t.fetchNew()
 	if err != nil {
-		t.pages.Unpin(id, false)
+		t.unpin(id, false)
 		return 0, pagefile.InvalidPage, err
 	}
 	InitLeaf(rd)
@@ -146,16 +175,16 @@ func (t *Tree) insertLeaf(id pagefile.PageID, d []byte, e xmldoc.Element, homed 
 
 	if oldNext != pagefile.InvalidPage {
 		if err := t.fixPrev(oldNext, rid); err != nil {
-			t.pages.Unpin(rid, true)
-			t.pages.Unpin(id, true)
+			t.unpin(rid, true)
+			t.unpin(id, true)
 			return 0, pagefile.InvalidPage, err
 		}
 	}
-	if err := t.pages.Unpin(rid, true); err != nil {
-		t.pages.Unpin(id, true)
+	if err := t.unpin(rid, true); err != nil {
+		t.unpin(id, true)
 		return 0, pagefile.InvalidPage, err
 	}
-	return sep, rid, t.pages.Unpin(id, true)
+	return sep, rid, t.unpin(id, true)
 }
 
 // insertEntry adds (key, child) as key ci of the pinned internal node id —
@@ -173,10 +202,10 @@ func (t *Tree) insertEntry(id pagefile.PageID, d []byte, ci int, key uint32, chi
 		}
 		t.pl.Unlock(id)
 		if err != nil {
-			t.pages.Unpin(id, true)
+			t.unpin(id, true)
 			return 0, pagefile.InvalidPage, err
 		}
-		return 0, pagefile.InvalidPage, t.pages.Unpin(id, true)
+		return 0, pagefile.InvalidPage, t.unpin(id, true)
 	}
 
 	// Split: gather the m+1 raw entries with the new one in place (reads
@@ -186,9 +215,9 @@ func (t *Tree) insertEntry(id pagefile.PageID, d []byte, ci int, key uint32, chi
 	copy(all, d[s.Header:s.Header+ci*w])
 	copy(all[(ci+1)*w:], d[s.Header+ci*w:s.Header+m*w])
 	fresh(all[ci*w:(ci+1)*w], key, child)
-	rid, rd, err := t.pages.FetchNew()
+	rid, rd, err := t.fetchNew()
 	if err != nil {
-		t.pages.Unpin(id, dirty)
+		t.unpin(id, dirty)
 		return 0, pagefile.InvalidPage, err
 	}
 	s.Init(rd)
@@ -197,15 +226,15 @@ func (t *Tree) insertEntry(id pagefile.PageID, d []byte, ci int, key uint32, chi
 	midKey, err := t.splitNode(d, rid, rd, all, key)
 	t.pl.Unlock(id)
 	if err != nil {
-		t.pages.Unpin(rid, true)
-		t.pages.Unpin(id, true)
+		t.unpin(rid, true)
+		t.unpin(id, true)
 		return 0, pagefile.InvalidPage, err
 	}
-	if err := t.pages.Unpin(rid, true); err != nil {
-		t.pages.Unpin(id, true)
+	if err := t.unpin(rid, true); err != nil {
+		t.unpin(id, true)
 		return 0, pagefile.InvalidPage, err
 	}
-	return midKey, rid, t.pages.Unpin(id, true)
+	return midKey, rid, t.unpin(id, true)
 }
 
 // splitNode lays the gathered entries of a full node out over d, which

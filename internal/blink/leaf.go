@@ -8,16 +8,21 @@
 //     accessors and in-leaf searches;
 //   - the internal-page Shape each tree declares once, and the one B-link
 //     descent step over it;
-//   - Tree, the root snapshot plus the copy-on-read descent and Lookup;
+//   - Tree, the root snapshot plus the copy-on-read descent and Lookup,
+//     the meta page (New, Open, Len, Meta) and the one writer: the writer
+//     latch, the WAL transaction of the mutation in flight, the held-page
+//     helpers and the xrtreedebug pin ledger;
 //   - Iterator, the copy-on-hop leaf-chain cursor with finger seeks;
-//   - the write layer: the insert and delete descents with leaf and node
-//     splits, borrows, rotations and merges, root growth and shrink, the
-//     bulk-load level builder, and the backbone invariant walk.
+//   - the write side: Insert, Delete and BulkLoad with the insert and
+//     delete descents, leaf and node splits, borrows, rotations and
+//     merges, root growth and shrink, the bulk-load level builder, and
+//     CheckInvariants' backbone walk.
 //
-// Each tree package embeds Tree and keeps its meta page, its writer latch
-// and transaction, and the held-page helpers the write layer reaches pages
-// through (Pages). The XR-tree's stab-list upkeep runs as Hooks at the
-// steps Algorithms 1 and 2 name; the B+-tree has none.
+// Each tree package embeds Tree and declares its internal-page Shape, meta
+// magic and errors. The XR-tree's stab-list upkeep and owner steps run as
+// Hooks at the steps Algorithms 1 and 2 name, and its own writer-side
+// code reaches pages through the Writer handle New and Open return; the
+// B+-tree has neither.
 //
 // # Concurrency
 //
@@ -30,9 +35,9 @@
 // level, including the leaves, where a stale parent may have sent it to a
 // freshly split left half.
 //
-// Writers are serialized by their owner and latch a page exclusively for
-// each mutation of it, so a reader sees every page before or after a
-// write, never torn. A split populates the new right page while it is
+// Writers are serialized by the writer latch and latch a page
+// exclusively for each mutation of it, so a reader sees every page before
+// or after a write, never torn. A split populates the new right page while it is
 // unreachable, then one latched write shrinks the left page and installs
 // its right link and high key, then the old right neighbour's back link is
 // fixed in a write of its own (scans follow next links only), and the

@@ -7,27 +7,23 @@
 //
 // The tree is dynamic (insert and delete with split, redistribution and
 // merge) and all page access goes through the buffer pool so experiments
-// observe page misses. Both sides are the B-link layer of internal/blink,
-// which this package embeds without stab hooks: the read side (Lookup,
-// SeekGE, Scan and the leaf-chain Iterator with its finger seeks) and the
-// write side behind Insert, Delete and BulkLoad. This package keeps the
-// meta page, the writer latch and the transaction-routed page helpers.
+// observe page misses. The tree is the B-link tree of internal/blink run
+// without hooks: the read side (Lookup, SeekGE, Scan and the leaf-chain
+// Iterator with its finger seeks), the write side (Insert, Delete,
+// BulkLoad under one writer latch and WAL transaction), the meta page and
+// CheckInvariants all come from there. This package declares the page
+// shape, the meta magic and the errors.
 //
 // # Concurrency
 //
 // The tree uses the B-link protocol (Lehman–Yao; see internal/blink).
 // Readers never take a tree-wide latch. Writers serialize against each
-// other on wlatch (the WAL transaction state is per-tree) but block
-// readers only page by page. Query paths attribute costs to
-// caller-supplied counters, never to the shared tree sink.
+// other on the writer latch but block readers only page by page. Query
+// paths attribute costs to caller-supplied counters.
 package btree
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"xrtree/internal/blink"
 	"xrtree/internal/bufferpool"
@@ -39,9 +35,7 @@ import (
 
 // Page layouts.
 //
-// Meta page (one per tree):
-//
-//	0: magic u32 | 4: root u32 | 8: height u32 | 12: count u32 | 16: docID u32
+// Meta page: the B-link meta page (see internal/blink), magic metaMagic.
 //
 // Leaf page: the shared B-link leaf (see internal/blink), flags unused.
 //
@@ -65,7 +59,8 @@ const (
 // intShape is the internal-page layout above.
 var intShape = blink.Shape{Type: internalType, Header: 16, EntrySize: 8, OffNext: 8, OffHigh: 12}
 
-var le = binary.LittleEndian
+// config is what the tree declares to the B-link layer.
+var config = blink.Config{Shape: &intShape, NotFound: ErrNotFound, Duplicate: ErrDuplicate, Corrupt: ErrCorrupt}
 
 // Errors returned by the tree.
 var (
@@ -79,116 +74,14 @@ type Iterator = blink.Iterator
 
 // Tree is a disk-resident B+-tree over elements keyed by Start.
 type Tree struct {
-	blink.Tree // the read side: root snapshot, Lookup, SeekGE, Scan
-
-	pool *bufferpool.Pool
-	meta pagefile.PageID
-
-	count atomic.Int64
-
-	// wlatch serializes writers (Insert, Delete, BulkLoad) against each
-	// other; the per-mutation WAL transaction state below is per-tree.
-	// Readers never take it — they synchronize with writers through the
-	// per-page latches in pl.
-	wlatch sync.Mutex
-
-	// pl holds the per-page latches of the B-link protocol: readers
-	// latch one page shared while copying it; writers latch a page
-	// exclusively for each byte mutation of a reader-reachable page.
-	// The embedded layer takes them.
-	pl *platch.Table
-
-	// tx is the WAL transaction of the mutation in flight, nil outside one.
-	// Guarded by wlatch (see the core package's twin for details).
-	tx *bufferpool.Tx
-
-	// debugHeld is the net number of pins taken through the held-fetch
-	// helpers below, for the xrtreedebug pin balance (see debug.go).
-	// Guarded by wlatch: every caller of those helpers holds it.
-	debugHeld int
-
-	c *metrics.Counters // optional counter sink, used by write paths only
+	blink.Tree
 }
 
-// The fetch/unpin wrappers route page accesses through the in-flight WAL
-// transaction when one exists; otherwise they are the plain pool calls.
-// Only writers — the embedded write layer — and the wlatch-holding checker
-// use them; readers copy pages through the pool directly.
-
-func (t *Tree) fetch(id pagefile.PageID) ([]byte, error) {
-	data, err := t.pool.FetchHeld(t.tx, id)
-	t.debugPinned(err, 1)
-	return data, err
-}
-
-func (t *Tree) fetchNew() (pagefile.PageID, []byte, error) {
-	id, data, err := t.pool.FetchNewHeld(t.tx)
-	t.debugPinned(err, 1)
-	return id, data, err
-}
-
-func (t *Tree) unpin(id pagefile.PageID, dirty bool) error {
-	err := t.pool.UnpinTx(t.tx, id, dirty)
-	t.debugPinned(err, -1)
-	return err
-}
-
-func (t *Tree) discard(id pagefile.PageID) error {
-	err := t.pool.DiscardTx(t.tx, id)
-	t.debugPinned(err, -1)
-	return err
-}
-
-func (t *Tree) free(id pagefile.PageID) error {
-	return t.pool.FreeTx(t.tx, id)
-}
-
-// beginTx starts a WAL transaction for one mutation and returns its
-// commit function, to be deferred with the mutation's named error.
-func (t *Tree) beginTx() func(*error) {
-	t.tx = t.pool.Begin()
-	return func(errp *error) {
-		tx := t.tx
-		t.tx = nil
-		if cerr := t.pool.CommitTx(tx); cerr != nil && *errp == nil {
-			*errp = cerr
-		}
-	}
-}
-
-// newTree returns a tree handle over pool with its B-link layer set up for
-// document docID; the caller publishes the root.
-func newTree(pool *bufferpool.Pool, meta pagefile.PageID, docID uint32) *Tree {
-	t := &Tree{pool: pool, meta: meta, pl: platch.NewTable()}
-	t.Init(pool, t.pl, blink.Config{
-		Shape: &intShape, DocID: docID,
-		NotFound: ErrNotFound, Duplicate: ErrDuplicate, Corrupt: ErrCorrupt,
-		Pages: blink.Pages{Fetch: t.fetch, FetchNew: t.fetchNew, Unpin: t.unpin, Discard: t.discard, Free: t.free},
-	})
-	return t
-}
-
-// New creates an empty tree whose pages come from pool's file.
+// New creates an empty tree for document docID whose pages come from
+// pool's file.
 func New(pool *bufferpool.Pool, docID uint32) (*Tree, error) {
-	metaID, metaData, err := pool.FetchNew()
-	if err != nil {
-		return nil, err
-	}
-	t := newTree(pool, metaID, docID)
-	rootID, rootData, err := pool.FetchNew()
-	if err != nil {
-		pool.Unpin(metaID, true)
-		return nil, err
-	}
-	blink.InitLeaf(rootData)
-	if err := pool.Unpin(rootID, true); err != nil {
-		pool.Unpin(metaID, true) // best-effort: the first error propagates
-		return nil, err
-	}
-	t.SetRoot(rootID, 1)
-	le.PutUint32(metaData[0:], metaMagic)
-	t.writeMeta(metaData)
-	if err := pool.Unpin(metaID, true); err != nil {
+	t := new(Tree)
+	if _, err := blink.New(&t.Tree, pool, platch.NewTable(), metaMagic, docID, config); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -196,46 +89,12 @@ func New(pool *bufferpool.Pool, docID uint32) (*Tree, error) {
 
 // Open reattaches to a tree previously created by New in pool's file.
 func Open(pool *bufferpool.Pool, meta pagefile.PageID) (*Tree, error) {
-	data, err := pool.Fetch(meta)
-	if err != nil {
+	t := new(Tree)
+	if _, err := blink.Open(&t.Tree, pool, platch.NewTable(), meta, metaMagic, config); err != nil {
 		return nil, err
 	}
-	defer pool.Unpin(meta, false)
-	if le.Uint32(data[0:]) != metaMagic {
-		return nil, fmt.Errorf("%w: bad meta magic", ErrCorrupt)
-	}
-	t := newTree(pool, meta, le.Uint32(data[16:]))
-	t.SetRoot(pagefile.PageID(le.Uint32(data[4:])), int(le.Uint32(data[8:])))
-	t.count.Store(int64(le.Uint32(data[12:])))
 	return t, nil
 }
-
-func (t *Tree) syncMeta() error {
-	data, err := t.fetch(t.meta)
-	if err != nil {
-		return err
-	}
-	t.writeMeta(data)
-	return t.unpin(t.meta, true)
-}
-
-func (t *Tree) writeMeta(data []byte) {
-	root, h := t.Root()
-	le.PutUint32(data[4:], uint32(root))
-	le.PutUint32(data[8:], uint32(h))
-	le.PutUint32(data[12:], uint32(t.count.Load()))
-	le.PutUint32(data[16:], t.DocID())
-}
-
-// Meta returns the meta page id, the handle needed by Open.
-func (t *Tree) Meta() pagefile.PageID { return t.meta }
-
-// Len returns the number of elements in the tree.
-func (t *Tree) Len() int { return int(t.count.Load()) }
-
-// SetCounters directs the write paths' node and leaf reads to c (nil
-// detaches).
-func (t *Tree) SetCounters(c *metrics.Counters) { t.c = c }
 
 // Range returns all elements with start in [lo, hi], a convenience wrapper
 // over SeekGE used in tests and examples.

@@ -116,9 +116,9 @@ type Pool struct {
 	ckptBytes int64
 	ckptGate  sync.RWMutex
 
-	// stats are the pool's always-on counters, atomic so Stats snapshots
-	// never race with concurrent fetches.
-	stats obs.Counters
+	// hits, misses and evictions are the pool's always-on counters, atomic
+	// so Stats snapshots never race with concurrent fetches.
+	hits, misses, evictions atomic.Int64
 	// sink, when non-nil, also receives hit/miss/eviction increments;
 	// experiments point this at their per-run counter set. Increments use
 	// atomic adds on the sink's fields so a sink shared between concurrent
@@ -203,28 +203,26 @@ func (p *Pool) SetSink(c *metrics.Counters) {
 	p.sink.Store(c)
 }
 
-// Stats returns a snapshot view of the pool's atomic counters in the
-// historical plain-counter form.
+// Stats returns a snapshot of the pool's counters: buffer hits, misses
+// and evictions.
 func (p *Pool) Stats() metrics.Counters {
-	return metrics.FromSnapshot(p.stats.Snapshot())
+	return metrics.Counters{BufferHits: p.hits.Load(), BufferMisses: p.misses.Load(), PageEvictions: p.evictions.Load()}
 }
-
-// ObsStats exposes the pool's live atomic counters for callers that want
-// to take their own deltas.
-func (p *Pool) ObsStats() *obs.Counters { return &p.stats }
 
 // ResetStats zeroes the pool counters.
 func (p *Pool) ResetStats() {
-	p.stats.Reset()
+	p.hits.Store(0)
+	p.misses.Store(0)
+	p.evictions.Store(0)
 }
 
 // countAccess records one pool lookup in the always-on stats and the
 // attached sink.
 func (p *Pool) countAccess(hit bool) {
 	if hit {
-		p.stats.BufferHits.Add(1)
+		p.hits.Add(1)
 	} else {
-		p.stats.BufferMisses.Add(1)
+		p.misses.Add(1)
 	}
 	if sink := p.sink.Load(); sink != nil {
 		if hit {
@@ -498,7 +496,7 @@ func (p *Pool) admitLocked(s *shard, id pagefile.PageID) (*frame, error) {
 		if err := p.flushLocked(victim); err != nil {
 			return nil, err
 		}
-		p.stats.PageEvictions.Add(1)
+		p.evictions.Add(1)
 		if sink := p.sink.Load(); sink != nil {
 			atomic.AddInt64(&sink.PageEvictions, 1)
 			sink.Emit(obs.EvPageEvict, 1)

@@ -3,7 +3,6 @@ package bufferpool
 import (
 	"fmt"
 
-	"xrtree/internal/obs"
 	"xrtree/internal/pagefile"
 	"xrtree/internal/wal"
 )
@@ -83,23 +82,18 @@ func (tx *Tx) hold(s *shard, f *frame) {
 
 // FetchHeld is Fetch within a transaction: the frame is pinned and marked
 // held until the transaction commits. With tx == nil it is plain Fetch.
+// Every page a transaction might dirty must come through a held fetch: an
+// unheld dirty frame is both invisible to the commit's snapshot (its image
+// never reaches the log) and stealable by eviction before the commit is
+// durable.
 func (p *Pool) FetchHeld(tx *Tx, id pagefile.PageID) ([]byte, error) {
-	return p.FetchHeldTraced(tx, id, nil)
-}
-
-// FetchHeldTraced is FetchHeld with per-call read attribution (see
-// FetchTraced). Every page a transaction might dirty must come through a
-// held fetch: an unheld dirty frame is both invisible to the commit's
-// snapshot (its image never reaches the log) and stealable by eviction
-// before the commit is durable.
-func (p *Pool) FetchHeldTraced(tx *Tx, id pagefile.PageID, tr obs.Tracer) ([]byte, error) {
 	if tx == nil {
-		return p.FetchTraced(id, tr)
+		return p.Fetch(id)
 	}
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := p.fetchLocked(s, id, tr)
+	f, err := p.fetchLocked(s, id, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -124,8 +118,8 @@ func (p *Pool) FetchNewHeld(tx *Tx) (pagefile.PageID, []byte, error) {
 }
 
 // UnpinTx is Unpin within a transaction. The frame stays held (and off
-// the LRU list) until commit. Unpin itself is transaction-aware,
-// so this is a plain alias kept for call-site symmetry.
+// the LRU list) until commit. Unpin itself is transaction-aware, so this
+// is a plain alias, kept because bench/xrperf calls it.
 func (p *Pool) UnpinTx(tx *Tx, id pagefile.PageID, dirty bool) error {
 	return p.Unpin(id, dirty)
 }

@@ -12,7 +12,8 @@ import (
 	"xrtree/internal/xmldoc"
 )
 
-// CheckInvariants walks the whole tree and validates:
+// The XR-tree's CheckInvariants (blink.Tree.CheckInvariants with the
+// checker below) validates:
 //
 //  1. B+-tree structure: key ordering, separation, child counts, leaf chain
 //     links, and the element count.
@@ -28,34 +29,11 @@ import (
 //     left to right with no skips.
 //
 // Parts 1 and 4 are the backbone walk of internal/blink, shared with the
-// B+-tree; the checker below adds parts 2 and 3 page by page.
-//
-// CheckInvariants takes the write latch: it excludes writers for the whole
-// walk (readers never modify pages and may run alongside it).
-func (t *Tree) CheckInvariants() error {
-	t.wlatch.Lock()
-	defer t.wlatch.Unlock()
-	return t.checkInvariantsLocked()
-}
+// B+-tree; the checker adds parts 2 and 3 page by page and at the end.
 
-// checkInvariantsLocked is CheckInvariants for callers that already hold
-// the write latch — taking it here would self-deadlock the debug build's
-// post-mutation sampling, which runs under the write latch.
-func (t *Tree) checkInvariantsLocked() error {
-	ck := &checker{t: t, stabbed: make(map[uint32]stabHome)}
-	if err := t.CheckLocked(t.Len(), ck); err != nil {
-		return fmt.Errorf("xrtree: %w", err)
-	}
-	if int64(ck.stabEntries) != t.stabCount.Load() {
-		return fmt.Errorf("xrtree: meta stabCount %d but %d stab entries", t.stabCount.Load(), ck.stabEntries)
-	}
-	if int64(ck.stabPages) != t.stabPages.Load() {
-		return fmt.Errorf("xrtree: meta stabPages %d but %d stab pages", t.stabPages.Load(), ck.stabPages)
-	}
-	if ck.flaggedLeaf != ck.stabEntries {
-		return fmt.Errorf("xrtree: %d flagged leaf entries but %d stab entries", ck.flaggedLeaf, ck.stabEntries)
-	}
-	return ck.checkPlacement()
+// Checker returns the stab-list and placement checker.
+func (h stabHooks) Checker() blink.Checker {
+	return &checker{t: h.Tree, stabbed: make(map[uint32]stabHome)}
 }
 
 // checker is the XR-tree's blink.Checker: stab lists and placement.
@@ -127,18 +105,18 @@ func (ck *checker) Node(id pagefile.PageID, node []byte, height int, anc []uint3
 		}
 		ck.stabPages++
 		if stabPrev(data) != prevPage {
-			t.unpin(p, false)
+			t.w.Unpin(p, false)
 			return fmt.Errorf("stab page %d prev = %d, want %d", p, stabPrev(data), prevPage)
 		}
 		n := stabCount(data)
 		if n == 0 {
-			t.unpin(p, false)
+			t.w.Unpin(p, false)
 			return fmt.Errorf("stab page %d of node %d is empty", p, id)
 		}
 		for i := 0; i < n; i++ {
 			en := stabEntryAt(data, i)
 			if haveLast && !stabLess(lastKey, lastStart, en.key, en.start) {
-				t.unpin(p, false)
+				t.w.Unpin(p, false)
 				return fmt.Errorf("node %d stab chain unsorted: (%d,%d) then (%d,%d)",
 					id, lastKey, lastStart, en.key, en.start)
 			}
@@ -146,14 +124,14 @@ func (ck *checker) Node(id pagefile.PageID, node []byte, height int, anc []uint3
 			// stabbing (start, end).
 			j := primaryKeyIndex(node, en.start, en.end)
 			if j < 0 || intShape.Key(node, j) != en.key {
-				t.unpin(p, false)
+				t.w.Unpin(p, false)
 				return fmt.Errorf("node %d: entry (%d,%d) keyed %d, primary key index %d",
 					id, en.start, en.end, en.key, j)
 			}
 			// No ancestor key may stab it (Definition 4.4).
 			for _, ak := range anc {
 				if en.start <= ak && ak <= en.end {
-					t.unpin(p, false)
+					t.w.Unpin(p, false)
 					return fmt.Errorf("node %d: entry (%d,%d) also stabbed by ancestor key %d",
 						id, en.start, en.end, ak)
 				}
@@ -161,7 +139,7 @@ func (ck *checker) Node(id pagefile.PageID, node []byte, height int, anc []uint3
 			// Strict nesting within a PSL: successive entries are nested.
 			if haveLast && en.key == lastPSLKey {
 				if en.end >= lastPSLEnd {
-					t.unpin(p, false)
+					t.w.Unpin(p, false)
 					return fmt.Errorf("node %d PSL(%d): (%d,%d) not nested in predecessor ending %d",
 						id, en.key, en.start, en.end, lastPSLEnd)
 				}
@@ -170,7 +148,7 @@ func (ck *checker) Node(id pagefile.PageID, node []byte, height int, anc []uint3
 				heads[en.key] = headInfo{page: p, start: en.start, end: en.end}
 			}
 			if prev, dup := ck.stabbed[en.start]; dup {
-				t.unpin(p, false)
+				t.w.Unpin(p, false)
 				return fmt.Errorf("element starting %d in two stab lists (heights %d and %d)",
 					en.start, prev.height, height)
 			}
@@ -181,7 +159,7 @@ func (ck *checker) Node(id pagefile.PageID, node []byte, height int, anc []uint3
 			ck.stabEntries++
 		}
 		next := stabNext(data)
-		t.unpin(p, false)
+		t.w.Unpin(p, false)
 		prevPage = p
 		p = next
 	}
@@ -217,23 +195,39 @@ func (ck *checker) Node(id pagefile.PageID, node []byte, height int, anc []uint3
 	return nil
 }
 
+// Done checks the meta stab counters and the leaf flags against the stab
+// entries the walk found, then their placement.
+func (ck *checker) Done() error {
+	t := ck.t
+	if int64(ck.stabEntries) != t.stabCount.Load() {
+		return fmt.Errorf("meta stabCount %d but %d stab entries", t.stabCount.Load(), ck.stabEntries)
+	}
+	if int64(ck.stabPages) != t.stabPages.Load() {
+		return fmt.Errorf("meta stabPages %d but %d stab pages", t.stabPages.Load(), ck.stabPages)
+	}
+	if ck.flaggedLeaf != ck.stabEntries {
+		return fmt.Errorf("%d flagged leaf entries but %d stab entries", ck.flaggedLeaf, ck.stabEntries)
+	}
+	return ck.checkPlacement()
+}
+
 // checkPlacement cross-checks leaf flags against stab membership and
 // verifies that every element sits in the *highest* stabbing node.
 func (ck *checker) checkPlacement() error {
 	for _, el := range ck.elements {
 		home, inStab := ck.stabbed[el.start]
 		if el.flagged != inStab {
-			return fmt.Errorf("xrtree: element (%d,%d): flag=%v but stab membership=%v",
+			return fmt.Errorf("element (%d,%d): flag=%v but stab membership=%v",
 				el.start, el.end, el.flagged, inStab)
 		}
 		if inStab && home.end != el.end {
-			return fmt.Errorf("xrtree: element (%d,%d): stab entry records end %d",
+			return fmt.Errorf("element (%d,%d): stab entry records end %d",
 				el.start, el.end, home.end)
 		}
 	}
 	// Every stab entry must correspond to a leaf element.
 	if len(ck.stabbed) != ck.stabEntries {
-		return fmt.Errorf("xrtree: %d distinct stabbed starts but %d stab entries",
+		return fmt.Errorf("%d distinct stabbed starts but %d stab entries",
 			len(ck.stabbed), ck.stabEntries)
 	}
 	starts := make(map[uint32]bool, len(ck.elements))
@@ -242,7 +236,7 @@ func (ck *checker) checkPlacement() error {
 	}
 	for s := range ck.stabbed {
 		if !starts[s] {
-			return fmt.Errorf("xrtree: stab entry for start %d has no leaf element", s)
+			return fmt.Errorf("stab entry for start %d has no leaf element", s)
 		}
 	}
 	return nil

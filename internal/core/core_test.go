@@ -429,6 +429,48 @@ func TestDuplicateAndErrors(t *testing.T) {
 	}
 }
 
+// TestRejectedDuplicateInsertLeavesNoTrace inserts a duplicate start whose
+// wider region a high internal key stabs, so the descent homes it (I1)
+// before the leaf rejects it. The rejected insert must leave the stab
+// lists, the ancestor answers, the stab counters and the count as they
+// were.
+func TestRejectedDuplicateInsertLeavesNoTrace(t *testing.T) {
+	pool := newPool(t, 256, 64)
+	es := genNested(rand.New(rand.NewSource(3)), 2000, 6)
+	tr, err := New(pool, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.BulkLoad(es, 1); err != nil {
+		t.Fatal(err)
+	}
+	last := es[len(es)-1]
+	ancBefore, err := tr.FindAncestors(last.Start, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, pages := tr.StabStats()
+
+	dup := xmldoc.Element{DocID: 1, Start: es[1000].Start, End: last.End + 100}
+	if err := tr.Insert(dup); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("Insert(%v) = %v, want ErrDuplicate", dup, err)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after the rejected insert: %v", err)
+	}
+	anc, err := tr.FindAncestors(last.Start, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameElements(t, "FindAncestors after the rejected insert", anc, ancBefore)
+	if e2, p2 := tr.StabStats(); e2 != entries || p2 != pages {
+		t.Errorf("StabStats = (%d, %d), want (%d, %d)", e2, p2, entries, pages)
+	}
+	if tr.Len() != len(es) {
+		t.Errorf("Len = %d, want %d", tr.Len(), len(es))
+	}
+}
+
 func TestOpenReattaches(t *testing.T) {
 	pool := newPool(t, 256, 64)
 	rng := rand.New(rand.NewSource(31))

@@ -151,10 +151,14 @@ func TestCheckerDetectsStabKeyMismatch(t *testing.T) {
 
 func TestCheckerDetectsCountDrift(t *testing.T) {
 	tr, pool := buildCorruptible(t)
-	_ = pool
-	tr.count.Add(1) // meta count no longer matches the leaves
+	leaf := findPage(t, tr, pool, blink.LeafType)
+	// Hide the leaf's last entry: the leaves no longer hold the meta count.
+	mutatePage(t, pool, leaf, func(d []byte) { blink.SetLeafCount(d, blink.LeafCount(d)-1) })
 	expectViolation(t, tr, "count drift")
-	tr.count.Add(-1)
+	if err := tr.CheckInvariants(); !strings.Contains(err.Error(), "meta count") {
+		t.Errorf("count drift reported as %q", err)
+	}
+	mutatePage(t, pool, leaf, func(d []byte) { blink.SetLeafCount(d, blink.LeafCount(d)+1) })
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("restored tree should pass: %v", err)
 	}

@@ -3,9 +3,9 @@ package core
 // Algorithm 2 (§4.2): deletion with stab-list maintenance. The B+-tree
 // delete itself — descent, borrow, rotation and merge in the B-link order,
 // root shrink — is the write layer of internal/blink; this file holds the
-// entry point and the stab steps the layer calls. The element is removed
-// from the stab list that holds it during the downward navigation (D1) and
-// from its leaf (D2). Underflow triggers redistribution or merging
+// stab steps the layer calls. The element is removed from the stab list
+// that holds it during the downward navigation (D1) and from its leaf
+// (D2). Underflow triggers redistribution or merging
 // (D22/D23, D32/D33); both change some node's key set, so the affected
 // elements are re-homed: elements primarily stabbed by a removed or
 // replaced key are reinserted into the highest node that still stabs them
@@ -18,76 +18,47 @@ import (
 	"fmt"
 
 	"xrtree/internal/blink"
-	"xrtree/internal/metrics"
-	"xrtree/internal/obs"
 	"xrtree/internal/pagefile"
 	"xrtree/internal/xmldoc"
 )
 
-// Delete removes the element whose region starts at start. It returns
-// ErrNotFound if no such element is indexed.
-func (t *Tree) Delete(start uint32) (err error) {
-	t.wlatch.Lock()
-	defer t.wlatch.Unlock()
-	defer t.endStabMove()
-	defer t.debugPinBalance()()
-	// Resolve the full region first so the destructive descent cannot fail
-	// halfway (the stab entry is keyed by the region, not just the start).
-	e, err := t.lookupWriter(start, t.c)
-	if err != nil {
-		return err
-	}
-	commit := t.beginTx()
-	defer commit(&err)
-	t.c.Emit(obs.EvIndexDescend, int64(t.Height()))
-	if err := t.DeleteLocked(e, nil); err != nil {
-		return err
-	}
-	t.count.Add(-1)
-	if err := t.syncMeta(); err != nil {
-		return err
-	}
-	return t.debugPostMutation()
-}
-
-// lookupWriter is the writer-side point lookup Delete uses to resolve the
-// full region before the destructive descent. The caller holds wlatch, so
-// the pages are stable and the descent needs no latches or right moves.
-// It pins pages rather than copying them as blink.Tree.Lookup does: the
-// two leave the buffer pool's replacement order in different states, and
-// with it which stale bytes a recycled page carries.
-func (t *Tree) lookupWriter(start uint32, c *metrics.Counters) (xmldoc.Element, error) {
-	id, h := t.Root()
-	//xrvet:bounded root-to-leaf descent, at most h iterations
-	for level := h; level > 1; level-- {
-		data, err := t.fetch(id)
+// Region resolves the full region of the element starting at start, for
+// Delete, before its transaction opens (the stab entry is keyed by the
+// region, not just the start). The caller holds the writer latch, so the
+// pages are stable and the descent needs no latches or right moves. It
+// pins pages rather than copying them as blink.Tree.Lookup does: the two
+// leave the buffer pool's replacement order in different states, and with
+// it which stale bytes a recycled page carries.
+func (h stabHooks) Region(start uint32) (xmldoc.Element, error) {
+	id, ht := h.Root()
+	//xrvet:bounded root-to-leaf descent, at most ht iterations
+	for level := ht; level > 1; level-- {
+		data, err := h.w.Fetch(id)
 		if err != nil {
 			return xmldoc.Element{}, err
 		}
-		addNode(c)
 		child := intShape.Child(data, intShape.Search(data, start))
-		if err := t.unpin(id, false); err != nil {
+		if err := h.w.Unpin(id, false); err != nil {
 			return xmldoc.Element{}, err
 		}
 		id = child
 	}
-	data, err := t.fetch(id)
+	data, err := h.w.Fetch(id)
 	if err != nil {
 		return xmldoc.Element{}, err
 	}
-	defer t.unpin(id, false)
-	addLeaf(c)
+	defer h.w.Unpin(id, false)
 	pos := blink.LeafSearch(data, start)
 	if pos < blink.LeafCount(data) && blink.LeafKey(data, pos) == start {
 		el, _ := blink.LeafElem(data, pos)
-		el.DocID = t.DocID()
-		addScan(c, 1)
+		el.DocID = h.DocID()
 		return el, nil
 	}
 	return xmldoc.Element{}, fmt.Errorf("%w: start %d", ErrNotFound, start)
 }
 
-// Unhome drops e from node d's stab list if it lives there (D1).
+// Unhome drops e from node d's stab list if it lives there (D1), or
+// undoes Home when the insert failed below d.
 func (h stabHooks) Unhome(d []byte, e xmldoc.Element) (bool, error) {
 	return h.stabDeleteElement(d, e.Start, e.End)
 }

@@ -2,61 +2,28 @@ package core
 
 // Algorithm 1 (§4.1): insertion with stab-list maintenance. The B+-tree
 // insert itself — descent, leaf and node splits in the B-link order, root
-// growth — is the write layer of internal/blink; this file holds the entry
-// point and the stab steps the layer calls at the points the paper names.
+// growth — is the write layer of internal/blink; this file holds the
+// stab steps the layer calls at the points the paper names.
 // On the way down, the new element joins the stab list of the highest
 // internal node that stabs it (I1). A leaf split gives up a new separator
 // together with StabSet', the elements newly stabbed by it (I22); a node
 // split splits its stab-list chain too and likewise gives up the promoted
 // key with the elements it stabs (I32, Figure 5). A root split grows the
 // tree (I4). Each step runs inside the latch bracket of the node it
-// edits; a node's latch covers its stab chain.
+// edits; a node's latch covers its stab chain. An insert the leaf rejects
+// (a duplicate start) unhomes the element again on the way back up.
 
 import (
 	"fmt"
 
 	"xrtree/internal/blink"
-	"xrtree/internal/obs"
 	"xrtree/internal/xmldoc"
 )
 
-// Insert adds e to the tree, maintaining every stab-list invariant.
-func (t *Tree) Insert(e xmldoc.Element) (err error) {
-	if err := t.check(e); err != nil {
-		return err
-	}
-	t.wlatch.Lock()
-	defer t.wlatch.Unlock()
-	defer t.endStabMove()
-	defer t.debugPinBalance()()
-	commit := t.beginTx()
-	defer commit(&err)
-	t.c.Emit(obs.EvIndexDescend, int64(t.Height()))
-	if err := t.InsertLocked(e, nil); err != nil {
-		return err
-	}
-	t.count.Add(1)
-	if err := t.syncMeta(); err != nil {
-		return err
-	}
-	return t.debugPostMutation()
-}
-
-// check is Insert's element check, which BulkLoad applies too.
-func (t *Tree) check(e xmldoc.Element) error {
-	if e.DocID != t.DocID() {
-		return fmt.Errorf("xrtree: element of DocID %d in tree for DocID %d", e.DocID, t.DocID())
-	}
-	if e.End <= e.Start {
-		return fmt.Errorf("xrtree: degenerate region %v", e)
-	}
-	return nil
-}
-
 // stabHooks is the XR-tree's blink.Hooks: the stab-list steps of
-// Algorithms 1 and 2. Its state — the StabSet' rising between levels, a
-// rebalance's extracted separator PSL — lives in the Tree, guarded by
-// wlatch.
+// Algorithms 1 and 2 and the owner steps around them. Its state — the
+// StabSet' rising between levels, a rebalance's extracted separator PSL —
+// lives in the Tree, guarded by the writer latch.
 type stabHooks struct{ *Tree }
 
 // Stabs reports whether a key of node d stabs e (I1).

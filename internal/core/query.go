@@ -70,8 +70,8 @@ func (t *Tree) AppendAncestors(dst []xmldoc.Element, sd uint32, minStart uint32,
 		}
 	}
 	// Sustained churn: serialize behind the writers for an exact answer.
-	t.wlatch.Lock()
-	defer t.wlatch.Unlock()
+	t.w.Lock()
+	defer t.w.Unlock()
 	return t.appendAncestorsOnce(dst, sd, minStart, c)
 }
 
@@ -234,7 +234,7 @@ func (t *Tree) searchStabList(node []byte, sd uint32, minStart uint32, c *metric
 // the chain walk safe against concurrent writers: stab pages carry no latch
 // of their own, and every chain mutation happens under the node's exclusive
 // latch. Fetches and unpins here are the plain pool calls — this is a
-// reader path and must not touch the writer's t.tx.
+// reader path and must not join the writer's transaction.
 func (t *Tree) scanPSL(node []byte, ki int, sd uint32, minStart uint32, c *metrics.Counters, out *[]xmldoc.Element) error {
 	kv := intShape.Key(node, ki)
 	p := keyPSLPage(node, ki)

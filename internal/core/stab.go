@@ -27,34 +27,26 @@ type stabLoc struct {
 	idx  int
 }
 
-// fetchStab pins a stab page and validates its type.
+// fetchStab pins a stab page through the write side and validates its
+// type. It is a held fetch: mutations rewrite stab pages in place, and any
+// page a transaction can dirty must be in its held set or its after-image
+// never reaches the log.
 func (t *Tree) fetchStab(id pagefile.PageID) ([]byte, error) {
-	return t.fetchStabTraced(id, nil)
-}
-
-// fetchStabTraced is fetchStab with per-call read attribution: the probe
-// path (scanPSL) passes the requesting operation's tracer so stab-page
-// misses land on its span rather than the store-global tracer.
-func (t *Tree) fetchStabTraced(id pagefile.PageID, tr obs.Tracer) ([]byte, error) {
-	// Held fetch: mutations rewrite stab pages in place, and any page a
-	// transaction can dirty must be in its held set or its after-image
-	// never reaches the log. Queries run with t.tx == nil (plain fetch).
-	data, err := t.pool.FetchHeldTraced(t.tx, id, tr)
-	t.debugPinned(err, 1)
+	data, err := t.w.Fetch(id)
 	if err != nil {
 		return nil, err
 	}
 	if data[0] != stabType {
-		t.unpin(id, false)
+		t.w.Unpin(id, false)
 		return nil, fmt.Errorf("%w: page %d is not a stab page", ErrCorrupt, id)
 	}
 	return data, nil
 }
 
 // fetchStabRead is the reader-side twin of fetchStab: a plain pool fetch
-// that never consults t.tx (which belongs to a possibly concurrent
-// writer). Callers must hold the owning node's shared page latch, which
-// covers the whole stab chain.
+// that never joins the transaction of a possibly concurrent writer.
+// Callers must hold the owning node's shared page latch, which covers the
+// whole stab chain.
 func (t *Tree) fetchStabRead(id pagefile.PageID, tr obs.Tracer) ([]byte, error) {
 	data, err := t.pool.FetchTraced(id, tr)
 	if err != nil {
@@ -124,13 +116,13 @@ func (t *Tree) findStabInsertPos(node []byte, j int, se stabEntry) (stabLoc, err
 			for i := 0; i < n; i++ {
 				en := stabEntryAt(data, i)
 				if en.key == nk {
-					if err := t.unpin(p, false); err != nil {
+					if err := t.w.Unpin(p, false); err != nil {
 						return stabLoc{}, err
 					}
 					return stabLoc{page: p, idx: i}, nil
 				}
 			}
-			t.unpin(p, false)
+			t.w.Unpin(p, false)
 			return stabLoc{}, fmt.Errorf("%w: PSL head for key %d not on page %d", ErrCorrupt, nk, p)
 		}
 	}
@@ -144,7 +136,7 @@ func (t *Tree) findStabInsertPos(node []byte, j int, se stabEntry) (stabLoc, err
 		return stabLoc{}, err
 	}
 	n := stabCount(data)
-	if err := t.unpin(tail, false); err != nil {
+	if err := t.w.Unpin(tail, false); err != nil {
 		return stabLoc{}, err
 	}
 	return stabLoc{page: tail, idx: n}, nil
@@ -164,14 +156,14 @@ func (t *Tree) scanForward(p pagefile.PageID, se stabEntry) (stabLoc, error) {
 		for i := 0; i < n; i++ {
 			en := stabEntryAt(data, i)
 			if !stabLess(en.key, en.start, se.key, se.start) {
-				if err := t.unpin(p, false); err != nil {
+				if err := t.w.Unpin(p, false); err != nil {
 					return stabLoc{}, err
 				}
 				return stabLoc{page: p, idx: i}, nil
 			}
 		}
 		next := stabNext(data)
-		if err := t.unpin(p, false); err != nil {
+		if err := t.w.Unpin(p, false); err != nil {
 			return stabLoc{}, err
 		}
 		if next == pagefile.InvalidPage {
@@ -187,14 +179,14 @@ func (t *Tree) scanForward(p pagefile.PageID, se stabEntry) (stabLoc, error) {
 func (t *Tree) insertAt(node []byte, loc stabLoc, se stabEntry) error {
 	if loc.page == pagefile.InvalidPage {
 		// Empty chain: allocate the first page.
-		id, data, err := t.fetchNew()
+		id, data, err := t.w.FetchNew()
 		if err != nil {
 			return err
 		}
 		initStabPage(data)
 		putStabEntry(data, 0, se)
 		setStabCount(data, 1)
-		if err := t.unpin(id, true); err != nil {
+		if err := t.w.Unpin(id, true); err != nil {
 			return err
 		}
 		setStabHead(node, id)
@@ -212,13 +204,13 @@ func (t *Tree) insertAt(node []byte, loc stabLoc, se stabEntry) error {
 	if n < t.stabCap {
 		insertStabEntry(data, loc.idx, n, se)
 		t.lastInsertPage = loc.page
-		return t.unpin(loc.page, true)
+		return t.w.Unpin(loc.page, true)
 	}
 
 	// Page full: split it, keeping the first half in place.
-	newID, newData, err := t.fetchNew()
+	newID, newData, err := t.w.FetchNew()
 	if err != nil {
-		t.unpin(loc.page, false)
+		t.w.Unpin(loc.page, false)
 		return err
 	}
 	initStabPage(newData)
@@ -239,11 +231,11 @@ func (t *Tree) insertAt(node []byte, loc stabLoc, se stabEntry) error {
 		nd, err := t.fetchStab(oldNext)
 		if err == nil {
 			setStabPrev(nd, newID)
-			err = t.unpin(oldNext, true)
+			err = t.w.Unpin(oldNext, true)
 		}
 		if err != nil {
-			t.unpin(newID, true)
-			t.unpin(loc.page, true)
+			t.w.Unpin(newID, true)
+			t.w.Unpin(loc.page, true)
 			return err
 		}
 	} else {
@@ -285,11 +277,11 @@ func (t *Tree) insertAt(node []byte, loc stabLoc, se stabEntry) error {
 		insertStabEntry(newData, loc.idx-mid, moved, se)
 		t.lastInsertPage = newID
 	}
-	if err := t.unpin(newID, true); err != nil {
-		t.unpin(loc.page, true)
+	if err := t.w.Unpin(newID, true); err != nil {
+		t.w.Unpin(loc.page, true)
 		return err
 	}
-	return t.unpin(loc.page, true)
+	return t.w.Unpin(loc.page, true)
 }
 
 // popPSLHead removes and returns the head entry of PSL(j) of the pinned
@@ -313,7 +305,7 @@ func (t *Tree) popPSLHead(node []byte, j int) (stabEntry, error) {
 		}
 	}
 	if idx < 0 {
-		t.unpin(p, false)
+		t.w.Unpin(p, false)
 		return stabEntry{}, fmt.Errorf("%w: PSL head for key %d missing on page %d", ErrCorrupt, kv, p)
 	}
 	head := stabEntryAt(data, idx)
@@ -341,19 +333,19 @@ func (t *Tree) removeAt(node []byte, p pagefile.PageID, data []byte, idx int) (s
 		if idx >= n-1 {
 			succ = stabLoc{page: stabNext(data), idx: 0}
 		}
-		return succ, t.unpin(p, true)
+		return succ, t.w.Unpin(p, true)
 	}
 	// Page empty: unlink and free it.
 	prev, next := stabPrev(data), stabNext(data)
 	if prev != pagefile.InvalidPage {
 		pd, err := t.fetchStab(prev)
 		if err != nil {
-			t.unpin(p, true)
+			t.w.Unpin(p, true)
 			return stabLoc{}, err
 		}
 		setStabNext(pd, next)
-		if err := t.unpin(prev, true); err != nil {
-			t.unpin(p, true)
+		if err := t.w.Unpin(prev, true); err != nil {
+			t.w.Unpin(p, true)
 			return stabLoc{}, err
 		}
 	} else {
@@ -362,19 +354,19 @@ func (t *Tree) removeAt(node []byte, p pagefile.PageID, data []byte, idx int) (s
 	if next != pagefile.InvalidPage {
 		nd, err := t.fetchStab(next)
 		if err != nil {
-			t.unpin(p, true)
+			t.w.Unpin(p, true)
 			return stabLoc{}, err
 		}
 		setStabPrev(nd, prev)
-		if err := t.unpin(next, true); err != nil {
-			t.unpin(p, true)
+		if err := t.w.Unpin(next, true); err != nil {
+			t.w.Unpin(p, true)
 			return stabLoc{}, err
 		}
 	} else {
 		setStabTail(node, prev)
 	}
 	t.stabPages.Add(-1)
-	return stabLoc{page: next, idx: 0}, t.discard(p)
+	return stabLoc{page: next, idx: 0}, t.w.Discard(p)
 }
 
 // refreshHeadFromSucc updates (ps, pe) and the head pointer of key j after
@@ -396,7 +388,7 @@ func (t *Tree) refreshHeadFromSucc(node []byte, j int, succ stabLoc) error {
 		// Successor was the first entry of the next page but that page is
 		// exhausted too — only possible when succ.idx is 0 on an empty
 		// page, which unlink prevents; treat defensively as no successor.
-		t.unpin(succ.page, false)
+		t.w.Unpin(succ.page, false)
 		t.clearPSL(node, j)
 		return nil
 	}
@@ -407,7 +399,7 @@ func (t *Tree) refreshHeadFromSucc(node []byte, j int, succ stabLoc) error {
 	} else {
 		t.clearPSL(node, j)
 	}
-	return t.unpin(succ.page, false)
+	return t.w.Unpin(succ.page, false)
 }
 
 func (t *Tree) clearPSL(node []byte, j int) {
@@ -439,7 +431,7 @@ func (t *Tree) stabDeleteElement(node []byte, s, e uint32) (bool, error) {
 			en := stabEntryAt(data, i)
 			if en.key > kv || (en.key == kv && en.start > s) {
 				// Passed the position: not present.
-				return false, t.unpin(p, false)
+				return false, t.w.Unpin(p, false)
 			}
 			if en.key == kv && en.start == s {
 				wasHead := keyPS(node, j) == s
@@ -457,7 +449,7 @@ func (t *Tree) stabDeleteElement(node []byte, s, e uint32) (bool, error) {
 			}
 		}
 		advance = stabNext(data)
-		if err := t.unpin(p, false); err != nil {
+		if err := t.w.Unpin(p, false); err != nil {
 			return false, err
 		}
 		p = advance
@@ -591,7 +583,7 @@ func (t *Tree) splitStabChain(left, right []byte, midKey uint32) error {
 		// Clean split between pages: B and everything after belong to right.
 		prev := stabPrev(bData)
 		setStabPrev(bData, pagefile.InvalidPage)
-		if err := t.unpin(bID, true); err != nil {
+		if err := t.w.Unpin(bID, true); err != nil {
 			return err
 		}
 		if prev != pagefile.InvalidPage {
@@ -600,7 +592,7 @@ func (t *Tree) splitStabChain(left, right []byte, midKey uint32) error {
 				return err
 			}
 			setStabNext(pd, pagefile.InvalidPage)
-			if err := t.unpin(prev, true); err != nil {
+			if err := t.w.Unpin(prev, true); err != nil {
 				return err
 			}
 			setStabTail(left, prev)
@@ -619,7 +611,7 @@ func (t *Tree) splitStabChain(left, right []byte, midKey uint32) error {
 		// a later page — cannot happen for a head pointer, but guard.)
 		next := stabNext(bData)
 		setStabNext(bData, pagefile.InvalidPage)
-		if err := t.unpin(bID, true); err != nil {
+		if err := t.w.Unpin(bID, true); err != nil {
 			return err
 		}
 		if next == pagefile.InvalidPage {
@@ -630,7 +622,7 @@ func (t *Tree) splitStabChain(left, right []byte, midKey uint32) error {
 			return err
 		}
 		setStabPrev(nd, pagefile.InvalidPage)
-		if err := t.unpin(next, true); err != nil {
+		if err := t.w.Unpin(next, true); err != nil {
 			return err
 		}
 		setStabTail(left, bID)
@@ -642,9 +634,9 @@ func (t *Tree) splitStabChain(left, right []byte, midKey uint32) error {
 	// Mixed page: move the suffix B[idx:] to a fresh page that becomes the
 	// right chain's head. Only the page holding the split point is touched,
 	// as §4.1 observes (Figure 5(a)).
-	qID, qData, err := t.fetchNew()
+	qID, qData, err := t.w.FetchNew()
 	if err != nil {
-		t.unpin(bID, false)
+		t.w.Unpin(bID, false)
 		return err
 	}
 	initStabPage(qData)
@@ -662,22 +654,22 @@ func (t *Tree) splitStabChain(left, right []byte, midKey uint32) error {
 	if oldNext != pagefile.InvalidPage {
 		nd, err := t.fetchStab(oldNext)
 		if err != nil {
-			t.unpin(qID, true)
-			t.unpin(bID, true)
+			t.w.Unpin(qID, true)
+			t.w.Unpin(bID, true)
 			return err
 		}
 		setStabPrev(nd, qID)
-		if err := t.unpin(oldNext, true); err != nil {
-			t.unpin(qID, true)
-			t.unpin(bID, true)
+		if err := t.w.Unpin(oldNext, true); err != nil {
+			t.w.Unpin(qID, true)
+			t.w.Unpin(bID, true)
 			return err
 		}
 	}
-	if err := t.unpin(qID, true); err != nil {
-		t.unpin(bID, true)
+	if err := t.w.Unpin(qID, true); err != nil {
+		t.w.Unpin(bID, true)
 		return err
 	}
-	if err := t.unpin(bID, true); err != nil {
+	if err := t.w.Unpin(bID, true); err != nil {
 		return err
 	}
 
@@ -717,7 +709,7 @@ func (t *Tree) mergeStabChains(left, right []byte) error {
 		return err
 	}
 	setStabNext(td, rHead)
-	if err := t.unpin(lTail, true); err != nil {
+	if err := t.w.Unpin(lTail, true); err != nil {
 		return err
 	}
 	hd, err := t.fetchStab(rHead)
@@ -725,7 +717,7 @@ func (t *Tree) mergeStabChains(left, right []byte) error {
 		return err
 	}
 	setStabPrev(hd, lTail)
-	if err := t.unpin(rHead, true); err != nil {
+	if err := t.w.Unpin(rHead, true); err != nil {
 		return err
 	}
 	setStabTail(left, stabTail(right))
@@ -747,7 +739,7 @@ func (t *Tree) stabEntriesAll(node []byte) ([]stabEntry, error) {
 			out = append(out, stabEntryAt(data, i))
 		}
 		next := stabNext(data)
-		if err := t.unpin(p, false); err != nil {
+		if err := t.w.Unpin(p, false); err != nil {
 			return nil, err
 		}
 		p = next

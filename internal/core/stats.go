@@ -31,8 +31,8 @@ func (s SpaceStats) AvgStabPages() float64 {
 // Space walks the tree and reports its page footprint. Read-only; it
 // takes the write latch so the walk sees a structurally quiescent tree.
 func (t *Tree) Space() (SpaceStats, error) {
-	t.wlatch.Lock()
-	defer t.wlatch.Unlock()
+	t.w.Lock()
+	defer t.w.Unlock()
 	var st SpaceStats
 	root, h := t.Root()
 	if err := t.spaceWalk(root, h, &st); err != nil {
@@ -42,13 +42,13 @@ func (t *Tree) Space() (SpaceStats, error) {
 }
 
 func (t *Tree) spaceWalk(id pagefile.PageID, height int, st *SpaceStats) error {
-	data, err := t.fetch(id)
+	data, err := t.w.Fetch(id)
 	if err != nil {
 		return err
 	}
 	if height == 1 {
 		st.LeafPages++
-		return t.unpin(id, false)
+		return t.w.Unpin(id, false)
 	}
 	st.InternalNodes++
 	pages := 0
@@ -56,14 +56,14 @@ func (t *Tree) spaceWalk(id pagefile.PageID, height int, st *SpaceStats) error {
 	for p != pagefile.InvalidPage {
 		sd, err := t.fetchStab(p)
 		if err != nil {
-			t.unpin(id, false)
+			t.w.Unpin(id, false)
 			return err
 		}
 		pages++
 		st.StabEntries += stabCount(sd)
 		next := stabNext(sd)
-		if err := t.unpin(p, false); err != nil {
-			t.unpin(id, false)
+		if err := t.w.Unpin(p, false); err != nil {
+			t.w.Unpin(id, false)
 			return err
 		}
 		p = next
@@ -78,7 +78,7 @@ func (t *Tree) spaceWalk(id pagefile.PageID, height int, st *SpaceStats) error {
 	for i := 0; i <= m; i++ {
 		children = append(children, intShape.Child(data, i))
 	}
-	if err := t.unpin(id, false); err != nil {
+	if err := t.w.Unpin(id, false); err != nil {
 		return err
 	}
 	for _, c := range children {

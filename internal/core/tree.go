@@ -31,8 +31,8 @@
 // tree-wide latch: a descent holds one per-page shared latch at a time
 // (see internal/platch) and recovers from concurrent splits by moving
 // right. Writers (Insert, Delete, BulkLoad) and the whole-tree walks
-// (Space, CheckInvariants) serialize against each other on wlatch (the
-// WAL transaction state is per-tree) but block readers only page by page.
+// (Space, CheckInvariants) serialize against each other on the writer
+// latch but block readers only page by page.
 //
 // A node's page latch also covers its stab chain: FindAncestors reads a
 // node's stab pages while still holding that node's shared latch, and
@@ -43,19 +43,19 @@
 // baseline: on the read side the copy descent behind Lookup and SeekGE,
 // the leaf-chain Iterator with its finger seeks, and the descent step the
 // ancestor probe's pinned descent advances by; on the write side the
-// descents, splits, rebalances, root growth and shrink and the bulk-load
-// levels, in the B-link order described there. This package keeps the
-// stab lists and runs their upkeep as that layer's hooks (stabHooks),
-// inside its latch brackets. Query paths attribute costs to the
-// caller-supplied counter set and share no mutable tree state; the
-// SetCounters sink is consulted by write paths only.
+// writer latch, the WAL transaction, the meta page, and the descents,
+// splits, rebalances, root growth and shrink and the bulk-load levels, in
+// the B-link order described there. This package keeps the stab lists and
+// runs their upkeep as that layer's hooks (stabHooks), inside its latch
+// brackets, through the write side's held-page helpers (blink.Writer).
+// Query paths attribute costs to the caller-supplied counter set and
+// share no mutable tree state.
 package core
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"xrtree/internal/blink"
@@ -68,9 +68,9 @@ import (
 
 // Page layouts.
 //
-// Meta page:
+// Meta page: the B-link meta page (see internal/blink), magic metaMagic,
+// with two words of its own (stabHooks.MetaWords):
 //
-//	0: magic u32 | 4: root u32 | 8: height u32 | 12: count u32 | 16: docID u32
 //	20: stabCount u32 (elements currently held in stab lists)
 //	24: stabPages u32 (stab-list pages currently allocated)
 //
@@ -133,45 +133,34 @@ type Options struct {
 
 // Tree is a disk-resident XR-tree over one document's element set.
 type Tree struct {
-	blink.Tree // the read side: root snapshot, Lookup
+	blink.Tree // the backbone: readers, writers, meta page
 
+	// w is the write side's page access and latch (blink.Writer).
+	w    *blink.Writer
 	pool *bufferpool.Pool
-	meta pagefile.PageID
-
-	count atomic.Int64
+	pl   *platch.Table // the B-link page latches; a node's also covers its stab chain
 
 	// stab statistics, persisted in the meta page (used by the §3.3
-	// stab-list size experiment). Mutated only under wlatch; atomic so
-	// StabStats can read them concurrently.
+	// stab-list size experiment). Mutated only under the writer latch;
+	// atomic so StabStats can read them concurrently.
 	stabCount atomic.Int64 // elements in stab lists
 	stabPages atomic.Int64 // allocated stab-list pages
 
 	stabCap int
 
-	// The stab hooks' state (see stabHooks), guarded by wlatch: rising is
-	// the StabSet' on its way up one level (I22, I32) or a rotated-up
-	// key's elements (D32); splitOut gathers the next level's StabSet'
-	// during a node split; sepPSL and sepAt carry a rebalance's extracted
-	// separator PSL, and where a merged separator landed, from its
-	// PreRebalance to its PostRebalance.
+	// The stab hooks' state (see stabHooks), guarded by the writer latch:
+	// rising is the StabSet' on its way up one level (I22, I32) or a
+	// rotated-up key's elements (D32); splitOut gathers the next level's
+	// StabSet' during a node split; sepPSL and sepAt carry a rebalance's
+	// extracted separator PSL, and where a merged separator landed, from
+	// its PreRebalance to its PostRebalance.
 	rising, splitOut, sepPSL []stabEntry
 	sepAt                    int
 
 	// lastInsertPage records where insertAt physically placed the most
 	// recent stab entry (after any page split); only meaningful right after
-	// the call. Tree mutation is single-threaded (under wlatch).
+	// the call. Tree mutation is single-threaded (under the writer latch).
 	lastInsertPage pagefile.PageID
-
-	// wlatch serializes writers (Insert, Delete, BulkLoad) against each
-	// other; the per-mutation WAL transaction state is per-tree. Readers
-	// never take it — they synchronize with writers through the per-page
-	// latches in pl.
-	wlatch sync.Mutex
-
-	// pl holds the per-page latches of the B-link protocol. A node's
-	// latch also covers its stab chain (see the package doc). The
-	// embedded layer takes them.
-	pl *platch.Table
 
 	// stabEpoch is a seqlock-style generation counter around moves of
 	// existing stab content BETWEEN containers — promotions to a parent
@@ -184,30 +173,18 @@ type Tree struct {
 	stabEpoch atomic.Uint64
 
 	// stabMoveOpen tracks whether the running mutation already opened a
-	// stab-move bracket. Guarded by wlatch.
+	// stab-move bracket. Guarded by the writer latch.
 	stabMoveOpen bool
 
 	// debugOps counts mutations for the xrtreedebug sampled invariant
-	// check (see debug.go). Guarded by wlatch.
+	// check (see debug.go). Guarded by the writer latch.
 	debugOps int
-
-	// debugHeld is the net number of pins taken through the held-fetch
-	// helpers below, for the xrtreedebug pin balance (see debug.go).
-	// Guarded by wlatch: every caller of those helpers holds it.
-	debugHeld int
-
-	// tx is the WAL transaction of the mutation in flight, nil outside one
-	// (and always nil when the pool has no log attached). Guarded by
-	// wlatch: only Insert/Delete set it, and the page-access wrappers
-	// below read it. Reader paths must not use the tx-routed wrappers.
-	tx *bufferpool.Tx
-
-	c *metrics.Counters
 }
 
 // beginStabMove opens the mutation's stab-move bracket (idempotent per
 // operation): the epoch turns odd, telling concurrent ancestor probes
-// that stab content is in flight between containers. Caller holds wlatch.
+// that stab content is in flight between containers. Caller holds the
+// writer latch.
 func (t *Tree) beginStabMove() {
 	if !t.stabMoveOpen {
 		t.stabMoveOpen = true
@@ -217,7 +194,7 @@ func (t *Tree) beginStabMove() {
 
 // endStabMove closes the bracket at operation exit: the epoch turns even
 // again once every moved element has reached its final container. A no-op
-// when the operation moved nothing. Caller holds wlatch.
+// when the operation moved nothing. Caller holds the writer latch.
 func (t *Tree) endStabMove() {
 	if t.stabMoveOpen {
 		t.stabMoveOpen = false
@@ -225,142 +202,52 @@ func (t *Tree) endStabMove() {
 	}
 }
 
-// The fetch/unpin wrappers route every page access through the in-flight
-// WAL transaction when one exists; outside a transaction (queries, bulk
-// load, stores without a log) they are the plain pool calls. Only writers
-// and the wlatch-holding checkers use them; readers pin through the pool
-// directly.
-
-func (t *Tree) fetch(id pagefile.PageID) ([]byte, error) {
-	data, err := t.pool.FetchHeld(t.tx, id)
-	t.debugPinned(err, 1)
-	return data, err
-}
-
-func (t *Tree) fetchNew() (pagefile.PageID, []byte, error) {
-	id, data, err := t.pool.FetchNewHeld(t.tx)
-	t.debugPinned(err, 1)
-	return id, data, err
-}
-
-func (t *Tree) unpin(id pagefile.PageID, dirty bool) error {
-	err := t.pool.UnpinTx(t.tx, id, dirty)
-	t.debugPinned(err, -1)
-	return err
-}
-
-func (t *Tree) discard(id pagefile.PageID) error {
-	err := t.pool.DiscardTx(t.tx, id)
-	t.debugPinned(err, -1)
-	return err
-}
-
-func (t *Tree) free(id pagefile.PageID) error {
-	return t.pool.FreeTx(t.tx, id)
-}
-
-// beginTx starts a WAL transaction for one mutation and returns its
-// commit function, to be deferred with the mutation's named error: commit
-// runs before the write latch is released, and a commit failure surfaces
-// unless the mutation already failed. No-ops when the pool has no log.
-func (t *Tree) beginTx() func(*error) {
-	t.tx = t.pool.Begin()
-	return func(errp *error) {
-		tx := t.tx
-		t.tx = nil
-		if cerr := t.pool.CommitTx(tx); cerr != nil && *errp == nil {
-			*errp = cerr
-		}
+// Done closes the mutation's stab-move bracket and, after a successful
+// one, runs the xrtreedebug sampled invariant check.
+func (h stabHooks) Done(ok bool) {
+	if ok {
+		h.debugPostMutation()
 	}
+	h.endStabMove()
 }
 
-// newTree returns a tree handle over pool with its B-link layer and stab
-// hooks set up for document docID; the caller publishes the root.
-func newTree(pool *bufferpool.Pool, meta pagefile.PageID, docID uint32, opts Options) *Tree {
-	t := &Tree{pool: pool, meta: meta, pl: platch.NewTable()}
-	t.Init(pool, t.pl, blink.Config{
-		Shape: &intShape, DocID: docID,
+// newTree returns a tree handle over pool and the B-link configuration
+// that sets it up: its shape, errors and stab hooks.
+func newTree(pool *bufferpool.Pool, opts Options) (*Tree, blink.Config) {
+	t := &Tree{pool: pool, pl: platch.NewTable()}
+	t.stabCap = (pool.File().PageSize() - stabHeader) / stabEntrySize
+	return t, blink.Config{
+		Shape:    &intShape,
 		NotFound: ErrNotFound, Duplicate: ErrDuplicate, Corrupt: ErrCorrupt,
-		Pages:     blink.Pages{Fetch: t.fetch, FetchNew: t.fetchNew, Unpin: t.unpin, Discard: t.discard, Free: t.free},
 		Hooks:     stabHooks{t},
 		KeyChoice: !opts.DisableKeyChoice,
-	})
-	ps := pool.File().PageSize()
-	t.stabCap = (ps - stabHeader) / stabEntrySize
-	if leafCap, intCap := t.Caps(); leafCap < 4 || intCap < 4 || t.stabCap < 4 {
-		panic(fmt.Sprintf("xrtree: page size %d too small", ps))
 	}
-	return t
+}
+
+// attach keeps the write side's handle that blink.New or Open returned,
+// and panics when a page cannot hold four entries of every kind.
+func (t *Tree) attach(w *blink.Writer, err error) (*Tree, error) {
+	if err != nil {
+		return nil, err
+	}
+	t.w = w
+	if leafCap, intCap := t.Caps(); leafCap < 4 || intCap < 4 || t.stabCap < 4 {
+		panic(fmt.Sprintf("xrtree: page size %d too small", t.pool.File().PageSize()))
+	}
+	return t, nil
 }
 
 // New creates an empty XR-tree whose pages come from pool's file.
 func New(pool *bufferpool.Pool, docID uint32, opts Options) (*Tree, error) {
-	metaID, metaData, err := pool.FetchNew()
-	if err != nil {
-		return nil, err
-	}
-	t := newTree(pool, metaID, docID, opts)
-	rootID, rootData, err := pool.FetchNew()
-	if err != nil {
-		pool.Unpin(metaID, true)
-		return nil, err
-	}
-	blink.InitLeaf(rootData)
-	if err := pool.Unpin(rootID, true); err != nil {
-		pool.Unpin(metaID, true) // best-effort: the first error propagates
-		return nil, err
-	}
-	t.SetRoot(rootID, 1)
-	le.PutUint32(metaData[0:], metaMagic)
-	t.writeMeta(metaData)
-	if err := pool.Unpin(metaID, true); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t, cfg := newTree(pool, opts)
+	return t.attach(blink.New(&t.Tree, pool, t.pl, metaMagic, docID, cfg))
 }
 
 // Open reattaches to an XR-tree previously created by New in pool's file.
 func Open(pool *bufferpool.Pool, meta pagefile.PageID, opts Options) (*Tree, error) {
-	data, err := pool.Fetch(meta)
-	if err != nil {
-		return nil, err
-	}
-	defer pool.Unpin(meta, false)
-	if le.Uint32(data[0:]) != metaMagic {
-		return nil, fmt.Errorf("%w: bad meta magic", ErrCorrupt)
-	}
-	t := newTree(pool, meta, le.Uint32(data[16:]), opts)
-	t.SetRoot(pagefile.PageID(le.Uint32(data[4:])), int(le.Uint32(data[8:])))
-	t.count.Store(int64(le.Uint32(data[12:])))
-	t.stabCount.Store(int64(le.Uint32(data[20:])))
-	t.stabPages.Store(int64(le.Uint32(data[24:])))
-	return t, nil
+	t, cfg := newTree(pool, opts)
+	return t.attach(blink.Open(&t.Tree, pool, t.pl, meta, metaMagic, cfg))
 }
-
-func (t *Tree) writeMeta(data []byte) {
-	root, h := t.Root()
-	le.PutUint32(data[4:], uint32(root))
-	le.PutUint32(data[8:], uint32(h))
-	le.PutUint32(data[12:], uint32(t.count.Load()))
-	le.PutUint32(data[16:], t.DocID())
-	le.PutUint32(data[20:], uint32(t.stabCount.Load()))
-	le.PutUint32(data[24:], uint32(t.stabPages.Load()))
-}
-
-func (t *Tree) syncMeta() error {
-	data, err := t.fetch(t.meta)
-	if err != nil {
-		return err
-	}
-	t.writeMeta(data)
-	return t.unpin(t.meta, true)
-}
-
-// Meta returns the meta page id, the handle needed by Open.
-func (t *Tree) Meta() pagefile.PageID { return t.meta }
-
-// Len returns the number of indexed elements.
-func (t *Tree) Len() int { return int(t.count.Load()) }
 
 // StabStats returns the number of elements currently held in stab lists and
 // the number of stab-list pages allocated — the quantities measured by the
@@ -369,25 +256,13 @@ func (t *Tree) StabStats() (elements, pages int) {
 	return int(t.stabCount.Load()), int(t.stabPages.Load())
 }
 
-// SetCounters directs cost accounting to c (nil detaches).
-func (t *Tree) SetCounters(c *metrics.Counters) { t.c = c }
-
-// The add* helpers attribute costs to an explicit counter set; the query
-// paths use them (instead of the tree-attached sink) so concurrent readers
-// never share mutable state — a Tree supports any number of concurrent
-// readers as long as no writer runs.
-func addNode(c *metrics.Counters) {
-	if c != nil {
-		c.IndexNodeReads++
-	}
+// MetaWords are the stab statistics the meta page persists.
+func (h stabHooks) MetaWords() []*atomic.Int64 {
+	return []*atomic.Int64{&h.stabCount, &h.stabPages}
 }
 
-func addLeaf(c *metrics.Counters) {
-	if c != nil {
-		c.LeafReads++
-	}
-}
-
+// The add* helpers attribute costs to an explicit counter set, so
+// concurrent readers never share mutable state.
 func addStabPage(c *metrics.Counters) {
 	if c != nil {
 		c.StabPageReads++

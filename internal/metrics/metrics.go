@@ -125,24 +125,6 @@ func (c *Counters) StartSpan(name string) *obs.Span {
 	return nil
 }
 
-// FromSnapshot converts an atomic-counter snapshot (internal/obs) into the
-// plain counter form, the view the pre-existing Stats APIs return.
-func FromSnapshot(s obs.CountersSnapshot) Counters {
-	return Counters{
-		ElementsScanned: s.ElementsScanned,
-		OutputPairs:     s.OutputPairs,
-		IndexNodeReads:  s.IndexNodeReads,
-		LeafReads:       s.LeafReads,
-		StabPageReads:   s.StabPageReads,
-		BufferHits:      s.BufferHits,
-		BufferMisses:    s.BufferMisses,
-		PhysicalReads:   s.PhysicalReads,
-		PhysicalWrites:  s.PhysicalWrites,
-		PageEvictions:   s.PageEvictions,
-		ReadCalls:       s.ReadCalls,
-	}
-}
-
 // Add accumulates other into c.
 func (c *Counters) Add(other *Counters) {
 	if other == nil {

@@ -93,21 +93,6 @@ func TestResetPreservesTracer(t *testing.T) {
 	}
 }
 
-func TestFromSnapshot(t *testing.T) {
-	var o obs.Counters
-	o.BufferHits.Add(3)
-	o.BufferMisses.Add(4)
-	o.PageEvictions.Add(2)
-	o.ElementsScanned.Add(10)
-	c := FromSnapshot(o.Snapshot())
-	if c.BufferHits != 3 || c.BufferMisses != 4 || c.PageEvictions != 2 || c.ElementsScanned != 10 {
-		t.Errorf("FromSnapshot = %+v", c)
-	}
-	if c.PageAccesses() != 7 {
-		t.Errorf("PageAccesses = %d", c.PageAccesses())
-	}
-}
-
 func TestAddIgnoresTracerAndEvictions(t *testing.T) {
 	col := obs.NewCollector()
 	a := Counters{PageEvictions: 1}
