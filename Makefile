@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench-test race bench microbench microbench-smoke serve-smoke cluster-smoke examples examples-check experiments clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
+.PHONY: all build test bench-test bench-record race bench microbench microbench-smoke serve-smoke cluster-smoke examples examples-check experiments clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
 
 all: build test
 
@@ -19,6 +19,17 @@ test:
 bench-test:
 	$(GO) test -C bench ./...
 
+# One point of the performance trajectory: an untraced and a traced
+# bench/xrperf run at seed 1, whose result files are copied verbatim to
+# BENCH_<n>.json and BENCH_<n>.trace.json at the root, where
+# `xrperf -compare` reads them. Usage: make bench-record PR=<n>
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>" >&2; exit 2; }
+	$(GO) run -C bench ./xrperf -seed 1
+	cp bench/out/result.json BENCH_$(PR).json
+	$(GO) run -C bench ./xrperf -seed 1 -trace 1
+	cp bench/out/result-trace.json BENCH_$(PR).trace.json
+
 race:
 	$(GO) test -race ./...
 
@@ -28,13 +39,14 @@ bench:
 
 # Storage-stack microbenchmarks (allocation counts are the regression
 # signal, hence -benchmem; -count=5 for a spread benchstat can consume):
-# the pool pin/unpin fast path, a full leaf-chain scan, the XR-stack
+# the pool pin/unpin fast path, a full leaf-chain scan, the XR-tree's
+# stab-list upkeep on delete and insert (pages per op too), the XR-stack
 # (ancestor-descendant and parent-child), B+ and no-index joins end to end,
 # the parallel driver on dense and output-light partitions, and the admitted
 # join and query handlers without sockets (response bytes per request too).
 microbench:
-	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkLeafChainScan|BenchmarkXRStackJoin|BenchmarkBPlusJoin|BenchmarkStackTreeDescJoin|BenchmarkParallel|BenchmarkServe' \
-		-benchmem -count=5 ./internal/bufferpool ./internal/elemlist ./internal/join ./internal/server
+	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkLeafChainScan|BenchmarkStabInsertDelete|BenchmarkXRStackJoin|BenchmarkBPlusJoin|BenchmarkStackTreeDescJoin|BenchmarkParallel|BenchmarkServe' \
+		-benchmem -count=5 ./internal/bufferpool ./internal/elemlist ./internal/core ./internal/join ./internal/server
 
 # Every microbenchmark body under internal/ run once, so a benchmark that
 # no longer builds, fails or finds no pairs breaks CI; no timing is judged.

@@ -36,7 +36,7 @@ func main() {
 	var (
 		exp     = flag.String("exp", "all", "experiment id (see package comment)")
 		seed    = flag.Int64("seed", 1, "random seed")
-		scale   = flag.Float64("scale", 1.0, "corpus size multiplier")
+		scale   = flag.Float64("scale", 1.0, "corpus size multiplier; the join sweeps' set sizes grow as scale² (about 4.2 gives the paper's ~750k elements per set)")
 		buffers = flag.Int("buffers", 100, "buffer pool pages")
 		csvDir  = flag.String("csv", "", "also write each sweep as CSV files into this directory")
 	)

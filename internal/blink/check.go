@@ -33,20 +33,27 @@ type Checker interface {
 func (t *Tree) CheckInvariants() error {
 	t.wlatch.Lock()
 	defer t.wlatch.Unlock()
-	return t.check()
+	return (*Writer)(t).Check()
 }
 
-// check is CheckInvariants under the writer latch.
-func (t *Tree) check() error {
+// Check is CheckInvariants for a caller that already holds the latch.
+func (w *Writer) Check() error {
 	var ck Checker
-	if t.hooks != nil {
-		ck = t.hooks.Checker()
+	if w.hooks != nil {
+		ck = w.hooks.Checker()
 	}
+	return w.Walk(ck)
+}
+
+// Walk runs the backbone walk of CheckInvariants with checker ck (nil for
+// none), for a caller that already holds the latch.
+func (w *Writer) Walk(ck Checker) error {
+	t := (*Tree)(w)
 	root, h := t.Root()
-	w := &walker{t: t, ck: ck, rootH: h, nextAt: make(map[int]pagefile.PageID)}
-	err := w.walk(root, h, 0, ^uint32(0), nil)
-	if err == nil && w.elems != t.Len() {
-		err = fmt.Errorf("meta count %d but %d elements in leaves", t.Len(), w.elems)
+	wk := &walker{t: t, ck: ck, rootH: h, nextAt: make(map[int]pagefile.PageID)}
+	err := wk.walk(root, h, 0, ^uint32(0), nil)
+	if err == nil && wk.elems != t.Len() {
+		err = fmt.Errorf("meta count %d but %d elements in leaves", t.Len(), wk.elems)
 	}
 	if err == nil && ck != nil {
 		err = ck.Done()
@@ -146,23 +153,11 @@ func (w *walker) walk(id pagefile.PageID, height int, lo, hi uint32, anc []uint3
 	return nil
 }
 
-// leaf validates leaf id, whose keys lie in [lo, hi), and its links to
-// the leaf walked before it.
+// leaf validates leaf id, whose keys lie in [lo, hi), and its back link
+// to the leaf walked before it (walk checked that leaf's next link).
 func (w *walker) leaf(id pagefile.PageID, d []byte, lo, hi uint32, anc []uint32) error {
-	t := w.t
 	if LeafPrev(d) != w.prevLeaf {
 		return fmt.Errorf("leaf %d prev = %d, want %d", id, LeafPrev(d), w.prevLeaf)
-	}
-	if w.prevLeaf != pagefile.InvalidPage {
-		pd, err := t.fetch(w.prevLeaf)
-		if err != nil {
-			return err
-		}
-		next := LeafNext(pd)
-		t.unpin(w.prevLeaf, false)
-		if next != id {
-			return fmt.Errorf("leaf %d next = %d, want %d", w.prevLeaf, next, id)
-		}
 	}
 	n := LeafCount(d)
 	for i := 0; i < n; i++ {

@@ -17,9 +17,12 @@ var errClosed = errors.New("blink: seek on a closed iterator")
 // calls: any number of iterators — including several on one tree within
 // a single goroutine, as self-joins require — coexist with each other,
 // with point queries and with writers. A scan racing a concurrent
-// Delete's page merge may observe a recycled page; that is detected (the
-// owner's ErrCorrupt) rather than latched away, keeping iterators
-// deadlock-free. Close returns the copy to a pool.
+// Delete's page merge may hop onto a recycled page. When the page was
+// reused as a non-leaf, the scan fails with the owner's ErrCorrupt; when
+// it was reused as a leaf, the scan silently continues along the new
+// leaf's chain and can skip elements that were present throughout: page
+// reuse does not wait for open readers yet (ROADMAP.md tracks the fix).
+// Close returns the copy to a pool.
 //
 // SeekGE answers from the held copy when it covers the key (a finger), so
 // a join that repositions its cursor on every step descends from the root

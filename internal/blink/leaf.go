@@ -46,8 +46,11 @@
 // does all its work — separator and stab hooks included — inside that
 // bracket; a merge's back-link fix latches the next leaf rightward inside
 // it too, and the merged right page is discarded only after its latch
-// drops, so a reader that resolved its id finds a recycled page by its
-// type byte and reports corruption instead of wrong data.
+// drops. A reader that resolved its id may then meet the page recycled:
+// reused as an internal or stab page, its type byte gives it away and the
+// reader reports corruption; reused as a leaf, it passes for one, and the
+// reader silently reads another range's entries. Page reuse does not wait
+// for open readers yet; ROADMAP.md tracks the fix.
 package blink
 
 import (

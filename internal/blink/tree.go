@@ -62,6 +62,11 @@ type Tree struct {
 	// helpers, for the xrtreedebug pin balance (see debug.go). Guarded by
 	// wlatch: every caller of those helpers holds it.
 	debugHeld int
+
+	// peek, while an xrtreedebug walk runs (Writer.CheckUnseen), replaces
+	// the held-page helpers' pool fetch with an unseen copy. Guarded by
+	// wlatch; always nil in release builds.
+	peek func(pagefile.PageID) ([]byte, error)
 }
 
 // Config is what an owning tree package declares to New and Open.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"xrtree/internal/invariant"
 	"xrtree/internal/pagefile"
 	"xrtree/internal/xmldoc"
 )
@@ -87,9 +88,6 @@ func (w *Writer) FetchNew() (pagefile.PageID, []byte, error) { return (*Tree)(w)
 func (w *Writer) Unpin(id pagefile.PageID, dirty bool) error { return (*Tree)(w).unpin(id, dirty) }
 func (w *Writer) Discard(id pagefile.PageID) error           { return (*Tree)(w).discard(id) }
 
-// Check is CheckInvariants for a caller that already holds the latch.
-func (w *Writer) Check() error { return (*Tree)(w).check() }
-
 // The held-page helpers route every page access through the in-flight WAL
 // transaction when one exists; outside a transaction (bulk load, the
 // checker, stores without a log) they are the plain pool calls. Only
@@ -97,6 +95,9 @@ func (w *Writer) Check() error { return (*Tree)(w).check() }
 // through the pool directly.
 
 func (t *Tree) fetch(id pagefile.PageID) ([]byte, error) {
+	if invariant.Enabled && t.peek != nil {
+		return t.peek(id)
+	}
 	data, err := t.pool.FetchHeld(t.tx, id)
 	t.debugPinned(err, 1)
 	return data, err
@@ -109,6 +110,9 @@ func (t *Tree) fetchNew() (pagefile.PageID, []byte, error) {
 }
 
 func (t *Tree) unpin(id pagefile.PageID, dirty bool) error {
+	if invariant.Enabled && t.peek != nil {
+		return nil
+	}
 	err := t.pool.Unpin(id, dirty)
 	t.debugPinned(err, -1)
 	return err

@@ -20,7 +20,7 @@
 // modulo mapping spreads a tree's pages round-robin across shards.
 // Replacement is LRU within a shard (an approximation of global LRU with
 // the same worst-case bound: a shard holds capacity/shards frames). The
-// shard count defaults to a heuristic — the largest power of two ≤ 8 that
+// shard count is a heuristic — the largest power of two ≤ 8 that
 // keeps every shard at ≥ 16 frames — so small pools (including every
 // eviction-order test fixture) keep exact single-LRU semantics.
 package bufferpool
@@ -147,12 +147,12 @@ func defaultShards(capacity int) int {
 // New creates a pool of capacity frames over file with the heuristic shard
 // count. Capacity must be ≥ 1.
 func New(file *pagefile.File, capacity int) (*Pool, error) {
-	return NewSharded(file, capacity, 0)
+	return newSharded(file, capacity, 0)
 }
 
-// NewSharded creates a pool with an explicit shard count (rounded up to a
+// newSharded creates a pool with an explicit shard count (rounded up to a
 // power of two, clamped to capacity); shards ≤ 0 selects the heuristic.
-func NewSharded(file *pagefile.File, capacity, shards int) (*Pool, error) {
+func newSharded(file *pagefile.File, capacity, shards int) (*Pool, error) {
 	if capacity <= 0 {
 		return nil, ErrZeroFrames
 	}

@@ -30,7 +30,7 @@ func TestDefaultShards(t *testing.T) {
 func TestNewShardedCapacityDistribution(t *testing.T) {
 	f := pagefile.NewMem(pagefile.Options{PageSize: 256})
 	defer f.Close()
-	pool, err := NewSharded(f, 10, 4)
+	pool, err := newSharded(f, 10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +53,14 @@ func TestNewShardedCapacityDistribution(t *testing.T) {
 
 	// Shard counts are clamped so every shard has at least one frame, and
 	// non-powers round up.
-	pool2, err := NewSharded(f, 2, 64)
+	pool2, err := newSharded(f, 2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pool2.Shards() != 2 {
 		t.Fatalf("clamped Shards() = %d, want 2", pool2.Shards())
 	}
-	pool3, err := NewSharded(f, 100, 3)
+	pool3, err := newSharded(f, 100, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestFetchCopy(t *testing.T) {
 func TestShardedConcurrentFetchUnpin(t *testing.T) {
 	f := pagefile.NewMem(pagefile.Options{PageSize: 256})
 	defer f.Close()
-	pool, err := NewSharded(f, 64, 4)
+	pool, err := newSharded(f, 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestShardedConcurrentFetchUnpin(t *testing.T) {
 func TestShardPoolFullError(t *testing.T) {
 	f := pagefile.NewMem(pagefile.Options{PageSize: 256})
 	defer f.Close()
-	pool, err := NewSharded(f, 4, 2)
+	pool, err := newSharded(f, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

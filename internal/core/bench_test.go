@@ -1,0 +1,67 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"xrtree/internal/bufferpool"
+	"xrtree/internal/pagefile"
+	"xrtree/internal/xmldoc"
+)
+
+// BenchmarkStabInsertDelete measures the stab-list upkeep of Algorithms 1
+// and 2 (§4): each op deletes an element that lives in a stab list, which
+// unhomes it (D1), and inserts it again, which homes it at the highest
+// stabbing node (I1). The elements are a bulk-loaded nested forest on 1 KiB
+// pages under a pool that holds the whole tree, so pages/op counts page
+// accesses (pool hits plus misses), not I/O.
+func BenchmarkStabInsertDelete(b *testing.B) {
+	f := pagefile.NewMem(pagefile.Options{PageSize: 1024})
+	b.Cleanup(func() { f.Close() })
+	pool, err := bufferpool.New(f, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := New(pool, 1, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	es := genNested(rand.New(rand.NewSource(1)), 20000, 12)
+	if err := tr.BulkLoad(es, 1.0); err != nil {
+		b.Fatal(err)
+	}
+	// Keep the elements whose delete shrinks the stab lists.
+	var homed []xmldoc.Element
+	for _, e := range es {
+		before, _ := tr.StabStats()
+		if err := tr.Delete(e.Start); err != nil {
+			b.Fatal(err)
+		}
+		if after, _ := tr.StabStats(); after < before {
+			homed = append(homed, e)
+		}
+		if err := tr.Insert(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if len(homed) == 0 {
+		b.Fatal("no element lives in a stab list")
+	}
+
+	b.ReportAllocs()
+	start := pool.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := homed[i%len(homed)]
+		if err := tr.Delete(e.Start); err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.Insert(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	end := pool.Stats()
+	pages := end.BufferHits + end.BufferMisses - start.BufferHits - start.BufferMisses
+	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
+}

@@ -92,76 +92,59 @@ func (ck *checker) Node(id pagefile.PageID, node []byte, height int, anc []uint3
 	}
 	heads := make(map[uint32]headInfo)
 
-	p := stabHead(node)
-	var prevPage pagefile.PageID = pagefile.InvalidPage
-	var lastKey, lastStart uint32
+	prevPage := pagefile.InvalidPage
+	var last stabEntry // the entry before, when haveLast
 	haveLast := false
-	var lastPSLKey uint32
-	var lastPSLEnd uint32
-	for p != pagefile.InvalidPage {
-		data, err := t.fetchStab(p)
-		if err != nil {
-			return fmt.Errorf("node %d stab chain: %w", id, err)
-		}
+	_, _, err := t.walkChain(stabHead(node), func(p pagefile.PageID, data []byte) (bool, error) {
 		ck.stabPages++
 		if stabPrev(data) != prevPage {
-			t.w.Unpin(p, false)
-			return fmt.Errorf("stab page %d prev = %d, want %d", p, stabPrev(data), prevPage)
+			return false, fmt.Errorf("stab page %d prev = %d, want %d", p, stabPrev(data), prevPage)
 		}
 		n := stabCount(data)
 		if n == 0 {
-			t.w.Unpin(p, false)
-			return fmt.Errorf("stab page %d of node %d is empty", p, id)
+			return false, fmt.Errorf("stab page %d of node %d is empty", p, id)
 		}
 		for i := 0; i < n; i++ {
 			en := stabEntryAt(data, i)
-			if haveLast && !stabLess(lastKey, lastStart, en.key, en.start) {
-				t.w.Unpin(p, false)
-				return fmt.Errorf("node %d stab chain unsorted: (%d,%d) then (%d,%d)",
-					id, lastKey, lastStart, en.key, en.start)
+			if haveLast && !stabLess(last.key, last.start, en.key, en.start) {
+				return false, fmt.Errorf("node %d stab chain unsorted: (%d,%d) then (%d,%d)",
+					id, last.key, last.start, en.key, en.start)
 			}
 			// Primary key check: en.key must be the smallest node key
 			// stabbing (start, end).
 			j := primaryKeyIndex(node, en.start, en.end)
 			if j < 0 || intShape.Key(node, j) != en.key {
-				t.w.Unpin(p, false)
-				return fmt.Errorf("node %d: entry (%d,%d) keyed %d, primary key index %d",
+				return false, fmt.Errorf("node %d: entry (%d,%d) keyed %d, primary key index %d",
 					id, en.start, en.end, en.key, j)
 			}
 			// No ancestor key may stab it (Definition 4.4).
 			for _, ak := range anc {
 				if en.start <= ak && ak <= en.end {
-					t.w.Unpin(p, false)
-					return fmt.Errorf("node %d: entry (%d,%d) also stabbed by ancestor key %d",
+					return false, fmt.Errorf("node %d: entry (%d,%d) also stabbed by ancestor key %d",
 						id, en.start, en.end, ak)
 				}
 			}
 			// Strict nesting within a PSL: successive entries are nested.
-			if haveLast && en.key == lastPSLKey {
-				if en.end >= lastPSLEnd {
-					t.w.Unpin(p, false)
-					return fmt.Errorf("node %d PSL(%d): (%d,%d) not nested in predecessor ending %d",
-						id, en.key, en.start, en.end, lastPSLEnd)
-				}
+			if haveLast && en.key == last.key && en.end >= last.end {
+				return false, fmt.Errorf("node %d PSL(%d): (%d,%d) not nested in predecessor ending %d",
+					id, en.key, en.start, en.end, last.end)
 			}
 			if _, ok := heads[en.key]; !ok {
 				heads[en.key] = headInfo{page: p, start: en.start, end: en.end}
 			}
 			if prev, dup := ck.stabbed[en.start]; dup {
-				t.w.Unpin(p, false)
-				return fmt.Errorf("element starting %d in two stab lists (heights %d and %d)",
+				return false, fmt.Errorf("element starting %d in two stab lists (heights %d and %d)",
 					en.start, prev.height, height)
 			}
 			ck.stabbed[en.start] = stabHome{height: height, key: en.key, end: en.end}
-			lastKey, lastStart = en.key, en.start
-			lastPSLKey, lastPSLEnd = en.key, en.end
-			haveLast = true
+			last, haveLast = en, true
 			ck.stabEntries++
 		}
-		next := stabNext(data)
-		t.w.Unpin(p, false)
 		prevPage = p
-		p = next
+		return false, nil
+	})
+	if err != nil {
+		return err
 	}
 	if stabTail(node) != prevPage {
 		return fmt.Errorf("node %d stab tail = %d, want %d", id, stabTail(node), prevPage)

@@ -273,22 +273,6 @@ func (t *Tree) scanPSL(node []byte, ki int, sd uint32, minStart uint32, c *metri
 	return nil
 }
 
-// stabLowerBound returns the index of the first entry on the page with
-// (key, start) ≥ (kv, start), by binary search.
-func stabLowerBound(data []byte, kv, start uint32) int {
-	lo, hi := 0, stabCount(data)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		en := stabEntryAt(data, mid)
-		if stabLess(en.key, en.start, kv, start) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // FindParent returns the parent (level-aware ancestor, §5.3) of a region
 // starting at sd whose level is level−1, if indexed.
 func (t *Tree) FindParent(sd uint32, level uint16, c *metrics.Counters) (xmldoc.Element, bool, error) {

@@ -12,6 +12,12 @@ package core
 // entries with key == k is PSL(k), stored outermost-first; by strict
 // nesting the elements stabbed by any probe position form a prefix of a
 // PSL, which is what makes Algorithm 5 stop early.
+//
+// Each chain job has one helper: walkChain walks the pages pinned, relink
+// edits a neighbour's link, stabLowerBound positions (key, start) within
+// a page, and moveSuffix splits a page's tail onto a fresh page. Only the
+// reader's scanPSL (query.go) walks a chain on its own: it fetches
+// through the pool, never the writer's transaction.
 
 import (
 	"fmt"
@@ -59,10 +65,63 @@ func (t *Tree) fetchStabRead(id pagefile.PageID, tr obs.Tracer) ([]byte, error) 
 	return data, nil
 }
 
+// walkChain pins the stab pages from p on in chain order, checking each
+// one's type, and hands each to visit until visit stops at one. It unpins
+// every page visit passes over, and the page in hand on an error; the page
+// visit stopped at comes back pinned, for the caller to edit or unpin. At
+// the chain's end it returns InvalidPage.
+func (t *Tree) walkChain(p pagefile.PageID, visit func(id pagefile.PageID, data []byte) (stop bool, err error)) (pagefile.PageID, []byte, error) {
+	for p != pagefile.InvalidPage {
+		data, err := t.fetchStab(p)
+		if err != nil {
+			return pagefile.InvalidPage, nil, err
+		}
+		stop, err := visit(p, data)
+		if err == nil && stop {
+			return p, data, nil
+		}
+		next := stabNext(data)
+		if uerr := t.w.Unpin(p, false); err == nil {
+			err = uerr
+		}
+		if err != nil {
+			return pagefile.InvalidPage, nil, err
+		}
+		p = next
+	}
+	return pagefile.InvalidPage, nil, nil
+}
+
+// relink points one link of stab page id at to: set is setStabNext or
+// setStabPrev.
+func (t *Tree) relink(id pagefile.PageID, set func([]byte, pagefile.PageID), to pagefile.PageID) error {
+	data, err := t.fetchStab(id)
+	if err != nil {
+		return err
+	}
+	set(data, to)
+	return t.w.Unpin(id, true)
+}
+
+// stabLowerBound returns the index of the first entry on the page with
+// (key, start) ≥ (kv, start), by binary search.
+func stabLowerBound(data []byte, kv, start uint32) int {
+	lo, hi := 0, stabCount(data)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		en := stabEntryAt(data, mid)
+		if stabLess(en.key, en.start, kv, start) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // stabInsertElement inserts e into the stab list of the pinned internal
 // node, keyed by its primary stabbing key. The caller must guarantee that
-// at least one key of the node stabs e. Reports whether the node page was
-// modified (always true) via its error-free return.
+// at least one key of the node stabs e.
 func (t *Tree) stabInsertElement(node []byte, e xmldoc.Element) error {
 	j := primaryKeyIndex(node, e.Start, e.End)
 	if j < 0 {
@@ -75,18 +134,16 @@ func (t *Tree) stabInsertElement(node []byte, e xmldoc.Element) error {
 	if err != nil {
 		return err
 	}
-	if err := t.insertAt(node, loc, se); err != nil {
+	at, err := t.insertAt(node, loc, se)
+	if err != nil {
 		return err
 	}
-	// Update the directory entry for key j if e is the new PSL head.
-	ps := keyPS(node, j)
-	if ps == 0 || e.Start < ps {
+	// Update the directory entry for key j if e is the new PSL head; a page
+	// split inside insertAt may have moved it, so point at the page that
+	// took it.
+	if ps := keyPS(node, j); ps == 0 || e.Start < ps {
 		setKeyPSPE(node, j, e.Start, e.End)
-		// The head location may have been adjusted by a page split inside
-		// insertAt; recompute it cheaply: insertAt returns nothing, so we
-		// locate the head via the chain. The head is the entry we just
-		// inserted, whose page insertAt recorded in t.lastInsertPage.
-		setKeyPSLPage(node, j, t.lastInsertPage)
+		setKeyPSLPage(node, j, at)
 	}
 	t.stabCount.Add(1)
 	return nil
@@ -95,193 +152,125 @@ func (t *Tree) stabInsertElement(node []byte, e xmldoc.Element) error {
 // findStabInsertPos returns the location at which a new entry for key index
 // j must be inserted to keep the chain sorted by (key, start).
 //
-// With a non-empty PSL(j) the directory points at its head page directly;
-// otherwise the head of the next non-empty PSL (or the chain tail) bounds
-// the position — the same ≤2-page guarantee the paper's ps directory gives.
+// The search starts at the head page of PSL(j), or when that is empty at
+// the head page of the next non-empty PSL (the entry goes just before it),
+// or else at the chain tail — the same ≤2-page guarantee the paper's ps
+// directory gives.
 func (t *Tree) findStabInsertPos(node []byte, j int, se stabEntry) (stabLoc, error) {
-	m := intShape.Count(node)
-	if p := keyPSLPage(node, j); p != pagefile.InvalidPage {
-		return t.scanForward(p, se)
+	p := pagefile.InvalidPage
+	for nj := j; p == pagefile.InvalidPage && nj < intShape.Count(node); nj++ {
+		p = keyPSLPage(node, nj)
 	}
-	// PSL(j) empty: insert immediately before the head of the next
-	// non-empty PSL.
-	for nj := j + 1; nj < m; nj++ {
-		if p := keyPSLPage(node, nj); p != pagefile.InvalidPage {
-			nk := intShape.Key(node, nj)
-			data, err := t.fetchStab(p)
-			if err != nil {
-				return stabLoc{}, err
-			}
-			n := stabCount(data)
-			for i := 0; i < n; i++ {
-				en := stabEntryAt(data, i)
-				if en.key == nk {
-					if err := t.w.Unpin(p, false); err != nil {
-						return stabLoc{}, err
-					}
-					return stabLoc{page: p, idx: i}, nil
-				}
-			}
-			t.w.Unpin(p, false)
-			return stabLoc{}, fmt.Errorf("%w: PSL head for key %d not on page %d", ErrCorrupt, nk, p)
-		}
+	if p == pagefile.InvalidPage {
+		p = stabTail(node)
 	}
-	// No later PSL: append at the chain tail.
-	tail := stabTail(node)
-	if tail == pagefile.InvalidPage {
-		return stabLoc{page: pagefile.InvalidPage, idx: 0}, nil // empty chain
+	loc := stabLoc{page: p}
+	at, _, err := t.walkChain(p, func(id pagefile.PageID, data []byte) (bool, error) {
+		loc = stabLoc{page: id, idx: stabLowerBound(data, se.key, se.start)}
+		return loc.idx < stabCount(data), nil
+	})
+	if err == nil && at != pagefile.InvalidPage {
+		err = t.w.Unpin(at, false)
 	}
-	data, err := t.fetchStab(tail)
-	if err != nil {
-		return stabLoc{}, err
-	}
-	n := stabCount(data)
-	if err := t.w.Unpin(tail, false); err != nil {
-		return stabLoc{}, err
-	}
-	return stabLoc{page: tail, idx: n}, nil
-}
-
-// scanForward walks from page p to find the sorted position for se. The
-// scan normally stays within 1–2 pages because p is the head page of
-// se.key's PSL.
-func (t *Tree) scanForward(p pagefile.PageID, se stabEntry) (stabLoc, error) {
-	for {
-		data, err := t.fetchStab(p)
-		if err != nil {
-			return stabLoc{}, err
-		}
-		n := stabCount(data)
-		// Find the first entry ≥ (se.key, se.start).
-		for i := 0; i < n; i++ {
-			en := stabEntryAt(data, i)
-			if !stabLess(en.key, en.start, se.key, se.start) {
-				if err := t.w.Unpin(p, false); err != nil {
-					return stabLoc{}, err
-				}
-				return stabLoc{page: p, idx: i}, nil
-			}
-		}
-		next := stabNext(data)
-		if err := t.w.Unpin(p, false); err != nil {
-			return stabLoc{}, err
-		}
-		if next == pagefile.InvalidPage {
-			return stabLoc{page: p, idx: n}, nil
-		}
-		p = next
-	}
+	return loc, err
 }
 
 // insertAt physically inserts se at loc, allocating or splitting stab pages
 // as needed and fixing any directory pointers whose PSL head moves. It
-// records the page that finally holds se in t.lastInsertPage.
-func (t *Tree) insertAt(node []byte, loc stabLoc, se stabEntry) error {
+// returns the page that finally holds se.
+func (t *Tree) insertAt(node []byte, loc stabLoc, se stabEntry) (pagefile.PageID, error) {
 	if loc.page == pagefile.InvalidPage {
 		// Empty chain: allocate the first page.
 		id, data, err := t.w.FetchNew()
 		if err != nil {
-			return err
+			return pagefile.InvalidPage, err
 		}
 		initStabPage(data)
-		putStabEntry(data, 0, se)
-		setStabCount(data, 1)
-		if err := t.w.Unpin(id, true); err != nil {
-			return err
-		}
+		insertStabEntry(data, 0, 0, se)
 		setStabHead(node, id)
 		setStabTail(node, id)
 		t.stabPages.Add(1)
-		t.lastInsertPage = id
-		return nil
+		return id, t.w.Unpin(id, true)
 	}
 
 	data, err := t.fetchStab(loc.page)
 	if err != nil {
-		return err
+		return pagefile.InvalidPage, err
 	}
 	n := stabCount(data)
 	if n < t.stabCap {
 		insertStabEntry(data, loc.idx, n, se)
-		t.lastInsertPage = loc.page
-		return t.w.Unpin(loc.page, true)
+		return loc.page, t.w.Unpin(loc.page, true)
 	}
 
 	// Page full: split it, keeping the first half in place.
-	newID, newData, err := t.w.FetchNew()
-	if err != nil {
-		t.w.Unpin(loc.page, false)
-		return err
-	}
-	initStabPage(newData)
 	mid := n / 2
-	moved := n - mid
-	copy(newData[stabHeader:stabHeader+moved*stabEntrySize],
-		data[stabHeader+mid*stabEntrySize:stabHeader+n*stabEntrySize])
-	setStabCount(newData, moved)
-	setStabCount(data, mid)
-	t.stabPages.Add(1)
-
-	// Relink: P -> Q -> oldNext.
-	oldNext := stabNext(data)
-	setStabNext(newData, oldNext)
-	setStabPrev(newData, loc.page)
-	setStabNext(data, newID)
-	if oldNext != pagefile.InvalidPage {
-		nd, err := t.fetchStab(oldNext)
-		if err == nil {
-			setStabPrev(nd, newID)
-			err = t.w.Unpin(oldNext, true)
-		}
-		if err != nil {
-			t.w.Unpin(newID, true)
-			t.w.Unpin(loc.page, true)
-			return err
-		}
-	} else {
-		setStabTail(node, newID)
+	q, qData, err := t.moveSuffix(loc.page, data, mid)
+	if err != nil {
+		t.w.Unpin(loc.page, true)
+		return pagefile.InvalidPage, err
+	}
+	if stabNext(qData) == pagefile.InvalidPage {
+		setStabTail(node, q)
 	}
 
 	// Fix directory pointers: any key whose value exceeds the last key left
 	// in P had its PSL head move to Q (the chain is globally key-sorted, so
 	// "key greater than P's new last key" ⟺ "first occurrence now in Q").
 	lastP := stabEntryAt(data, mid-1).key
-	fixHeads := func(pageData []byte, pageID pagefile.PageID) {
-		cnt := stabCount(pageData)
-		prev := uint32(0)
-		for i := 0; i < cnt; i++ {
-			k := stabEntryAt(pageData, i).key
-			if k == prev || k <= lastP {
-				prev = k
-				continue
-			}
-			prev = k
+	prev := uint32(0)
+	for i := range stabCount(qData) {
+		k := stabEntryAt(qData, i).key
+		if k != prev && k > lastP {
 			if ki := keyIndex(node, k); ki >= 0 {
-				setKeyPSLPage(node, ki, pageID)
+				setKeyPSLPage(node, ki, q)
 			}
 		}
+		prev = k
 	}
-	fixHeads(newData, newID)
 
-	// Insert into the proper half.
+	// Insert into the proper half: inserting at index mid belongs to P's
+	// end. The caller repoints se's own key at the page returned when se
+	// is its new head.
+	at := loc.page
 	if loc.idx <= mid {
-		// Position falls in P (inserting at index mid belongs to P's end).
 		insertStabEntry(data, loc.idx, mid, se)
-		t.lastInsertPage = loc.page
-		// If se.key > lastP we may have wrongly pointed its head at Q when
-		// an equal-key run starts here; recompute for se.key explicitly
-		// below via the caller's head update. Heads for other keys are
-		// unaffected because se goes to P's tail region only if its key is
-		// ≤ the smallest key in Q at that position.
 	} else {
-		insertStabEntry(newData, loc.idx-mid, moved, se)
-		t.lastInsertPage = newID
+		insertStabEntry(qData, loc.idx-mid, n-mid, se)
+		at = q
 	}
-	if err := t.w.Unpin(newID, true); err != nil {
+	if err := t.w.Unpin(q, true); err != nil {
 		t.w.Unpin(loc.page, true)
-		return err
+		return pagefile.InvalidPage, err
 	}
-	return t.w.Unpin(loc.page, true)
+	return at, t.w.Unpin(loc.page, true)
+}
+
+// moveSuffix moves the entries of the pinned stab page p from index from
+// on to a fresh page q linked in after p, and returns q pinned.
+func (t *Tree) moveSuffix(p pagefile.PageID, data []byte, from int) (pagefile.PageID, []byte, error) {
+	q, qData, err := t.w.FetchNew()
+	if err != nil {
+		return pagefile.InvalidPage, nil, err
+	}
+	initStabPage(qData)
+	n := stabCount(data)
+	copy(qData[stabHeader:], data[stabHeader+from*stabEntrySize:stabHeader+n*stabEntrySize])
+	setStabCount(qData, n-from)
+	setStabCount(data, from)
+	t.stabPages.Add(1)
+
+	next := stabNext(data)
+	setStabNext(qData, next)
+	setStabPrev(qData, p)
+	setStabNext(data, q)
+	if next != pagefile.InvalidPage {
+		if err := t.relink(next, setStabPrev, q); err != nil {
+			t.w.Unpin(q, true)
+			return pagefile.InvalidPage, nil, err
+		}
+	}
+	return q, qData, nil
 }
 
 // popPSLHead removes and returns the head entry of PSL(j) of the pinned
@@ -296,15 +285,8 @@ func (t *Tree) popPSLHead(node []byte, j int) (stabEntry, error) {
 	if err != nil {
 		return stabEntry{}, err
 	}
-	n := stabCount(data)
-	idx := -1
-	for i := 0; i < n; i++ {
-		if stabEntryAt(data, i).key == kv {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	idx := stabLowerBound(data, kv, 0)
+	if idx == stabCount(data) || stabEntryAt(data, idx).key != kv {
 		t.w.Unpin(p, false)
 		return stabEntry{}, fmt.Errorf("%w: PSL head for key %d missing on page %d", ErrCorrupt, kv, p)
 	}
@@ -337,33 +319,20 @@ func (t *Tree) removeAt(node []byte, p pagefile.PageID, data []byte, idx int) (s
 	}
 	// Page empty: unlink and free it.
 	prev, next := stabPrev(data), stabNext(data)
+	var err error
 	if prev != pagefile.InvalidPage {
-		pd, err := t.fetchStab(prev)
-		if err != nil {
-			t.w.Unpin(p, true)
-			return stabLoc{}, err
-		}
-		setStabNext(pd, next)
-		if err := t.w.Unpin(prev, true); err != nil {
-			t.w.Unpin(p, true)
-			return stabLoc{}, err
-		}
+		err = t.relink(prev, setStabNext, next)
 	} else {
 		setStabHead(node, next)
 	}
-	if next != pagefile.InvalidPage {
-		nd, err := t.fetchStab(next)
-		if err != nil {
-			t.w.Unpin(p, true)
-			return stabLoc{}, err
-		}
-		setStabPrev(nd, prev)
-		if err := t.w.Unpin(next, true); err != nil {
-			t.w.Unpin(p, true)
-			return stabLoc{}, err
-		}
-	} else {
+	if err == nil && next != pagefile.InvalidPage {
+		err = t.relink(next, setStabPrev, prev)
+	} else if err == nil {
 		setStabTail(node, prev)
+	}
+	if err != nil {
+		t.w.Unpin(p, true)
+		return stabLoc{}, err
 	}
 	t.stabPages.Add(-1)
 	return stabLoc{page: next, idx: 0}, t.w.Discard(p)
@@ -415,46 +384,30 @@ func (t *Tree) stabDeleteElement(node []byte, s, e uint32) (bool, error) {
 		return false, nil
 	}
 	kv := intShape.Key(node, j)
-	p := keyPSLPage(node, j)
-	if p == pagefile.InvalidPage {
-		return false, nil
+	// Walk PSL(j) to the first entry at or past (kv, s).
+	idx := 0
+	p, data, err := t.walkChain(keyPSLPage(node, j), func(_ pagefile.PageID, data []byte) (bool, error) {
+		idx = stabLowerBound(data, kv, s)
+		return idx < stabCount(data), nil
+	})
+	if err != nil || p == pagefile.InvalidPage {
+		return false, err
 	}
-	// Walk PSL(j) looking for start == s.
-	for p != pagefile.InvalidPage {
-		data, err := t.fetchStab(p)
-		if err != nil {
+	if en := stabEntryAt(data, idx); en.key != kv || en.start != s {
+		return false, t.w.Unpin(p, false) // passed the position: not present
+	}
+	wasHead := keyPS(node, j) == s
+	succ, err := t.removeAt(node, p, data, idx)
+	if err != nil {
+		return false, err
+	}
+	if wasHead {
+		if err := t.refreshHeadFromSucc(node, j, succ); err != nil {
 			return false, err
 		}
-		n := stabCount(data)
-		advance := pagefile.InvalidPage
-		for i := 0; i < n; i++ {
-			en := stabEntryAt(data, i)
-			if en.key > kv || (en.key == kv && en.start > s) {
-				// Passed the position: not present.
-				return false, t.w.Unpin(p, false)
-			}
-			if en.key == kv && en.start == s {
-				wasHead := keyPS(node, j) == s
-				succ, err := t.removeAt(node, p, data, i)
-				if err != nil {
-					return false, err
-				}
-				if wasHead {
-					if err := t.refreshHeadFromSucc(node, j, succ); err != nil {
-						return false, err
-					}
-				}
-				t.stabCount.Add(-1)
-				return true, nil
-			}
-		}
-		advance = stabNext(data)
-		if err := t.w.Unpin(p, false); err != nil {
-			return false, err
-		}
-		p = advance
 	}
-	return false, nil
+	t.stabCount.Add(-1)
+	return true, nil
 }
 
 // extractPSL removes and returns every entry of PSL(j) of the pinned node,
@@ -555,27 +508,24 @@ func (t *Tree) splitStabChain(left, right []byte, midKey uint32) error {
 	setStabHead(right, pagefile.InvalidPage)
 	setStabTail(right, pagefile.InvalidPage)
 	// Locate the first right-hand entry via the right node's directory: the
-	// first key with a non-empty PSL owns the first entry with key > midKey.
+	// first key with a non-empty PSL owns the first entry with key > midKey,
+	// on its head page B.
 	rm := intShape.Count(right)
-	firstRight := -1
-	for i := 0; i < rm; i++ {
-		if keyPSLPage(right, i) != pagefile.InvalidPage {
-			firstRight = i
-			break
-		}
+	bID := pagefile.InvalidPage
+	for i := 0; bID == pagefile.InvalidPage && i < rm; i++ {
+		bID = keyPSLPage(right, i)
 	}
-	if firstRight < 0 {
+	if bID == pagefile.InvalidPage {
 		return nil // nothing moves; left keeps the whole chain
 	}
-	bID := keyPSLPage(right, firstRight)
 	bData, err := t.fetchStab(bID)
 	if err != nil {
 		return err
 	}
-	n := stabCount(bData)
-	idx := 0
-	for idx < n && stabEntryAt(bData, idx).key <= midKey {
-		idx++
+	idx := stabLowerBound(bData, midKey+1, 0)
+	if idx == stabCount(bData) {
+		t.w.Unpin(bID, false)
+		return fmt.Errorf("%w: no stab entry past key %d on page %d", ErrCorrupt, midKey, bID)
 	}
 	oldTail := stabTail(left)
 
@@ -587,84 +537,28 @@ func (t *Tree) splitStabChain(left, right []byte, midKey uint32) error {
 			return err
 		}
 		if prev != pagefile.InvalidPage {
-			pd, err := t.fetchStab(prev)
-			if err != nil {
+			if err := t.relink(prev, setStabNext, pagefile.InvalidPage); err != nil {
 				return err
 			}
-			setStabNext(pd, pagefile.InvalidPage)
-			if err := t.w.Unpin(prev, true); err != nil {
-				return err
-			}
-			setStabTail(left, prev)
 		} else {
 			setStabHead(left, pagefile.InvalidPage)
-			setStabTail(left, pagefile.InvalidPage)
 		}
+		setStabTail(left, prev)
 		setStabHead(right, bID)
 		setStabTail(right, oldTail)
 		return nil
 	}
 
-	if idx == n {
-		// All of B stays left; right's chain starts at B.next. (Possible
-		// when the directory pointed at a page whose right-key heads sit on
-		// a later page — cannot happen for a head pointer, but guard.)
-		next := stabNext(bData)
-		setStabNext(bData, pagefile.InvalidPage)
-		if err := t.w.Unpin(bID, true); err != nil {
-			return err
-		}
-		if next == pagefile.InvalidPage {
-			return nil
-		}
-		nd, err := t.fetchStab(next)
-		if err != nil {
-			return err
-		}
-		setStabPrev(nd, pagefile.InvalidPage)
-		if err := t.w.Unpin(next, true); err != nil {
-			return err
-		}
-		setStabTail(left, bID)
-		setStabHead(right, next)
-		setStabTail(right, oldTail)
-		return nil
-	}
-
-	// Mixed page: move the suffix B[idx:] to a fresh page that becomes the
+	// Mixed page: move the suffix B[idx:] to a fresh page Q that becomes the
 	// right chain's head. Only the page holding the split point is touched,
 	// as §4.1 observes (Figure 5(a)).
-	qID, qData, err := t.w.FetchNew()
+	qID, qData, err := t.moveSuffix(bID, bData, idx)
 	if err != nil {
-		t.w.Unpin(bID, false)
+		t.w.Unpin(bID, true)
 		return err
 	}
-	initStabPage(qData)
-	moved := n - idx
-	copy(qData[stabHeader:stabHeader+moved*stabEntrySize],
-		bData[stabHeader+idx*stabEntrySize:stabHeader+n*stabEntrySize])
-	setStabCount(qData, moved)
-	setStabCount(bData, idx)
-	t.stabPages.Add(1)
-
-	oldNext := stabNext(bData)
 	setStabNext(bData, pagefile.InvalidPage)
-	setStabNext(qData, oldNext)
 	setStabPrev(qData, pagefile.InvalidPage)
-	if oldNext != pagefile.InvalidPage {
-		nd, err := t.fetchStab(oldNext)
-		if err != nil {
-			t.w.Unpin(qID, true)
-			t.w.Unpin(bID, true)
-			return err
-		}
-		setStabPrev(nd, qID)
-		if err := t.w.Unpin(oldNext, true); err != nil {
-			t.w.Unpin(qID, true)
-			t.w.Unpin(bID, true)
-			return err
-		}
-	}
 	if err := t.w.Unpin(qID, true); err != nil {
 		t.w.Unpin(bID, true)
 		return err
@@ -676,10 +570,9 @@ func (t *Tree) splitStabChain(left, right []byte, midKey uint32) error {
 	setStabTail(left, bID)
 	setStabHead(right, qID)
 	if oldTail == bID {
-		setStabTail(right, qID)
-	} else {
-		setStabTail(right, oldTail)
+		oldTail = qID
 	}
+	setStabTail(right, oldTail)
 	// Fix right-node directory entries that pointed at B: their heads are
 	// in the moved suffix.
 	for i := 0; i < rm; i++ {
@@ -701,48 +594,14 @@ func (t *Tree) mergeStabChains(left, right []byte) error {
 	lTail := stabTail(left)
 	if lTail == pagefile.InvalidPage {
 		setStabHead(left, rHead)
-		setStabTail(left, stabTail(right))
-		return nil
-	}
-	td, err := t.fetchStab(lTail)
-	if err != nil {
-		return err
-	}
-	setStabNext(td, rHead)
-	if err := t.w.Unpin(lTail, true); err != nil {
-		return err
-	}
-	hd, err := t.fetchStab(rHead)
-	if err != nil {
-		return err
-	}
-	setStabPrev(hd, lTail)
-	if err := t.w.Unpin(rHead, true); err != nil {
-		return err
+	} else {
+		if err := t.relink(lTail, setStabNext, rHead); err != nil {
+			return err
+		}
+		if err := t.relink(rHead, setStabPrev, lTail); err != nil {
+			return err
+		}
 	}
 	setStabTail(left, stabTail(right))
 	return nil
-}
-
-// stabEntriesAll returns every entry of the pinned node's stab list in
-// chain order (used by the invariant checker and tests).
-func (t *Tree) stabEntriesAll(node []byte) ([]stabEntry, error) {
-	var out []stabEntry
-	p := stabHead(node)
-	for p != pagefile.InvalidPage {
-		data, err := t.fetchStab(p)
-		if err != nil {
-			return nil, err
-		}
-		n := stabCount(data)
-		for i := 0; i < n; i++ {
-			out = append(out, stabEntryAt(data, i))
-		}
-		next := stabNext(data)
-		if err := t.w.Unpin(p, false); err != nil {
-			return nil, err
-		}
-		p = next
-	}
-	return out, nil
 }

@@ -28,66 +28,46 @@ func (s SpaceStats) AvgStabPages() float64 {
 	return float64(s.StabPages) / float64(s.InternalNodes)
 }
 
-// Space walks the tree and reports its page footprint. Read-only; it
-// takes the write latch so the walk sees a structurally quiescent tree.
+// Space walks the tree and reports its page footprint: the invariant walk
+// of CheckInvariants, run with a census in place of the checker. Read-only;
+// it takes the write latch so the walk sees a structurally quiescent tree.
 func (t *Tree) Space() (SpaceStats, error) {
 	t.w.Lock()
 	defer t.w.Unlock()
-	var st SpaceStats
-	root, h := t.Root()
-	if err := t.spaceWalk(root, h, &st); err != nil {
+	c := census{t: t}
+	if err := t.w.Walk(&c); err != nil {
 		return SpaceStats{}, err
 	}
-	return st, nil
+	return c.st, nil
 }
 
-func (t *Tree) spaceWalk(id pagefile.PageID, height int, st *SpaceStats) error {
-	data, err := t.w.Fetch(id)
-	if err != nil {
-		return err
-	}
-	if height == 1 {
-		st.LeafPages++
-		return t.w.Unpin(id, false)
-	}
-	st.InternalNodes++
-	pages := 0
-	p := stabHead(data)
-	for p != pagefile.InvalidPage {
-		sd, err := t.fetchStab(p)
-		if err != nil {
-			t.w.Unpin(id, false)
-			return err
-		}
-		pages++
-		st.StabEntries += stabCount(sd)
-		next := stabNext(sd)
-		if err := t.w.Unpin(p, false); err != nil {
-			t.w.Unpin(id, false)
-			return err
-		}
-		p = next
-	}
-	st.StabPages += pages
-	st.StabPagesPerNode = append(st.StabPagesPerNode, pages)
-	if pages > st.MaxStabPages {
-		st.MaxStabPages = pages
-	}
-	m := intShape.Count(data)
-	children := make([]pagefile.PageID, 0, m+1)
-	for i := 0; i <= m; i++ {
-		children = append(children, intShape.Child(data, i))
-	}
-	if err := t.w.Unpin(id, false); err != nil {
-		return err
-	}
-	for _, c := range children {
-		if err := t.spaceWalk(c, height-1, st); err != nil {
-			return err
-		}
-	}
+// census is the blink.Checker behind Space: it counts pages and stab
+// entries and adds no check of its own to the backbone walk's.
+type census struct {
+	t  *Tree
+	st SpaceStats
+}
+
+func (c *census) Leaf([]byte, []uint32) error {
+	c.st.LeafPages++
 	return nil
 }
+
+func (c *census) Node(_ pagefile.PageID, node []byte, _ int, _ []uint32) error {
+	pages := 0
+	_, _, err := c.t.walkChain(stabHead(node), func(_ pagefile.PageID, data []byte) (bool, error) {
+		pages++
+		c.st.StabEntries += stabCount(data)
+		return false, nil
+	})
+	c.st.InternalNodes++
+	c.st.StabPages += pages
+	c.st.StabPagesPerNode = append(c.st.StabPagesPerNode, pages)
+	c.st.MaxStabPages = max(c.st.MaxStabPages, pages)
+	return err
+}
+
+func (c *census) Done() error { return nil }
 
 // MaxNesting returns the deepest ancestor chain among the indexed elements
 // (the h_d of the S_max = 2·h_d bound in §3.3), computed by a leaf sweep.

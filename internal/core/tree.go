@@ -157,11 +157,6 @@ type Tree struct {
 	rising, splitOut, sepPSL []stabEntry
 	sepAt                    int
 
-	// lastInsertPage records where insertAt physically placed the most
-	// recent stab entry (after any page split); only meaningful right after
-	// the call. Tree mutation is single-threaded (under the writer latch).
-	lastInsertPage pagefile.PageID
-
 	// stabEpoch is a seqlock-style generation counter around moves of
 	// existing stab content BETWEEN containers — promotions to a parent
 	// chain on splits, demotions to plain leaf entries and rotations on

@@ -85,9 +85,6 @@ const rootHistoryGolden = "1e20833d4a5e3db1468d69c95732538c508f8ca810c1c3e17b567
 // small pool evicts throughout, so the stale bytes recycled pages carry
 // also pin the order in which the write path touches pages.
 func TestRootHistoryGolden(t *testing.T) {
-	if invariant.Enabled {
-		t.Skip("the debug build's sampled invariant walks touch pages too, which moves evictions")
-	}
 	f := pagefile.NewMem(pagefile.Options{PageSize: 256})
 	defer f.Close()
 	pool, err := bufferpool.New(f, 64)

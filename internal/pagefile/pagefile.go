@@ -457,11 +457,27 @@ func (f *File) ReadPage(id PageID, dst []byte) error {
 // path caused even while other requests hammer the same file. The
 // process-wide stats counters are updated either way.
 func (f *File) ReadPageTo(id PageID, dst []byte, tr obs.Tracer) error {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if err := f.readLocked(id, dst); err != nil {
+		return err
+	}
+	atomic.AddInt64(&f.stats.PhysicalReads, 1)
+	atomic.AddInt64(&f.stats.ReadCalls, 1)
+	if tr != nil {
+		tr.Event(obs.EvPageRead, 1)
+	} else {
+		f.emit(obs.EvPageRead)
+	}
+	return nil
+}
+
+// readLocked reads page id into dst, uncounted; the caller holds f.mu in
+// at least read mode.
+func (f *File) readLocked(id PageID, dst []byte) error {
 	if len(dst) != f.pageSize {
 		return fmt.Errorf("pagefile: ReadPage buffer is %d bytes, want %d", len(dst), f.pageSize)
 	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
 	if f.closed {
 		return ErrClosed
 	}
@@ -470,13 +486,6 @@ func (f *File) ReadPageTo(id PageID, dst []byte, tr obs.Tracer) error {
 	}
 	if _, err := f.b.ReadAt(dst, int64(id)*int64(f.pageSize)); err != nil {
 		return fmt.Errorf("pagefile: read page %d: %w", id, err)
-	}
-	atomic.AddInt64(&f.stats.PhysicalReads, 1)
-	atomic.AddInt64(&f.stats.ReadCalls, 1)
-	if tr != nil {
-		tr.Event(obs.EvPageRead, 1)
-	} else {
-		f.emit(obs.EvPageRead)
 	}
 	return nil
 }

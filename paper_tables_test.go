@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"xrtree"
-	"xrtree/internal/invariant"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
@@ -101,9 +100,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // Every column is a count or a ratio of counts, so the output repeats byte
 // for byte; a change to a page capacity or a stab rule shows as a diff.
 func TestXRTreeTablesGolden(t *testing.T) {
-	if invariant.Enabled {
-		t.Skip("the debug build's sampled invariant walks read pages into the update study's counters")
-	}
 	var buf bytes.Buffer
 	stab := func(disableKeyChoice bool) {
 		rows, err := xrtree.RunStabListStudy(xrtree.StabStudyConfig{Seed: 1, DisableKeyChoice: disableKeyChoice})

@@ -93,11 +93,6 @@ type StoreOptions struct {
 	// BufferPages is the buffer-pool capacity in frames. Default 100, the
 	// paper's setting (§6.1).
 	BufferPages int
-	// PoolShards is the number of lock-striped buffer-pool partitions
-	// (rounded to a power of two). 0 selects a capacity-based heuristic:
-	// 1 shard for small pools (preserving exact global LRU), up to 8 with
-	// at least 16 frames each. See DESIGN.md "Concurrency".
-	PoolShards int
 	// Tracer, when non-nil, receives structured trace events (page I/O,
 	// index descents, skips, output batches) from every operation on the
 	// store. Equivalent to calling SetTracer after creation.
@@ -140,7 +135,7 @@ func newStore(file *pagefile.File, opts StoreOptions) (*Store, error) {
 	if frames == 0 {
 		frames = bufferpool.DefaultFrames
 	}
-	pool, err := bufferpool.NewSharded(file, frames, opts.PoolShards)
+	pool, err := bufferpool.New(file, frames)
 	if err != nil {
 		file.Close()
 		return nil, err
