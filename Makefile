@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench-test bench-record race bench microbench microbench-smoke serve-smoke cluster-smoke examples examples-check experiments clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
+.PHONY: all build test bench-test bench-record race bench inline-check microbench microbench-smoke serve-smoke cluster-smoke examples examples-check experiments clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
 
 all: build test
 
@@ -37,11 +37,26 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run XXX .
 
+# The join cursors step over the page an iterator holds through two small
+# methods per paged iterator, StepInPage and PeekInPage, which pay off only
+# when the compiler inlines them into the cursor; no test fails when it
+# stops. Fail when `-gcflags=-m` stops reporting one of the four as
+# inlinable.
+inline-check:
+	@out="$$($(GO) build -gcflags=-m ./internal/blink ./internal/elemlist 2>&1)" || { printf '%s\n' "$$out"; exit 1; }; \
+	for f in blink/iterator.go elemlist/elemlist.go; do \
+		for m in StepInPage PeekInPage; do \
+			printf '%s\n' "$$out" | grep -Eq "^internal/$$f:[0-9:]+ can inline \(\*Iterator\)\.$$m( |$$)" || { \
+				echo "inline-check: (*Iterator).$$m in internal/$$f is no longer inlined" >&2; exit 1; }; \
+		done; \
+	done; echo "inline-check: in-page steps inlinable"
+
 # Storage-stack microbenchmarks (allocation counts are the regression
 # signal, hence -benchmem; -count=5 for a spread benchstat can consume):
 # the pool pin/unpin fast path, a full leaf-chain scan, the XR-tree's
 # stab-list upkeep on delete and insert (pages per op too), the XR-stack
-# (ancestor-descendant and parent-child), B+ and no-index joins end to end,
+# (ancestor-descendant and parent-child), B+ and no-index joins end to end
+# on a cold and a warm pool (pages/op and ns/pair too),
 # the parallel driver on dense and output-light partitions, and the admitted
 # join and query handlers without sockets (response bytes per request too).
 microbench:
@@ -121,7 +136,7 @@ lint:
 	fi
 
 # Everything the CI pipeline runs, in the same order, runnable locally.
-ci: build fmt-check lint vet test bench-test race test-debug microbench-smoke serve-smoke cluster-smoke crash-smoke examples-check
+ci: build inline-check fmt-check lint vet test bench-test race test-debug microbench-smoke serve-smoke cluster-smoke crash-smoke examples-check
 	@echo "ci: all checks passed"
 
 examples:

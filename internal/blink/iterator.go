@@ -145,11 +145,36 @@ func (it *Iterator) Step() (xmldoc.Element, bool) {
 	}
 	it.idx++
 	addScan(it.c, 1)
-	if it.idx < LeafCount(it.buf) {
-		return it.elem(), true
-	}
 	return it.Peek()
 }
+
+// StepInPage is Step's in-page half, small enough to inline: when the
+// entry after the current one is on the held leaf copy it consumes the
+// current entry (one scan, as Step counts it) and returns the copy and the
+// byte offset of that next entry, an xmldoc.EncodedSize record whose
+// DocID is the iterator's. Otherwise it changes nothing and returns false,
+// and the caller calls Step, which makes the leaf hop.
+func (it *Iterator) StepInPage() ([]byte, int, bool) {
+	if i := it.idx + 1; it.err == nil && !it.done && i < LeafCount(it.buf) {
+		it.idx = i
+		addScan(it.c, 1)
+		return it.buf, LeafHeader + i*xmldoc.EncodedSize, true
+	}
+	return nil, 0, false
+}
+
+// PeekInPage is Peek's in-page half: when the current entry is on the held
+// leaf copy it returns the copy and the entry's byte offset; otherwise
+// false, and the caller calls Peek.
+func (it *Iterator) PeekInPage() ([]byte, int, bool) {
+	if it.err == nil && !it.done && it.idx < LeafCount(it.buf) {
+		return it.buf, LeafHeader + it.idx*xmldoc.EncodedSize, true
+	}
+	return nil, 0, false
+}
+
+// DocID returns the document id of every element the iterator returns.
+func (it *Iterator) DocID() uint32 { return it.t.docID }
 
 // positioned moves the iterator onto a readable entry, hopping to the next
 // leaf while the current one is used up; false at the end or on error.

@@ -275,11 +275,36 @@ func (it *Iterator) Step() (xmldoc.Element, bool) {
 	}
 	it.idx++
 	it.countScan()
-	if it.idx+1 < it.count {
-		return it.elem(it.idx + 1), true
-	}
 	return it.Peek()
 }
+
+// StepInPage is Step's in-page half, small enough to inline: when the
+// element after the next one is on the pinned page it consumes the next
+// element (one scan, as Step counts it) and returns the page and the byte
+// offset of the element after it, an xmldoc.EncodedSize record whose
+// DocID is the list's. Otherwise it changes nothing and returns false, and
+// the caller calls Step, which makes the page hop.
+func (it *Iterator) StepInPage() ([]byte, int, bool) {
+	if i := it.idx + 2; it.err == nil && it.data != nil && i < it.count {
+		it.idx++
+		it.countScan()
+		return it.data, headerSize + i*xmldoc.EncodedSize, true
+	}
+	return nil, 0, false
+}
+
+// PeekInPage is Peek's in-page half: when the element Next would return is
+// on the pinned page it returns the page and the element's byte offset;
+// otherwise false, and the caller calls Peek.
+func (it *Iterator) PeekInPage() ([]byte, int, bool) {
+	if i := it.idx + 1; it.err == nil && it.data != nil && i < it.count {
+		return it.data, headerSize + i*xmldoc.EncodedSize, true
+	}
+	return nil, 0, false
+}
+
+// DocID returns the document id of every element the iterator returns.
+func (it *Iterator) DocID() uint32 { return it.list.docID }
 
 // positioned makes the element after idx readable, pinning the current
 // page or hopping along the chain as needed; false at the end or on error.

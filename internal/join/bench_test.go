@@ -14,42 +14,78 @@ import (
 	"xrtree/internal/xmldoc"
 )
 
-// benchPool returns a 100-frame pool over a fresh in-memory page file.
-func benchPool(b *testing.B) *bufferpool.Pool {
+// benchPools are the two pools every join benchmark runs over: the
+// paper's 100 frames emptied before every join, so each page the join
+// reads is a miss, and a warm pool that holds every page of the inputs,
+// where each fetch is a hit and the time is the CPU spent per element and
+// per pair.
+var benchPools = []struct {
+	name   string
+	frames int
+	cold   bool
+}{{"cold", 100, true}, {"warm", 1024, false}}
+
+// benchPool returns a pool of the given frames over a fresh in-memory page
+// file.
+func benchPool(b *testing.B, frames int) *bufferpool.Pool {
 	f := pagefile.NewMem(pagefile.Options{PageSize: pagefile.DefaultPageSize})
 	b.Cleanup(func() { f.Close() })
-	pool, err := bufferpool.New(f, 100)
+	pool, err := bufferpool.New(f, frames)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return pool
 }
 
-// benchJoin times one join algorithm end to end.
-func benchJoin(b *testing.B, run func(emit EmitFunc, c *metrics.Counters) error) {
-	emit := func(a, d xmldoc.Element) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var c metrics.Counters
-		if err := run(emit, &c); err != nil {
-			b.Fatal(err)
-		}
-		if c.OutputPairs == 0 {
-			b.Fatal("join produced no pairs")
-		}
+// benchInput returns the element sets every join benchmark joins.
+func benchInput() (as, ds []xmldoc.Element) {
+	return genDoc(rand.New(rand.NewSource(7)), 2000, 10000, 8)
+}
+
+// benchJoin times one join algorithm end to end on each of benchPools,
+// building its inputs into the pool with build first. Besides ns/op and
+// allocs/op it reports pages/op (index, leaf and stab pages read) and
+// ns/pair.
+func benchJoin[S any](b *testing.B, build func(b *testing.B, pool *bufferpool.Pool, es []xmldoc.Element) S, run func(a, d S, emit EmitFunc, c *metrics.Counters) error) {
+	as, ds := benchInput()
+	for _, p := range benchPools {
+		pool := benchPool(b, p.frames)
+		a, d := build(b, pool, as), build(b, pool, ds)
+		b.Run(p.name, func(b *testing.B) {
+			emit := func(a, d xmldoc.Element) {}
+			var pages, pairs int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if p.cold {
+					b.StopTimer()
+					if err := pool.DropClean(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				var c metrics.Counters
+				if err := run(a, d, emit, &c); err != nil {
+					b.Fatal(err)
+				}
+				if c.OutputPairs == 0 {
+					b.Fatal("join produced no pairs")
+				}
+				pages += c.IndexNodeReads + c.LeafReads + c.StabPageReads
+				pairs += c.OutputPairs
+			}
+			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+		})
 	}
 }
 
-// BenchmarkXRStackJoin measures a full XR-stack join over two XR-trees
-// through a small pool, so index descents, stab-list probes, and leaf-chain
-// scans all pay real buffer replacement. The ad case joins ancestor-
-// descendant, the pc case parent-child.
+// BenchmarkXRStackJoin measures a full XR-stack join over two XR-trees:
+// index descents, stab-list probes and leaf-chain scans, on a cold pool
+// and a warm one. The ad case joins ancestor-descendant, the pc case
+// parent-child.
 func BenchmarkXRStackJoin(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	as, ds := genDoc(rng, 2000, 10000, 8)
-	pool := benchPool(b)
-	buildXR := func(es []xmldoc.Element) *core.Tree {
+	build := func(b *testing.B, pool *bufferpool.Pool, es []xmldoc.Element) XRTreeSource {
 		t, err := core.New(pool, es[0].DocID, core.Options{})
 		if err != nil {
 			b.Fatal(err)
@@ -57,17 +93,15 @@ func BenchmarkXRStackJoin(b *testing.B) {
 		if err := t.BulkLoad(es, 1.0); err != nil {
 			b.Fatal(err)
 		}
-		return t
+		return XRTreeSource{T: t}
 	}
-	xa := XRTreeSource{T: buildXR(as)}
-	xd := XRTreeSource{T: buildXR(ds)}
 	for _, tc := range []struct {
 		name string
 		mode Mode
 	}{{"ad", AncestorDescendant}, {"pc", ParentChild}} {
 		b.Run(tc.name, func(b *testing.B) {
-			benchJoin(b, func(emit EmitFunc, c *metrics.Counters) error {
-				return XRStack(tc.mode, xa, xd, emit, c)
+			benchJoin(b, build, func(a, d XRTreeSource, emit EmitFunc, c *metrics.Counters) error {
+				return XRStack(tc.mode, a, d, emit, c)
 			})
 		})
 	}
@@ -76,10 +110,7 @@ func BenchmarkXRStackJoin(b *testing.B) {
 // BenchmarkBPlusJoin is BenchmarkXRStackJoin's input joined by the B+
 // algorithm over two B+-trees.
 func BenchmarkBPlusJoin(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	as, ds := genDoc(rng, 2000, 10000, 8)
-	pool := benchPool(b)
-	buildBT := func(es []xmldoc.Element) *btree.Tree {
+	build := func(b *testing.B, pool *bufferpool.Pool, es []xmldoc.Element) BTreeSource {
 		t, err := btree.New(pool, es[0].DocID)
 		if err != nil {
 			b.Fatal(err)
@@ -87,12 +118,10 @@ func BenchmarkBPlusJoin(b *testing.B) {
 		if err := t.BulkLoad(es, 1.0); err != nil {
 			b.Fatal(err)
 		}
-		return t
+		return BTreeSource{T: t}
 	}
-	ba := BTreeSource{T: buildBT(as)}
-	bd := BTreeSource{T: buildBT(ds)}
-	benchJoin(b, func(emit EmitFunc, c *metrics.Counters) error {
-		return BPlus(AncestorDescendant, ba, bd, emit, c)
+	benchJoin(b, build, func(a, d BTreeSource, emit EmitFunc, c *metrics.Counters) error {
+		return BPlus(AncestorDescendant, a, d, emit, c)
 	})
 }
 
@@ -100,19 +129,15 @@ func BenchmarkBPlusJoin(b *testing.B) {
 // no-index algorithm over two paged element lists, which steps over every
 // element of both.
 func BenchmarkStackTreeDescJoin(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	as, ds := genDoc(rng, 2000, 10000, 8)
-	pool := benchPool(b)
-	buildList := func(es []xmldoc.Element) ListSource {
+	build := func(b *testing.B, pool *bufferpool.Pool, es []xmldoc.Element) ListSource {
 		l, err := elemlist.Build(pool, es)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return ListSource{L: l}
 	}
-	la, ld := buildList(as), buildList(ds)
-	benchJoin(b, func(emit EmitFunc, c *metrics.Counters) error {
-		return StackTreeDesc(AncestorDescendant, la, ld, emit, c)
+	benchJoin(b, build, func(a, d ListSource, emit EmitFunc, c *metrics.Counters) error {
+		return StackTreeDesc(AncestorDescendant, a, d, emit, c)
 	})
 }
 

@@ -12,14 +12,15 @@ import (
 	"xrtree/internal/xmldoc"
 )
 
-// plainIter forwards only the Iterator methods, hiding the wrapped index
-// iterator's finger, the way a decorating source's iterator does.
+// plainIter forwards only the Iterator methods, hiding the wrapped
+// iterator's finger and in-page steps, the way a decorating source's
+// iterator does.
 type plainIter struct{ Iterator }
 
-// plainSource decorates an index source so every iterator it hands out is
-// a plainIter: joins over it take the Seeker path for every skip and
-// probe, as they did before iterators had fingers.
-type plainSource struct{ s Seeker }
+// plainSource decorates a source so every iterator it hands out is a
+// plainIter: joins over it step with Next and Peek, and take the Seeker
+// path for every skip and probe, as they did before iterators had fingers.
+type plainSource struct{ s Source }
 
 func (p plainSource) Len() int { return p.s.Len() }
 
@@ -32,7 +33,7 @@ func (p plainSource) Scan(c *metrics.Counters) (Iterator, error) {
 }
 
 func (p plainSource) SeekGE(key uint32, c *metrics.Counters) (Iterator, error) {
-	it, err := p.s.SeekGE(key, c)
+	it, err := p.s.(Seeker).SeekGE(key, c)
 	if err != nil {
 		return nil, err
 	}
@@ -44,9 +45,11 @@ func (p plainSource) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32, 
 }
 
 // TestQuickFingerMatchesSeekerPath is a property test: for any seed, the
-// finger path and the Seeker path of XR-stack and B+ emit the same pairs in
-// the same order with the same elements-scanned count, in both modes, and
-// the finger path touches no more index pages.
+// direct path (fingers and in-page steps) and the decorated path (Next,
+// Peek and the Seeker) of XR-stack, B+ and the no-index join emit the same
+// pairs in the same order with the same elements-scanned count, in both
+// modes; the direct path touches no more index pages, and for the no-index
+// join, which has no index to skip with, exactly as many list pages.
 func TestQuickFingerMatchesSeekerPath(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -70,6 +73,12 @@ func TestQuickFingerMatchesSeekerPath(t *testing.T) {
 						return BPlus(mode, fa.bt, fd.bt, emit, c)
 					}
 					return BPlus(mode, plainSource{fa.bt}, plainSource{fd.bt}, emit, c)
+				},
+				"noindex": func(finger bool, emit EmitFunc, c *metrics.Counters) error {
+					if finger {
+						return StackTreeDesc(mode, fa.list, fd.list, emit, c)
+					}
+					return StackTreeDesc(mode, plainSource{fa.list}, plainSource{fd.list}, emit, c)
 				},
 			} {
 				var fp, sp []Pair
@@ -101,6 +110,10 @@ func TestQuickFingerMatchesSeekerPath(t *testing.T) {
 				spages := sc.IndexNodeReads + sc.LeafReads + sc.StabPageReads
 				if fpages > spages {
 					t.Logf("seed %d %s mode %d: finger read %d index pages, seeker %d", seed, name, mode, fpages, spages)
+					return false
+				}
+				if name == "noindex" && fc.LeafReads != sc.LeafReads {
+					t.Logf("seed %d noindex mode %d: %d list pages read by in-page steps, %d by Next+Peek", seed, mode, fc.LeafReads, sc.LeafReads)
 					return false
 				}
 				if sc.FingerHits+sc.FingerMisses != 0 {

@@ -22,6 +22,7 @@
 package join
 
 import (
+	"xrtree/internal/blink"
 	"xrtree/internal/btree"
 	"xrtree/internal/core"
 	"xrtree/internal/elemlist"
@@ -148,37 +149,50 @@ func (s XRTreeSource) Len() int { return s.T.Len() }
 
 // --- shared helpers -------------------------------------------------------
 
-// finger is an index iterator that repositions itself (blink.Iterator,
-// the read layer's leaf-chain cursor that core and btree iterators are,
-// and pathexpr's in-memory iterator, which holds everything): SeekGE
-// searches the leaf copy it holds and descends from the root only when
-// the key lies beyond it.
+// finger is an index iterator that repositions itself: SeekGE answers from
+// what the iterator holds when it can. The cursor reaches blink.Iterator's
+// finger (the leaf-chain cursor core and btree iterators are) directly;
+// this interface is for the rest, pathexpr's in-memory iterator, which
+// holds everything.
 type finger interface {
 	SeekGE(key uint32) error
 }
 
 // ancestorFinger is an index iterator that answers FindAncestors probes
-// from its held leaf when it can (core.Iterator, and pathexpr's in-memory
-// iterator).
+// from what it holds when it can: pathexpr's in-memory iterator (the
+// cursor reaches core.Iterator's probe directly).
 type ancestorFinger interface {
 	AppendAncestors(dst []xmldoc.Element, sd, minStart uint32) ([]xmldoc.Element, error)
 }
 
 // stepper is an iterator that consumes its current element and returns the
-// next one in a single call (blink.Iterator under core and btree, and
-// elemlist's iterator): Next followed by Peek, with one decode instead of
-// two.
+// next one in a single call: Next followed by Peek, with one decode instead
+// of two. pathexpr's in-memory iterator has it; the paged iterators'
+// Step is reached directly.
 type stepper interface {
 	Step() (xmldoc.Element, bool)
 }
 
 // cursor adds lazy one-element lookahead to an Iterator: cur/valid reflect
 // Peek (free), and advance consumes the current element (one scan).
+//
+// bind resolves the paged iterators to their concrete types once, so a
+// step that stays on the page the iterator holds is an inlined StepInPage
+// (or PeekInPage after a finger seek) plus one decode, with no interface
+// call; Step and Peek run only at a page end, where they make the page hop
+// and so the cancellation poll, the leaf read and the corruption check.
+// Any other iterator — pathexpr's in-memory one, or a decorated one —
+// goes through the Iterator interface and the optional stepper, finger
+// and ancestorFinger.
 type cursor struct {
 	it    Iterator
-	s     stepper        // the iterator's Step, nil when it has none
-	f     finger         // the iterator's finger, nil when it has none
-	af    ancestorFinger // the iterator's ancestor probe, nil when it has none
+	bl    *blink.Iterator    // the leaf-chain cursor of a core or btree iterator
+	xr    *core.Iterator     // a core iterator, for leaf-local ancestor probes
+	el    *elemlist.Iterator // a paged-list iterator
+	s     stepper            // another iterator's Step, nil when it has none
+	f     finger             // another iterator's finger, nil when it has none
+	af    ancestorFinger     // another iterator's ancestor probe, nil when it has none
+	doc   uint32             // DocID of every element bl or el returns
 	cur   xmldoc.Element
 	valid bool
 }
@@ -192,21 +206,68 @@ func newCursor(it Iterator) *cursor {
 // bind makes it the underlying iterator and primes the lookahead without
 // consuming anything.
 func (c *cursor) bind(it Iterator) {
-	c.it = it
-	c.s, _ = it.(stepper)
-	c.f, _ = it.(finger)
-	c.af, _ = it.(ancestorFinger)
-	c.cur, c.valid = it.Peek()
+	*c = cursor{it: it}
+	switch it := it.(type) {
+	case *core.Iterator:
+		c.bl, c.xr, c.doc = &it.Iterator, it, it.DocID()
+	case *blink.Iterator:
+		c.bl, c.doc = it, it.DocID()
+	case *elemlist.Iterator:
+		c.el, c.doc = it, it.DocID()
+	default:
+		c.s, _ = it.(stepper)
+		c.f, _ = it.(finger)
+		c.af, _ = it.(ancestorFinger)
+	}
+	c.peek()
+}
+
+// decode makes the entry at off of a page the cursor's current element.
+// It is the one decode site of the paged iterators' in-page steps.
+func (c *cursor) decode(page []byte, off int) {
+	c.cur, _ = xmldoc.DecodeElement(page[off:])
+	c.cur.DocID = c.doc
+	c.valid = true
+}
+
+// peek reads the current element without consuming it.
+func (c *cursor) peek() {
+	switch {
+	case c.bl != nil:
+		if page, off, ok := c.bl.PeekInPage(); ok {
+			c.decode(page, off)
+			return
+		}
+	case c.el != nil:
+		if page, off, ok := c.el.PeekInPage(); ok {
+			c.decode(page, off)
+			return
+		}
+	}
+	c.cur, c.valid = c.it.Peek()
 }
 
 // advance consumes the current element and peeks the next.
 func (c *cursor) advance() {
-	if c.s != nil {
+	switch {
+	case c.bl != nil:
+		if page, off, ok := c.bl.StepInPage(); ok {
+			c.decode(page, off)
+			return
+		}
+		c.cur, c.valid = c.bl.Step()
+	case c.el != nil:
+		if page, off, ok := c.el.StepInPage(); ok {
+			c.decode(page, off)
+			return
+		}
+		c.cur, c.valid = c.el.Step()
+	case c.s != nil:
 		c.cur, c.valid = c.s.Step()
-		return
+	default:
+		c.it.Next()
+		c.cur, c.valid = c.it.Peek()
 	}
-	c.it.Next()
-	c.cur, c.valid = c.it.Peek()
 }
 
 // replace swaps the underlying iterator (after an index seek), closing the
@@ -222,22 +283,30 @@ func (c *cursor) replace(it Iterator) error {
 // fresh iterator from s.SeekGE, which iterators without a finger (such as
 // decorated ones) fall back to.
 func (c *cursor) seek(s Seeker, key uint32, m *metrics.Counters) error {
-	if c.f != nil {
-		err := c.f.SeekGE(key)
-		c.cur, c.valid = c.it.Peek()
-		return err
+	var err error
+	switch {
+	case c.bl != nil:
+		err = c.bl.SeekGE(key)
+	case c.f != nil:
+		err = c.f.SeekGE(key)
+	default:
+		var it Iterator
+		if it, err = s.SeekGE(key, m); err != nil {
+			return err
+		}
+		return c.replace(it)
 	}
-	it, err := s.SeekGE(key, m)
-	if err != nil {
-		return err
-	}
-	return c.replace(it)
+	c.peek()
+	return err
 }
 
 // ancestors appends the ancestors of sd with start > minStart, through the
 // iterator's leaf-local probe when it has one and through s otherwise.
 func (c *cursor) ancestors(s AncestorSeeker, dst []xmldoc.Element, sd, minStart uint32, m *metrics.Counters) ([]xmldoc.Element, error) {
-	if c.af != nil {
+	switch {
+	case c.xr != nil:
+		return c.xr.AppendAncestors(dst, sd, minStart)
+	case c.af != nil:
 		return c.af.AppendAncestors(dst, sd, minStart)
 	}
 	return s.AppendAncestors(dst, sd, minStart, m)
