@@ -135,25 +135,13 @@ func (it *Iterator) Peek() (xmldoc.Element, bool) {
 	return it.elem(), true
 }
 
-// Step is Next followed by Peek in one call: it consumes the current
-// element (one scan, as Next counts it) and returns the one after it,
-// decoding only that entry. Leaf hops, and so cancellation polls and leaf
-// reads, happen exactly where Next and Peek would make them.
-func (it *Iterator) Step() (xmldoc.Element, bool) {
-	if !it.positioned() {
-		return xmldoc.Element{}, false
-	}
-	it.idx++
-	addScan(it.c, 1)
-	return it.Peek()
-}
-
-// StepInPage is Step's in-page half, small enough to inline: when the
-// entry after the current one is on the held leaf copy it consumes the
-// current entry (one scan, as Step counts it) and returns the copy and the
-// byte offset of that next entry, an xmldoc.EncodedSize record whose
-// DocID is the iterator's. Otherwise it changes nothing and returns false,
-// and the caller calls Step, which makes the leaf hop.
+// StepInPage is Next followed by Peek when both stay on the held leaf
+// copy, small enough to inline: when the entry after the current one is
+// on the copy it consumes the current entry (one scan, as Next counts it)
+// and returns the copy and the byte offset of that next entry, an
+// xmldoc.EncodedSize record whose DocID is the iterator's. Otherwise it
+// changes nothing and returns false, and the caller calls Next then Peek,
+// which make the leaf hop.
 func (it *Iterator) StepInPage() ([]byte, int, bool) {
 	if i := it.idx + 1; it.err == nil && !it.done && i < LeafCount(it.buf) {
 		it.idx = i

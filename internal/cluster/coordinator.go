@@ -294,7 +294,7 @@ type Request struct {
 	Kind    string // "join" or "query"
 	Backend string // empty infers the unique document backend of the fleet
 	Params  url.Values
-	Limit   int  // sample cap; also forwarded as the sub-request limit
+	Limit   int  // sample cap, 0 for no sample; also forwarded as the sub-request limit
 	Partial bool // degrade on shard failure instead of failing the request
 	TraceID obs.TraceID
 	Traced  bool
@@ -475,14 +475,12 @@ func (co *Coordinator) Gather(ctx context.Context, req *Request, tracer obs.Trac
 		base[k] = vs
 	}
 	base.Set("backend", backend)
-	if req.Limit > 0 {
-		base.Set("limit", strconv.Itoa(req.Limit))
-	}
+	base.Set("limit", strconv.Itoa(req.Limit))
 	base.Set("timeout", co.opt.SubTimeout.String())
 
 	res := &Result{Backend: backend, Docs: len(docs), Runs: len(runs)}
 	emit := func(a, d xmldoc.Element) {
-		if req.Limit <= 0 || len(res.Pairs) < req.Limit {
+		if len(res.Pairs) < req.Limit {
 			res.Pairs = append(res.Pairs, join.Pair{A: a, D: d})
 		}
 	}

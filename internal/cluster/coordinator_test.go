@@ -147,7 +147,7 @@ func TestGatherFanoutOverlaps(t *testing.T) {
 	co := testCoord(t, &Config{Shards: specs}, Options{})
 
 	start := time.Now()
-	res, err := co.Gather(context.Background(), &Request{Kind: "join", Params: url.Values{}}, nil)
+	res, err := co.Gather(context.Background(), &Request{Kind: "join", Params: url.Values{}, Limit: 3 * perDoc}, nil)
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

@@ -252,7 +252,7 @@ func TestFingerSeekAllocs(t *testing.T) {
 		it.SeekGE(far)
 		dst, _ = it.AppendAncestors(dst[:0], far+1, far-1)
 		for i := 0; i < 80; i++ {
-			it.Step()
+			cursorStep(&it.Iterator)
 		}
 	})
 	if allocs != 0 {
@@ -261,10 +261,11 @@ func TestFingerSeekAllocs(t *testing.T) {
 }
 
 // TestStepMatchesNextPeek runs one random program of moves on two
-// iterators over the same tree. One advances with Step, the other with Next
-// then Peek; both take the same Next, Peek and finger SeekGE moves in
-// between. They must see the same elements and charge the same counters,
-// across leaf boundaries and after the end.
+// iterators over the same tree. One advances as the join cursor does
+// (StepInPage, else Next then Peek), the other with Next then Peek; both
+// take the same Next, Peek and finger SeekGE moves in between. They must
+// see the same elements and charge the same counters, finger counts
+// included, across leaf boundaries and after the end.
 func TestStepMatchesNextPeek(t *testing.T) {
 	for _, ft := range fingerTrees(t) {
 		keys := fingerKeys(t, ft)
@@ -284,7 +285,7 @@ func TestStepMatchesNextPeek(t *testing.T) {
 				var oks, okn bool
 				switch r := rng.Intn(20); {
 				case r < 14 || op > 4*len(ft.live):
-					gs, oks = s.Step()
+					gs, oks = cursorStep(&s.Iterator)
 					n.Next()
 					gn, okn = n.Peek()
 				case r < 16:
@@ -311,14 +312,14 @@ func TestStepMatchesNextPeek(t *testing.T) {
 					gn, okn = n.Peek()
 				}
 				if gs != gn || oks != okn {
-					t.Fatalf("%s seed %d op %d: Step side (%v,%v), Next+Peek side (%v,%v)", ft.name, seed, op, gs, oks, gn, okn)
+					t.Fatalf("%s seed %d op %d: cursor side (%v,%v), Next+Peek side (%v,%v)", ft.name, seed, op, gs, oks, gn, okn)
 				}
 				if !oks {
 					ended++
 				}
 			}
 			if cs != cn {
-				t.Errorf("%s seed %d: counters differ:\nStep      %+v\nNext+Peek %+v", ft.name, seed, cs, cn)
+				t.Errorf("%s seed %d: counters differ:\ncursor    %+v\nNext+Peek %+v", ft.name, seed, cs, cn)
 			}
 			if cs.LeafReads == 0 || cs.FingerHits == 0 {
 				t.Errorf("%s seed %d: %d leaf reads, %d finger hits: the program must cross leaves and seek in place", ft.name, seed, cs.LeafReads, cs.FingerHits)
@@ -367,4 +368,16 @@ func TestLeafSearchFrom(t *testing.T) {
 	if leaves < 2 {
 		t.Fatalf("checked %d leaves: the churned tree must span several", leaves)
 	}
+}
+
+// cursorStep advances it the way the join cursor does: StepInPage, else
+// Next then Peek.
+func cursorStep(it *blink.Iterator) (xmldoc.Element, bool) {
+	if page, off, ok := it.StepInPage(); ok {
+		e, _ := xmldoc.DecodeElement(page[off:])
+		e.DocID = it.DocID()
+		return e, true
+	}
+	it.Next()
+	return it.Peek()
 }

@@ -265,25 +265,13 @@ func (it *Iterator) Peek() (xmldoc.Element, bool) {
 	return it.elem(it.idx + 1), true
 }
 
-// Step is Next followed by Peek in one call: it consumes the next element
-// (one scan, as Next counts it) and returns the one after it, decoding
-// only that entry. Page hops, and so cancellation polls and leaf reads,
-// happen exactly where Next and Peek would make them.
-func (it *Iterator) Step() (xmldoc.Element, bool) {
-	if !it.positioned() {
-		return xmldoc.Element{}, false
-	}
-	it.idx++
-	it.countScan()
-	return it.Peek()
-}
-
-// StepInPage is Step's in-page half, small enough to inline: when the
-// element after the next one is on the pinned page it consumes the next
-// element (one scan, as Step counts it) and returns the page and the byte
-// offset of the element after it, an xmldoc.EncodedSize record whose
-// DocID is the list's. Otherwise it changes nothing and returns false, and
-// the caller calls Step, which makes the page hop.
+// StepInPage is Next followed by Peek when both stay on the pinned page,
+// small enough to inline: when the element after the next one is on the
+// page it consumes the next element (one scan, as Next counts it) and
+// returns the page and the byte offset of the element after it, an
+// xmldoc.EncodedSize record whose DocID is the list's. Otherwise it
+// changes nothing and returns false, and the caller calls Next then Peek,
+// which make the page hop.
 func (it *Iterator) StepInPage() ([]byte, int, bool) {
 	if i := it.idx + 2; it.err == nil && it.data != nil && i < it.count {
 		it.idx++

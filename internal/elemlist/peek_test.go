@@ -131,10 +131,11 @@ func TestMarkAtStartAndEnd(t *testing.T) {
 }
 
 // TestStepMatchesNextPeek runs one random program of moves on two
-// iterators over the same list. One advances with Step, the other with Next
-// then Peek; both take the same Next, Peek, Mark and Restore moves in
-// between. They must see the list's elements in order and charge the same
-// counters, across page boundaries and after the end.
+// iterators over the same list. One advances as the join cursor does
+// (StepInPage, else Next then Peek), the other with Next then Peek; both
+// take the same Next, Peek, Mark and Restore moves in between. They must
+// see the list's elements in order and charge the same counters, across
+// page boundaries and after the end.
 func TestStepMatchesNextPeek(t *testing.T) {
 	es := nestedElements(300)
 	l, err := Build(newPool(t, 256, 8), es)
@@ -152,7 +153,7 @@ func TestStepMatchesNextPeek(t *testing.T) {
 			var oks, okn bool
 			switch r := rng.Intn(20); {
 			case r < 14 || op > 4*len(es):
-				gs, oks = s.Step()
+				gs, oks = cursorStep(s)
 				n.Next()
 				gn, okn = n.Peek()
 				pos = min(pos+1, len(es))
@@ -180,7 +181,7 @@ func TestStepMatchesNextPeek(t *testing.T) {
 				gn, okn = n.Peek()
 			}
 			if gs != gn || oks != okn {
-				t.Fatalf("seed %d op %d: Step side (%v,%v), Next+Peek side (%v,%v)", seed, op, gs, oks, gn, okn)
+				t.Fatalf("seed %d op %d: cursor side (%v,%v), Next+Peek side (%v,%v)", seed, op, gs, oks, gn, okn)
 			}
 			if oks != (pos < len(es)) || oks && gs != es[pos] {
 				t.Fatalf("seed %d op %d: Peek (%v,%v), want element %d of %d", seed, op, gs, oks, pos, len(es))
@@ -190,7 +191,7 @@ func TestStepMatchesNextPeek(t *testing.T) {
 			}
 		}
 		if cs != cn {
-			t.Errorf("seed %d: counters differ:\nStep      %+v\nNext+Peek %+v", seed, cs, cn)
+			t.Errorf("seed %d: counters differ:\ncursor    %+v\nNext+Peek %+v", seed, cs, cn)
 		}
 		if cs.LeafReads < int64(l.Pages()) {
 			t.Errorf("seed %d: %d page reads for %d pages: the program must cross every page", seed, cs.LeafReads, l.Pages())
@@ -200,7 +201,8 @@ func TestStepMatchesNextPeek(t *testing.T) {
 	}
 }
 
-// TestStepAllocs pins Step's allocation-free path, page hops included.
+// TestStepAllocs pins the cursor step's allocation-free path, page hops
+// included.
 func TestStepAllocs(t *testing.T) {
 	l, err := Build(newPool(t, 256, 8), nestedElements(300))
 	if err != nil {
@@ -208,12 +210,24 @@ func TestStepAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		it := l.Scan(nil)
-		for _, ok := it.Peek(); ok; _, ok = it.Step() {
+		for _, ok := it.Peek(); ok; _, ok = cursorStep(it) {
 		}
 		it.Close()
 	})
 	// The iterator itself is the one allocation.
 	if allocs > 1 {
-		t.Errorf("a Step scan allocates %.1f per run, want at most 1", allocs)
+		t.Errorf("a cursor-step scan allocates %.1f per run, want at most 1", allocs)
 	}
+}
+
+// cursorStep advances it the way the join cursor does: StepInPage, else
+// Next then Peek.
+func cursorStep(it *Iterator) (xmldoc.Element, bool) {
+	if page, off, ok := it.StepInPage(); ok {
+		e, _ := xmldoc.DecodeElement(page[off:])
+		e.DocID = it.DocID()
+		return e, true
+	}
+	it.Next()
+	return it.Peek()
 }

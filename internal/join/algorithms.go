@@ -50,19 +50,16 @@ func StackTreeDesc(mode Mode, a, d Source, emit EmitFunc, c *metrics.Counters) e
 // MPMGJN runs the multi-predicate merge join of Zhang et al. [25]: for each
 // ancestor it rescans the descendant list from a slowly advancing mark, so
 // nested ancestors re-read the same descendants — the redundant I/O that
-// motivated the stack-based family. It requires rewindable scans, which the
-// plain paged lists provide.
-func MPMGJN(mode Mode, a Source, d MarkableSource, emit EmitFunc, c *metrics.Counters) error {
+// motivated the stack-based family. It rewinds its descendant scan, so the
+// descendants are a paged list, whose iterator can Mark and Restore.
+func MPMGJN(mode Mode, a Source, d ListSource, emit EmitFunc, c *metrics.Counters) error {
 	defer startTimer(c)()
 	ai, err := a.Scan(c)
 	if err != nil {
 		return err
 	}
 	defer ai.Close()
-	di, err := d.ScanMarkable(c)
-	if err != nil {
-		return err
-	}
+	di := d.L.Scan(c)
 	defer di.Close()
 
 	mark := di.Mark()

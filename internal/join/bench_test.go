@@ -83,8 +83,29 @@ func benchJoin[S any](b *testing.B, build func(b *testing.B, pool *bufferpool.Po
 // BenchmarkXRStackJoin measures a full XR-stack join over two XR-trees:
 // index descents, stab-list probes and leaf-chain scans, on a cold pool
 // and a warm one. The ad case joins ancestor-descendant, the pc case
-// parent-child.
+// parent-child. The slice case joins the same input held in memory on
+// both sides, the semi-join a path-expression pipeline runs over its
+// intermediate results: no pages, so it reports ns/pair only.
 func BenchmarkXRStackJoin(b *testing.B) {
+	as, ds := benchInput()
+	b.Run("slice", func(b *testing.B) {
+		a, d := SliceSource{Els: as}, SliceSource{Els: ds}
+		emit := func(a, d xmldoc.Element) {}
+		var pairs int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var c metrics.Counters
+			if err := XRStack(AncestorDescendant, a, d, emit, &c); err != nil {
+				b.Fatal(err)
+			}
+			if c.OutputPairs == 0 {
+				b.Fatal("join produced no pairs")
+			}
+			pairs += c.OutputPairs
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+	})
 	build := func(b *testing.B, pool *bufferpool.Pool, es []xmldoc.Element) XRTreeSource {
 		t, err := core.New(pool, es[0].DocID, core.Options{})
 		if err != nil {

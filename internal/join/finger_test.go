@@ -3,6 +3,7 @@ package join
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -50,6 +51,8 @@ func (p plainSource) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32, 
 // pairs in the same order with the same elements-scanned count, in both
 // modes; the direct path touches no more index pages, and for the no-index
 // join, which has no index to skip with, exactly as many list pages.
+// XR-stack and B+ run over in-memory SliceSources too, whose direct path
+// seeks and probes the slice in place and counts no finger steps.
 func TestQuickFingerMatchesSeekerPath(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -73,6 +76,20 @@ func TestQuickFingerMatchesSeekerPath(t *testing.T) {
 						return BPlus(mode, fa.bt, fd.bt, emit, c)
 					}
 					return BPlus(mode, plainSource{fa.bt}, plainSource{fd.bt}, emit, c)
+				},
+				"xrstack-slice": func(finger bool, emit EmitFunc, c *metrics.Counters) error {
+					a, d := SliceSource{Els: as}, SliceSource{Els: ds}
+					if finger {
+						return XRStack(mode, a, d, emit, c)
+					}
+					return XRStack(mode, plainSource{a}, plainSource{d}, emit, c)
+				},
+				"bplus-slice": func(finger bool, emit EmitFunc, c *metrics.Counters) error {
+					a, d := SliceSource{Els: as}, SliceSource{Els: ds}
+					if finger {
+						return BPlus(mode, a, d, emit, c)
+					}
+					return BPlus(mode, plainSource{a}, plainSource{d}, emit, c)
 				},
 				"noindex": func(finger bool, emit EmitFunc, c *metrics.Counters) error {
 					if finger {
@@ -118,6 +135,10 @@ func TestQuickFingerMatchesSeekerPath(t *testing.T) {
 				}
 				if sc.FingerHits+sc.FingerMisses != 0 {
 					t.Logf("seed %d %s: the seeker path counted finger steps", seed, name)
+					return false
+				}
+				if strings.HasSuffix(name, "-slice") && fc.FingerHits+fc.FingerMisses+fpages != 0 {
+					t.Logf("seed %d %s: the in-memory join counted finger steps or page reads", seed, name)
 					return false
 				}
 			}

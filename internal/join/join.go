@@ -22,6 +22,8 @@
 package join
 
 import (
+	"sort"
+
 	"xrtree/internal/blink"
 	"xrtree/internal/btree"
 	"xrtree/internal/core"
@@ -92,12 +94,6 @@ type PrefetchSeeker interface {
 	PrefetchGE(key uint32, c *metrics.Counters)
 }
 
-// MarkableSource is a Source whose iterators can rewind (MPMGJN needs it).
-type MarkableSource interface {
-	ScanMarkable(c *metrics.Counters) (*elemlist.Iterator, error)
-	Len() int
-}
-
 // --- source adapters ------------------------------------------------------
 
 // ListSource adapts a paged element list (no index).
@@ -105,11 +101,6 @@ type ListSource struct{ L *elemlist.List }
 
 // Scan opens a sequential scan.
 func (s ListSource) Scan(c *metrics.Counters) (Iterator, error) { return s.L.Scan(c), nil }
-
-// ScanMarkable opens a rewindable scan for MPMGJN.
-func (s ListSource) ScanMarkable(c *metrics.Counters) (*elemlist.Iterator, error) {
-	return s.L.Scan(c), nil
-}
 
 // Len returns the number of elements.
 func (s ListSource) Len() int { return s.L.Len() }
@@ -147,51 +138,108 @@ func (s XRTreeSource) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32,
 // Len returns the number of elements.
 func (s XRTreeSource) Len() int { return s.T.Len() }
 
+// SliceSource adapts an in-memory start-sorted element slice — an
+// intermediate result of a path-expression pipeline — so it joins without
+// being re-indexed: SeekGE and FindAncestors are binary searches.
+type SliceSource struct{ Els []xmldoc.Element }
+
+// Scan opens an iterator over the whole slice.
+func (s SliceSource) Scan(c *metrics.Counters) (Iterator, error) {
+	return &sliceIterator{els: s.Els, c: c}, nil
+}
+
+// SeekGE opens an iterator at the first element with start ≥ key.
+func (s SliceSource) SeekGE(key uint32, c *metrics.Counters) (Iterator, error) {
+	return &sliceIterator{els: s.Els, idx: searchGE(s.Els, key), c: c}, nil
+}
+
+// AppendAncestors appends the elements strictly containing sd with start
+// beyond minStart.
+func (s SliceSource) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32, c *metrics.Counters) ([]xmldoc.Element, error) {
+	return appendAncestors(s.Els, dst, sd, minStart, c), nil
+}
+
+// Len returns the number of elements.
+func (s SliceSource) Len() int { return len(s.Els) }
+
+// sliceIterator walks a SliceSource's slice. It holds the whole slice, so
+// the cursor answers its seeks and ancestor probes in place; they count no
+// finger hits, since it holds no leaf copy.
+type sliceIterator struct {
+	els []xmldoc.Element
+	idx int
+	c   *metrics.Counters
+}
+
+func (it *sliceIterator) Next() (xmldoc.Element, bool) {
+	e, ok := it.Peek()
+	if ok {
+		it.idx++
+		countScan(it.c, 1)
+	}
+	return e, ok
+}
+
+func (it *sliceIterator) Peek() (xmldoc.Element, bool) {
+	if it.idx >= len(it.els) {
+		return xmldoc.Element{}, false
+	}
+	return it.els[it.idx], true
+}
+
+func (it *sliceIterator) Err() error   { return nil }
+func (it *sliceIterator) Close() error { return nil }
+
+// appendAncestors appends the elements of els strictly containing sd with
+// start beyond minStart, by scanning left of sd's position with subtree
+// skips — the in-memory analogue of Algorithm 4's leaf phase.
+func appendAncestors(els, dst []xmldoc.Element, sd, minStart uint32, c *metrics.Counters) []xmldoc.Element {
+	hi := searchGE(els, sd)
+	lo := 0
+	if minStart > 0 {
+		lo = sort.Search(hi, func(i int) bool { return els[i].Start > minStart })
+	}
+	for i := lo; i < hi; {
+		e := els[i]
+		if e.End <= sd {
+			// Skip e's subtree: nothing inside can contain sd, and the
+			// subtree ends before sd's position.
+			rest := els[i+1 : hi]
+			i += 1 + sort.Search(len(rest), func(j int) bool { return rest[j].Start > e.End })
+			continue
+		}
+		countScan(c, 1)
+		dst = append(dst, e)
+		i++
+	}
+	return dst
+}
+
+// searchGE returns the index of the first element of els with start ≥ key.
+func searchGE(els []xmldoc.Element, key uint32) int {
+	return sort.Search(len(els), func(i int) bool { return els[i].Start >= key })
+}
+
 // --- shared helpers -------------------------------------------------------
-
-// finger is an index iterator that repositions itself: SeekGE answers from
-// what the iterator holds when it can. The cursor reaches blink.Iterator's
-// finger (the leaf-chain cursor core and btree iterators are) directly;
-// this interface is for the rest, pathexpr's in-memory iterator, which
-// holds everything.
-type finger interface {
-	SeekGE(key uint32) error
-}
-
-// ancestorFinger is an index iterator that answers FindAncestors probes
-// from what it holds when it can: pathexpr's in-memory iterator (the
-// cursor reaches core.Iterator's probe directly).
-type ancestorFinger interface {
-	AppendAncestors(dst []xmldoc.Element, sd, minStart uint32) ([]xmldoc.Element, error)
-}
-
-// stepper is an iterator that consumes its current element and returns the
-// next one in a single call: Next followed by Peek, with one decode instead
-// of two. pathexpr's in-memory iterator has it; the paged iterators'
-// Step is reached directly.
-type stepper interface {
-	Step() (xmldoc.Element, bool)
-}
 
 // cursor adds lazy one-element lookahead to an Iterator: cur/valid reflect
 // Peek (free), and advance consumes the current element (one scan).
 //
-// bind resolves the paged iterators to their concrete types once, so a
-// step that stays on the page the iterator holds is an inlined StepInPage
-// (or PeekInPage after a finger seek) plus one decode, with no interface
-// call; Step and Peek run only at a page end, where they make the page hop
-// and so the cancellation poll, the leaf read and the corruption check.
-// Any other iterator — pathexpr's in-memory one, or a decorated one —
-// goes through the Iterator interface and the optional stepper, finger
-// and ancestorFinger.
+// bind resolves the iterator to one of four concrete kinds once. A step of
+// a paged kind (core or btree leaf chain, paged list) that stays on the
+// page the iterator holds is an inlined StepInPage (or PeekInPage after a
+// finger seek) plus one decode, with no interface call; at a page end the
+// cursor calls Next then Peek, which make the page hop and so the
+// cancellation poll, the leaf read and the corruption check. A slice
+// iterator is stepped, sought and probed on its slice directly. Any other
+// iterator — a decorated one — goes through the Iterator interface, and
+// its seeks and probes through the Seeker and AncestorSeeker.
 type cursor struct {
 	it    Iterator
 	bl    *blink.Iterator    // the leaf-chain cursor of a core or btree iterator
 	xr    *core.Iterator     // a core iterator, for leaf-local ancestor probes
 	el    *elemlist.Iterator // a paged-list iterator
-	s     stepper            // another iterator's Step, nil when it has none
-	f     finger             // another iterator's finger, nil when it has none
-	af    ancestorFinger     // another iterator's ancestor probe, nil when it has none
+	sl    *sliceIterator     // an in-memory slice iterator
 	doc   uint32             // DocID of every element bl or el returns
 	cur   xmldoc.Element
 	valid bool
@@ -214,10 +262,8 @@ func (c *cursor) bind(it Iterator) {
 		c.bl, c.doc = it, it.DocID()
 	case *elemlist.Iterator:
 		c.el, c.doc = it, it.DocID()
-	default:
-		c.s, _ = it.(stepper)
-		c.f, _ = it.(finger)
-		c.af, _ = it.(ancestorFinger)
+	case *sliceIterator:
+		c.sl = it
 	}
 	c.peek()
 }
@@ -243,6 +289,9 @@ func (c *cursor) peek() {
 			c.decode(page, off)
 			return
 		}
+	case c.sl != nil:
+		c.cur, c.valid = c.sl.Peek()
+		return
 	}
 	c.cur, c.valid = c.it.Peek()
 }
@@ -255,19 +304,18 @@ func (c *cursor) advance() {
 			c.decode(page, off)
 			return
 		}
-		c.cur, c.valid = c.bl.Step()
 	case c.el != nil:
 		if page, off, ok := c.el.StepInPage(); ok {
 			c.decode(page, off)
 			return
 		}
-		c.cur, c.valid = c.el.Step()
-	case c.s != nil:
-		c.cur, c.valid = c.s.Step()
-	default:
-		c.it.Next()
-		c.cur, c.valid = c.it.Peek()
+	case c.sl != nil:
+		c.sl.Next()
+		c.cur, c.valid = c.sl.Peek()
+		return
 	}
+	c.it.Next()
+	c.cur, c.valid = c.it.Peek()
 }
 
 // replace swaps the underlying iterator (after an index seek), closing the
@@ -279,16 +327,16 @@ func (c *cursor) replace(it Iterator) error {
 }
 
 // seek positions the cursor at the first element with start ≥ key. It is
-// the one place a join chooses between the iterator's finger seek and a
-// fresh iterator from s.SeekGE, which iterators without a finger (such as
-// decorated ones) fall back to.
+// the one place a join chooses between an in-place seek — the leaf
+// chain's finger or the slice's binary search — and a fresh iterator from
+// s.SeekGE, which decorated iterators fall back to.
 func (c *cursor) seek(s Seeker, key uint32, m *metrics.Counters) error {
 	var err error
 	switch {
 	case c.bl != nil:
 		err = c.bl.SeekGE(key)
-	case c.f != nil:
-		err = c.f.SeekGE(key)
+	case c.sl != nil:
+		c.sl.idx = searchGE(c.sl.els, key)
 	default:
 		var it Iterator
 		if it, err = s.SeekGE(key, m); err != nil {
@@ -301,13 +349,14 @@ func (c *cursor) seek(s Seeker, key uint32, m *metrics.Counters) error {
 }
 
 // ancestors appends the ancestors of sd with start > minStart, through the
-// iterator's leaf-local probe when it has one and through s otherwise.
+// iterator's leaf-local probe or its slice when it has one and through s
+// otherwise.
 func (c *cursor) ancestors(s AncestorSeeker, dst []xmldoc.Element, sd, minStart uint32, m *metrics.Counters) ([]xmldoc.Element, error) {
 	switch {
 	case c.xr != nil:
 		return c.xr.AppendAncestors(dst, sd, minStart)
-	case c.af != nil:
-		return c.af.AppendAncestors(dst, sd, minStart)
+	case c.sl != nil:
+		return appendAncestors(c.sl.els, dst, sd, minStart, c.sl.c), nil
 	}
 	return s.AppendAncestors(dst, sd, minStart, m)
 }

@@ -363,7 +363,7 @@ func semiJoinAncestors(anc, desc []xmldoc.Element, mode join.Mode, c *metrics.Co
 		return nil, nil
 	}
 	seen := make(map[uint32]xmldoc.Element, 64)
-	err := join.XRStack(mode, memSource{els: anc}, memSource{els: desc}, func(av, _ xmldoc.Element) {
+	err := join.XRStack(mode, join.SliceSource{Els: anc}, join.SliceSource{Els: desc}, func(av, _ xmldoc.Element) {
 		seen[av.Start] = av
 	}, c)
 	if err != nil {
@@ -399,7 +399,7 @@ func scanAll(t *core.Tree, c *metrics.Counters) ([]xmldoc.Element, error) {
 // with any ancestor in cur under the given mode, via the XR-stack
 // algorithm with the in-memory ancestor list as one side.
 func joinStep(cur []xmldoc.Element, desc *core.Tree, mode join.Mode, c *metrics.Counters) ([]xmldoc.Element, error) {
-	a := memSource{els: cur}
+	a := join.SliceSource{Els: cur}
 	d := join.XRTreeSource{T: desc}
 	var out []xmldoc.Element
 	err := join.XRStack(mode, a, d, func(_, dv xmldoc.Element) {
@@ -414,120 +414,6 @@ func joinStep(cur []xmldoc.Element, desc *core.Tree, mode join.Mode, c *metrics.
 	}
 	return out, nil
 }
-
-// memSource adapts an in-memory sorted element slice to the join package's
-// AncestorSeeker, so intermediate step results join without being
-// re-indexed: FindAncestors and SeekGE are binary searches.
-type memSource struct {
-	els []xmldoc.Element
-}
-
-// Len returns the number of elements.
-func (m memSource) Len() int { return len(m.els) }
-
-// Scan opens an iterator over the whole slice.
-func (m memSource) Scan(c *metrics.Counters) (join.Iterator, error) {
-	return &memIterator{els: m.els, c: c}, nil
-}
-
-// SeekGE opens an iterator at the first element with start ≥ key.
-func (m memSource) SeekGE(key uint32, c *metrics.Counters) (join.Iterator, error) {
-	return &memIterator{els: m.els, idx: searchGE(m.els, key), c: c}, nil
-}
-
-// AppendAncestors appends the elements strictly containing sd with start
-// beyond minStart.
-func (m memSource) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32, c *metrics.Counters) ([]xmldoc.Element, error) {
-	return appendAncestors(m.els, dst, sd, minStart, c), nil
-}
-
-// appendAncestors appends the elements of els strictly containing sd with
-// start beyond minStart, by scanning left of sd's position with subtree
-// skips — the in-memory analogue of Algorithm 4's leaf phase.
-func appendAncestors(els, dst []xmldoc.Element, sd, minStart uint32, c *metrics.Counters) []xmldoc.Element {
-	out := dst
-	hi := searchGE(els, sd)
-	lo := 0
-	if minStart > 0 {
-		lo = sort.Search(hi, func(i int) bool { return els[i].Start > minStart })
-	}
-	for i := lo; i < hi; {
-		e := els[i]
-		if e.End <= sd {
-			// Skip e's subtree: nothing inside can contain sd, and the
-			// subtree ends before sd's position.
-			rest := els[i+1 : hi]
-			i += 1 + sort.Search(len(rest), func(j int) bool { return rest[j].Start > e.End })
-			continue
-		}
-		if c != nil {
-			c.ElementsScanned++
-		}
-		out = append(out, e)
-		i++
-	}
-	return out
-}
-
-// searchGE returns the index of the first element of els with start ≥ key.
-func searchGE(els []xmldoc.Element, key uint32) int {
-	return sort.Search(len(els), func(i int) bool { return els[i].Start >= key })
-}
-
-// memIterator walks a memSource's slice. It holds the whole slice, so it is
-// a finger whose seeks and ancestor probes are all answered in place; it
-// counts no finger hits, since it holds no leaf copy.
-type memIterator struct {
-	els []xmldoc.Element
-	idx int
-	c   *metrics.Counters
-}
-
-func (it *memIterator) Next() (xmldoc.Element, bool) {
-	e, ok := it.Peek()
-	if ok {
-		it.idx++
-		it.countScan()
-	}
-	return e, ok
-}
-
-func (it *memIterator) Peek() (xmldoc.Element, bool) {
-	if it.idx >= len(it.els) {
-		return xmldoc.Element{}, false
-	}
-	return it.els[it.idx], true
-}
-
-// Step consumes the current element and returns the next one.
-func (it *memIterator) Step() (xmldoc.Element, bool) {
-	if it.idx >= len(it.els) {
-		return xmldoc.Element{}, false
-	}
-	it.idx++
-	it.countScan()
-	return it.Peek()
-}
-
-func (it *memIterator) countScan() {
-	if it.c != nil {
-		it.c.ElementsScanned++
-	}
-}
-
-// SeekGE repositions the iterator at the first element with start ≥ key.
-func (it *memIterator) SeekGE(key uint32) error {
-	it.idx = searchGE(it.els, key)
-	return nil
-}
-
-// AppendAncestors is memSource.AppendAncestors over the iterator's slice.
-func (it *memIterator) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32) ([]xmldoc.Element, error) {
-	return appendAncestors(it.els, dst, sd, minStart, it.c), nil
-}
-
-func (it *memIterator) Err() error   { return nil }
-func (it *memIterator) Close() error { return nil }
 
 // Reference evaluates the path by brute force over a parsed document — the
 // oracle the tests compare Evaluate against. Predicates are evaluated by

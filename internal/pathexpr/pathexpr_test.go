@@ -356,107 +356,3 @@ func TestEvaluatePredicatesRandomized(t *testing.T) {
 		sameStarts(t, expr, got, Reference(p, doc))
 	}
 }
-
-func TestMemSourceFindAncestors(t *testing.T) {
-	els := []xmldoc.Element{
-		{DocID: 1, Start: 1, End: 100},
-		{DocID: 1, Start: 2, End: 40},
-		{DocID: 1, Start: 5, End: 10},
-		{DocID: 1, Start: 12, End: 30},
-		{DocID: 1, Start: 50, End: 90},
-	}
-	m := memSource{els: els}
-	got, err := m.AppendAncestors(nil, 20, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []xmldoc.Element{{Start: 1, End: 100}, {Start: 2, End: 40}, {Start: 12, End: 30}}
-	sameStarts(t, "AppendAncestors(20)", got, want)
-
-	got, err = m.AppendAncestors(nil, 20, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameStarts(t, "AppendAncestors(20,min=2)", got, []xmldoc.Element{{Start: 12, End: 30}})
-}
-
-// TestStepMatchesNextPeek runs one random program of moves on two
-// iterators over the same in-memory list. One advances with Step, the other
-// with Next then Peek; both take the same Next, Peek and in-place SeekGE
-// moves in between. They must see the same elements and charge the same
-// counters, past the end too; the in-place seek must land where a fresh
-// memSource.SeekGE does.
-func TestStepMatchesNextPeek(t *testing.T) {
-	els := make([]xmldoc.Element, 400)
-	for i := range els {
-		els[i] = xmldoc.Element{DocID: 1, Start: uint32(3*i + 1), End: uint32(3*i + 2), Level: 1}
-	}
-	m := memSource{els: els}
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var cs, cn metrics.Counters
-		si, _ := m.Scan(&cs)
-		ni, _ := m.Scan(&cn)
-		s, n := si.(*memIterator), ni.(*memIterator)
-		for op, ended := 0, 0; ended < 8; op++ {
-			var gs, gn xmldoc.Element
-			var oks, okn bool
-			switch r := rng.Intn(20); {
-			case r < 14 || op > 4*len(els):
-				gs, oks = s.Step()
-				n.Next()
-				gn, okn = n.Peek()
-			case r < 16:
-				gs, oks = s.Next()
-				gn, okn = n.Next()
-			case r < 17:
-				gs, oks = s.Peek()
-				gn, okn = n.Peek()
-			default:
-				k := uint32(rng.Intn(3*len(els) + 10))
-				s.SeekGE(k)
-				n.SeekGE(k)
-				gs, oks = s.Peek()
-				gn, okn = n.Peek()
-				fresh, _ := m.SeekGE(k, nil)
-				if want, wok := fresh.Peek(); gs != want || oks != wok {
-					t.Fatalf("seed %d: SeekGE(%d) at (%v,%v), fresh seek at (%v,%v)", seed, k, gs, oks, want, wok)
-				}
-			}
-			if gs != gn || oks != okn {
-				t.Fatalf("seed %d op %d: Step side (%v,%v), Next+Peek side (%v,%v)", seed, op, gs, oks, gn, okn)
-			}
-			if !oks {
-				ended++
-			}
-		}
-		if cs != cn || cs.FingerHits+cs.FingerMisses != 0 {
-			t.Errorf("seed %d: counters differ or count finger steps:\nStep      %+v\nNext+Peek %+v", seed, cs, cn)
-		}
-	}
-}
-
-// TestMemIteratorAllocs pins the in-place cursor paths: Step, SeekGE and
-// an ancestor probe appending into reused capacity allocate nothing.
-func TestMemIteratorAllocs(t *testing.T) {
-	els := []xmldoc.Element{
-		{DocID: 1, Start: 1, End: 100},
-		{DocID: 1, Start: 2, End: 40},
-		{DocID: 1, Start: 5, End: 10},
-		{DocID: 1, Start: 12, End: 30},
-		{DocID: 1, Start: 50, End: 90},
-	}
-	it := &memIterator{els: els}
-	dst := make([]xmldoc.Element, 0, 8)
-	allocs := testing.AllocsPerRun(100, func() {
-		it.SeekGE(0)
-		for _, ok := it.Peek(); ok; _, ok = it.Step() {
-		}
-		it.SeekGE(5)
-		dst, _ = it.AppendAncestors(dst[:0], 20, 0)
-	})
-	if allocs != 0 {
-		t.Errorf("memIterator paths allocate %.1f per run, want 0", allocs)
-	}
-	sameStarts(t, "memIterator.AppendAncestors(20)", dst, []xmldoc.Element{{Start: 1}, {Start: 2}, {Start: 12}})
-}

@@ -174,6 +174,22 @@ func TestRouterEquivalence(t *testing.T) {
 	if got.Pairs != want.Pairs || string(got.Sample) != string(want.Sample) || !got.Truncated {
 		t.Fatalf("parent-child/limit mismatch: router %d/%v, single-node %d", got.Pairs, got.Truncated, want.Pairs)
 	}
+
+	// limit=0 asks for the counts alone: no sample from either.
+	for _, path := range []string{
+		"/api/v1/join?anc=employee&desc=name&limit=0",
+		"/api/v1/query?path=departments//employee&limit=0",
+	} {
+		want, _ = fetchSample(t, f.single, path)
+		got, _ = fetchSample(t, f.router, path)
+		if want.Pairs+int64(want.Matches) == 0 || got.Pairs != want.Pairs || got.Matches != want.Matches || got.Truncated != want.Truncated {
+			t.Fatalf("%s: router %d pairs %d matches truncated=%v, single-node %d/%d/%v",
+				path, got.Pairs, got.Matches, got.Truncated, want.Pairs, want.Matches, want.Truncated)
+		}
+		if len(want.Sample) != 0 || string(got.Sample) != string(want.Sample) {
+			t.Fatalf("%s: router sample %.200s, single-node %.200s, want none", path, got.Sample, want.Sample)
+		}
+	}
 }
 
 // TestShardRefusesMisdirectedDocs: explicitly asking a shard for a
