@@ -53,15 +53,16 @@ inline-check:
 
 # Storage-stack microbenchmarks (allocation counts are the regression
 # signal, hence -benchmem; -count=5 for a spread benchstat can consume):
-# the pool pin/unpin fast path, a full leaf-chain scan, the XR-tree's
-# stab-list upkeep on delete and insert (pages per op too), the XR-stack
+# the pool pin/unpin fast path, one page's latch taken shared by parallel
+# readers, a full leaf-chain scan, the XR-tree's stab-list upkeep on delete
+# and insert and its ancestor probe (pages per op too), the XR-stack
 # (ancestor-descendant and parent-child), B+ and no-index joins end to end
 # on a cold and a warm pool (pages/op and ns/pair too),
 # the parallel driver on dense and output-light partitions, and the admitted
 # join and query handlers without sockets (response bytes per request too).
 microbench:
-	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkLeafChainScan|BenchmarkStabInsertDelete|BenchmarkXRStackJoin|BenchmarkBPlusJoin|BenchmarkStackTreeDescJoin|BenchmarkParallel|BenchmarkServe' \
-		-benchmem -count=5 ./internal/bufferpool ./internal/elemlist ./internal/core ./internal/join ./internal/server
+	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkRLockRUnlock|BenchmarkLeafChainScan|BenchmarkStabInsertDelete|BenchmarkFindAncestors|BenchmarkXRStackJoin|BenchmarkBPlusJoin|BenchmarkStackTreeDescJoin|BenchmarkParallel|BenchmarkServe' \
+		-benchmem -count=5 ./internal/bufferpool ./internal/platch ./internal/elemlist ./internal/core ./internal/join ./internal/server
 
 # Every microbenchmark body under internal/ run once, so a benchmark that
 # no longer builds, fails or finds no pairs breaks CI; no timing is judged.

@@ -90,12 +90,15 @@ type flist struct {
 }
 
 // shard is one lock-striped partition of the pool: its own mutex, frame
-// map, and LRU list over its slice of the capacity.
+// map, and LRU list over its slice of the capacity. spare holds the frames
+// DropClean dropped, page buffers and all, for admitLocked to reuse: a
+// cold-started pool refills without allocating.
 type shard struct {
 	mu     sync.Mutex
 	frames map[pagefile.PageID]*frame
 	lru    flist
 	cap    int
+	spare  []*frame
 }
 
 // Pool is a sharded buffer pool over a single pagefile.File. All methods
@@ -444,7 +447,8 @@ func (p *Pool) FlushAll() error {
 }
 
 // DropClean evicts every unpinned frame after flushing it; useful between
-// experiment runs to cold-start the cache deterministically.
+// experiment runs to cold-start the cache deterministically. The dropped
+// frames go to their shard's spare list.
 func (p *Pool) DropClean() error {
 	for _, s := range p.shards {
 		s.mu.Lock()
@@ -456,6 +460,8 @@ func (p *Pool) DropClean() error {
 			}
 			s.listRemove(f)
 			delete(s.frames, f.id)
+			*f = frame{data: f.data}
+			s.spare = append(s.spare, f)
 			f = next
 		}
 		s.mu.Unlock()
@@ -509,7 +515,14 @@ func (p *Pool) admitLocked(s *shard, id pagefile.PageID) (*frame, error) {
 		s.frames[id] = victim
 		return victim, nil
 	}
-	f := &frame{id: id, data: make([]byte, p.file.PageSize())}
+	var f *frame
+	if n := len(s.spare); n > 0 {
+		f = s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		f.id = id
+	} else {
+		f = &frame{id: id, data: make([]byte, p.file.PageSize())}
+	}
 	s.frames[id] = f
 	return f, nil
 }

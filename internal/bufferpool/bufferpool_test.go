@@ -293,3 +293,50 @@ func TestEvictionCounting(t *testing.T) {
 		t.Errorf("sink evictions %d != pool %d", sink.PageEvictions, st.PageEvictions)
 	}
 }
+
+// TestDropCleanReusesFrames checks that the misses after DropClean reuse
+// the dropped frames instead of allocating new ones, and that a reused
+// frame reads the page it now holds.
+func TestDropCleanReusesFrames(t *testing.T) {
+	p, _ := newPool(t, 8)
+	ids := make([]pagefile.PageID, 4)
+	for i := range ids {
+		id, data, err := p.FetchNew()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[0] = byte(i + 1)
+		if err := p.Unpin(id, true); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	var err error
+	allocs := testing.AllocsPerRun(50, func() {
+		if e := p.DropClean(); e != nil {
+			err = e
+		}
+		for i, id := range ids {
+			data, e := p.Fetch(id)
+			if e != nil {
+				err = e
+				return
+			}
+			if data[0] != byte(i+1) {
+				t.Errorf("page %d reads %d after DropClean, want %d", id, data[0], i+1)
+			}
+			if e := p.Unpin(id, false); e != nil {
+				err = e
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("DropClean then %d fetches: %v allocs per run, want 0", len(ids), allocs)
+	}
+	if s := p.Stats(); s.BufferMisses < int64(len(ids)) {
+		t.Errorf("%d misses, want the fetches after DropClean to miss", s.BufferMisses)
+	}
+}

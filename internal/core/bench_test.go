@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xrtree/internal/bufferpool"
+	"xrtree/internal/metrics"
 	"xrtree/internal/pagefile"
 	"xrtree/internal/xmldoc"
 )
@@ -64,4 +65,42 @@ func BenchmarkStabInsertDelete(b *testing.B) {
 	end := pool.Stats()
 	pages := end.BufferHits + end.BufferMisses - start.BufferHits - start.BufferMisses
 	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
+}
+
+// BenchmarkFindAncestors measures Algorithm 4's probe (Theorem 4's
+// O(log_F N + R)) on a bulk-loaded nested forest on 1 KiB pages under a
+// pool that holds the whole tree: one FindAncestors per op at a random
+// position, pages/op counting the node, leaf and stab pages it visits.
+func BenchmarkFindAncestors(b *testing.B) {
+	f := pagefile.NewMem(pagefile.Options{PageSize: 1024})
+	b.Cleanup(func() { f.Close() })
+	pool, err := bufferpool.New(f, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := New(pool, 1, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	es := genNested(rng, 20000, 12)
+	if err := tr.BulkLoad(es, 1.0); err != nil {
+		b.Fatal(err)
+	}
+	probes := make([]uint32, 4096)
+	for i := range probes {
+		probes[i] = es[rng.Intn(len(es))].Start + 1
+	}
+
+	var c metrics.Counters
+	b.ReportAllocs()
+	n := 0
+	for b.Loop() {
+		if ancestorsSink, err = tr.FindAncestors(probes[n%len(probes)], 0, &c); err != nil {
+			b.Fatal(err)
+		}
+		n++
+	}
+	pages := c.IndexNodeReads + c.LeafReads + c.StabPageReads
+	b.ReportMetric(float64(pages)/float64(n), "pages/op")
 }

@@ -11,7 +11,6 @@ package core
 // only read when it holds at least one result — Theorem 4's O(log_F N + R).
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -28,9 +27,17 @@ import (
 // sorted by ascending start. Elements with start ≤ minStart are skipped;
 // the XR-stack join passes the stack top's start so only ancestors "after
 // the stack top" are returned (§5.2). Pass 0 for all ancestors.
+//
+// The result is allocated once, with room for findAncestorsCap elements;
+// the probe assembles it in start order (see appendAncestorsOnce), so no
+// sort runs.
 func (t *Tree) FindAncestors(sd uint32, minStart uint32, c *metrics.Counters) ([]xmldoc.Element, error) {
-	return t.AppendAncestors(nil, sd, minStart, c)
+	return t.AppendAncestors(make([]xmldoc.Element, 0, findAncestorsCap), sd, minStart, c)
 }
+
+// findAncestorsCap is FindAncestors' initial result capacity: a probe
+// with at most this many ancestors allocates once.
+const findAncestorsCap = 16
 
 // stabProbeRetries bounds the optimistic ancestor-probe attempts before a
 // probe serializes behind the writers for an exact answer.
@@ -76,6 +83,13 @@ func (t *Tree) AppendAncestors(dst []xmldoc.Element, sd uint32, minStart uint32,
 }
 
 // appendAncestorsOnce is one optimistic probe; see AppendAncestors.
+//
+// It appends in ascending start order without sorting. The descent visits
+// the path root first, and an ancestor stab-listed at a deeper node
+// contains no key of a shallower one (it would be homed there), so it
+// nests inside every ancestor found above it; searchStabList orders each
+// node's own results, and the leaf's unflagged ancestors nest inside all
+// of them (see leafAncestors).
 func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uint32, c *metrics.Counters) ([]xmldoc.Element, error) {
 	out := dst
 	id, h := t.Root()
@@ -107,7 +121,7 @@ func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uin
 		// S11: collect stabbed elements from this node's stab list before
 		// S12/S13 descend by the largest key ≤ sd.
 		if mv == blink.Down {
-			if err := t.searchStabList(d, sd, minStart, c, &out); err != nil {
+			if out, err = t.searchStabList(d, sd, minStart, c, out); err != nil {
 				t.pool.Unpin(id, false)
 				t.pl.RUnlock(id)
 				return nil, err
@@ -127,9 +141,14 @@ func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uin
 	}
 
 	// S2: the leaf's own entries whose flag is clear; the stabbed ones were
-	// collected from the stab lists above.
+	// collected from the stab lists above, and the leaf's ancestors all
+	// start after the last of them.
 	c.Emit(obs.EvIndexDescend, int64(h))
-	out, examined := t.leafAncestors(data, -1, sd, minStart, out, c)
+	after := minStart
+	if len(out) > len(dst) {
+		after = max(after, out[len(out)-1].Start)
+	}
+	out, examined := t.leafAncestors(data, -1, sd, after, minStart, out, c)
 	c.Emit(obs.EvLeafScan, int64(examined))
 	c.Emit(obs.EvAncProbe, int64(len(out)-len(dst)))
 	err := t.pool.Unpin(id, false)
@@ -137,25 +156,30 @@ func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uin
 	if err != nil {
 		return nil, err
 	}
-	// Only the appended tail needs ordering; dst's prefix is untouched.
-	slices.SortFunc(out[len(dst):], func(a, b xmldoc.Element) int { return cmp.Compare(a.Start, b.Start) })
 	return out, nil
 }
 
 // leafAncestors is Algorithm 4's S2 loop over one leaf image: it appends
 // the entries with start in (minStart, sd) that strictly contain sd and
-// returns how many entries it examined. Entries at or before minStart
-// cannot be results, so the scan starts right after it — the "ancestors
-// after the stack top" variation of §5.2 that keeps the per-probe cost at
-// O(new ancestors + elements between the stack top and sd in this leaf)
-// rather than half a leaf.
+// returns how many entries it examined. The scan starts at the first
+// entry past after (≥ minStart). Entries at or before minStart cannot be
+// results: that is the "ancestors after the stack top" variation of §5.2,
+// which keeps the per-probe cost at O(new ancestors + elements between
+// the stack top and sd in this leaf) rather than half a leaf. A descent
+// passes as after the largest start among its stab-list results, since
+// no unflagged entry at or before it is an ancestor: an unflagged
+// ancestor c containing a stab-listed ancestor a would contain the key
+// that stabs a, a key on the root-to-leaf path of c's own start, and so
+// would be stab-listed itself. Ancestors nest, so c contains a or starts
+// after it.
 //
 // from says where data came from. An iterator's held copy passes its
-// cursor index: the searches gallop forward from the cursor, and entries
-// flagged InStabList count too, since no descent collected them. The leaf
-// a descent landed on passes -1: its searches binary-search the whole
+// cursor index: the first search gallops from it, and entries flagged
+// InStabList count too, since no descent collected them. The leaf a
+// descent landed on passes -1: its first search binary-searches the whole
 // leaf, and its flagged entries were already collected from the stab
-// lists on the descent's path.
+// lists on the descent's path. Every subtree skip gallops forward from
+// the entry it skips.
 //
 // Elements-scanned accounting (the Table 2/3 metric): FindAncestors
 // charges exactly the ancestors it retrieves — the R of Theorem 4.
@@ -163,19 +187,17 @@ func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uin
 // terminal boundary entry) cost no I/O and are index work, which is how
 // the paper's XR numbers behave (≈ joined ancestors + consumed
 // descendants; see EXPERIMENTS.md).
-func (t *Tree) leafAncestors(data []byte, from int, sd, minStart uint32, out []xmldoc.Element, c *metrics.Counters) ([]xmldoc.Element, int) {
+func (t *Tree) leafAncestors(data []byte, from int, sd, after, minStart uint32, out []xmldoc.Element, c *metrics.Counters) ([]xmldoc.Element, int) {
 	held := from >= 0
-	// search returns the first entry with start ≥ key, searching from
-	// index i.
-	search := func(i int, key uint32) int {
-		if held {
-			return blink.LeafSearchFrom(data, i, key)
-		}
-		return blink.LeafSearch(data, key)
+	var i int
+	if held {
+		i = blink.LeafSearchFrom(data, from, after+1)
+	} else {
+		i = blink.LeafSearch(data, after+1)
 	}
 	n := blink.LeafCount(data)
 	examined := 0
-	for i := search(from, minStart+1); i < n; {
+	for i < n {
 		examined++
 		el, fl := blink.LeafElem(data, i)
 		if el.Start >= sd {
@@ -185,7 +207,7 @@ func (t *Tree) leafAncestors(data []byte, from int, sd, minStart uint32, out []x
 			// el closes at or before sd, so by strict nesting nothing
 			// inside el can strictly contain sd either: skip its whole
 			// subtree within this leaf.
-			i = search(i+1, el.End+1)
+			i = blink.LeafSearchFrom(data, i+1, el.End+1)
 			continue
 		}
 		if (held || fl&xmldoc.FlagInStabList == 0) && el.Start > minStart {
@@ -202,40 +224,52 @@ func (t *Tree) leafAncestors(data []byte, from int, sd, minStart uint32, out []x
 // [k_i, k_{i+1}), only PSLs of keys ≤ k_{i+1} can hold stabbed elements,
 // and a PSL is only read when its in-entry (ps, pe) proves its first —
 // outermost — element is stabbed; the stabbed elements then form a prefix.
-func (t *Tree) searchStabList(node []byte, sd uint32, minStart uint32, c *metrics.Counters, out *[]xmldoc.Element) error {
+//
+// It appends in ascending start order. The PSLs are read right to left,
+// each prefix ascending, but for keys k_i < k_j every element of PSL(k_i)
+// starts at or before k_i and every element of PSL(k_j) after it (k_i
+// does not stab them, or k_i would be their primary key). So each prefix
+// is reversed as it lands, and the node's whole run at the end: the run
+// comes out ordered while the stab pages are still read in their old
+// order.
+func (t *Tree) searchStabList(node []byte, sd uint32, minStart uint32, c *metrics.Counters, out []xmldoc.Element) ([]xmldoc.Element, error) {
 	m := intShape.Count(node)
 	i := intShape.Search(node, sd) - 1 // largest key ≤ sd
 	hi := i + 1
 	if hi >= m {
 		hi = m - 1
 	}
+	first := len(out)
 	for i2 := hi; i2 >= 0; i2-- {
 		ps := keyPS(node, i2)
 		if ps == 0 || !(ps < sd && sd < keyPE(node, i2)) {
 			continue
 		}
-		before := len(*out)
-		if err := t.scanPSL(node, i2, sd, minStart, c, out); err != nil {
-			return err
+		before := len(out)
+		var err error
+		if out, err = t.scanPSL(node, i2, sd, minStart, c, out); err != nil {
+			return out, err
 		}
-		c.Emit(obs.EvStabScan, int64(len(*out)-before))
+		c.Emit(obs.EvStabScan, int64(len(out)-before))
+		slices.Reverse(out[before:])
 	}
-	return nil
+	slices.Reverse(out[first:])
+	return out, nil
 }
 
-// scanPSL walks PSL(c) from its directory pointer, emitting elements while
-// they stab sd (line 4 of Algorithm 5). Entries at or before minStart are
-// already known to the caller (they are on the join's stack), and since a
-// PSL is start-sorted they can be jumped over with an in-page binary search
-// rather than scanned — the stabbed, still-unreported elements form a
-// contiguous run ending at the first non-stabbing entry.
+// scanPSL walks PSL(c) from its directory pointer, appending elements
+// while they stab sd (line 4 of Algorithm 5). Entries at or before
+// minStart are already known to the caller (they are on the join's
+// stack), and since a PSL is start-sorted they can be jumped over with an
+// in-page binary search rather than scanned — the stabbed, still-unreported
+// elements form a contiguous run ending at the first non-stabbing entry.
 //
 // The caller holds the owning node's shared page latch, which is what makes
 // the chain walk safe against concurrent writers: stab pages carry no latch
 // of their own, and every chain mutation happens under the node's exclusive
 // latch. Fetches and unpins here are the plain pool calls — this is a
 // reader path and must not join the writer's transaction.
-func (t *Tree) scanPSL(node []byte, ki int, sd uint32, minStart uint32, c *metrics.Counters, out *[]xmldoc.Element) error {
+func (t *Tree) scanPSL(node []byte, ki int, sd uint32, minStart uint32, c *metrics.Counters, out []xmldoc.Element) ([]xmldoc.Element, error) {
 	kv := intShape.Key(node, ki)
 	p := keyPSLPage(node, ki)
 	for p != pagefile.InvalidPage {
@@ -243,11 +277,11 @@ func (t *Tree) scanPSL(node []byte, ki int, sd uint32, minStart uint32, c *metri
 		// key), so the walk polls for cancellation at page granularity
 		// like every other unbounded read path.
 		if err := c.Interrupted(); err != nil {
-			return err
+			return out, err
 		}
 		data, err := t.fetchStabRead(p, c.TraceSink())
 		if err != nil {
-			return err
+			return out, err
 		}
 		addStabPage(c)
 		n := stabCount(data)
@@ -255,22 +289,22 @@ func (t *Tree) scanPSL(node []byte, ki int, sd uint32, minStart uint32, c *metri
 		for ; i < n; i++ {
 			en := stabEntryAt(data, i)
 			if en.key != kv {
-				return t.pool.Unpin(p, false)
+				return out, t.pool.Unpin(p, false)
 			}
 			if !(en.start < sd && sd < en.end) {
 				// Terminal entry of the stabbed prefix: free, as in S2.
-				return t.pool.Unpin(p, false)
+				return out, t.pool.Unpin(p, false)
 			}
 			addScan(c, 1)
-			*out = append(*out, en.element(t.DocID()))
+			out = append(out, en.element(t.DocID()))
 		}
 		next := stabNext(data)
 		if err := t.pool.Unpin(p, false); err != nil {
-			return err
+			return out, err
 		}
 		p = next
 	}
-	return nil
+	return out, nil
 }
 
 // FindParent returns the parent (level-aware ancestor, §5.3) of a region
@@ -326,7 +360,7 @@ func (it *Iterator) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32) (
 		return it.t.AppendAncestors(dst, sd, minStart, c)
 	}
 	leaf, idx := it.Leaf()
-	out, examined := it.t.leafAncestors(leaf, idx, sd, minStart, dst, c)
+	out, examined := it.t.leafAncestors(leaf, idx, sd, minStart, minStart, dst, c)
 	c.Emit(obs.EvLeafScan, int64(examined))
 	c.Emit(obs.EvAncProbe, int64(len(out)-len(dst)))
 	return out, nil

@@ -26,34 +26,14 @@ func TestExclusion(t *testing.T) {
 				}
 				atomic.AddInt64(&counter, -1)
 				tab.Unlock(7)
-				// A different page must be independent even when it maps
-				// to the same shard (7 + latchShards).
-				tab.Lock(7 + latchShards)
-				tab.Unlock(7 + latchShards)
+				// A different page must be independent even when it sits
+				// at the same offset of another chunk.
+				tab.Lock(7 + chunkSize)
+				tab.Unlock(7 + chunkSize)
 			}
 		}()
 	}
 	wg.Wait()
-	checkQuiesced(t, tab)
-}
-
-// checkQuiesced asserts the retention invariant on an idle table: no
-// entry is referenced, and each shard holds at most coldCap resident
-// entries (every cooled entry has a cold-list marker, and the list is
-// pruned to coldCap on overflow).
-func checkQuiesced(t *testing.T, tab *Table) {
-	t.Helper()
-	for i := range tab.shards {
-		s := &tab.shards[i]
-		if n := len(s.m); n > coldCap {
-			t.Fatalf("shard %d retains %d latch entries after quiesce, cap %d", i, n, coldCap)
-		}
-		for id, e := range s.m {
-			if e.refs != 0 {
-				t.Fatalf("shard %d page %d: %d refs after quiesce", i, id, e.refs)
-			}
-		}
-	}
 }
 
 // TestSharedReaders verifies multiple readers hold one page concurrently.
@@ -76,26 +56,57 @@ func TestSharedReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestColdRetention verifies that a page latched repeatedly keeps its
-// entry resident between acquisitions (no map churn on the hot path)
-// and that a scan over many distinct pages stays within the retention
-// bound instead of growing the table.
-func TestColdRetention(t *testing.T) {
+// TestGrowth latches ids on both sides of chunk boundaries from two
+// writers while a reader grows the directory from its far end, so -race
+// sees every copy-on-write publication raced against lookups. A latch
+// handed out before the copies must be the one handed out after them, and
+// an id past the dense range must leave the directory alone.
+func TestGrowth(t *testing.T) {
 	tab := NewTable()
-	id := pagefile.PageID(9)
-	tab.Lock(id)
-	e := tab.shard(id).m[id]
-	tab.Unlock(id)
-	if got := tab.shard(id).m[id]; got != e {
-		t.Fatal("hot entry was not retained across unlock")
+	const chunks = 64
+	first := tab.latch(0)                          // handed out before every directory copy
+	held := make([]atomic.Int32, chunks*chunkSize) // holders per page
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for c := chunks - 1; c >= 0; c-- {
+			id := pagefile.PageID(c*chunkSize + chunkSize/2)
+			tab.RLock(id)
+			tab.RUnlock(id)
+		}
+	}()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := 1; c < chunks; c++ {
+				for _, id := range []pagefile.PageID{pagefile.PageID(c*chunkSize - 1), pagefile.PageID(c * chunkSize)} {
+					tab.Lock(id)
+					if held[id].Add(1) > 1 {
+						t.Errorf("page %d: exclusive latch held twice", id)
+					}
+					held[id].Add(-1)
+					tab.Unlock(id)
+				}
+			}
+		}()
 	}
-	// Touch many pages in one shard; eviction must bound residency.
-	for i := 0; i < 10*coldCap; i++ {
-		p := pagefile.PageID(uint64(i) * latchShards)
-		tab.RLock(p)
-		tab.RUnlock(p)
+	wg.Wait()
+	if tab.latch(0) != first {
+		t.Fatal("page 0's latch moved when the directory grew")
 	}
-	checkQuiesced(t, tab)
+	if n := len(*tab.dir.Load()); n != chunks {
+		t.Fatalf("directory has %d chunks, want %d", n, chunks)
+	}
+	far := pagefile.PageID(maxChunks * chunkSize)
+	tab.Lock(far)
+	tab.LockRight(far + 1)
+	tab.Unlock(far + 1)
+	tab.Unlock(far)
+	if n := len(*tab.dir.Load()); n != chunks {
+		t.Fatalf("an id past the dense range grew the directory to %d chunks", n)
+	}
 }
 
 // TestCoupling verifies the left-to-right coupling pattern (hold left,
