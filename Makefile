@@ -104,12 +104,15 @@ vet: vet-analyzers vet-run
 test-debug:
 	$(GO) test -tags xrtreedebug ./...
 
-# Short coverage-guided runs of both fuzz targets (parser robustness and
-# path-expression round-tripping); CI runs the same budget.
+# Short coverage-guided runs of the fuzz targets (parser robustness,
+# path-expression round-tripping, WAL replay, and the parallel join
+# driver's run-log replay against the sequential loop); CI runs the same
+# budget.
 fuzz-smoke:
 	$(GO) test -run FuzzParseDocument -fuzz FuzzParseDocument -fuzztime 10s ./internal/xmldoc
 	$(GO) test -run FuzzPathExpr -fuzz FuzzPathExpr -fuzztime 10s ./internal/pathexpr
 	$(GO) test -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
+	$(GO) test -run FuzzParallelReplay -fuzz FuzzParallelReplay -fuzztime 10s ./internal/join
 
 # Crash-recovery gate: 30 randomized kill points against a WAL-enabled
 # store (the crossing log write torn partway), each reopened through redo

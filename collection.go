@@ -10,6 +10,7 @@ package xrtree
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"xrtree/internal/join"
@@ -71,7 +72,10 @@ type ParallelJoinOptions struct {
 // ParallelJoin is Collection.Join distributed over a worker pool: the join
 // partitions by DocId (pairs never cross documents, §2.2), each worker
 // runs whole per-document joins, and results reach emit in document order
-// — the exact pair stream of the sequential Join. Costs from every worker
+// — the exact pair stream of the sequential Join. With GOMAXPROCS at 1 it
+// runs the sequential loop whatever opts.Workers says: one CPU would only
+// interleave the partitions and pay for holding the output of those ahead
+// of the first. Costs from every worker
 // are merged into st after the pool drains, so st needs no atomicity; a
 // Tracer carried by st must be safe for concurrent use (Collector is). A
 // canceled or timed-out st.Ctx stops dispatching new per-document
@@ -112,15 +116,19 @@ func (c *Collection) parallelJoin(alg Algorithm, mode Mode, ancTag, descTag stri
 		inputs += int64(len(as) + len(ds))
 		tasks = append(tasks, join.Task{
 			DocID: docID,
-			Run: func(emit EmitFunc, jc *metrics.Counters) error {
-				if err := Join(alg, mode, a, d, emit, jc); err != nil {
+			Runs: func(run join.RunFunc, jc *metrics.Counters) error {
+				if err := joinRuns(alg, mode, a, d, run, jc); err != nil {
 					return fmt.Errorf("xrtree: DocID %d: %w", docID, err)
 				}
 				return nil
 			},
 		})
 	}
-	return inputs, join.Parallel(tasks, join.Options{Workers: opts.Workers}, emit, st)
+	workers := opts.Workers
+	if runtime.GOMAXPROCS(0) == 1 {
+		workers = 1
+	}
+	return inputs, join.Parallel(tasks, join.Options{Workers: workers}, emit, st)
 }
 
 // DocIDs returns the collection's document ids in ascending order.

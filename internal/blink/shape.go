@@ -133,25 +133,27 @@ const (
 // Step is one B-link descent step toward key from page d, which the
 // caller holds under its shared page latch (as a private copy or a pinned
 // frame). It returns the page to visit next — the right sibling for Right,
-// the child for Down — and counts d as a leaf or index-node read in c. The
-// copy descent and the XR-tree's pinned ancestor descent both advance by
-// it.
-func (s *Shape) Step(d []byte, key uint32, c *metrics.Counters) (pagefile.PageID, Move) {
+// the child for Down — and, for Down, that child's slot (Search's answer,
+// so slot−1 is the largest key ≤ key), and counts d as a leaf or
+// index-node read in c. The copy descent and the XR-tree's pinned
+// ancestor descent both advance by it.
+func (s *Shape) Step(d []byte, key uint32, c *metrics.Counters) (next pagefile.PageID, slot int, mv Move) {
 	if IsLeaf(d) {
 		addLeaf(c)
 		if next := LeafNext(d); moveRight(LeafHigh(d), next, key) {
-			return next, Right
+			return next, 0, Right
 		}
-		return pagefile.InvalidPage, Land
+		return pagefile.InvalidPage, 0, Land
 	}
 	if d[0] != s.Type {
-		return pagefile.InvalidPage, Bad
+		return pagefile.InvalidPage, 0, Bad
 	}
 	addNode(c)
 	if next := s.Next(d); moveRight(s.High(d), next, key) {
-		return next, Right
+		return next, 0, Right
 	}
-	return s.Child(d, s.Search(d, key)), Down
+	slot = s.Search(d, key)
+	return s.Child(d, slot), slot, Down
 }
 
 // The add* helpers attribute costs to an explicit, nil-able counter set,

@@ -235,7 +235,7 @@ func (t *Tree) descend(key uint32, c *metrics.Counters, buf []byte) error {
 		if err := t.readPage(id, buf, c); err != nil {
 			return err
 		}
-		next, mv := t.shape.Step(buf, key, c)
+		next, _, mv := t.shape.Step(buf, key, c)
 		switch mv {
 		case Land:
 			c.Emit(obs.EvIndexDescend, int64(h))

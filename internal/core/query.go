@@ -108,7 +108,7 @@ func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uin
 			t.pl.RUnlock(id)
 			return nil, err
 		}
-		next, mv := intShape.Step(d, sd, c)
+		next, slot, mv := intShape.Step(d, sd, c)
 		if mv == blink.Land {
 			data = d // stays pinned and share-latched for the S2 scan
 			break
@@ -121,7 +121,7 @@ func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uin
 		// S11: collect stabbed elements from this node's stab list before
 		// S12/S13 descend by the largest key ≤ sd.
 		if mv == blink.Down {
-			if out, err = t.searchStabList(d, sd, minStart, c, out); err != nil {
+			if out, err = t.searchStabList(d, slot, sd, minStart, c, out); err != nil {
 				t.pool.Unpin(id, false)
 				t.pl.RUnlock(id)
 				return nil, err
@@ -224,6 +224,9 @@ func (t *Tree) leafAncestors(data []byte, from int, sd, after, minStart uint32, 
 // [k_i, k_{i+1}), only PSLs of keys ≤ k_{i+1} can hold stabbed elements,
 // and a PSL is only read when its in-entry (ps, pe) proves its first —
 // outermost — element is stabbed; the stabbed elements then form a prefix.
+// slot is the child the descent step chose for sd, so k_{slot−1} is the
+// largest key ≤ sd and no key is searched twice. The (ps, pe) fields are
+// read in one strided scan, pe first: most keys left of sd have pe ≤ sd.
 //
 // It appends in ascending start order. The PSLs are read right to left,
 // each prefix ascending, but for keys k_i < k_j every element of PSL(k_i)
@@ -232,17 +235,15 @@ func (t *Tree) leafAncestors(data []byte, from int, sd, after, minStart uint32, 
 // is reversed as it lands, and the node's whole run at the end: the run
 // comes out ordered while the stab pages are still read in their old
 // order.
-func (t *Tree) searchStabList(node []byte, sd uint32, minStart uint32, c *metrics.Counters, out []xmldoc.Element) ([]xmldoc.Element, error) {
-	m := intShape.Count(node)
-	i := intShape.Search(node, sd) - 1 // largest key ≤ sd
-	hi := i + 1
-	if hi >= m {
-		hi = m - 1
-	}
+func (t *Tree) searchStabList(node []byte, slot int, sd uint32, minStart uint32, c *metrics.Counters, out []xmldoc.Element) ([]xmldoc.Element, error) {
+	hi := min(slot, intShape.Count(node)-1)
+	stride := intShape.EntrySize
 	first := len(out)
-	for i2 := hi; i2 >= 0; i2-- {
-		ps := keyPS(node, i2)
-		if ps == 0 || !(ps < sd && sd < keyPE(node, i2)) {
+	for i2, off := hi, intShape.Header+hi*stride; i2 >= 0; i2, off = i2-1, off-stride {
+		if le.Uint32(node[off+offKeyPE:]) <= sd {
+			continue
+		}
+		if ps := le.Uint32(node[off+offKeyPS:]); ps == 0 || ps >= sd {
 			continue
 		}
 		before := len(out)

@@ -277,13 +277,19 @@ func stabTail(d []byte) pagefile.PageID        { return pagefile.PageID(le.Uint3
 func setStabHead(d []byte, id pagefile.PageID) { le.PutUint32(d[offIntStabHead:], uint32(id)) }
 func setStabTail(d []byte, id pagefile.PageID) { le.PutUint32(d[offIntStabTail:], uint32(id)) }
 
+// Offsets of a key entry's (ps, pe) fields.
+const (
+	offKeyPS = 8
+	offKeyPE = 12
+)
+
 // keyPS/keyPE return the (ps, pe) fields of key i; ps == 0 means nil.
-func keyPS(data []byte, i int) uint32 { return le.Uint32(intShape.Entry(data, i)[8:]) }
-func keyPE(data []byte, i int) uint32 { return le.Uint32(intShape.Entry(data, i)[12:]) }
+func keyPS(data []byte, i int) uint32 { return le.Uint32(intShape.Entry(data, i)[offKeyPS:]) }
+func keyPE(data []byte, i int) uint32 { return le.Uint32(intShape.Entry(data, i)[offKeyPE:]) }
 
 func setKeyPSPE(data []byte, i int, ps, pe uint32) {
-	le.PutUint32(intShape.Entry(data, i)[8:], ps)
-	le.PutUint32(intShape.Entry(data, i)[12:], pe)
+	le.PutUint32(intShape.Entry(data, i)[offKeyPS:], ps)
+	le.PutUint32(intShape.Entry(data, i)[offKeyPE:], pe)
 }
 
 // keyPSLPage returns the stab page holding the head of PSL(key i).

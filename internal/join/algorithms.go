@@ -8,11 +8,17 @@ import (
 	"xrtree/internal/xmldoc"
 )
 
-// StackTreeDesc runs the no-index baseline (Stack-Tree-Desc, [22]): a
+// StackTreeDesc is StackTreeDescRuns with a per-pair callback, kept for
+// bench/xrperf (ROADMAP item 26).
+func StackTreeDesc(mode Mode, a, d Source, emit EmitFunc, c *metrics.Counters) error {
+	return StackTreeDescRuns(mode, a, d, EachPair(emit), c)
+}
+
+// StackTreeDescRuns runs the no-index baseline (Stack-Tree-Desc, [22]): a
 // single synchronized pass over both lists with a stack of open ancestors.
 // Every element of both inputs is scanned exactly once whether or not it
 // joins — the cost profile the "no-index" rows of Tables 2 and 3 show.
-func StackTreeDesc(mode Mode, a, d Source, emit EmitFunc, c *metrics.Counters) error {
+func StackTreeDescRuns(mode Mode, a, d Source, run RunFunc, c *metrics.Counters) error {
 	defer startTimer(c)()
 	ai, err := a.Scan(c)
 	if err != nil {
@@ -40,19 +46,20 @@ func StackTreeDesc(mode Mode, a, d Source, emit EmitFunc, c *metrics.Counters) e
 			ca.advance()
 		} else {
 			stack.popNonAncestors(cd.cur.Start)
-			stack.emitAll(mode, cd.cur, emit, c)
+			stack.emitAll(mode, cd.cur, run, c)
 			cd.advance()
 		}
 	}
 	return firstErr(ca.err(), cd.err())
 }
 
-// MPMGJN runs the multi-predicate merge join of Zhang et al. [25]: for each
+// MPMGJNRuns runs the multi-predicate merge join of Zhang et al. [25]: for each
 // ancestor it rescans the descendant list from a slowly advancing mark, so
 // nested ancestors re-read the same descendants — the redundant I/O that
 // motivated the stack-based family. It rewinds its descendant scan, so the
-// descendants are a paged list, whose iterator can Mark and Restore.
-func MPMGJN(mode Mode, a Source, d ListSource, emit EmitFunc, c *metrics.Counters) error {
+// descendants are a paged list, whose iterator can Mark and Restore. It
+// keeps no stack, so each pair is a run of one.
+func MPMGJNRuns(mode Mode, a Source, d ListSource, run RunFunc, c *metrics.Counters) error {
 	defer startTimer(c)()
 	ai, err := a.Scan(c)
 	if err != nil {
@@ -65,11 +72,13 @@ func MPMGJN(mode Mode, a Source, d ListSource, emit EmitFunc, c *metrics.Counter
 	mark := di.Mark()
 	ca := newCursor(ai)
 	var pl poller
+	one := make([]xmldoc.Element, 1)
 	for ca.valid {
 		if err := pl.interrupted(c); err != nil {
 			return err
 		}
 		av := ca.cur
+		one[0] = av
 		if err := di.Restore(mark); err != nil {
 			return err
 		}
@@ -88,7 +97,7 @@ func MPMGJN(mode Mode, a Source, d ListSource, emit EmitFunc, c *metrics.Counter
 				break
 			}
 			if matches(mode, av, dv) {
-				emit(av, dv)
+				run(one, dv)
 				emitted++
 				if c != nil {
 					c.OutputPairs++
@@ -106,13 +115,19 @@ func MPMGJN(mode Mode, a Source, d ListSource, emit EmitFunc, c *metrics.Counter
 	return ca.err()
 }
 
-// BPlus runs Anc_Des_B+ of Chien et al. [8] over B+-tree indexed inputs:
+// BPlus is BPlusRuns with a per-pair callback, kept for bench/xrperf
+// (ROADMAP item 26).
+func BPlus(mode Mode, a, d Seeker, emit EmitFunc, c *metrics.Counters) error {
+	return BPlusRuns(mode, a, d, EachPair(emit), c)
+}
+
+// BPlusRuns runs Anc_Des_B+ of Chien et al. [8] over B+-tree indexed inputs:
 // descendants are skipped with range queries (seek to the current
 // ancestor's start) and a non-matching ancestor's whole subtree is skipped
 // by seeking past its end — the best a start-keyed B+-tree can do, which is
 // why it degenerates toward the no-index scan on flat ancestor sets
 // (Figure 7(b)).
-func BPlus(mode Mode, a, d Seeker, emit EmitFunc, c *metrics.Counters) error {
+func BPlusRuns(mode Mode, a, d Seeker, run RunFunc, c *metrics.Counters) error {
 	defer startTimer(c)()
 	ai, err := a.Scan(c)
 	if err != nil {
@@ -152,7 +167,7 @@ func BPlus(mode Mode, a, d Seeker, emit EmitFunc, c *metrics.Counters) error {
 			}
 		} else {
 			if !stack.empty() {
-				stack.emitAll(mode, cd.cur, emit, c)
+				stack.emitAll(mode, cd.cur, run, c)
 				cd.advance()
 			} else {
 				// Skip descendants that precede every remaining ancestor;
@@ -165,7 +180,7 @@ func BPlus(mode Mode, a, d Seeker, emit EmitFunc, c *metrics.Counters) error {
 			}
 		}
 	}
-	if err := drainStack(mode, cd, &stack, emit, c); err != nil {
+	if err := drainStack(mode, cd, &stack, run, c); err != nil {
 		return err
 	}
 	return firstErr(ca.err(), cd.err())
@@ -177,7 +192,13 @@ func countScan(c *metrics.Counters, n int64) {
 	}
 }
 
-// XRStack runs Algorithm 6 over XR-tree indexed inputs. When the ancestor
+// XRStack is XRStackRuns with a per-pair callback, kept for bench/xrperf
+// (ROADMAP item 26).
+func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Counters) error {
+	return XRStackRuns(mode, a, d, EachPair(emit), c)
+}
+
+// XRStackRuns runs Algorithm 6 over XR-tree indexed inputs. When the ancestor
 // cursor falls behind the current descendant it calls FindAncestors to jump
 // directly to the descendant's ancestors — skipping every non-matching
 // ancestor in between, which the B+ algorithm cannot do — then advances the
@@ -185,7 +206,7 @@ func countScan(c *metrics.Counters, n int64) {
 // skipping (line 19) is the same range query B+ uses. Both probes and both
 // seeks go to the cursors' fingers first, so a step whose targets lie in
 // the leaves the cursors already hold costs no descent.
-func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Counters) error {
+func XRStackRuns(mode Mode, a AncestorSeeker, d Seeker, run RunFunc, c *metrics.Counters) error {
 	defer startTimer(c)()
 	ai, err := a.Scan(c)
 	if err != nil {
@@ -226,7 +247,7 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 			if err != nil {
 				return err
 			}
-			stack.emitAll(mode, cd.cur, emit, c)
+			stack.emitAll(mode, cd.cur, run, c)
 			// Line 12 seeks the first ancestor with start > CurD.start; we
 			// seek to ≥ so an element starting exactly at CurD.start (only
 			// possible in a self-join) stays visible as a future ancestor.
@@ -239,7 +260,7 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 			if !stack.empty() {
 				// Lines 15-17: in-stack ancestors may join the following
 				// descendants, so advance D one element at a time.
-				stack.emitAll(mode, cd.cur, emit, c)
+				stack.emitAll(mode, cd.cur, run, c)
 				cd.advance()
 			} else {
 				// Line 19: skip descendants before CurA with a range query;
@@ -253,7 +274,7 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 			}
 		}
 	}
-	if err := drainStack(mode, cd, &stack, emit, c); err != nil {
+	if err := drainStack(mode, cd, &stack, run, c); err != nil {
 		return err
 	}
 	return firstErr(ca.err(), cd.err())
@@ -263,7 +284,7 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 // remaining descendants can only match already-stacked ancestors. The
 // drain can still walk the whole remaining descendant list, so it keeps
 // polling for cancellation on the same stride as the main loops.
-func drainStack(mode Mode, cd *cursor, stack *ancStack, emit EmitFunc, c *metrics.Counters) error {
+func drainStack(mode Mode, cd *cursor, stack *ancStack, run RunFunc, c *metrics.Counters) error {
 	var pl poller
 	for cd.valid && !stack.empty() {
 		if err := pl.interrupted(c); err != nil {
@@ -273,7 +294,7 @@ func drainStack(mode Mode, cd *cursor, stack *ancStack, emit EmitFunc, c *metric
 		if stack.empty() {
 			return nil
 		}
-		stack.emitAll(mode, cd.cur, emit, c)
+		stack.emitAll(mode, cd.cur, run, c)
 		cd.advance()
 	}
 	return nil

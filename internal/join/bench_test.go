@@ -181,19 +181,51 @@ func spinTask(doc uint32, pairs, work int) Task {
 	}}
 }
 
+// spinRunsTask is spinTask in run form: runs runs over an ancestor stack
+// of depth elements whose innermost element changes every run, spending
+// work rounds of xorshift on each — a structural join's output shape, with
+// depth pairs per descendant.
+func spinRunsTask(doc uint32, runs, depth, work int) Task {
+	return Task{DocID: doc, Runs: func(run RunFunc, c *metrics.Counters) error {
+		stack := make([]xmldoc.Element, depth)
+		for j := range stack {
+			stack[j] = xmldoc.Element{DocID: doc, Start: uint32(j)}
+		}
+		x := uint32(doc)*2654435761 | 1
+		for i := 0; i < runs; i++ {
+			for r := 0; r < work; r++ {
+				x ^= x << 13
+				x ^= x >> 17
+				x ^= x << 5
+			}
+			stack[depth-1].Start = uint32(depth + 2*i)
+			run(stack, xmldoc.Element{DocID: doc, Start: uint32(depth+2*i) + 1, End: x})
+			c.OutputPairs += int64(depth)
+		}
+		return nil
+	}}
+}
+
 // BenchmarkParallel measures the parallel driver as a layer: eight
-// synthetic partitions at one and two workers. The dense case emits four
-// chunks per partition at a few nanoseconds of work per pair (the
-// employee//name shape); the sparse case emits 64 pairs after
-// microseconds of work each, so its output never fills a chunk.
+// synthetic partitions at one and two workers. The dense case emits 8192
+// pairs per partition as runs of one, at a few nanoseconds of work per
+// pair; the runs case emits as many pairs at the same work per pair, but
+// as 1024 runs of eight ancestors (the employee//name shape, where each
+// descendant adds one ancestor to the stack); the sparse case emits 64
+// pairs after microseconds of work each.
 func BenchmarkParallel(b *testing.B) {
 	for _, tc := range []struct {
-		name        string
-		pairs, work int
-	}{{"dense", 4 * emitChunkPairs, 8}, {"sparse", 64, 2000}} {
+		name  string
+		pairs int64 // per task
+		task  func(doc uint32) Task
+	}{
+		{"dense", 8192, func(doc uint32) Task { return spinTask(doc, 8192, 8) }},
+		{"runs", 1024 * 8, func(doc uint32) Task { return spinRunsTask(doc, 1024, 8, 64) }},
+		{"sparse", 64, func(doc uint32) Task { return spinTask(doc, 64, 2000) }},
+	} {
 		tasks := make([]Task, 8)
 		for i := range tasks {
-			tasks[i] = spinTask(uint32(i+1), tc.pairs, tc.work)
+			tasks[i] = tc.task(uint32(i + 1))
 		}
 		for _, workers := range []int{1, 2} {
 			b.Run(tc.name+"/workers="+strconv.Itoa(workers), func(b *testing.B) {
@@ -207,7 +239,7 @@ func BenchmarkParallel(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if want := int64(len(tasks) * tc.pairs); c.OutputPairs != want {
+				if want := int64(len(tasks)) * tc.pairs; c.OutputPairs != want {
 					b.Fatalf("%d pairs, want %d", c.OutputPairs, want)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*c.OutputPairs), "ns/pair")

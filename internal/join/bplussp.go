@@ -71,12 +71,12 @@ func (s SiblingListSource) Scan(c *metrics.Counters) (Iterator, error) { return 
 // Len returns the number of elements.
 func (s SiblingListSource) Len() int { return s.L.Len() }
 
-// BPlusSP runs the sibling-pointer variant: identical pairing logic to
+// BPlusSPRuns runs the sibling-pointer variant: identical pairing logic to
 // BPlus, but a non-matching ancestor's subtree is skipped by following its
 // stored sibling pointer (one positional page access) rather than a B+-tree
 // range probe, and the descendant side advances by plain scanning (the
 // variant indexes only the ancestor side's siblings).
-func BPlusSP(mode Mode, a SiblingListSource, d Seeker, emit EmitFunc, c *metrics.Counters) error {
+func BPlusSPRuns(mode Mode, a SiblingListSource, d Seeker, run RunFunc, c *metrics.Counters) error {
 	defer startTimer(c)()
 	ai, err := a.Scan(c)
 	if err != nil {
@@ -122,7 +122,7 @@ func BPlusSP(mode Mode, a SiblingListSource, d Seeker, emit EmitFunc, c *metrics
 			}
 		} else {
 			if !stack.empty() {
-				stack.emitAll(mode, cd.cur, emit, c)
+				stack.emitAll(mode, cd.cur, run, c)
 				cd.advance()
 			} else {
 				countScan(c, 1)
@@ -133,7 +133,7 @@ func BPlusSP(mode Mode, a SiblingListSource, d Seeker, emit EmitFunc, c *metrics
 			}
 		}
 	}
-	if err := drainStack(mode, cd, &stack, emit, c); err != nil {
+	if err := drainStack(mode, cd, &stack, run, c); err != nil {
 		return err
 	}
 	return firstErr(ca.err(), cd.err())

@@ -59,7 +59,7 @@ func TestBPlusSPMatchesOracle(t *testing.T) {
 			}
 			for _, mode := range []Mode{AncestorDescendant, ParentChild} {
 				var got []Pair
-				if err := BPlusSP(mode, sp, fd.bt, Collect(&got), nil); err != nil {
+				if err := BPlusSPRuns(mode, sp, fd.bt, EachPair(Collect(&got)), nil); err != nil {
 					t.Fatalf("BPlusSP: %v", err)
 				}
 				samePairs(t, "BPlusSP", got, Reference(mode, as, ds))
@@ -86,7 +86,7 @@ func TestBPlusSPSimilarToBPlus(t *testing.T) {
 	if err := BPlus(AncestorDescendant, fa.bt, fd.bt, nil2(), &cb); err != nil {
 		t.Fatal(err)
 	}
-	if err := BPlusSP(AncestorDescendant, sp, fd.bt, nil2(), &cs); err != nil {
+	if err := BPlusSPRuns(AncestorDescendant, sp, fd.bt, EachPair(nil2()), &cs); err != nil {
 		t.Fatal(err)
 	}
 	if cb.OutputPairs != cs.OutputPairs {

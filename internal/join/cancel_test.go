@@ -24,7 +24,7 @@ func cancelCases(t *testing.T) []cancelCase {
 			return StackTreeDesc(AncestorDescendant, a.list, d.list, emit, c)
 		}},
 		{"mpmgjn", func(a, d fixture, emit EmitFunc, c *metrics.Counters) error {
-			return MPMGJN(AncestorDescendant, a.list, d.list, emit, c)
+			return MPMGJNRuns(AncestorDescendant, a.list, d.list, EachPair(emit), c)
 		}},
 		{"bplus", func(a, d fixture, emit EmitFunc, c *metrics.Counters) error {
 			return BPlus(AncestorDescendant, a.bt, d.bt, emit, c)
@@ -98,8 +98,8 @@ func TestCancelMidJoinBPlusSP(t *testing.T) {
 	defer cancel()
 	c := &metrics.Counters{Ctx: ctx}
 	var emitted int64
-	err := BPlusSP(AncestorDescendant, src, fd.bt, func(xmldoc.Element, xmldoc.Element) {
-		if emitted++; emitted == 64 {
+	err := BPlusSPRuns(AncestorDescendant, src, fd.bt, func(anc []xmldoc.Element, _ xmldoc.Element) {
+		if emitted += int64(len(anc)); emitted >= 64 {
 			cancel()
 		}
 	}, c)

@@ -14,11 +14,13 @@
 //     B+ and skips directly to the ancestors of the current descendant
 //     with FindAncestors ("XR-stack" in the tables).
 //
-// A join takes two Sources — the access paths of one element set — and an
-// emit callback; every algorithm produces exactly the pairs (a, d) with
+// A join takes two Sources — the access paths of one element set — and a
+// RunFunc; every algorithm produces exactly the pairs (a, d) with
 // a.start < d.start < a.end (plus the level condition in parent-child
-// mode), differing only in how much work it takes to find them. All costs
-// flow into the provided metrics.Counters.
+// mode), differing only in how much work it takes to find them. It hands
+// them over as runs, one call per descendant with its ancestors, in the
+// pair order the per-pair form (EmitFunc) has always had. All costs flow
+// into the provided metrics.Counters.
 package join
 
 import (
@@ -45,6 +47,27 @@ const (
 
 // EmitFunc receives one result pair.
 type EmitFunc func(a, d xmldoc.Element)
+
+// RunFunc receives one run of result pairs: descendant d paired with each
+// element of anc, in order — the join's whole ancestor stack (outermost
+// first) in ancestor-descendant mode, the one parent in parent-child mode.
+// anc is never empty, is read-only, and is valid only during the call.
+type RunFunc func(anc []xmldoc.Element, d xmldoc.Element)
+
+// EachPair adapts a per-pair callback to runs: it hands each pair of a run
+// to emit (nil discards them). The EmitFunc forms of the algorithms are
+// this adapter over their run forms; they are kept for bench/xrperf's
+// per-pair callbacks (ROADMAP item 26).
+func EachPair(emit EmitFunc) RunFunc {
+	if emit == nil {
+		return func([]xmldoc.Element, xmldoc.Element) {}
+	}
+	return func(anc []xmldoc.Element, d xmldoc.Element) {
+		for _, a := range anc {
+			emit(a, d)
+		}
+	}
+}
 
 // Pair is a materialized join result, used by tests and examples.
 type Pair struct {
@@ -414,23 +437,21 @@ func (s *ancStack) popNonAncestors(start uint32) {
 	}
 }
 
-// emitAll pairs every stacked ancestor with d. One call is one output
-// batch; its size flows to the tracer as a single EvOutput event. The mode
-// is tested once per call, not once per pair.
-func (s *ancStack) emitAll(mode Mode, d xmldoc.Element, emit EmitFunc, c *metrics.Counters) {
+// emitAll pairs the stacked ancestors that match d with it: the whole
+// stack as one run in ancestor-descendant mode, each element one level
+// above d as a run of one in parent-child mode. One call is one output
+// batch; its size flows to the tracer as a single EvOutput event.
+func (s *ancStack) emitAll(mode Mode, d xmldoc.Element, run RunFunc, c *metrics.Counters) {
 	var n int64
 	if mode == ParentChild {
-		for _, a := range s.els {
+		for i, a := range s.els {
 			if a.Level == d.Level-1 {
-				emit(a, d)
+				run(s.els[i:i+1], d)
 				n++
 			}
 		}
-	} else {
-		for _, a := range s.els {
-			emit(a, d)
-		}
-		n = int64(len(s.els))
+	} else if n = int64(len(s.els)); n > 0 {
+		run(s.els, d)
 	}
 	if c != nil {
 		c.OutputPairs += n

@@ -135,7 +135,7 @@ func runAll(t *testing.T, mode Mode, fa, fd fixture, as, ds []xmldoc.Element) {
 
 	got = nil
 	c.Reset()
-	if err := MPMGJN(mode, fa.list, fd.list, Collect(&got), &c); err != nil {
+	if err := MPMGJNRuns(mode, fa.list, fd.list, EachPair(Collect(&got)), &c); err != nil {
 		t.Fatalf("MPMGJN: %v", err)
 	}
 	samePairs(t, "MPMGJN", got, want)
@@ -330,7 +330,7 @@ func TestMPMGJNRescansMoreThanStack(t *testing.T) {
 	}
 	samePairs(t, "StackTreeDesc", got, want)
 	got = nil
-	if err := MPMGJN(AncestorDescendant, fa.list, fd.list, Collect(&got), &cMPMG); err != nil {
+	if err := MPMGJNRuns(AncestorDescendant, fa.list, fd.list, EachPair(Collect(&got)), &cMPMG); err != nil {
 		t.Fatal(err)
 	}
 	samePairs(t, "MPMGJN", got, want)
@@ -350,7 +350,7 @@ func TestNoPinLeaks(t *testing.T) {
 	if err := StackTreeDesc(AncestorDescendant, fa.list, fd.list, emit, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := MPMGJN(AncestorDescendant, fa.list, fd.list, emit, nil); err != nil {
+	if err := MPMGJNRuns(AncestorDescendant, fa.list, fd.list, EachPair(emit), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := BPlus(AncestorDescendant, fa.bt, fd.bt, emit, nil); err != nil {

@@ -14,6 +14,10 @@ import (
 	"xrtree/internal/xmldoc"
 )
 
+// pairsPerLog is how many of a per-pair producer's pairs, such as
+// synthTask's, one log holds.
+func pairsPerLog() int { return logBytes / pairBytes }
+
 // synthTask emits `count` pairs tagged with the task's doc id and counts
 // one scan per pair; odd tasks sleep briefly so completion order scrambles.
 func synthTask(doc uint32, count int) Task {
@@ -36,15 +40,16 @@ func synthTask(doc uint32, count int) Task {
 
 // TestParallelPreservesTaskOrder checks that the pair stream and the
 // merged counters are exactly the sequential loop's at every worker
-// count: with output-light tasks, which finish inside their chunks out of
-// order, and with dense ones, which fill their chunks so that tasks ahead
-// of the front wait, then stream, and the run stops dispatching ahead.
+// count: with output-light tasks, which finish inside their logs out of
+// order, and with dense ones, which fill their logs so that tasks ahead
+// of the front wait, then replay and stream, and the run stops
+// dispatching ahead.
 func TestParallelPreservesTaskOrder(t *testing.T) {
 	const tasks = 12
 	for _, tc := range []struct {
 		perTask int
 		workers []int
-	}{{50, []int{0, 1, 2, 4, 16}}, {3*emitChunkPairs + 7, []int{2, 4, 16}}} {
+	}{{50, []int{0, 1, 2, 4, 16}}, {3*pairsPerLog() + 7, []int{2, 4, 16}}} {
 		perTask := tc.perTask
 		ts := make([]Task, tasks)
 		for i := range ts {
@@ -79,11 +84,12 @@ func TestParallelPreservesTaskOrder(t *testing.T) {
 }
 
 // TestParallelBoundsBufferedPairs checks that a dense run holds at most
-// one chunk per task ahead of the front: the pairs that tasks ahead of
-// the first incompletely delivered task have produced, but the caller has
-// not received, never exceed (workers − 1) chunks.
+// one full log per task in the window ahead of the front: the pairs that
+// tasks ahead of the first incompletely delivered task have produced, but
+// the caller has not received, never exceed 2×workers−1 logs.
 func TestParallelBoundsBufferedPairs(t *testing.T) {
-	const tasks, perTask = 8, 3*emitChunkPairs + 7
+	const tasks = 8
+	perTask := 3*pairsPerLog() + 7
 	for _, workers := range []int{2, 4} {
 		var (
 			mu        sync.Mutex
@@ -124,19 +130,19 @@ func TestParallelBoundsBufferedPairs(t *testing.T) {
 			t.Fatalf("workers=%d: delivered %v, want %d per task", workers, delivered, perTask)
 		}
 		t.Logf("workers=%d: at most %d pairs buffered ahead of the front", workers, high)
-		if limit := (workers - 1) * emitChunkPairs; high > limit {
+		if limit := (2*workers - 1) * pairsPerLog(); high > limit {
 			t.Fatalf("workers=%d: %d pairs buffered ahead of the front, want ≤ %d", workers, high, limit)
 		}
 	}
 }
 
 // awaitParked blocks until a task ahead of the front waits, with its
-// chunk full, to become the front.
+// log full, to become the front.
 func awaitParked() error {
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
-			if bytes.Contains(g, []byte("sync.(*Cond).Wait")) && bytes.Contains(g, []byte("(*taskEmitter).buffer")) {
+			if bytes.Contains(g, []byte("sync.(*Cond).Wait")) && bytes.Contains(g, []byte("(*runLog).toFront")) {
 				return nil
 			}
 		}
@@ -145,7 +151,7 @@ func awaitParked() error {
 }
 
 // TestParallelFailureReleasesWaitingTask fails the run while a task ahead
-// of the front waits on its full chunk, once by the front task's error and
+// of the front waits on its full log, once by the front task's error and
 // once by cancellation: the run returns the error and leaves no goroutine.
 func TestParallelFailureReleasesWaitingTask(t *testing.T) {
 	boom := errors.New("boom")
@@ -170,8 +176,8 @@ func TestParallelFailureReleasesWaitingTask(t *testing.T) {
 				}
 				return tc.front(cancel, c)
 			}},
-			synthTask(2, 2*emitChunkPairs),
-			synthTask(3, 2*emitChunkPairs),
+			synthTask(2, 2*pairsPerLog()),
+			synthTask(3, 2*pairsPerLog()),
 		}
 		err := Parallel(ts, Options{Workers: 2}, nil, &metrics.Counters{Ctx: ctx})
 		cancel()
@@ -182,6 +188,56 @@ func TestParallelFailureReleasesWaitingTask(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatalf("%s: %d goroutines, %d before the run", tc.name, runtime.NumGoroutine(), base)
 			}
+		}
+	}
+}
+
+// TestParallelFullLogDispatch checks the dispatch rule after a log fills
+// ahead of the front. The full task's first delivered pair holds the
+// replay until the next task starts or a wait runs out. A per-pair
+// producer's full log makes the run dense, so the next task must not start
+// before the full task is the front and done; a run producer's full log
+// leaves the window open, so the next task must start meanwhile.
+func TestParallelFullLogDispatch(t *testing.T) {
+	for _, runs := range []bool{false, true} {
+		full := synthTask(2, 2*pairsPerLog())
+		wait := 100 * time.Millisecond
+		if runs {
+			n := 2 * pairsPerLog()
+			full = Task{DocID: 2, Runs: func(run RunFunc, c *metrics.Counters) error {
+				for i := 0; i < n; i++ {
+					a := xmldoc.Element{DocID: 2, Start: uint32(i + 1), End: uint32(i + 100)}
+					run([]xmldoc.Element{a}, xmldoc.Element{DocID: 2, Start: uint32(i + 2), End: uint32(i + 3)})
+				}
+				return nil
+			}}
+			wait = 10 * time.Second
+		}
+		started := make(chan struct{})
+		ts := []Task{
+			{DocID: 1, Run: func(emit EmitFunc, c *metrics.Counters) error { return awaitParked() }},
+			full,
+			{DocID: 3, Run: func(emit EmitFunc, c *metrics.Counters) error {
+				close(started)
+				return nil
+			}},
+		}
+		held, ahead := false, false
+		emit := func(a, d xmldoc.Element) {
+			if d.DocID == 2 && !held {
+				held = true
+				select {
+				case <-started:
+					ahead = true
+				case <-time.After(wait):
+				}
+			}
+		}
+		if err := Parallel(ts, Options{Workers: 2}, emit, nil); err != nil {
+			t.Fatal(err)
+		}
+		if ahead != runs {
+			t.Fatalf("runs=%v: next task started ahead of the full task = %v, want %v", runs, ahead, runs)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func TestQuickAllAlgorithmsAgree(t *testing.T) {
 				return StackTreeDesc(AncestorDescendant, fa.list, fd.list, emit, nil)
 			},
 			"mpmgjn": func(emit EmitFunc) error {
-				return MPMGJN(AncestorDescendant, fa.list, fd.list, emit, nil)
+				return MPMGJNRuns(AncestorDescendant, fa.list, fd.list, EachPair(emit), nil)
 			},
 			"bplus": func(emit EmitFunc) error {
 				return BPlus(AncestorDescendant, fa.bt, fd.bt, emit, nil)

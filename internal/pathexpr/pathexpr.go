@@ -363,8 +363,10 @@ func semiJoinAncestors(anc, desc []xmldoc.Element, mode join.Mode, c *metrics.Co
 		return nil, nil
 	}
 	seen := make(map[uint32]xmldoc.Element, 64)
-	err := join.XRStack(mode, join.SliceSource{Els: anc}, join.SliceSource{Els: desc}, func(av, _ xmldoc.Element) {
-		seen[av.Start] = av
+	err := join.XRStackRuns(mode, join.SliceSource{Els: anc}, join.SliceSource{Els: desc}, func(run []xmldoc.Element, _ xmldoc.Element) {
+		for _, av := range run {
+			seen[av.Start] = av
+		}
 	}, c)
 	if err != nil {
 		return nil, err
@@ -402,8 +404,8 @@ func joinStep(cur []xmldoc.Element, desc *core.Tree, mode join.Mode, c *metrics.
 	a := join.SliceSource{Els: cur}
 	d := join.XRTreeSource{T: desc}
 	var out []xmldoc.Element
-	err := join.XRStack(mode, a, d, func(_, dv xmldoc.Element) {
-		// XR-stack emits pairs in ascending descendant order, so the pairs
+	err := join.XRStackRuns(mode, a, d, func(_ []xmldoc.Element, dv xmldoc.Element) {
+		// XR-stack emits runs in ascending descendant order, so the runs
 		// of one descendant are adjacent.
 		if len(out) == 0 || out[len(out)-1].Start != dv.Start {
 			out = append(out, dv)

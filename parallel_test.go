@@ -5,11 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"xrtree"
+	"xrtree/internal/invariant"
+	"xrtree/internal/obs"
 )
 
 // genDocXML builds one synthetic document: na top-level <a> subtrees, each
@@ -40,6 +45,12 @@ func genDocXML(rng *rand.Rand, na int) string {
 
 func newParallelCollection(t *testing.T, docs int) *xrtree.Collection {
 	t.Helper()
+	return newCollectionOf(t, docs, 60)
+}
+
+// newCollectionOf builds docs documents of na top-level <a> subtrees each.
+func newCollectionOf(t *testing.T, docs, na int) *xrtree.Collection {
+	t.Helper()
 	store, err := xrtree.NewMemStore(xrtree.StoreOptions{PageSize: 1024, BufferPages: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +59,7 @@ func newParallelCollection(t *testing.T, docs int) *xrtree.Collection {
 	coll := store.NewCollection()
 	rng := rand.New(rand.NewSource(7))
 	for id := 1; id <= docs; id++ {
-		doc, err := xrtree.ParseXML(strings.NewReader(genDocXML(rng, 60)), uint32(id))
+		doc, err := xrtree.ParseXML(strings.NewReader(genDocXML(rng, na)), uint32(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,5 +219,73 @@ func TestCollectionJoinCanceled(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
+	}
+}
+
+// TestParallelJoinOneCPURunsSerially checks that ParallelJoin runs the
+// sequential loop when GOMAXPROCS is 1, whatever Workers asks for: the
+// concurrent driver gives each partition a child span of the caller's, the
+// sequential loop none.
+func TestParallelJoinOneCPURunsSerially(t *testing.T) {
+	coll := newParallelCollection(t, 8)
+	var seq []xrtree.Pair
+	if err := coll.Join(xrtree.AlgXRStack, xrtree.AncestorDescendant, "a", "d",
+		func(a, d xrtree.Element) { seq = append(seq, xrtree.Pair{A: a, D: d}) }, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ procs, spans int }{{1, 0}, {2, 8}} {
+		runtime.GOMAXPROCS(tc.procs)
+		tr := obs.NewTrace("join", obs.TraceID{}, obs.SpanID{}, nil, nil)
+		var pairs []xrtree.Pair
+		err := coll.ParallelJoin(xrtree.AlgXRStack, xrtree.AncestorDescendant, "a", "d",
+			func(a, d xrtree.Element) { pairs = append(pairs, xrtree.Pair{A: a, D: d}) },
+			&xrtree.Stats{Tracer: tr.Root()}, xrtree.ParallelJoinOptions{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(pairs, seq) {
+			t.Fatalf("GOMAXPROCS=%d: the pair stream differs from the sequential join's", tc.procs)
+		}
+		if spans := len(tr.Record().Spans) - 1; spans != tc.spans {
+			t.Errorf("GOMAXPROCS=%d: %d partition spans, want %d", tc.procs, spans, tc.spans)
+		}
+	}
+}
+
+// TestParallelJoinWarmAllocatesNoLog checks that the run logs of tasks
+// ahead of the front are pooled: once warm, a two-worker ParallelJoin
+// allocates no more than one worker plus the driver's own few kilobytes,
+// less than the log of any one of its documents (each has ~1 500
+// descendants with ancestors, ≥ 40 KB of log records). The medians of
+// single runs are compared, since the pool keeps its logs per CPU and a
+// run now and then finds none on its own.
+func TestParallelJoinWarmAllocatesNoLog(t *testing.T) {
+	if invariant.Race {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	coll := newCollectionOf(t, 8, 600)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	perRun := func(workers int) uint64 {
+		bytes := make([]uint64, 21)
+		for i := -5; i < len(bytes); i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := coll.ParallelJoin(xrtree.AlgXRStack, xrtree.AncestorDescendant, "a", "d", nil, nil,
+				xrtree.ParallelJoinOptions{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if i >= 0 {
+				bytes[i] = after.TotalAlloc - before.TotalAlloc
+			}
+		}
+		slices.Sort(bytes)
+		return bytes[len(bytes)/2]
+	}
+	one, two := perRun(1), perRun(2)
+	t.Logf("median bytes per join: %d at one worker, %d at two", one, two)
+	if two > one+16<<10 {
+		t.Errorf("a warm two-worker join allocates %d bytes, one worker %d: the logs are not reused", two, one)
 	}
 }

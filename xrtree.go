@@ -446,25 +446,28 @@ type Pair = join.Pair
 // on the way out, and returns the context's error (context.Canceled or
 // context.DeadlineExceeded).
 func Join(alg Algorithm, mode Mode, a, d *ElementSet, emit EmitFunc, st *Stats) error {
-	if emit == nil {
-		emit = func(Element, Element) {}
-	}
+	return joinRuns(alg, mode, a, d, join.EachPair(emit), st)
+}
+
+// joinRuns is Join in run form (join.RunFunc): the one algorithm switch
+// behind Join and the collection's per-document tasks.
+func joinRuns(alg Algorithm, mode Mode, a, d *ElementSet, run join.RunFunc, st *Stats) error {
 	switch alg {
 	case AlgNoIndex:
 		if a.list == nil || d.list == nil {
 			return ErrNoAccessPath
 		}
-		return join.StackTreeDesc(mode, join.ListSource{L: a.list}, join.ListSource{L: d.list}, emit, st)
+		return join.StackTreeDescRuns(mode, join.ListSource{L: a.list}, join.ListSource{L: d.list}, run, st)
 	case AlgMPMGJN:
 		if a.list == nil || d.list == nil {
 			return ErrNoAccessPath
 		}
-		return join.MPMGJN(mode, join.ListSource{L: a.list}, join.ListSource{L: d.list}, emit, st)
+		return join.MPMGJNRuns(mode, join.ListSource{L: a.list}, join.ListSource{L: d.list}, run, st)
 	case AlgBPlus:
 		if a.bt == nil || d.bt == nil {
 			return ErrNoAccessPath
 		}
-		return join.BPlus(mode, join.BTreeSource{T: a.bt}, join.BTreeSource{T: d.bt}, emit, st)
+		return join.BPlusRuns(mode, join.BTreeSource{T: a.bt}, join.BTreeSource{T: d.bt}, run, st)
 	case AlgBPlusSP:
 		if a.list == nil || d.bt == nil {
 			return ErrNoAccessPath
@@ -473,12 +476,12 @@ func Join(alg Algorithm, mode Mode, a, d *ElementSet, emit EmitFunc, st *Stats) 
 		if err != nil {
 			return err
 		}
-		return join.BPlusSP(mode, src, join.BTreeSource{T: d.bt}, emit, st)
+		return join.BPlusSPRuns(mode, src, join.BTreeSource{T: d.bt}, run, st)
 	case AlgXRStack:
 		if a.xr == nil || d.xr == nil {
 			return ErrNoAccessPath
 		}
-		return join.XRStack(mode, join.XRTreeSource{T: a.xr}, join.XRTreeSource{T: d.xr}, emit, st)
+		return join.XRStackRuns(mode, join.XRTreeSource{T: a.xr}, join.XRTreeSource{T: d.xr}, run, st)
 	default:
 		return fmt.Errorf("xrtree: unknown algorithm %d", alg)
 	}
