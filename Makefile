@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench-test bench-record race bench inline-check microbench microbench-smoke serve-smoke cluster-smoke examples examples-check experiments clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
+.PHONY: all build test bench-test bench-record bench-counts race bench inline-check microbench microbench-smoke serve-smoke cluster-smoke examples examples-check experiments clean fmt-check lint vet vet-analyzers vet-run test-debug fuzz-smoke crash-smoke ci
 
 all: build test
 
@@ -29,6 +29,14 @@ bench-record:
 	cp bench/out/result.json BENCH_$(PR).json
 	$(GO) run -C bench ./xrperf -seed 1 -trace 1
 	cp bench/out/result-trace.json BENCH_$(PR).trace.json
+
+# The counted metrics as a gate: a one-second traced xrperf pass (~20 s)
+# must reproduce every page, probe and allocation count of the newest
+# BENCH_<n>.trace.json exactly (allocation counts only under the record's
+# Go release); scripts/benchcounts lists them, and its -records flag
+# prints the same diff between the two newest records.
+bench-counts:
+	$(GO) run ./scripts/benchcounts -go $(GO)
 
 race:
 	$(GO) test -race ./...
@@ -140,7 +148,7 @@ lint:
 	fi
 
 # Everything the CI pipeline runs, in the same order, runnable locally.
-ci: build inline-check fmt-check lint vet test bench-test race test-debug microbench-smoke serve-smoke cluster-smoke crash-smoke examples-check
+ci: build inline-check fmt-check lint vet test bench-test bench-counts race test-debug microbench-smoke serve-smoke cluster-smoke crash-smoke examples-check
 	@echo "ci: all checks passed"
 
 examples:

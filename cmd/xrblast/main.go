@@ -214,19 +214,12 @@ func (t *traceLog) slowestDecile() []traceHandle {
 }
 
 func (r *results) latency() xrtree.LatencySummary {
-	h := r.col.Histogram(obs.EvServeSpan)
-	if h == nil || h.Count() == 0 {
-		return xrtree.LatencySummary{}
+	s := r.col.Histogram(obs.EvServeSpan).Summary()
+	if s.Count > 0 {
+		// The exact maximum, not the top bucket's bound.
+		s.MaxMS = float64(r.maxNS.Load()) * 1e-6
 	}
-	const msPerNs = 1e-6
-	return xrtree.LatencySummary{
-		Count:  h.Count(),
-		MeanMS: h.Mean() * msPerNs,
-		P50MS:  float64(h.Quantile(0.50)) * msPerNs,
-		P90MS:  float64(h.Quantile(0.90)) * msPerNs,
-		P99MS:  float64(h.Quantile(0.99)) * msPerNs,
-		MaxMS:  float64(r.maxNS.Load()) * msPerNs,
-	}
+	return s
 }
 
 func main() {

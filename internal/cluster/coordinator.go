@@ -281,7 +281,7 @@ func (co *Coordinator) Status() Status {
 			Failures:    sm.failures.Load(),
 			Hedges:      sm.hedges.Load(),
 			Retries:     sm.retries.Load(),
-			Latency:     summarize(&sm.lat),
+			Latency:     sm.lat.Summary(),
 		})
 		st.Docs += len(owned)
 	}
@@ -349,10 +349,12 @@ type subQueryResponse struct {
 	Stats   subStats         `json:"stats"`
 }
 
-// decodeInto replays one shard response into the ordered merge: sample
-// pairs go to emit (the driver serializes them into document order), and
-// the shard's counts fold into the task-local counters.
-func decodeInto(kind string, body []byte, emit join.EmitFunc, c *metrics.Counters) error {
+// decodeInto replays one shard response into the ordered merge: each
+// sample pair goes to run as a run of one (the driver serializes them into
+// document order; a query match pairs with the zero descendant), and the
+// shard's counts fold into the task-local counters.
+func decodeInto(kind string, body []byte, run join.RunFunc, c *metrics.Counters) error {
+	var anc [1]xmldoc.Element
 	switch kind {
 	case "query":
 		var r subQueryResponse
@@ -360,7 +362,8 @@ func decodeInto(kind string, body []byte, emit join.EmitFunc, c *metrics.Counter
 			return fmt.Errorf("cluster: bad shard query response: %w", err)
 		}
 		for _, el := range r.Sample {
-			emit(el, xmldoc.Element{})
+			anc[0] = el
+			run(anc[:], xmldoc.Element{})
 		}
 		c.OutputPairs += int64(r.Matches)
 		r.Stats.addTo(c)
@@ -371,7 +374,8 @@ func decodeInto(kind string, body []byte, emit join.EmitFunc, c *metrics.Counter
 			return fmt.Errorf("cluster: bad shard join response: %w", err)
 		}
 		for _, p := range r.Sample {
-			emit(p.Anc, p.Desc)
+			anc[0] = p.Anc
+			run(anc[:], p.Desc)
 		}
 		c.OutputPairs += r.Pairs
 		r.Stats.addTo(c)
@@ -495,7 +499,7 @@ func (co *Coordinator) Gather(ctx context.Context, req *Request, tracer obs.Trac
 		}
 		q.Set("docs", FormatDocSet(r.ids))
 		pathQuery := path + "?" + q.Encode()
-		tasks[i] = join.Task{DocID: r.ids[0], Run: func(emit join.EmitFunc, c *metrics.Counters) error {
+		tasks[i] = join.Task{DocID: r.ids[0], Runs: func(run join.RunFunc, c *metrics.Counters) error {
 			tp := ""
 			if req.Traced {
 				// The driver gave this task its own span; its id on the
@@ -519,7 +523,7 @@ func (co *Coordinator) Gather(ctx context.Context, req *Request, tracer obs.Trac
 				}
 				return err
 			}
-			if derr := decodeInto(req.Kind, body, emit, c); derr != nil {
+			if derr := decodeInto(req.Kind, body, run, c); derr != nil {
 				// A malformed response is a shard failure, not a client
 				// error: it must cross the boundary typed so the router
 				// answers 502, and it must honor the partial-result

@@ -132,11 +132,11 @@ func denseShard(t *testing.T, id uint32, perDoc int, delay time.Duration) *httpt
 
 // TestGatherFanoutOverlaps checks that an output-dense scatter still
 // fetches its shards concurrently: each of three shards answers after the
-// same delay with more pairs than the parallel driver's 2048-pair chunk,
-// and the gather returns them in document order within two delays. The
-// delay is long because under -race decoding the 6 300 pairs alone takes
-// about 200 ms on two CPUs; run one after another, the sub-requests would
-// take three delays.
+// same delay with more pairs than one of the parallel driver's run logs
+// holds as runs of one (1 706), and the gather returns them in document
+// order within two delays. The delay is long because under -race decoding
+// the 6 300 pairs alone takes about 200 ms on two CPUs; run one after
+// another, the sub-requests would take three delays.
 func TestGatherFanoutOverlaps(t *testing.T) {
 	const delay, perDoc = 500 * time.Millisecond, 2100
 	var specs []ShardSpec

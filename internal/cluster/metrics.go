@@ -102,21 +102,6 @@ func (m *Metrics) p99(name string) (ns int64, samples int64) {
 	return sm.lat.Quantile(0.99), sm.lat.Count()
 }
 
-func summarize(h *obs.Histogram) xrtree.LatencySummary {
-	if h.Count() == 0 {
-		return xrtree.LatencySummary{}
-	}
-	const msPerNs = 1e-6
-	return xrtree.LatencySummary{
-		Count:  h.Count(),
-		MeanMS: h.Mean() * msPerNs,
-		P50MS:  float64(h.Quantile(0.50)) * msPerNs,
-		P90MS:  float64(h.Quantile(0.90)) * msPerNs,
-		P99MS:  float64(h.Quantile(0.99)) * msPerNs,
-		MaxMS:  float64(h.Quantile(1)) * msPerNs,
-	}
-}
-
 // ShardStatus is one shard's entry in the /api/v1/cluster document.
 type ShardStatus struct {
 	Name        string                `json:"name"`

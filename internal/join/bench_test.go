@@ -208,11 +208,13 @@ func spinRunsTask(doc uint32, runs, depth, work int) Task {
 
 // BenchmarkParallel measures the parallel driver as a layer: eight
 // synthetic partitions at one and two workers. The dense case emits 8192
-// pairs per partition as runs of one, at a few nanoseconds of work per
-// pair; the runs case emits as many pairs at the same work per pair, but
-// as 1024 runs of eight ancestors (the employee//name shape, where each
-// descendant adds one ancestor to the stack); the sparse case emits 64
-// pairs after microseconds of work each.
+// pairs per partition pair by pair, at a few nanoseconds of work per pair;
+// the runs case emits as many pairs at the same work per pair, but as 1024
+// runs of eight ancestors (the employee//name shape, where each descendant
+// adds one ancestor to the stack); the sparse case emits 64 pairs pair by
+// pair after microseconds of work each, and sparse-runs the same as runs
+// of one (a cluster shard decode's shape). A per-pair producer starts only
+// as the front, so dense and sparse run at one worker's speed.
 func BenchmarkParallel(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
@@ -222,6 +224,7 @@ func BenchmarkParallel(b *testing.B) {
 		{"dense", 8192, func(doc uint32) Task { return spinTask(doc, 8192, 8) }},
 		{"runs", 1024 * 8, func(doc uint32) Task { return spinRunsTask(doc, 1024, 8, 64) }},
 		{"sparse", 64, func(doc uint32) Task { return spinTask(doc, 64, 2000) }},
+		{"sparse-runs", 64, func(doc uint32) Task { return spinRunsTask(doc, 64, 1, 2000) }},
 	} {
 		tasks := make([]Task, 8)
 		for i := range tasks {

@@ -27,13 +27,9 @@ package join
 // its log fills and it waits until it does, it replays the log itself and
 // streams the rest. Logs are bounded (logBytes) and pooled, and at most
 // 2×workers−1 tasks run ahead of the front, so the output held aside is
-// bounded too. A per-pair producer (Task.Run) logs plain pairs, which no
-// log can shrink: once such a task fills its log, the run is dense and no
-// task is dispatched ahead of the front from then on, so dense pair
-// output runs at one-worker speed instead of logging and replaying every
-// pair, while a cluster fan-out, whose tasks fetch a whole shard response
-// before their first emit, stays concurrent. Why this cut and not the
-// earlier ones: DESIGN.md, "Parallel join driver".
+// bounded too. A per-pair producer (Task.Run) starts only when it is the
+// front and streams straight to emit, so no log ever holds a pair. Why this
+// cut and not the earlier ones: DESIGN.md, "Parallel join driver".
 
 import (
 	"context"
@@ -58,9 +54,9 @@ type Task struct {
 	DocID uint32
 	// Runs produces the partition's output as runs. When nil, Run does.
 	Runs func(run RunFunc, c *metrics.Counters) error
-	// Run produces it pair by pair; a log ahead of the front holds its
-	// pairs as pairs. It is kept for the cluster's shard decode and
-	// bench/xrperf's merge ladder, which produce pairs (ROADMAP item 26).
+	// Run produces it pair by pair. Such a task starts only when it is the
+	// front, so it runs at one worker's speed. It is kept for bench/xrperf's
+	// merge ladder, which produces pairs (ROADMAP item 26).
 	Run func(emit EmitFunc, c *metrics.Counters) error
 }
 
@@ -73,8 +69,7 @@ type Options struct {
 
 // logBytes is the most bytes one run log holds: 80 KiB, room for a
 // Department document's whole employee//name partition (~990 records and
-// ~990 added ancestors, 48 KB), or for 2 048 pairs of a per-pair producer.
-// Tests lower it to force overflow.
+// ~990 added ancestors, 48 KB). Tests lower it to force overflow.
 var logBytes = 80 << 10
 
 // logRec is one run of a log: the descendant, paired with the first keep
@@ -88,11 +83,10 @@ type logRec struct {
 const (
 	recBytes  = int(unsafe.Sizeof(logRec{}))
 	elemBytes = int(unsafe.Sizeof(xmldoc.Element{}))
-	pairBytes = int(unsafe.Sizeof(Pair{}))
 )
 
 // runLog is the output of one task dispatched ahead of the front. Logs are
-// pooled with their slices and bound callbacks, so a warm run allocates
+// pooled with their slices and bound callback, so a warm run allocates
 // none.
 type runLog struct {
 	s         *driverState
@@ -102,32 +96,13 @@ type runLog struct {
 	recs  []logRec
 	arena []xmldoc.Element // the added ancestors of every record, in order
 	stack []xmldoc.Element // the last run's ancestors; the replay's stack
-	pairs []Pair           // a per-pair producer's output
 
-	run  RunFunc  // add, bound once
-	emit EmitFunc // add's per-pair form, bound once
+	run RunFunc // add, bound once
 }
 
 var logPool = sync.Pool{New: func() any {
 	l := &runLog{}
 	l.run = l.add
-	// emit is add for a per-pair producer. Its pairs are logged as pairs:
-	// a run of one with a new ancestor would take more bytes and more work
-	// to log and replay. A full log marks the run dense. It is a closure,
-	// not a method value, because a method value's wrapper copies the pair
-	// once more, and reloading d, passed on the stack, stalls.
-	l.emit = func(a, d xmldoc.Element) {
-		if !l.streaming {
-			if !l.s.isFront(l.i) && (len(l.pairs)+1)*pairBytes <= logBytes {
-				l.pairs = append(l.pairs, Pair{A: a, D: d})
-				return
-			}
-			if !l.toFront(true) {
-				return
-			}
-		}
-		l.s.emit(a, d)
-	}
 	return l
 }}
 
@@ -145,7 +120,7 @@ func putLog(l *runLog) {
 
 // reset empties the log, keeping its storage.
 func (l *runLog) reset() {
-	l.recs, l.arena, l.stack, l.pairs = l.recs[:0], l.arena[:0], l.stack[:0], l.pairs[:0]
+	l.recs, l.arena, l.stack = l.recs[:0], l.arena[:0], l.stack[:0]
 }
 
 // add takes one run of the task: into the log while the task is ahead of
@@ -156,7 +131,7 @@ func (l *runLog) add(anc []xmldoc.Element, d xmldoc.Element) {
 		if !l.s.isFront(l.i) && l.record(anc, d) {
 			return
 		}
-		if !l.toFront(false) {
+		if !l.toFront() {
 			return
 		}
 	}
@@ -194,14 +169,12 @@ func (l *runLog) record(anc []xmldoc.Element, d xmldoc.Element) bool {
 }
 
 // toFront waits until the task is the front — at once when it already
-// is — then replays the log and makes the task stream. A per-pair
-// producer that has to wait marks the run dense. It reports false,
+// is — then replays the log and makes the task stream. It reports false,
 // abandoning the log, if the run failed meanwhile.
-func (l *runLog) toFront(perPair bool) bool {
+func (l *runLog) toFront() bool {
 	s := l.s
 	if !s.isFront(l.i) {
 		s.mu.Lock()
-		s.dense = s.dense || perPair
 		for !s.isFront(l.i) && s.firstErr == nil {
 			s.cond.Wait()
 		}
@@ -217,11 +190,11 @@ func (l *runLog) toFront(perPair bool) bool {
 	return true
 }
 
-// replay hands the logged output to the caller's emit in the order it was
-// produced — runs through EachPair, the adapter the front task streams
-// through — and empties the log.
+// replay hands the logged runs to the caller's emit in the order they were
+// produced — through EachPair, the adapter the front task streams through —
+// and empties the log.
 func (l *runLog) replay() {
-	run, emit := l.s.run, l.s.emit
+	run := l.s.run
 	stack, pos := l.stack[:0], uint32(0)
 	for i := range l.recs {
 		r := &l.recs[i]
@@ -230,9 +203,6 @@ func (l *runLog) replay() {
 		run(stack, r.d)
 	}
 	l.stack = stack
-	for _, p := range l.pairs {
-		emit(p.A, p.D)
-	}
 	l.reset()
 }
 
@@ -249,7 +219,6 @@ type driverState struct {
 	run      RunFunc // EachPair(emit)
 	tasks    []Task
 	ahead    int          // most tasks dispatched ahead of the front
-	dense    bool         // a per-pair task filled its log: dispatch none ahead of the front
 	held     []*runLog    // per task: its log, once it finished ahead of the front
 	front    atomic.Int64 // first task whose output has not fully reached emit
 	next     int          // task dispatch counter
@@ -263,10 +232,10 @@ func (s *driverState) isFront(i int) bool { return s.front.Load() == int64(i) }
 
 // aheadLocked reports whether task next may not start yet: it would run
 // further ahead of the front than the window allows, or ahead of it at all
-// in a dense run.
+// as a per-pair producer, which has no log.
 func (s *driverState) aheadLocked() bool {
 	n := int64(s.next) - s.front.Load()
-	return n > int64(s.ahead) || s.dense && n > 0
+	return n > int64(s.ahead) || n > 0 && s.tasks[s.next].Runs == nil
 }
 
 // failLocked records the run's first error and wakes every waiter.
@@ -408,10 +377,10 @@ func (s *driverState) work(c *metrics.Counters) {
 		}
 		i := s.next
 		s.next++
-		run, emit, l := s.run, s.emit, (*runLog)(nil)
+		run, l := s.run, (*runLog)(nil)
 		if !s.isFront(i) {
 			l = getLog(s, i)
-			run, emit = l.run, l.emit
+			run = l.run
 		}
 		s.mu.Unlock()
 
@@ -422,7 +391,7 @@ func (s *driverState) work(c *metrics.Counters) {
 			tr = sp
 		}
 		*local = metrics.Counters{Tracer: tr, Ctx: ctx}
-		err := runTask(&s.tasks[i], run, emit, local)
+		err := runTask(&s.tasks[i], run, s.emit, local)
 		sp.End()
 
 		s.mu.Lock()

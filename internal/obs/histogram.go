@@ -107,6 +107,37 @@ func (h *Histogram) Reset() {
 	}
 }
 
+// LatencySummary digests a nanosecond-valued histogram in milliseconds.
+// Its quantiles are upper bounds from the power-of-two buckets: coarse,
+// but stable across runs. The serving endpoints (/api/v1/stats of
+// xrserve, /api/v1/cluster of a router) and the xrblast load generator
+// report it.
+type LatencySummary struct {
+	Count  int64   `json:"count"`
+	MeanMS float64 `json:"mean_ms"`
+	P50MS  float64 `json:"p50_ms"`
+	P90MS  float64 `json:"p90_ms"`
+	P99MS  float64 `json:"p99_ms"`
+	MaxMS  float64 `json:"max_ms,omitempty"`
+}
+
+// Summary digests the histogram, whose values are nanoseconds, into a
+// LatencySummary: the zero value when h is nil or empty.
+func (h *Histogram) Summary() LatencySummary {
+	if h == nil || h.Count() == 0 {
+		return LatencySummary{}
+	}
+	const msPerNs = 1e-6
+	return LatencySummary{
+		Count:  h.Count(),
+		MeanMS: h.Mean() * msPerNs,
+		P50MS:  float64(h.Quantile(0.50)) * msPerNs,
+		P90MS:  float64(h.Quantile(0.90)) * msPerNs,
+		P99MS:  float64(h.Quantile(0.99)) * msPerNs,
+		MaxMS:  float64(h.Quantile(1)) * msPerNs,
+	}
+}
+
 // Bucket is one non-empty bucket of a histogram snapshot: N observations
 // with value ≤ Le (and greater than the previous bucket's Le).
 type Bucket struct {

@@ -74,6 +74,34 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
+// TestHistogramSummary checks the millisecond digest: the zero value for
+// a nil or empty histogram, and the bucket bounds scaled from nanoseconds.
+func TestHistogramSummary(t *testing.T) {
+	var nilH *Histogram
+	var h Histogram
+	if nilH.Summary() != (LatencySummary{}) || h.Summary() != (LatencySummary{}) {
+		t.Fatal("nil or empty histogram should summarize to the zero value")
+	}
+	for _, v := range []int64{1e6, 1e6, 2e6, 3e6, 100e6} {
+		h.Observe(v)
+	}
+	s := h.Summary()
+	want := LatencySummary{
+		Count:  5,
+		MeanMS: h.Mean() * 1e-6,
+		P50MS:  float64(h.Quantile(0.5)) * 1e-6,
+		P90MS:  float64(h.Quantile(0.9)) * 1e-6,
+		P99MS:  float64(h.Quantile(0.99)) * 1e-6,
+		MaxMS:  float64(h.Quantile(1)) * 1e-6,
+	}
+	if s != want {
+		t.Fatalf("summary = %+v, want %+v", s, want)
+	}
+	if s.MaxMS < 100 || s.P50MS < 2 {
+		t.Fatalf("summary = %+v: quantile bounds below the observed values", s)
+	}
+}
+
 func TestCollectorAggregates(t *testing.T) {
 	c := NewCollector()
 	c.Event(EvSkipDesc, 10)

@@ -72,25 +72,6 @@ func (m *Metrics) Done(ok bool, queueWait, total time.Duration) {
 	m.col.Event(obs.EvServeSpan, total.Nanoseconds())
 }
 
-// summarize digests one nanosecond-valued event kind into milliseconds
-// (quantiles are upper bounds from the power-of-two buckets — coarse but
-// cheap and lock-free).
-func (m *Metrics) summarize(kind obs.EventKind) xrtree.LatencySummary {
-	h := m.col.Histogram(kind)
-	if h == nil || h.Count() == 0 {
-		return xrtree.LatencySummary{}
-	}
-	const msPerNs = 1e-6
-	return xrtree.LatencySummary{
-		Count:  h.Count(),
-		MeanMS: h.Mean() * msPerNs,
-		P50MS:  float64(h.Quantile(0.50)) * msPerNs,
-		P90MS:  float64(h.Quantile(0.90)) * msPerNs,
-		P99MS:  float64(h.Quantile(0.99)) * msPerNs,
-		MaxMS:  float64(h.Quantile(1)) * msPerNs,
-	}
-}
-
 // MetricsSnapshot is the JSON shape of /api/v1/stats' server section:
 // outcome counts, live gauges, latency digests, and the raw
 // event snapshot for anything not pre-digested.
@@ -125,8 +106,8 @@ func (m *Metrics) Snapshot(inFlight, queued int) MetricsSnapshot {
 		InFlight:   inFlight,
 		Queued:     queued,
 		QueueDepth: queued,
-		Latency:    m.summarize(obs.EvServeSpan),
-		QueueWait:  m.summarize(obs.EvServeQueueWait),
+		Latency:    m.col.Histogram(obs.EvServeSpan).Summary(),
+		QueueWait:  m.col.Histogram(obs.EvServeQueueWait).Summary(),
 		Events:     m.col.Snapshot(),
 	}
 }

@@ -149,13 +149,7 @@ func (s *Server) routeJoin(w http.ResponseWriter, r *http.Request, q url.Values)
 		Degraded:     len(res.ShardsFailed) > 0,
 		Hedges:       res.Hedges,
 		Retries:      res.Retries,
-		Stats: requestStats{
-			ElementsScanned: res.Stats.ElementsScanned,
-			IndexNodeReads:  res.Stats.IndexNodeReads,
-			LeafReads:       res.Stats.LeafReads,
-			StabPageReads:   res.Stats.StabPageReads,
-			ElapsedMS:       float64(res.Stats.Elapsed.Microseconds()) / 1000,
-		},
+		Stats:        statsOf(&res.Stats, res.Stats.Elapsed),
 	}
 	for _, p := range res.Pairs {
 		resp.Sample = append(resp.Sample, pairJSON{Anc: p.A, Desc: p.D})
@@ -212,13 +206,7 @@ func (s *Server) routeQuery(w http.ResponseWriter, r *http.Request, q url.Values
 		Degraded:     len(res.ShardsFailed) > 0,
 		Hedges:       res.Hedges,
 		Retries:      res.Retries,
-		Stats: requestStats{
-			ElementsScanned: res.Stats.ElementsScanned,
-			IndexNodeReads:  res.Stats.IndexNodeReads,
-			LeafReads:       res.Stats.LeafReads,
-			StabPageReads:   res.Stats.StabPageReads,
-			ElapsedMS:       float64(res.Stats.Elapsed.Microseconds()) / 1000,
-		},
+		Stats:        statsOf(&res.Stats, res.Stats.Elapsed),
 	}
 	for _, p := range res.Pairs {
 		resp.Sample = append(resp.Sample, p.A)

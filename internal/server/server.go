@@ -506,6 +506,17 @@ type requestStats struct {
 	ElapsedMS       float64 `json:"elapsed_ms"`
 }
 
+// statsOf digests a request's counters and its elapsed time.
+func statsOf(st *xrtree.Stats, elapsed time.Duration) requestStats {
+	return requestStats{
+		ElementsScanned: st.ElementsScanned,
+		IndexNodeReads:  st.IndexNodeReads,
+		LeafReads:       st.LeafReads,
+		StabPageReads:   st.StabPageReads,
+		ElapsedMS:       float64(elapsed.Microseconds()) / 1000,
+	}
+}
+
 // joinResponse is the body of a successful /api/v1/join.
 type joinResponse struct {
 	Backend   string                `json:"backend"`
@@ -628,13 +639,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, q url.Values
 		Pairs:     pairs,
 		Sample:    sample,
 		Truncated: truncated,
-		Stats: requestStats{
-			ElementsScanned: st.ElementsScanned,
-			IndexNodeReads:  st.IndexNodeReads,
-			LeafReads:       st.LeafReads,
-			StabPageReads:   st.StabPageReads,
-			ElapsedMS:       float64(time.Since(start).Microseconds()) / 1000,
-		},
+		Stats:     statsOf(&st, time.Since(start)),
 	}
 	if b.coll != nil {
 		resp.Workers = workers
@@ -724,13 +729,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, q url.Value
 		Matches:   len(els),
 		Sample:    sample,
 		Truncated: truncated,
-		Stats: requestStats{
-			ElementsScanned: st.ElementsScanned,
-			IndexNodeReads:  st.IndexNodeReads,
-			LeafReads:       st.LeafReads,
-			StabPageReads:   st.StabPageReads,
-			ElapsedMS:       float64(time.Since(start).Microseconds()) / 1000,
-		},
+		Stats:     statsOf(&st, time.Since(start)),
 	}
 	if tr != nil {
 		resp.TraceID = tr.ID().String()
