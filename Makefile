@@ -63,14 +63,17 @@ inline-check:
 # signal, hence -benchmem; -count=5 for a spread benchstat can consume):
 # the pool pin/unpin fast path, one page's latch taken shared by parallel
 # readers, a full leaf-chain scan, the XR-tree's stab-list upkeep on delete
-# and insert and its ancestor probe (pages per op too), the XR-stack
+# and insert, its ancestor probe (pages per op too) and its range probe
+# (results per op), the XR-stack
 # (ancestor-descendant and parent-child), B+ and no-index joins end to end
 # on a cold and a warm pool (pages/op and ns/pair too),
-# the parallel driver on dense and output-light partitions, and the admitted
-# join and query handlers without sockets (response bytes per request too).
+# the parallel driver on dense and output-light partitions, the admitted
+# join and query handlers without sockets (response bytes per request too),
+# and one durable WAL commit of three page images through its fsync
+# (fsyncs per commit too; the log sits in TMPDIR, which must be on disk).
 microbench:
-	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkRLockRUnlock|BenchmarkLeafChainScan|BenchmarkStabInsertDelete|BenchmarkFindAncestors|BenchmarkXRStackJoin|BenchmarkBPlusJoin|BenchmarkStackTreeDescJoin|BenchmarkParallel|BenchmarkServe' \
-		-benchmem -count=5 ./internal/bufferpool ./internal/platch ./internal/elemlist ./internal/core ./internal/join ./internal/server
+	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkRLockRUnlock|BenchmarkLeafChainScan|BenchmarkStabInsertDelete|BenchmarkFindAncestors|BenchmarkFindDescendants|BenchmarkXRStackJoin|BenchmarkBPlusJoin|BenchmarkStackTreeDescJoin|BenchmarkParallel|BenchmarkServe|BenchmarkCommit' \
+		-benchmem -count=5 ./internal/bufferpool ./internal/platch ./internal/elemlist ./internal/core ./internal/join ./internal/server ./internal/wal
 
 # Every microbenchmark body under internal/ run once, so a benchmark that
 # no longer builds, fails or finds no pairs breaks CI; no timing is judged.

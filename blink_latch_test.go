@@ -2,6 +2,7 @@ package xrtree_test
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"xrtree"
 	"xrtree/internal/datagen"
 	"xrtree/internal/invariant"
+	"xrtree/internal/wal"
 )
 
 // TestBlinkReadersBeatCoarseLatch guards the B-link write-concurrency
@@ -168,4 +170,100 @@ func readerThroughput(t *testing.T, els []xrtree.Element, writers int, coarse bo
 		t.Fatalf("coarse=%v, %d writers: no reader samples during ingest", coarse, writers)
 	}
 	return float64(reads.Load()) / window.Seconds()
+}
+
+// TestProbeSkipsParkedCommit pins where a mutation's stab-move bracket
+// closes: when its page work ends, not when its commit returns. Every
+// insert's commit fsync is parked until the probe below returned; the
+// inserts run past the right end of the corpus until the last leaf has
+// split, and a split moves stab content. A FindAncestors issued while the
+// commit is parked must return — if the bracket were still open, the
+// probe would see an odd stab epoch and serialize on the writer latch,
+// which the parked commit holds until its fsync returns.
+func TestProbeSkipsParkedCommit(t *testing.T) {
+	fsys := &parkFS{parked: make(chan struct{}), release: make(chan struct{})}
+	store, err := xrtree.CreateStore(filepath.Join(t.TempDir(), "park.xrt"),
+		xrtree.StoreOptions{PageSize: 512, BufferPages: 64, WAL: true, WALFS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	doc, err := datagen.Nested(datagen.NestedConfig{Seed: 1, DocID: 1, Elements: 500, MaxDepth: 12, DeepBias: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	els := doc.ElementsByTag("item")
+	set, err := store.IndexElements(els, xrtree.IndexOptions{SkipList: true, SkipBTree: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xr, err := set.XRTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafCap, _ := xr.Caps()
+	base := els[len(els)-1].End + 2
+	for i := 0; i <= leafCap; i++ {
+		s := base + uint32(i*4)
+		fsys.armed.Store(true)
+		ins := make(chan error, 1)
+		go func() { ins <- xr.Insert(xrtree.Element{DocID: 1, Start: s, End: s + 2, Level: 1}) }()
+		select {
+		case <-fsys.parked:
+		case err := <-ins:
+			t.Fatalf("insert %d returned without an fsync: %v", i, err)
+		}
+		probe := make(chan error, 1)
+		go func() {
+			var st xrtree.Stats
+			_, err := xr.FindAncestors(els[i%len(els)].Start, 0, &st)
+			probe <- err
+		}()
+		select {
+		case err := <-probe:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			fsys.release <- struct{}{}
+			t.Fatalf("insert %d: FindAncestors waited on the insert's parked commit", i)
+		}
+		fsys.release <- struct{}{}
+		if err := <-ins; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := xr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// parkFS is the OS filesystem whose next segment fsync after arming parks
+// until the test releases it.
+type parkFS struct {
+	wal.OSFS
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := p.OSFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return parkFile{f, p}, nil
+}
+
+type parkFile struct {
+	wal.File
+	fs *parkFS
+}
+
+func (f parkFile) Sync() error {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		f.fs.parked <- struct{}{}
+		<-f.fs.release
+	}
+	return f.File.Sync()
 }

@@ -1,8 +1,9 @@
 // Command xrcrash is the crash-recovery gate run by CI (`make
 // crash-smoke`): it kills a WAL-enabled store's log at randomized byte
-// offsets mid-workload, reopens through recovery, and verifies that every
-// acknowledged transaction survived and every index invariant (Definition
-// 4, B+-tree ordering) holds. A final phase hammers one store with
+// offsets mid-workload — inside segment headers, the zero fill of new
+// segments, and records alike — reopens through recovery, and verifies
+// that every acknowledged transaction survived and every index invariant
+// (Definition 4, B+-tree ordering) holds. A final phase hammers one store with
 // concurrent writers and asserts the group-commit signature, fsyncs <
 // commits.
 //
@@ -40,9 +41,9 @@ func main() {
 	}
 	defer os.RemoveAll(root)
 
-	// Probe run: no crash, clean close. Measures the log size so kill
-	// points cover the whole byte range the workload writes, and checks
-	// the clean-shutdown path itself.
+	// Probe run: no crash, clean close. Measures the bytes written to the
+	// log's files so kill points cover the whole range the workload
+	// writes, and checks the clean-shutdown path itself.
 	probeDir := filepath.Join(root, "probe")
 	if err := os.Mkdir(probeDir, 0o755); err != nil {
 		fatal(err)
@@ -60,6 +61,7 @@ func main() {
 	// Crash runs: kill the log at a random offset, recover, verify.
 	rng := rand.New(rand.NewSource(*seed))
 	fired := 0
+	kinds := map[crashtest.KillKind]int{}
 	for i := 0; i < *n; i++ {
 		dir := filepath.Join(root, fmt.Sprintf("run%03d", i))
 		if err := os.Mkdir(dir, 0o755); err != nil {
@@ -76,15 +78,17 @@ func main() {
 		}
 		if res.Crashed {
 			fired++
+			kinds[res.Kill]++
 		}
 		if *verbose {
-			fmt.Printf("run %3d: kill@%-7d crashed=%-5v committed=%-4d redo: %d tx, %d pages, torn=%v\n",
-				i, cfg.KillAfter, res.Crashed, res.Committed,
+			fmt.Printf("run %3d: kill@%-7d crashed=%-5v in=%-6s committed=%-4d redo: %d tx, %d pages, torn=%v\n",
+				i, cfg.KillAfter, res.Crashed, res.Kill, res.Committed,
 				res.Report.TxCommitted, res.Report.PagesApplied, res.Report.TornTail)
 		}
 		os.RemoveAll(dir)
 	}
-	fmt.Printf("crash: %d/%d kill points fired, all recovered clean\n", fired, *n)
+	fmt.Printf("crash: %d/%d kill points fired (%d in segment headers, %d in segment fill, %d in records), all recovered clean\n",
+		fired, *n, kinds[crashtest.KillHeader], kinds[crashtest.KillFill], kinds[crashtest.KillRecord])
 	if fired == 0 {
 		fatal(fmt.Errorf("no kill point fired — kill range miscalibrated"))
 	}

@@ -27,6 +27,7 @@ func (t *Tree) BulkLoad(es []xmldoc.Element, fill float64) (err error) {
 	defer t.debugPinBalance()()
 	t.pool.BeginUnlogged()
 	defer t.pool.EndUnlogged()
+	defer t.settle()
 	if n := t.count.Load(); n != 0 {
 		return fmt.Errorf("blink: BulkLoad into non-empty tree (%d elements)", n)
 	}

@@ -34,6 +34,7 @@ func (t *Tree) Delete(start uint32) (err error) {
 	}
 	commit := t.beginTx()
 	defer commit(&err)
+	defer t.settle()
 	found := false
 	root, h := t.Root()
 	if _, err := t.deleteFrom(root, h, e, &found); err != nil {

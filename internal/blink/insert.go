@@ -32,6 +32,7 @@ func (t *Tree) Insert(e xmldoc.Element) (err error) {
 	defer t.debugPinBalance()()
 	commit := t.beginTx()
 	defer commit(&err)
+	defer t.settle()
 	if err := t.insert(e); err != nil {
 		return err
 	}

@@ -53,8 +53,13 @@ type Hooks interface {
 	// Loaded runs after BulkLoad publishes the backbone of es, before the
 	// meta page is written: the XR-tree homes every element.
 	Loaded(es []xmldoc.Element) error
-	// Done ends every Insert, Delete and BulkLoad, still under the writer
-	// latch; ok reports whether the mutation succeeded.
+	// Settled runs when the page work of an Insert, Delete or BulkLoad
+	// ends, before an Insert's or Delete's commit waits for the log:
+	// readers already see the mutation's final pages in the pool.
+	Settled()
+	// Done ends every Insert, Delete and BulkLoad once its commit returned,
+	// still under the writer latch; ok reports whether the mutation
+	// succeeded.
 	Done(ok bool)
 	// MetaWords returns the owner's counters that the meta page persists
 	// after the shared fields, in order. New and Open call it once.
@@ -142,6 +147,15 @@ func (t *Tree) beginTx() func(*error) {
 		if cerr := t.pool.CommitTx(tx); cerr != nil && *errp == nil {
 			*errp = cerr
 		}
+	}
+}
+
+// settle runs the owner's Settled hook when a mutation's page work ends:
+// deferred after the mutation's commit, so it runs before the commit waits
+// for its fsync.
+func (t *Tree) settle() {
+	if t.hooks != nil {
+		t.hooks.Settled()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xrtree/internal/blink"
+	"xrtree/internal/invariant"
 	"xrtree/internal/metrics"
 	"xrtree/internal/xmldoc"
 )
@@ -119,5 +120,48 @@ func TestFindAncestorsAllocs(t *testing.T) {
 		}
 	}); n != 0 || err != nil {
 		t.Errorf("AppendAncestors into a buffer with room: %v allocs per run, err %v; want 0", n, err)
+	}
+}
+
+// TestFindDescendantsAllocs pins a range probe's allocations:
+// FindDescendants allocates only its result, once when no probe has more
+// than findDescendantsCap descendants.
+func TestFindDescendantsAllocs(t *testing.T) {
+	if invariant.Race {
+		t.Skip("under the race detector sync.Pool drops pooled page buffers at random")
+	}
+	rng := rand.New(rand.NewSource(7))
+	es := genNested(rng, 2000, 12)
+	pool := newPool(t, 1024, 1024)
+	tr := buildTree(t, pool, es, Options{})
+	var hosts []xmldoc.Element
+	for _, e := range es {
+		des, err := tr.FindDescendants(e.Start, e.End, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(des) >= findDescendantsCap/2 && len(des) <= findDescendantsCap {
+			hosts = append(hosts, e)
+		}
+	}
+	if len(hosts) == 0 {
+		t.Fatalf("no element has %d..%d descendants", findDescendantsCap/2, findDescendantsCap)
+	}
+	var c metrics.Counters
+	var err error
+	perProbe := testing.AllocsPerRun(20, func() {
+		for _, h := range hosts {
+			des, e := tr.FindDescendants(h.Start, h.End, &c)
+			if e != nil {
+				err = e
+			}
+			ancestorsSink = des
+		}
+	}) / float64(len(hosts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perProbe != 1 {
+		t.Errorf("FindDescendants: %.3f allocs per probe, want 1", perProbe)
 	}
 }

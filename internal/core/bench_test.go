@@ -104,3 +104,48 @@ func BenchmarkFindAncestors(b *testing.B) {
 	pages := c.IndexNodeReads + c.LeafReads + c.StabPageReads
 	b.ReportMetric(float64(pages)/float64(n), "pages/op")
 }
+
+// BenchmarkFindDescendants measures Algorithm 3's range probe on the same
+// forest as BenchmarkFindAncestors: one FindDescendants per op over an
+// element with 8..48 descendants, so most results fit findDescendantsCap
+// and some grow past it. results/op is the mean result size.
+func BenchmarkFindDescendants(b *testing.B) {
+	f := pagefile.NewMem(pagefile.Options{PageSize: 1024})
+	b.Cleanup(func() { f.Close() })
+	pool, err := bufferpool.New(f, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := New(pool, 1, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	es := genNested(rng, 20000, 12)
+	if err := tr.BulkLoad(es, 1.0); err != nil {
+		b.Fatal(err)
+	}
+	var hosts []xmldoc.Element
+	for _, e := range es {
+		des, err := tr.FindDescendants(e.Start, e.End, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(des) >= 8 && len(des) <= 48 {
+			hosts = append(hosts, e)
+		}
+	}
+
+	var c metrics.Counters
+	b.ReportAllocs()
+	n, results := 0, 0
+	for b.Loop() {
+		h := hosts[n%len(hosts)]
+		if ancestorsSink, err = tr.FindDescendants(h.Start, h.End, &c); err != nil {
+			b.Fatal(err)
+		}
+		results += len(ancestorsSink)
+		n++
+	}
+	b.ReportMetric(float64(results)/float64(n), "results/op")
+}

@@ -37,7 +37,7 @@ func (h stabHooks) Home(d []byte, e xmldoc.Element) error { return h.stabInsertE
 // SplitLeaf flags the elements of either half that sep newly stabs and
 // sets them rising to the parent as StabSet' (I22). The flags turn before
 // the elements reach the parent's chain: a stab move is in flight until
-// the enclosing Insert commits.
+// the enclosing Insert's page work ends.
 func (h stabHooks) SplitLeaf(left, right []byte, sep uint32) {
 	h.beginStabMove()
 	h.rising = nil

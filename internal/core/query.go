@@ -62,7 +62,8 @@ func (t *Tree) AppendAncestors(dst []xmldoc.Element, sd uint32, minStart uint32,
 	for attempt := 0; attempt < stabProbeRetries; attempt++ {
 		e1 := t.stabEpoch.Load()
 		if e1&1 == 1 {
-			// A writer is mid-move; its bracket closes at operation commit.
+			// A writer is mid-move; its bracket closes when its page
+			// work ends, before its commit waits on the log.
 			runtime.Gosched()
 			continue
 		}
@@ -369,13 +370,18 @@ func (it *Iterator) AppendAncestors(dst []xmldoc.Element, sd, minStart uint32) (
 
 // FindDescendants returns every indexed element strictly inside (sa, ea):
 // Algorithm 3, a range query over start positions.
+//
+// The iterator lives on the stack and the result starts with room for
+// findDescendantsCap elements, so a probe with at most that many
+// descendants allocates once, where a result grown from empty reallocates
+// six times on the way to 32 elements.
 func (t *Tree) FindDescendants(sa, ea uint32, c *metrics.Counters) ([]xmldoc.Element, error) {
-	it, err := t.SeekGE(sa+1, c)
-	if err != nil {
+	var it blink.Iterator
+	if err := t.SeekInto(&it, sa+1, c); err != nil {
 		return nil, err
 	}
 	defer it.Close()
-	var out []xmldoc.Element
+	out := make([]xmldoc.Element, 0, findDescendantsCap)
 	for {
 		e, ok := it.Next()
 		if !ok || e.Start >= ea {
@@ -385,6 +391,9 @@ func (t *Tree) FindDescendants(sa, ea uint32, c *metrics.Counters) ([]xmldoc.Ele
 	}
 	return out, it.Err()
 }
+
+// findDescendantsCap is FindDescendants' initial result capacity.
+const findDescendantsCap = 32
 
 // FindChildren returns the indexed elements that are children (§5.3) of an
 // element (sa, ea) at the given level: descendants with level+1.

@@ -187,9 +187,10 @@ func (t *Tree) beginStabMove() {
 	}
 }
 
-// endStabMove closes the bracket at operation exit: the epoch turns even
-// again once every moved element has reached its final container. A no-op
-// when the operation moved nothing. Caller holds the writer latch.
+// endStabMove closes the bracket when the operation's page work ends: the
+// epoch turns even again once every moved element has reached its final
+// container. A no-op when the operation moved nothing. Caller holds the
+// writer latch.
 func (t *Tree) endStabMove() {
 	if t.stabMoveOpen {
 		t.stabMoveOpen = false
@@ -197,13 +198,18 @@ func (t *Tree) endStabMove() {
 	}
 }
 
-// Done closes the mutation's stab-move bracket and, after a successful
-// one, runs the xrtreedebug sampled invariant check.
+// Settled closes the mutation's stab-move bracket before its commit waits
+// on the log: the moved elements are in their final containers in the
+// pool's pages, which is what readers see, so a probe need not wait out
+// the fsync.
+func (h stabHooks) Settled() { h.endStabMove() }
+
+// Done runs the xrtreedebug sampled invariant check after a successful
+// mutation's commit.
 func (h stabHooks) Done(ok bool) {
 	if ok {
 		h.debugPostMutation()
 	}
-	h.endStabMove()
 }
 
 // newTree returns a tree handle over pool and the B-link configuration

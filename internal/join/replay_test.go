@@ -125,7 +125,10 @@ func TestParallelReplayMatchesSequential(t *testing.T) {
 // document is one ancestor over a few descendants, so a log that kept an
 // ancestor by its position would pair a document's descendants with the
 // previous document's ancestor. The front task waits for the next one to
-// finish (or to give up on a full log), so that one is logged.
+// finish (or to give up on a full log), so that one is logged. The logged
+// task produces runs: a task producing pairs starts only as the front, so
+// it never reaches a log (TestParallelPreservesTaskOrder covers both
+// producer forms).
 func TestParallelReplayComparesWholeElements(t *testing.T) {
 	const docs, kids = 3, 4
 	root := func(doc uint32) xmldoc.Element { return xmldoc.Element{DocID: doc, Start: 1, End: 100, Level: 1} }
@@ -155,37 +158,28 @@ func TestParallelReplayComparesWholeElements(t *testing.T) {
 			return nil
 		}}
 	}
-	for _, next := range []func(uint32) Task{pairs, runs} {
-		build := func() []Task {
-			done := make(chan struct{})
-			logged := next(20)
-			if run := logged.Run; run != nil {
-				logged.Run = func(emit EmitFunc, c *metrics.Counters) error {
-					defer close(done)
-					return run(emit, c)
-				}
-			} else {
-				runs := logged.Runs
-				logged.Runs = func(run RunFunc, c *metrics.Counters) error {
-					defer close(done)
-					return runs(run, c)
-				}
-			}
-			front := pairs(10)
-			first := front.Run
-			front.Run = func(emit EmitFunc, c *metrics.Counters) error {
-				select {
-				case <-done:
-				case <-time.After(20 * time.Millisecond):
-				}
-				return first(emit, c)
-			}
-			return []Task{front, logged, runs(30), pairs(40)}
+	build := func() []Task {
+		done := make(chan struct{})
+		logged := runs(20)
+		produce := logged.Runs
+		logged.Runs = func(run RunFunc, c *metrics.Counters) error {
+			defer close(done)
+			return produce(run, c)
 		}
-		for workers := 2; workers <= 4; workers++ {
-			for _, capBytes := range []int{recBytes + elemBytes, 400, logBytes} {
-				checkTasks(t, "equal positions", build, workers, capBytes)
+		front := pairs(10)
+		first := front.Run
+		front.Run = func(emit EmitFunc, c *metrics.Counters) error {
+			select {
+			case <-done:
+			case <-time.After(20 * time.Millisecond):
 			}
+			return first(emit, c)
+		}
+		return []Task{front, logged, runs(30), pairs(40)}
+	}
+	for workers := 2; workers <= 4; workers++ {
+		for _, capBytes := range []int{recBytes + elemBytes, 400, logBytes} {
+			checkTasks(t, "equal positions", build, workers, capBytes)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package crashtest
 
 import (
 	"errors"
+	"math"
 	"os"
 	"sync"
 
@@ -20,18 +21,35 @@ var ErrCrashed = errors.New("crashtest: injected crash")
 
 // FS wraps the OS filesystem and kills the log after a byte budget: the
 // write that crosses the budget is torn partway through (its prefix
-// reaches the file, like a sector-aligned crash mid-append), and every
+// reaches the file, like a sector-aligned crash mid-write), and every
 // later write and fsync fails. Reads keep working so recovery can run
-// against the torn result.
+// against the torn result. Every written byte counts against the budget:
+// segment headers, the zero fill of new segments, and records.
 type FS struct {
 	mu      sync.Mutex
 	remain  int64
+	written int64
 	crashed bool
+	kind    KillKind
 }
 
+// KillKind names what the write torn by the crash was writing.
+type KillKind string
+
+const (
+	KillHeader KillKind = "header" // a new segment's header
+	KillFill   KillKind = "fill"   // a new segment's zero fill
+	KillRecord KillKind = "record" // a commit's or marker's records
+)
+
 // NewFS returns a crash-injecting filesystem that dies after budget
-// written bytes.
-func NewFS(budget int64) *FS { return &FS{remain: budget} }
+// written bytes; with budget ≤ 0 it never dies and only counts.
+func NewFS(budget int64) *FS {
+	if budget <= 0 {
+		budget = math.MaxInt64
+	}
+	return &FS{remain: budget}
+}
 
 // Crashed reports whether the budget has been hit.
 func (c *FS) Crashed() bool {
@@ -40,22 +58,55 @@ func (c *FS) Crashed() bool {
 	return c.crashed
 }
 
-// charge consumes n bytes of budget, returning how many may still be
-// written (< n once the crash fires).
-func (c *FS) charge(n int64) (int64, bool) {
+// Written returns the bytes written through the filesystem so far.
+func (c *FS) Written() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.written
+}
+
+// Kill returns what the torn write was writing; empty until the crash.
+func (c *FS) Kill() KillKind {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.kind
+}
+
+// charge consumes the budget for writing p at off, returning how many of
+// its bytes may still be written (< len(p) once the crash fires).
+func (c *FS) charge(p []byte, off int64) (int64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.crashed {
 		return 0, false
 	}
+	n := int64(len(p))
 	if n > c.remain {
 		part := c.remain
 		c.remain = 0
+		c.written += part
 		c.crashed = true
+		c.kind = killKind(p, off)
 		return part, false
 	}
 	c.remain -= n
+	c.written += n
 	return n, true
+}
+
+// killKind classifies a write by its content: the log writes a segment's
+// header at offset 0 and its fill as all-zero chunks, and every record
+// has a non-zero type byte.
+func killKind(p []byte, off int64) KillKind {
+	if off == 0 {
+		return KillHeader
+	}
+	for _, b := range p {
+		if b != 0 {
+			return KillRecord
+		}
+	}
+	return KillFill
 }
 
 // OpenFile implements wal.FS.
@@ -92,13 +143,13 @@ type crashFile struct {
 	f  wal.File
 }
 
-func (f *crashFile) Write(p []byte) (int, error) {
-	allowed, ok := f.fs.charge(int64(len(p)))
+func (f *crashFile) WriteAt(p []byte, off int64) (int, error) {
+	allowed, ok := f.fs.charge(p, off)
 	if ok {
-		return f.f.Write(p)
+		return f.f.WriteAt(p, off)
 	}
 	if allowed > 0 {
-		f.f.Write(p[:allowed])
+		f.f.WriteAt(p[:allowed], off)
 	}
 	return int(allowed), ErrCrashed
 }

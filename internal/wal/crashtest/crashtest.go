@@ -19,9 +19,10 @@ type Config struct {
 	Seed int64
 	// Ops is the number of insert/delete transactions attempted.
 	Ops int
-	// KillAfter is the log-byte budget before the injected crash; ≤ 0
+	// KillAfter is the log-byte budget before the injected crash: every
+	// byte written to the log's files counts, segment fill included. ≤ 0
 	// runs the workload to completion and closes cleanly instead (the
-	// probe run, which also measures the log size for picking kill
+	// probe run, which also measures those bytes for picking kill
 	// points).
 	KillAfter int64
 	// PageSize, BufferPages size the store; small defaults keep splits,
@@ -46,8 +47,9 @@ func (cfg *Config) defaults() {
 // Result reports what one run did and what recovery found.
 type Result struct {
 	Crashed   bool                  // the injected crash fired
+	Kill      KillKind              // what the torn write was writing, when Crashed
 	Committed int                   // transactions acknowledged before the end
-	LogBytes  int64                 // record bytes the log accumulated
+	LogBytes  int64                 // bytes written to the log's files: headers, fill, records
 	Report    xrtree.RecoveryReport // what the reopening redo pass found
 }
 
@@ -168,21 +170,20 @@ func Run(dir string, cfg Config) (Result, error) {
 		base, extra = extra[:1], extra[1:]
 	}
 
-	var cfs *FS
+	cfs := NewFS(cfg.KillAfter)
 	opts := xrtree.StoreOptions{
 		PageSize:           cfg.PageSize,
 		BufferPages:        cfg.BufferPages,
 		WAL:                true,
+		WALFS:              cfs,
 		WALSegmentBytes:    8 << 10,
 		WALCheckpointBytes: 32 << 10,
-	}
-	if cfg.KillAfter > 0 {
-		cfs = NewFS(cfg.KillAfter)
-		opts.WALFS = cfs
 	}
 	path := filepath.Join(dir, "store.db")
 
 	xrModel, btModel, err := workload(path, opts, cfg, rng, base, extra, cfs, &res)
+	res.LogBytes = cfs.Written()
+	res.Kill = cfs.Kill()
 	if err != nil {
 		return res, err
 	}
@@ -196,7 +197,7 @@ func Run(dir string, cfg Config) (Result, error) {
 func workload(path string, opts xrtree.StoreOptions, cfg Config, rng *rand.Rand,
 	base, extra []xmldoc.Element, cfs *FS, res *Result) (*model, *model, error) {
 
-	crashed := func(err error) bool { return cfs != nil && cfs.Crashed() && err != nil }
+	crashed := func(err error) bool { return cfs.Crashed() && err != nil }
 
 	store, err := xrtree.CreateStore(path, opts)
 	if err != nil {
@@ -286,10 +287,7 @@ func workload(path string, opts xrtree.StoreOptions, cfg Config, rng *rand.Rand,
 		}
 	}
 
-	if st, ok := store.WALStats(); ok {
-		res.LogBytes = st.Bytes
-	}
-	if cfs != nil {
+	if cfg.KillAfter > 0 {
 		// Budget never hit: crash at the end instead of closing.
 		res.Crashed = cfs.Crashed()
 		store.Abandon()

@@ -23,11 +23,14 @@ func TestProbeRun(t *testing.T) {
 // TestStabPageRedo is the regression for the unlogged-stab-page bug: stab
 // chain pages were fetched outside the mutation's transaction, so their
 // after-images never reached the log and recovery reconstructed internal
-// nodes whose directories disagreed with their chains. Seed 2 at this kill
-// offset reproduced it deterministically (node split re-keying a chain
-// entry between the last checkpoint and the tear).
+// nodes whose directories disagreed with their chains. Seed 2 with the
+// tear 346 bytes into the commit after 118 acknowledged operations
+// reproduced it deterministically (node split re-keying a chain entry
+// between the last checkpoint and the tear). The kill offset counts every
+// byte written to the log before the tear: 21 segment headers, their
+// 8 KiB of zero fill each, and 185 993 record bytes.
 func TestStabPageRedo(t *testing.T) {
-	if _, err := Run(t.TempDir(), Config{Seed: 2, Ops: 200, KillAfter: 187011}); err != nil {
+	if _, err := Run(t.TempDir(), Config{Seed: 2, Ops: 200, KillAfter: 187011 + 21*8192}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // wrapper whose writes die after a configured number of bytes, which is
 // how "kill the process at a random WAL offset" is simulated in-process.
 type FS interface {
-	// OpenFile opens (or creates) a log segment for appending and reading.
+	// OpenFile opens (or creates) a log segment for writing and reading.
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	// ReadDir lists the file names (not paths) in dir, in any order.
 	ReadDir(dir string) ([]string, error)
@@ -21,10 +21,11 @@ type FS interface {
 	MkdirAll(dir string, perm os.FileMode) error
 }
 
-// File is one log segment: appended sequentially, read back at recovery,
-// and fsynced by the group-commit flusher.
+// File is one log segment: created at full size, then written in place
+// at increasing offsets, read back at recovery, and fsynced by the
+// group-commit flusher.
 type File interface {
-	io.Writer
+	io.WriterAt
 	io.ReaderAt
 	io.Closer
 	// Sync flushes written bytes to stable storage.

@@ -41,7 +41,7 @@ func (m *memFS) MkdirAll(dir string, perm os.FileMode) error { return nil }
 
 type memFile struct{ data []byte }
 
-func (f *memFile) Write(p []byte) (int, error) { return 0, fmt.Errorf("memFile: read-only") }
+func (f *memFile) WriteAt([]byte, int64) (int, error) { return 0, fmt.Errorf("memFile: read-only") }
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	if off >= int64(len(f.data)) {
 		return 0, fmt.Errorf("memFile: read past end")
@@ -82,11 +82,12 @@ const fuzzPS = 256
 func FuzzWALReplay(f *testing.F) {
 	seed := fuzzSeedSegment()
 	f.Add(seed)
-	f.Add(seed[:len(seed)-9])            // torn tail mid-record
-	f.Add(seed[:segHeader])              // header only
-	f.Add(seed[:7])                      // torn header
-	f.Add([]byte{})                      // empty segment file
-	flip := append([]byte(nil), seed...) // CRC mismatch
+	f.Add(seed[:len(seed)-9])                 // torn tail mid-record
+	f.Add(seed[:segHeader])                   // header only
+	f.Add(seed[:7])                           // torn header
+	f.Add(append(seed, make([]byte, 600)...)) // zero fill after the records
+	f.Add([]byte{})                           // empty segment file
+	flip := append([]byte(nil), seed...)      // CRC mismatch
 	flip[segHeader+recHeader+2] ^= 0x40
 	f.Add(flip)
 	huge := append([]byte(nil), seed...) // absurd stated record length

@@ -14,7 +14,7 @@ var le = binary.LittleEndian
 // On-disk format.
 //
 // A segment file is a fixed 32-byte header followed by a dense sequence of
-// records:
+// records and then the zero fill the segment was created with:
 //
 //	header: magic u32 | version u32 | pageSize u32 | pad u32 | baseLSN u64 | pad u64
 //	record: length u32 | type u8 | txid u64 | crc u32 | payload (length bytes)
@@ -22,10 +22,21 @@ var le = binary.LittleEndian
 // All integers are little-endian (matching every other on-disk structure
 // in this repository). A record's LSN is its byte position in the logical
 // log stream: baseLSN plus the record's offset past the segment header, so
-// LSNs stay strictly increasing across segment rotation. The CRC covers
-// type, txid, and payload; a record whose stated length runs past the end
-// of the segment, or whose CRC does not match, is the torn tail — it and
-// everything after it is discarded by recovery.
+// LSNs stay strictly increasing across segment rotation. A segment's
+// records end at the end of the file or at the first record header that is
+// all zeros — no record has one, its type is never zero — and the log
+// continues in the next segment; in the newest segment that is the end of
+// the log. The CRC covers type, txid, and payload; a record whose stated
+// length runs past the end of the segment, or whose CRC does not match, is
+// the torn tail — it and everything after it is discarded by recovery. A
+// tear that leaves unwritten only bytes that were to be zeros anyway (a
+// page image's free space) leaves the record it cut whole: it reads as
+// written in full, which it is.
+//
+// Version 2 segments carry the zero fill; version 1 segments (no fill,
+// records end at the end of the file) still replay. A reader that knows
+// only version 1 refuses version 2 rather than mistake an older segment's
+// fill for the end of the log.
 //
 // Record types:
 //
@@ -41,7 +52,7 @@ var le = binary.LittleEndian
 //	               its free list) is in sync with the log.
 const (
 	segMagic   = 0x58525741 // "XRWA"
-	segVersion = 1
+	segVersion = 2
 	segHeader  = 32
 
 	recHeader = 4 + 1 + 8 + 4 // length | type | txid | crc
@@ -64,16 +75,19 @@ type PageImage struct {
 	Data []byte
 }
 
-// appendRecord serializes one record onto buf.
+// appendRecord serializes one record onto buf. The header is built in
+// place in buf: a local array would escape to the heap through the CRC
+// routine, one allocation per record.
 func appendRecord(buf []byte, typ byte, txid uint64, payload []byte) []byte {
-	var hdr [recHeader]byte
+	n := len(buf)
+	buf = append(buf, make([]byte, recHeader)...)
+	hdr := buf[n:]
 	le.PutUint32(hdr[0:], uint32(len(payload)))
 	hdr[4] = typ
 	le.PutUint64(hdr[5:], txid)
 	crc := crc32.ChecksumIEEE(hdr[4:13])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	le.PutUint32(hdr[13:], crc)
-	buf = append(buf, hdr[:]...)
 	return append(buf, payload...)
 }
 
@@ -83,6 +97,18 @@ type record struct {
 	txid    uint64
 	payload []byte
 	size    int // total on-disk bytes including the header
+}
+
+// endOfRecords reports whether b, the rest of a segment past its last
+// record, holds no further record: it is empty, or its record header (as
+// much of it as b holds) is still the segment's zero fill.
+func endOfRecords(b []byte) bool {
+	for _, c := range b[:min(len(b), recHeader)] {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // parseRecord decodes the record at the front of b. It returns ok=false
@@ -145,7 +171,10 @@ func encodeSegmentHeader(pageSize int, base uint64) []byte {
 // parseSegmentHeader validates a segment header and returns its page size
 // and base LSN.
 func parseSegmentHeader(hdr []byte) (pageSize int, base uint64, err error) {
-	if len(hdr) < segHeader || le.Uint32(hdr[0:]) != segMagic || le.Uint32(hdr[4:]) != segVersion {
+	if len(hdr) < segHeader || le.Uint32(hdr[0:]) != segMagic {
+		return 0, 0, ErrBadSegment
+	}
+	if v := le.Uint32(hdr[4:]); v != 1 && v != segVersion {
 		return 0, 0, ErrBadSegment
 	}
 	ps := int(le.Uint32(hdr[8:]))

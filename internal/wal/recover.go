@@ -39,11 +39,13 @@ func (r Report) Replayed() bool { return r.PagesApplied > 0 || !r.CleanClose }
 const maxWALRecord = 1 << 24
 
 // Replay scans the log segments in dir and redoes every committed
-// transaction through ap. It tolerates (and reports) a torn tail: the
-// first incomplete or CRC-invalid record ends the log, and transactions
-// without a commit record are discarded. A missing or empty directory is
-// an empty log. pageSize must match the store's; segments recording a
-// different page size are rejected.
+// transaction through ap. A segment's records end at its zero fill or
+// its end of file, and the log continues in the next segment. Replay
+// tolerates (and reports) a torn tail: the first incomplete or CRC-invalid
+// record ends the log, and transactions without a commit record are
+// discarded. A missing or empty directory is an empty log. pageSize must
+// match the store's; segments recording a different page size are
+// rejected.
 func Replay(fsys FS, dir string, pageSize int, ap Applier) (Report, error) {
 	if fsys == nil {
 		fsys = OSFS{}
@@ -96,7 +98,7 @@ scan:
 		}
 		body := data[segHeader:]
 		off := 0
-		for off < len(body) {
+		for !endOfRecords(body[off:]) {
 			rec, ok := parseRecord(body[off:])
 			if !ok || len(rec.payload) > maxWALRecord {
 				rep.TornTail = true

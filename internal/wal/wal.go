@@ -21,6 +21,19 @@
 // newest committed image of each page. Records of transactions with no
 // commit record — the crash caught them mid-append — are discarded.
 //
+// # Segments
+//
+// The log is a chain of segment files, each named by the LSN of its first
+// record. A segment is created at full size: its header, then zeros up to
+// SegmentBytes past the header, fsynced once before the first commit
+// lands in it. Commits then overwrite the zeros in place, so the fsync
+// that acknowledges a commit flushes data blocks only — a file that grew
+// would also have to commit the filesystem's journal entry for its new
+// size and extents, which costs more than the data itself. The records of
+// a segment end at its first all-zero record header (the untouched fill)
+// or at the end of the file; a commit that crosses SegmentBytes extends
+// the file, and the next commit rotates to a new segment.
+//
 // # Group commit
 //
 // Appends happen under the log mutex and go straight to the OS (buffered);
@@ -55,8 +68,9 @@ type Options struct {
 	// FS is the filesystem the log writes through; OSFS when nil. The
 	// crash-injection harness substitutes a failing wrapper here.
 	FS FS
-	// SegmentBytes rotates segments once their payload exceeds this size;
-	// DefaultSegmentBytes when 0.
+	// SegmentBytes is the record bytes a segment is created to hold (its
+	// zero fill past the header); the log rotates once a segment's records
+	// reach it. DefaultSegmentBytes when 0.
 	SegmentBytes int64
 }
 
@@ -93,6 +107,11 @@ type Log struct {
 	err        error // sticky: the log is dead once a write or fsync fails
 	closed     bool
 
+	// buf and payload are Commit's scratch: the serialized records of one
+	// transaction and one page record's payload, reused across commits.
+	buf     []byte
+	payload []byte
+
 	segs []uint64 // base LSNs of live segments, ascending; last is cur
 
 	wake chan struct{}
@@ -127,6 +146,7 @@ func Start(dir string, pageSize int, next uint64, opts Options) (*Log, error) {
 		pageSize: pageSize,
 		segBytes: segBytes,
 		nextLSN:  next,
+		payload:  make([]byte, 4+pageSize),
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
@@ -181,21 +201,22 @@ func HasSegments(fsys FS, dir string) (bool, error) {
 	return len(bases) > 0, err
 }
 
-// openSegmentLocked creates the segment whose base is l.nextLSN, writes
-// its header, and makes it current. Caller holds l.mu (or is Start).
+// openSegmentLocked creates the segment whose base is l.nextLSN at full
+// size — its header, then segBytes of zeros — fsyncs it, and makes it
+// current. Caller holds l.mu (or is Start).
 func (l *Log) openSegmentLocked() error {
 	name := filepath.Join(l.dir, segmentName(l.nextLSN))
 	f, err := l.fs.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
-	if _, err := f.Write(encodeSegmentHeader(l.pageSize, l.nextLSN)); err != nil {
+	if err := fillSegment(f, encodeSegmentHeader(l.pageSize, l.nextLSN), segHeader+l.segBytes); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: write segment header: %w", err)
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: sync segment header: %w", err)
+		return fmt.Errorf("wal: sync new segment: %w", err)
 	}
 	l.cur = f
 	l.curBase = l.nextLSN
@@ -205,10 +226,29 @@ func (l *Log) openSegmentLocked() error {
 	return nil
 }
 
-// appendLocked writes raw record bytes to the current segment and advances
-// nextLSN. Caller holds l.mu and has checked l.err/l.closed.
+// zeros is the fill of a new segment, written a chunk at a time.
+var zeros [64 << 10]byte
+
+// fillSegment writes a new segment's header and then zeros up to size.
+func fillSegment(f File, hdr []byte, size int64) error {
+	if _, err := f.WriteAt(hdr, 0); err != nil {
+		return fmt.Errorf("wal: write segment header: %w", err)
+	}
+	for off := int64(len(hdr)); off < size; {
+		n := min(size-off, int64(len(zeros)))
+		if _, err := f.WriteAt(zeros[:n], off); err != nil {
+			return fmt.Errorf("wal: fill segment: %w", err)
+		}
+		off += n
+	}
+	return nil
+}
+
+// appendLocked writes raw record bytes over the current segment's fill at
+// its end of records and advances nextLSN. Caller holds l.mu and has
+// checked l.err/l.closed.
 func (l *Log) appendLocked(buf []byte) error {
-	if _, err := l.cur.Write(buf); err != nil {
+	if _, err := l.cur.WriteAt(buf, segHeader+l.curSize); err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
 		l.cond.Broadcast()
 		return l.err
@@ -313,18 +353,18 @@ func (l *Log) Commit(images []PageImage) (uint64, error) {
 	}
 	txid := l.nextTx
 	l.nextTx++
-	buf := make([]byte, 0, len(images)*(recHeader+4+l.pageSize)+recHeader)
-	payload := make([]byte, 4+l.pageSize)
+	buf := l.buf[:0]
 	for _, im := range images {
 		if len(im.Data) != l.pageSize {
 			l.mu.Unlock()
 			return 0, fmt.Errorf("wal: page image is %d bytes, want %d", len(im.Data), l.pageSize)
 		}
-		le.PutUint32(payload, uint32(im.ID))
-		copy(payload[4:], im.Data)
-		buf = appendRecord(buf, recPage, txid, payload)
+		le.PutUint32(l.payload, uint32(im.ID))
+		copy(l.payload[4:], im.Data)
+		buf = appendRecord(buf, recPage, txid, l.payload)
 	}
 	buf = appendRecord(buf, recCommit, txid, nil)
+	l.buf = buf
 	if err := l.appendLocked(buf); err != nil {
 		l.mu.Unlock()
 		return 0, err

@@ -308,3 +308,145 @@ func TestGroupCommitStats(t *testing.T) {
 		t.Fatalf("group commit absent: %d fsyncs for %d commits", st.Fsyncs, st.Commits)
 	}
 }
+
+// writeSegment writes a segment file by hand: a header of the given
+// version at base, then body.
+func writeSegment(t *testing.T, dir string, version uint32, base uint64, body []byte) {
+	t.Helper()
+	hdr := encodeSegmentHeader(testPS, base)
+	le.PutUint32(hdr[4:], version)
+	if err := os.WriteFile(filepath.Join(dir, segmentName(base)), append(hdr, body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// txRecords returns the records of one committed transaction that writes
+// page id full of b.
+func txRecords(txid uint64, id pagefile.PageID, b byte) []byte {
+	payload := make([]byte, 4+testPS)
+	le.PutUint32(payload, uint32(id))
+	copy(payload[4:], img(b))
+	return appendRecord(appendRecord(nil, recPage, txid, payload), recCommit, txid, nil)
+}
+
+// TestFillEndsLog checks that a segment is created at full size and that
+// the zero fill past the newest segment's records is the end of the log,
+// not a torn tail — after a crash and after a clean close alike.
+func TestFillEndsLog(t *testing.T) {
+	dir := t.TempDir()
+	l := startLog(t, dir, 0, Options{})
+	name := filepath.Join(dir, segmentName(0))
+	st, err := os.Stat(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != segHeader+DefaultSegmentBytes {
+		t.Fatalf("new segment is %d bytes, want %d", st.Size(), segHeader+DefaultSegmentBytes)
+	}
+	if _, err := l.Commit([]PageImage{{ID: 1, Data: img(0x11)}}); err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := l.Commit([]PageImage{{ID: 2, Data: img(0x22)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Abandon()
+	rep, err := Replay(nil, dir, testPS, mapApplier{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TornTail || rep.CleanClose || rep.TxCommitted != 2 || rep.NextLSN != lsn {
+		t.Fatalf("crash over zero fill: report %+v, want 2 tx ending at %d", rep, lsn)
+	}
+
+	l = startLog(t, dir, rep.NextLSN, Options{})
+	if _, err := l.Commit([]PageImage{{ID: 3, Data: img(0x33)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.CloseClean(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = Replay(nil, dir, testPS, mapApplier{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TornTail || !rep.CleanClose || rep.Replayed() {
+		t.Fatalf("clean close over zero fill: report %+v", rep)
+	}
+}
+
+// TestFillContinuesIntoNextSegment: zero fill after an older segment's
+// records ends that segment only; replay goes on in the next one.
+func TestFillContinuesIntoNextSegment(t *testing.T) {
+	dir := t.TempDir()
+	tx1, tx2 := txRecords(1, 1, 0x11), txRecords(2, 2, 0x22)
+	fill := make([]byte, 1000)
+	writeSegment(t, dir, segVersion, 0, append(tx1, fill...))
+	next := uint64(len(tx1))
+	writeSegment(t, dir, segVersion, next, append(tx2, fill...))
+	got := mapApplier{}
+	rep, err := Replay(nil, dir, testPS, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TornTail || rep.Segments != 2 || rep.TxCommitted != 2 || rep.NextLSN != next+uint64(len(tx2)) {
+		t.Fatalf("report %+v", rep)
+	}
+	if got[1] == nil || got[1][0] != 0x11 || got[2] == nil || got[2][0] != 0x22 {
+		t.Fatal("a segment's transaction was lost at the fill")
+	}
+}
+
+// TestTornRecordInFill: a record cut short inside the zero fill is still
+// a torn tail; the committed transaction before it replays.
+func TestTornRecordInFill(t *testing.T) {
+	dir := t.TempDir()
+	l := startLog(t, dir, 0, Options{})
+	lsn, err := l.Commit([]PageImage{{ID: 1, Data: img(0x11)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Abandon()
+	f, err := os.OpenFile(filepath.Join(dir, segmentName(0)), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first 100 bytes of the next transaction's page record.
+	if _, err := f.WriteAt(txRecords(2, 2, 0x22)[:100], segHeader+int64(lsn)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := mapApplier{}
+	rep, err := Replay(nil, dir, testPS, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.TornTail || rep.TxCommitted != 1 || rep.NextLSN != lsn || got[1] == nil || got[2] != nil {
+		t.Fatalf("torn record in the fill: report %+v", rep)
+	}
+}
+
+// TestVersion1Replays: segments from before the zero fill (version 1,
+// records to the end of the file) still replay; an unknown version is
+// refused.
+func TestVersion1Replays(t *testing.T) {
+	dir := t.TempDir()
+	tx1, tx2 := txRecords(1, 1, 0x11), txRecords(2, 2, 0x22)
+	writeSegment(t, dir, 1, 0, tx1)
+	writeSegment(t, dir, 1, uint64(len(tx1)), tx2)
+	got := mapApplier{}
+	rep, err := Replay(nil, dir, testPS, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TornTail || rep.TxCommitted != 2 || got[1] == nil || got[2] == nil {
+		t.Fatalf("version 1 log: report %+v", rep)
+	}
+
+	writeSegment(t, dir, segVersion+1, 0, tx1)
+	if _, err := Replay(nil, dir, testPS, mapApplier{}); err == nil {
+		t.Fatal("segment of an unknown version accepted")
+	}
+}

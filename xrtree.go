@@ -104,7 +104,8 @@ type StoreOptions struct {
 	WAL bool
 	// WALDir is the log directory; default "<store path>.wal".
 	WALDir string
-	// WALSegmentBytes rotates log segments past this size (default 1 MiB).
+	// WALSegmentBytes is the size each log segment is created at, zero
+	// filled, and past which the log rotates (default 1 MiB).
 	WALSegmentBytes int64
 	// WALCheckpointBytes triggers a fuzzy checkpoint once this many log
 	// bytes accumulate (default 4 MiB).
