@@ -125,7 +125,8 @@ fuzz-smoke:
 	$(GO) test -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
 	$(GO) test -run FuzzParallelReplay -fuzz FuzzParallelReplay -fuzztime 10s ./internal/join
 
-# Crash-recovery gate: 30 randomized kill points against a WAL-enabled
+# Crash-recovery gate: 30 randomized kill points in the log's headers and
+# records, and 6 more in new segments' zero fill, against a WAL-enabled
 # store (the crossing log write torn partway), each reopened through redo
 # and re-verified against the Definition 4 oracle and the acknowledged
 # commit set, plus the concurrent-writer group-commit phase (fsyncs <

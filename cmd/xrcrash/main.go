@@ -1,11 +1,13 @@
 // Command xrcrash is the crash-recovery gate run by CI (`make
 // crash-smoke`): it kills a WAL-enabled store's log at randomized byte
-// offsets mid-workload — inside segment headers, the zero fill of new
-// segments, and records alike — reopens through recovery, and verifies
-// that every acknowledged transaction survived and every index invariant
-// (Definition 4, B+-tree ordering) holds. A final phase hammers one store with
-// concurrent writers and asserts the group-commit signature, fsyncs <
-// commits.
+// offsets mid-workload, reopens through recovery, and verifies that every
+// acknowledged transaction survived and every index invariant
+// (Definition 4, B+-tree ordering) holds. The n kill points range over
+// the log's header and record bytes; n/5 more (at least one) tear the
+// zero fill of the first segment created after a random offset. It fails
+// unless kills landed in both records and fill. A final phase hammers one
+// store with concurrent writers and asserts the group-commit signature,
+// fsyncs < commits.
 //
 // Usage:
 //
@@ -26,7 +28,7 @@ import (
 
 func main() {
 	var (
-		n       = flag.Int("n", 30, "randomized kill points to test")
+		n       = flag.Int("n", 30, "randomized kill points in the log's headers and records (n/5 more, at least one, in segment fill)")
 		ops     = flag.Int("ops", 200, "insert/delete transactions per run")
 		seed    = flag.Int64("seed", 1, "base random seed")
 		writers = flag.Int("writers", 8, "concurrent writers in the group-commit phase")
@@ -58,23 +60,26 @@ func main() {
 	fmt.Printf("probe: %d transactions, %d log bytes, clean close honored\n",
 		probe.Committed, probe.LogBytes)
 
-	// Crash runs: kill the log at a random offset, recover, verify.
+	// Crash runs: kill the log at a random offset, recover, verify. The
+	// runs past n move their kill into the next segment fill.
 	rng := rand.New(rand.NewSource(*seed))
+	runs := *n + max(*n/5, 1)
 	fired := 0
 	kinds := map[crashtest.KillKind]int{}
-	for i := 0; i < *n; i++ {
+	for i := 0; i < runs; i++ {
 		dir := filepath.Join(root, fmt.Sprintf("run%03d", i))
 		if err := os.Mkdir(dir, 0o755); err != nil {
 			fatal(err)
 		}
 		cfg := crashtest.Config{
-			Seed:      *seed + int64(i) + 1,
-			Ops:       *ops,
-			KillAfter: 1 + rng.Int63n(probe.LogBytes),
+			Seed:       *seed + int64(i) + 1,
+			Ops:        *ops,
+			KillAfter:  1 + rng.Int63n(probe.LogBytes),
+			KillInFill: i >= *n,
 		}
 		res, err := crashtest.Run(dir, cfg)
 		if err != nil {
-			fatal(fmt.Errorf("run %d (seed %d, kill %d): %w", i, cfg.Seed, cfg.KillAfter, err))
+			fatal(fmt.Errorf("run %d (seed %d, kill %d, in fill %v): %w", i, cfg.Seed, cfg.KillAfter, cfg.KillInFill, err))
 		}
 		if res.Crashed {
 			fired++
@@ -87,10 +92,10 @@ func main() {
 		}
 		os.RemoveAll(dir)
 	}
-	fmt.Printf("crash: %d/%d kill points fired (%d in segment headers, %d in segment fill, %d in records), all recovered clean\n",
-		fired, *n, kinds[crashtest.KillHeader], kinds[crashtest.KillFill], kinds[crashtest.KillRecord])
-	if fired == 0 {
-		fatal(fmt.Errorf("no kill point fired — kill range miscalibrated"))
+	fmt.Printf("crash: %d/%d kill points fired (%d in segment headers, %d in records, %d in segment fill), all recovered clean\n",
+		fired, runs, kinds[crashtest.KillHeader], kinds[crashtest.KillRecord], kinds[crashtest.KillFill])
+	if kinds[crashtest.KillRecord] == 0 || kinds[crashtest.KillFill] == 0 {
+		fatal(fmt.Errorf("no kill point tore a record or none tore a segment fill — kill range miscalibrated"))
 	}
 
 	// Group-commit phase: concurrent writers must share fsyncs.

@@ -19,15 +19,21 @@ import (
 // byte budget is spent.
 var ErrCrashed = errors.New("crashtest: injected crash")
 
-// FS wraps the OS filesystem and kills the log after a byte budget: the
-// write that crosses the budget is torn partway through (its prefix
-// reaches the file, like a sector-aligned crash mid-write), and every
-// later write and fsync fails. Reads keep working so recovery can run
-// against the torn result. Every written byte counts against the budget:
-// segment headers, the zero fill of new segments, and records.
+// FS wraps the OS filesystem and kills the log after a byte budget. The
+// budget counts the log's content — segment headers and records — but not
+// the zero fill that sizes each new segment, so kill points drawn over a
+// probe run's LogBytes land in records and headers. The write that
+// crosses the budget is torn partway through (its prefix reaches the
+// file, like a sector-aligned crash mid-write), and every later write and
+// fsync fails. An FS made with inFill instead lets the content through and
+// tears, halfway, the first segment fill written once the budget is
+// spent: the crash hits while Start or a rotation creates a segment. Every
+// fill tear is that one case, so a few runs cover it. Reads keep working
+// so recovery can run against the torn result.
 type FS struct {
 	mu      sync.Mutex
 	remain  int64
+	inFill  bool
 	written int64
 	crashed bool
 	kind    KillKind
@@ -43,12 +49,13 @@ const (
 )
 
 // NewFS returns a crash-injecting filesystem that dies after budget
-// written bytes; with budget ≤ 0 it never dies and only counts.
-func NewFS(budget int64) *FS {
+// written header and record bytes, or, with inFill, in the first segment
+// fill after them. With budget ≤ 0 it never dies and only counts.
+func NewFS(budget int64, inFill bool) *FS {
 	if budget <= 0 {
 		budget = math.MaxInt64
 	}
-	return &FS{remain: budget}
+	return &FS{remain: budget, inFill: inFill}
 }
 
 // Crashed reports whether the budget has been hit.
@@ -58,7 +65,7 @@ func (c *FS) Crashed() bool {
 	return c.crashed
 }
 
-// Written returns the bytes written through the filesystem so far.
+// Written returns the header and record bytes written so far.
 func (c *FS) Written() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -81,23 +88,30 @@ func (c *FS) charge(p []byte, off int64) (int64, bool) {
 		return 0, false
 	}
 	n := int64(len(p))
-	if n > c.remain {
+	kind := writeKind(p, off)
+	if kind == KillFill {
+		if c.inFill && c.remain == 0 {
+			c.crashed, c.kind = true, kind
+			return n / 2, false
+		}
+		return n, true
+	}
+	if n > c.remain && !c.inFill {
 		part := c.remain
 		c.remain = 0
 		c.written += part
-		c.crashed = true
-		c.kind = killKind(p, off)
+		c.crashed, c.kind = true, kind
 		return part, false
 	}
-	c.remain -= n
+	c.remain = max(c.remain-n, 0)
 	c.written += n
 	return n, true
 }
 
-// killKind classifies a write by its content: the log writes a segment's
+// writeKind classifies a write by its content: the log writes a segment's
 // header at offset 0 and its fill as all-zero chunks, and every record
 // has a non-zero type byte.
-func killKind(p []byte, off int64) KillKind {
+func writeKind(p []byte, off int64) KillKind {
 	if off == 0 {
 		return KillHeader
 	}

@@ -19,12 +19,15 @@ type Config struct {
 	Seed int64
 	// Ops is the number of insert/delete transactions attempted.
 	Ops int
-	// KillAfter is the log-byte budget before the injected crash: every
-	// byte written to the log's files counts, segment fill included. ≤ 0
+	// KillAfter is the log-byte budget before the injected crash: the
+	// segment header and record bytes written, not the segment fill. ≤ 0
 	// runs the workload to completion and closes cleanly instead (the
 	// probe run, which also measures those bytes for picking kill
 	// points).
 	KillAfter int64
+	// KillInFill moves the crash from the byte at KillAfter to the first
+	// segment fill written after it, torn halfway (see FS).
+	KillInFill bool
 	// PageSize, BufferPages size the store; small defaults keep splits,
 	// merges, segment rotation and checkpoints all hot within a short
 	// workload.
@@ -49,7 +52,7 @@ type Result struct {
 	Crashed   bool                  // the injected crash fired
 	Kill      KillKind              // what the torn write was writing, when Crashed
 	Committed int                   // transactions acknowledged before the end
-	LogBytes  int64                 // bytes written to the log's files: headers, fill, records
+	LogBytes  int64                 // header and record bytes written to the log (fill excluded)
 	Report    xrtree.RecoveryReport // what the reopening redo pass found
 }
 
@@ -170,7 +173,7 @@ func Run(dir string, cfg Config) (Result, error) {
 		base, extra = extra[:1], extra[1:]
 	}
 
-	cfs := NewFS(cfg.KillAfter)
+	cfs := NewFS(cfg.KillAfter, cfg.KillInFill)
 	opts := xrtree.StoreOptions{
 		PageSize:           cfg.PageSize,
 		BufferPages:        cfg.BufferPages,
@@ -202,8 +205,8 @@ func workload(path string, opts xrtree.StoreOptions, cfg Config, rng *rand.Rand,
 	store, err := xrtree.CreateStore(path, opts)
 	if err != nil {
 		if crashed(err) {
-			// The budget died inside the first segment header: the log
-			// never started, nothing was acknowledged.
+			// The budget died inside the first segment's header or fill:
+			// the log never started, nothing was acknowledged.
 			res.Crashed = true
 			return nil, nil, nil
 		}

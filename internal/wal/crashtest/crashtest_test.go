@@ -26,17 +26,17 @@ func TestProbeRun(t *testing.T) {
 // nodes whose directories disagreed with their chains. Seed 2 with the
 // tear 346 bytes into the commit after 118 acknowledged operations
 // reproduced it deterministically (node split re-keying a chain entry
-// between the last checkpoint and the tear). The kill offset counts every
-// byte written to the log before the tear: 21 segment headers, their
-// 8 KiB of zero fill each, and 185 993 record bytes.
+// between the last checkpoint and the tear).
 func TestStabPageRedo(t *testing.T) {
-	if _, err := Run(t.TempDir(), Config{Seed: 2, Ops: 200, KillAfter: 187011 + 21*8192}); err != nil {
+	if _, err := Run(t.TempDir(), Config{Seed: 2, Ops: 200, KillAfter: 187011}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestCrashSmoke covers a spread of kill points: the segment header, the
-// early log, and random offsets through one probe-measured workload.
+// TestCrashSmoke covers a spread of kill points: the first segment header,
+// the early log, random offsets through one probe-measured workload, and
+// tears of a segment's zero fill — the first one, inside CreateStore, and
+// a rotation's midway through the log.
 func TestCrashSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash smoke is slow")
@@ -51,8 +51,21 @@ func TestCrashSmoke(t *testing.T) {
 		kills = append(kills, 1+rng.Int63n(probe.LogBytes))
 	}
 	for _, k := range kills {
-		if _, err := Run(t.TempDir(), Config{Seed: 3, Ops: 150, KillAfter: k}); err != nil {
+		res, err := Run(t.TempDir(), Config{Seed: 3, Ops: 150, KillAfter: k})
+		if err != nil {
 			t.Fatalf("kill@%d: %v", k, err)
+		}
+		if !res.Crashed || res.Kill == KillFill {
+			t.Fatalf("kill@%d: crashed %v, tore %q", k, res.Crashed, res.Kill)
+		}
+	}
+	for _, k := range []int64{1, probe.LogBytes / 2} {
+		res, err := Run(t.TempDir(), Config{Seed: 3, Ops: 150, KillAfter: k, KillInFill: true})
+		if err != nil {
+			t.Fatalf("fill kill@%d: %v", k, err)
+		}
+		if res.Kill != KillFill {
+			t.Fatalf("fill kill@%d tore %q", k, res.Kill)
 		}
 	}
 }

@@ -40,10 +40,11 @@ const maxWALRecord = 1 << 24
 
 // Replay scans the log segments in dir and redoes every committed
 // transaction through ap. A segment's records end at its zero fill or
-// its end of file, and the log continues in the next segment. Replay
-// tolerates (and reports) a torn tail: the first incomplete or CRC-invalid
-// record ends the log, and transactions without a commit record are
-// discarded. A missing or empty directory is an empty log. pageSize must
+// its end of file, and the log continues in the next segment, which must
+// begin at the LSN where they end. Replay tolerates (and reports) a torn
+// tail: the first incomplete or CRC-invalid record, or a gap before the
+// next segment, ends the log, and transactions without a commit record
+// are discarded. A missing or empty directory is an empty log. pageSize must
 // match the store's; segments recording a different page size are
 // rejected.
 func Replay(fsys FS, dir string, pageSize int, ap Applier) (Report, error) {
@@ -148,6 +149,21 @@ scan:
 			off += rec.size
 			rep.NextLSN = base + uint64(off)
 		}
+		// An older segment's records must end where the next segment
+		// begins: rotation and Start name the next segment by the LSN
+		// after the last record. A gap means the records stopped short of
+		// their end — a zeroed or lost region — and replay stops there
+		// rather than apply later transactions without the ones between.
+		if !last && base+uint64(off) != bases[i+1] {
+			rep.TornTail = true
+			break scan
+		}
+	}
+	// When the log stopped in an older segment, the next incarnation still
+	// starts at or past every segment's base, so segment names keep rising
+	// (its first segment replaces the newest one by name).
+	if n := len(bases); n > 0 && bases[n-1] > rep.NextLSN {
+		rep.NextLSN = bases[n-1]
 	}
 	rep.TxDiscarded = len(pending)
 	rep.CleanClose = !rep.TornTail && lastType == recClean && rep.TxDiscarded == 0

@@ -31,8 +31,9 @@
 // would also have to commit the filesystem's journal entry for its new
 // size and extents, which costs more than the data itself. The records of
 // a segment end at its first all-zero record header (the untouched fill)
-// or at the end of the file; a commit that crosses SegmentBytes extends
-// the file, and the next commit rotates to a new segment.
+// or at the end of the file, and the next segment begins at the LSN where
+// they end; a commit that crosses SegmentBytes extends the file, and the
+// next commit rotates to a new segment.
 //
 // # Group commit
 //

@@ -376,7 +376,8 @@ func TestFillEndsLog(t *testing.T) {
 }
 
 // TestFillContinuesIntoNextSegment: zero fill after an older segment's
-// records ends that segment only; replay goes on in the next one.
+// records ends that segment only; replay goes on in the next one when it
+// begins where those records end, and stops as a torn tail when not.
 func TestFillContinuesIntoNextSegment(t *testing.T) {
 	dir := t.TempDir()
 	tx1, tx2 := txRecords(1, 1, 0x11), txRecords(2, 2, 0x22)
@@ -394,6 +395,21 @@ func TestFillContinuesIntoNextSegment(t *testing.T) {
 	}
 	if got[1] == nil || got[1][0] != 0x11 || got[2] == nil || got[2][0] != 0x22 {
 		t.Fatal("a segment's transaction was lost at the fill")
+	}
+
+	// Zeros where a transaction's records were, so the first segment's
+	// records end short of the next segment's base: the log ends there.
+	dir = t.TempDir()
+	gap := len(txRecords(3, 3, 0x33))
+	writeSegment(t, dir, segVersion, 0, append(tx1, make([]byte, gap+1000)...))
+	writeSegment(t, dir, segVersion, next+uint64(gap), append(tx2, fill...))
+	got = mapApplier{}
+	rep, err = Replay(nil, dir, testPS, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.TornTail || rep.TxCommitted != 1 || rep.NextLSN != next+uint64(gap) || got[2] != nil {
+		t.Fatalf("records ending short of the next segment: report %+v", rep)
 	}
 }
 
